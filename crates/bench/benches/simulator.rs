@@ -10,16 +10,20 @@ use rand::{Rng, SeedableRng};
 
 fn bench_round_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator/round_cost");
-    let banks = BankModel::nvidia();
+    let nvidia = BankModel::nvidia();
     let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-    let patterns: Vec<(&str, Vec<u32>)> = vec![
-        ("unit_stride", (0..32).collect()),
-        ("broadcast", vec![7; 32]),
-        ("random", (0..32).map(|_| rng.gen_range(0..4096)).collect()),
-        ("same_bank", (0..32).map(|i| i * 32).collect()),
+    // The last two take the other locators: fused 64-bit rows, and the
+    // division path of a bank count that is not a power of two.
+    let patterns: Vec<(&str, BankModel, Vec<u32>)> = vec![
+        ("unit_stride", nvidia, (0..32).collect()),
+        ("broadcast", nvidia, vec![7; 32]),
+        ("random", nvidia, (0..32).map(|_| rng.gen_range(0..4096)).collect()),
+        ("same_bank", nvidia, (0..32).map(|i| i * 32).collect()),
+        ("row64", BankModel::with_word(32, 2), (0..32).collect()),
+        ("w12_stride6", BankModel::new(12), (0..12).map(|i| i * 6).collect()),
     ];
-    for (label, addrs) in patterns {
-        g.throughput(Throughput::Elements(32));
+    for (label, banks, addrs) in patterns {
+        g.throughput(Throughput::Elements(addrs.len() as u64));
         g.bench_function(label, |b| b.iter(|| black_box(banks.round_cost(&addrs).transactions)));
     }
     g.finish();
@@ -38,6 +42,19 @@ fn bench_phase_dispatch(c: &mut Criterion) {
                 }
             });
             black_box(block.profile.total().shared_st_transactions)
+        })
+    });
+    // Serial-merge-like loads on one reused block: stride-16 conflicts,
+    // lanes of unequal length, so accounting dominates.
+    let mut block = BlockSim::<u32>::new(BankModel::nvidia(), 512, 512 * rounds);
+    g.bench_function("512_threads_conflicted_loads", |b| {
+        b.iter(|| {
+            block.phase(PhaseClass::Merge, |tid, lane| {
+                for r in 0..rounds - tid % 2 {
+                    let _ = lane.ld((tid * 16 + r) % (512 * rounds));
+                }
+            });
+            black_box(block.profile.total().shared_ld_transactions)
         })
     });
     g.finish();

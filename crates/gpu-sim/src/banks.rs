@@ -125,61 +125,35 @@ impl BankModel {
     /// fused bank row (64-bit-bank mode), in which case one transaction
     /// serves both halves.
     ///
-    /// The implementation is the hot inner loop of the whole simulator:
-    /// per-bank distinct counting over at most `w` addresses using two
-    /// small stack buffers, no allocation.
+    /// The implementation is the hot inner loop of the whole simulator
+    /// and allocates nothing. One pass collects a lane mask per bank; a
+    /// round whose lanes sit in distinct banks costs one transaction
+    /// with no further work, and otherwise only banks holding several
+    /// lanes are searched for distinct rows. When both the bank count and
+    /// the row width are powers of two (every shipped device), an address
+    /// is located by a shift and a mask instead of a division and a
+    /// modulo.
+    ///
+    /// # Panics
+    /// Panics if the model or the round exceeds [`MAX_BANKS`].
     #[must_use]
     pub fn round_cost(&self, addrs: &[u32]) -> RoundCost {
         if addrs.is_empty() {
             return RoundCost::default();
         }
-        let w = self.num_banks as usize;
+        let (w, width) = (self.num_banks, self.bank_word_u32s);
         debug_assert!(
-            addrs.len() <= w,
+            addrs.len() <= w as usize,
             "a warp round cannot issue more lanes ({}) than banks/warp width ({w})",
             addrs.len()
         );
-        // distinct[b] counts distinct rows seen in bank b so far; first[b]
-        // caches the first row seen in bank b (the overwhelmingly common
-        // bank population is 0 or 1, so this resolves most lanes without
-        // touching the spill list). With the default 4-byte banks a row IS
-        // the word address, so the accounting is unchanged from the paper.
-        let mut distinct = [0u8; MAX_BANKS];
-        let mut first = [0u32; MAX_BANKS];
-        // Spill storage for banks with ≥2 distinct rows: (bank, row).
-        let mut spill: [(u32, u32); MAX_BANKS] = [(0, 0); MAX_BANKS];
-        let mut spill_len = 0usize;
-        assert!(w <= MAX_BANKS, "BankModel supports at most {MAX_BANKS} banks, got {w}");
-
-        let mut max_distinct = 0u8;
-        for &addr in addrs {
-            let row = addr / self.bank_word_u32s;
-            let b = (row % self.num_banks) as usize;
-            let seen = match distinct[b] {
-                0 => {
-                    first[b] = row;
-                    false
-                }
-                1 => first[b] == row,
-                _ => {
-                    first[b] == row
-                        || spill[..spill_len].iter().any(|&(sb, sr)| sb == b as u32 && sr == row)
-                }
-            };
-            if !seen {
-                if distinct[b] >= 1 {
-                    spill[spill_len] = (b as u32, row);
-                    spill_len += 1;
-                }
-                distinct[b] += 1;
-                max_distinct = max_distinct.max(distinct[b]);
-            }
-        }
-        let transactions = u32::from(max_distinct);
-        RoundCost {
-            transactions,
-            conflicts: transactions.saturating_sub(1),
-            active_lanes: addrs.len() as u32,
+        assert!(w as usize <= MAX_BANKS, "BankModel supports at most {MAX_BANKS} banks, got {w}");
+        assert!(addrs.len() <= MAX_BANKS, "a round has at most {MAX_BANKS} lanes");
+        if w.is_power_of_two() && width.is_power_of_two() {
+            let (shift, mask) = (width.trailing_zeros(), w - 1);
+            count_distinct_rows(addrs, |addr| addr >> shift, |row| row & mask)
+        } else {
+            count_distinct_rows(addrs, |addr| addr / width, |row| row % w)
         }
     }
 
@@ -196,6 +170,59 @@ impl BankModel {
 /// Upper bound on supported bank counts (NVIDIA uses 32; 64 covers any
 /// hypothetical double-width configuration and all paper figure examples).
 pub const MAX_BANKS: usize = 64;
+
+/// [`BankModel::round_cost`]'s count over a non-empty round of at most
+/// [`MAX_BANKS`] addresses, given how to find an address's row and a
+/// row's bank. Inlined into each caller so that each locator is compiled
+/// into its own loop.
+#[inline(always)]
+fn count_distinct_rows(
+    addrs: &[u32],
+    row_of: impl Fn(u32) -> u32,
+    bank_of: impl Fn(u32) -> u32,
+) -> RoundCost {
+    let active_lanes = addrs.len() as u32;
+    // lanes_in[b]: the lanes (bit l = lane l) whose address is in bank b.
+    let mut lanes_in = [0u64; MAX_BANKS];
+    let mut banks_hit = 0u64;
+    for (lane, &addr) in addrs.iter().enumerate() {
+        let b = bank_of(row_of(addr)) as usize;
+        lanes_in[b] |= 1 << lane;
+        banks_hit |= 1 << b;
+    }
+    // Lanes in pairwise distinct banks, which is every round of a
+    // conflict-free phase, cost one transaction.
+    let mut transactions = 1;
+    if banks_hit.count_ones() == active_lanes {
+        return RoundCost { transactions, conflicts: 0, active_lanes };
+    }
+    // Otherwise a bank costs one transaction per distinct row among its
+    // lanes (lanes sharing a row are served by one broadcast). With the
+    // default 4-byte banks a row IS the word address, so the accounting
+    // is unchanged from the paper. Only a bank with more lanes than the
+    // cost so far can raise it.
+    let mut rows = [0u32; MAX_BANKS];
+    let mut banks = banks_hit;
+    while banks != 0 {
+        let lanes = lanes_in[banks.trailing_zeros() as usize];
+        banks &= banks - 1;
+        if lanes.count_ones() <= transactions {
+            continue;
+        }
+        let mut distinct = 0;
+        let mut rest = lanes;
+        while rest != 0 {
+            let row = row_of(addrs[rest.trailing_zeros() as usize]);
+            rest &= rest - 1;
+            if !rows[..distinct].contains(&row) {
+                rows[distinct] = row;
+                distinct += 1;
+            }
+        }
+        transactions = transactions.max(distinct as u32);
+    }
+    RoundCost { transactions, conflicts: transactions - 1, active_lanes }
+}
 
 #[cfg(test)]
 mod tests {

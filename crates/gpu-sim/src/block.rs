@@ -25,49 +25,120 @@
 //!   not an approximation for them. Lanes that issue fewer accesses are
 //!   treated as predicated off for the trailing rounds.
 
-use crate::banks::{BankModel, RoundCost};
+use crate::banks::{BankModel, MAX_BANKS};
 use crate::check::{MemCheck, NoCheck};
 use crate::fault::{FaultInjector, FaultWord, NoFaults};
 use crate::global::sectors_touched;
 use crate::profiler::{KernelProfile, PhaseClass};
 use crate::trace::{GlobalRoundEvent, NullTracer, SharedRoundEvent, Tracer};
 
-/// One recorded shared-memory access.
-#[derive(Debug, Clone, Copy)]
-struct SharedAcc {
-    addr: u32,
-    store: bool,
+/// A set of lanes of one warp, bit `l` standing for lane `l`; a warp has
+/// at most [`MAX_BANKS`] = 64 lanes.
+type LaneMask = u64;
+
+/// The mask of all `w` lanes of a warp.
+fn all_lanes(w: usize) -> LaneMask {
+    LaneMask::MAX >> (LaneMask::BITS as usize - w)
 }
 
-/// One recorded global-memory access (element index within a flat space).
-#[derive(Debug, Clone, Copy)]
-struct GlobalAcc {
-    idx: u64,
-    store: bool,
+/// One warp's accesses in the current phase — shared word addresses
+/// (`A = u32`) or global element indices (`A = u64`) — stored
+/// round-major: lane `l`'s `r`-th access sits at `slots[r * w + l]`, so
+/// each lock-step round is one contiguous row of `w` slots, and
+/// `stores[r]` marks the lanes whose round-`r` access is a store.
+///
+/// A slot at or past its lane's length is stale (left by an earlier warp)
+/// and the lane counts as predicated off for that round. Clearing resets
+/// only the lengths and the used store masks, so the buffers grow to the
+/// block's longest warp trace once and are then reused by every warp and
+/// phase without allocating.
+struct WarpRounds<A> {
+    slots: Vec<A>,
+    /// Per round, the lanes that stored; zero beyond the current warp's
+    /// rounds. Its length is the number of rows `slots` holds.
+    stores: Vec<LaneMask>,
+    /// Accesses recorded by each lane of the current warp.
+    lens: Vec<usize>,
 }
 
-/// Per-round detail kept when round logging is enabled (figure harness).
-#[derive(Debug, Clone)]
-pub struct LoggedRound {
-    /// `(lane_in_warp, address)` pairs for loads in this round.
-    pub loads: Vec<(u32, u32)>,
-    /// `(lane_in_warp, address)` pairs for stores in this round.
-    pub stores: Vec<(u32, u32)>,
-    /// Cost of the load part (zero if no loads).
-    pub ld_cost: RoundCost,
-    /// Cost of the store part.
-    pub st_cost: RoundCost,
-}
+impl<A: Copy + Default> WarpRounds<A> {
+    fn new(w: usize) -> Self {
+        Self { slots: Vec::new(), stores: Vec::new(), lens: vec![0; w] }
+    }
 
-/// Round-by-round log of one warp in one phase.
-#[derive(Debug, Clone)]
-pub struct WarpPhaseLog {
-    /// Phase the rounds belong to.
-    pub class: PhaseClass,
-    /// Warp index within the block.
-    pub warp: usize,
-    /// The rounds, in execution order.
-    pub rounds: Vec<LoggedRound>,
+    fn clear(&mut self) {
+        let (_, rounds) = self.len_range();
+        self.stores[..rounds].fill(0);
+        self.lens.fill(0);
+    }
+
+    #[inline]
+    fn push(&mut self, lane: usize, acc: A, store: bool) {
+        let w = self.lens.len();
+        let r = self.lens[lane];
+        if r == self.stores.len() {
+            self.add_round();
+        }
+        self.slots[r * w + lane] = acc;
+        if store {
+            self.stores[r] |= 1 << lane;
+        }
+        self.lens[lane] = r + 1;
+    }
+
+    /// Make room for one more round: taken only while the buffers grow
+    /// to the block's longest warp trace.
+    #[cold]
+    #[inline(never)]
+    fn add_round(&mut self) {
+        self.stores.push(0);
+        self.slots.resize(self.stores.len() * self.lens.len(), A::default());
+    }
+
+    /// The shortest and the longest lane's access counts. Rounds below
+    /// the first have every lane active; the second is the number of
+    /// rounds the warp issued.
+    fn len_range(&self) -> (usize, usize) {
+        self.lens.iter().fold((usize::MAX, 0), |(lo, hi), &n| (lo.min(n), hi.max(n)))
+    }
+
+    /// The lanes still issuing in round `r`.
+    fn active(&self, r: usize) -> LaneMask {
+        self.lens.iter().enumerate().filter(|&(_, &n)| n > r).fold(0, |m, (l, _)| m | 1 << l)
+    }
+
+    /// Round `r`'s accesses by the lanes in `mask`, in lane order: the
+    /// row itself when `mask` is the whole warp, else copied into `buf`.
+    fn select<'a>(&'a self, r: usize, mask: LaneMask, buf: &'a mut [A; MAX_BANKS]) -> &'a [A] {
+        let w = self.lens.len();
+        let row = &self.slots[r * w..(r + 1) * w];
+        if mask == all_lanes(w) {
+            return row;
+        }
+        let mut n = 0;
+        let mut rest = mask;
+        while rest != 0 {
+            buf[n] = row[rest.trailing_zeros() as usize];
+            n += 1;
+            rest &= rest - 1;
+        }
+        &buf[..n]
+    }
+
+    /// Call `f(r, loads, stores)` for each round the warp issued, with
+    /// the round's load and store addresses in lane order.
+    fn for_each_round(&self, mut f: impl FnMut(usize, &[A], &[A])) {
+        let (full_rounds, rounds) = self.len_range();
+        let all = all_lanes(self.lens.len());
+        let (mut ld_buf, mut st_buf) = ([A::default(); MAX_BANKS], [A::default(); MAX_BANKS]);
+        for r in 0..rounds {
+            let active = if r < full_rounds { all } else { self.active(r) };
+            let st_mask = self.stores[r];
+            let loads = self.select(r, active & !st_mask, &mut ld_buf);
+            let stores = self.select(r, st_mask, &mut st_buf);
+            f(r, loads, stores);
+        }
+    }
 }
 
 /// Simulated thread block: `u` threads over a shared-memory array of `T`.
@@ -97,10 +168,6 @@ pub struct BlockSim<
     /// Accumulated counters for this block.
     pub profile: KernelProfile,
     counting: bool,
-    log_rounds: bool,
-    /// Per-warp round logs of all phases run since construction (only
-    /// populated when round logging is on).
-    pub logs: Vec<WarpPhaseLog>,
     tracer: Tr,
     checker: Ck,
     injector: Fi,
@@ -108,9 +175,9 @@ pub struct BlockSim<
     /// which keeps `T: Copy + Default` users free of any bits-conversion
     /// bound while letting faulted blocks flip bits in any [`FaultWord`].
     flip: fn(T, u64) -> T,
-    // Reusable scratch (one slot per lane of a warp).
-    shared_traces: Vec<Vec<SharedAcc>>,
-    global_traces: Vec<Vec<GlobalAcc>>,
+    // The current warp's accesses, reused by every warp of every phase.
+    shared_rounds: WarpRounds<u32>,
+    global_rounds: WarpRounds<u64>,
 }
 
 impl<T: Copy + Default> BlockSim<T> {
@@ -118,7 +185,8 @@ impl<T: Copy + Default> BlockSim<T> {
     /// words, warp width / bank count from `banks`.
     ///
     /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width.
+    /// Panics if `u` is zero or not a multiple of the warp width, or if
+    /// the warp is wider than [`MAX_BANKS`] lanes.
     #[must_use]
     pub fn new(banks: BankModel, u: usize, shared_len: usize) -> Self {
         Self::with_tracer(banks, u, shared_len, NullTracer)
@@ -129,7 +197,8 @@ impl<T: Copy + Default, Tr: Tracer> BlockSim<T, Tr> {
     /// New block observed by `tracer` (see [`crate::trace`]).
     ///
     /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width.
+    /// Panics if `u` is zero or not a multiple of the warp width, or if
+    /// the warp is wider than [`MAX_BANKS`] lanes.
     #[must_use]
     pub fn with_tracer(banks: BankModel, u: usize, shared_len: usize, tracer: Tr) -> Self {
         Self::with_checker(banks, u, shared_len, tracer, NoCheck)
@@ -143,7 +212,8 @@ impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck> BlockSim<T, Tr, Ck> {
     /// kernel runs to completion.
     ///
     /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width.
+    /// Panics if `u` is zero or not a multiple of the warp width, or if
+    /// the warp is wider than [`MAX_BANKS`] lanes.
     #[must_use]
     pub fn with_checker(
         banks: BankModel,
@@ -165,7 +235,8 @@ impl<T: Copy + Default + FaultWord, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>
     /// the only constructor with that bound.
     ///
     /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width.
+    /// Panics if `u` is zero or not a multiple of the warp width, or if
+    /// the warp is wider than [`MAX_BANKS`] lanes.
     #[must_use]
     pub fn with_faults(
         banks: BankModel,
@@ -196,6 +267,7 @@ impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T,
         flip: fn(T, u64) -> T,
     ) -> Self {
         let w = banks.num_banks as usize;
+        assert!(w <= MAX_BANKS, "BlockSim supports at most {MAX_BANKS} lanes per warp, got {w}");
         assert!(u > 0 && u.is_multiple_of(w), "u={u} must be a positive multiple of w={w}");
         checker.begin_block(w, u, shared_len);
         injector.begin_block(w, u, shared_len);
@@ -208,14 +280,12 @@ impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T,
             epoch: 0,
             profile: KernelProfile::new(),
             counting: true,
-            log_rounds: false,
-            logs: Vec::new(),
             tracer,
             checker,
             injector,
             flip,
-            shared_traces: vec![Vec::new(); w],
-            global_traces: vec![Vec::new(); w],
+            shared_rounds: WarpRounds::new(w),
+            global_rounds: WarpRounds::new(w),
         }
     }
 }
@@ -313,11 +383,6 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
         self.counting = on;
     }
 
-    /// Enable per-round logging (used by the figure harness; costly).
-    pub fn set_round_logging(&mut self, on: bool) {
-        self.log_rounds = on;
-    }
-
     /// Run one barrier-delimited phase. `body(tid, lane)` is invoked once
     /// per thread; all its shared/global accesses are recorded and costed
     /// under `class`.
@@ -337,12 +402,8 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
 
         for warp in 0..warps {
             self.checker.warp_begin(warp);
-            for t in &mut self.shared_traces {
-                t.clear();
-            }
-            for t in &mut self.global_traces {
-                t.clear();
-            }
+            self.shared_rounds.clear();
+            self.global_rounds.clear();
             for lane in 0..w {
                 let tid = warp * w + lane;
                 let mut alu = 0u64;
@@ -353,9 +414,10 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                         write_lane: &mut self.write_lane,
                         epoch: self.epoch,
                         tid: tid as u32,
+                        lane,
                         counting: self.counting,
-                        shared_trace: &mut self.shared_traces[lane],
-                        global_trace: &mut self.global_traces[lane],
+                        shared_rounds: &mut self.shared_rounds,
+                        global_rounds: &mut self.global_rounds,
                         alu: &mut alu,
                         checker: &mut self.checker,
                         injector: &mut self.injector,
@@ -399,52 +461,29 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
         }
     }
 
+    /// Cost the current warp's recorded rounds into the profile. A round
+    /// whose loads (or stores) come from every lane is costed in place;
+    /// a mixed or partial round is split into stack buffers of at most
+    /// `w ≤ MAX_BANKS` lanes, so accounting allocates nothing.
     fn account_warp(&mut self, class: PhaseClass, warp: usize) {
-        let w = self.warp_width();
-        // --- shared memory rounds ---
-        let max_len = self.shared_traces.iter().map(Vec::len).max().unwrap_or(0);
-        let mut log_rounds: Vec<LoggedRound> = Vec::new();
-        let mut ld_buf: Vec<u32> = Vec::with_capacity(w);
-        let mut st_buf: Vec<u32> = Vec::with_capacity(w);
-        let mut ld_lanes: Vec<(u32, u32)> = Vec::new();
-        let mut st_lanes: Vec<(u32, u32)> = Vec::new();
-        for r in 0..max_len {
-            ld_buf.clear();
-            st_buf.clear();
-            if self.log_rounds {
-                ld_lanes.clear();
-                st_lanes.clear();
-            }
-            for (lane, trace) in self.shared_traces.iter().enumerate() {
-                if let Some(acc) = trace.get(r) {
-                    if acc.store {
-                        st_buf.push(acc.addr);
-                        if self.log_rounds {
-                            st_lanes.push((lane as u32, acc.addr));
-                        }
-                    } else {
-                        ld_buf.push(acc.addr);
-                        if self.log_rounds {
-                            ld_lanes.push((lane as u32, acc.addr));
-                        }
-                    }
-                }
-            }
-            let ld_cost = self.banks.round_cost(&ld_buf);
-            let st_cost = self.banks.round_cost(&st_buf);
-            self.tracer.shared_round(&SharedRoundEvent {
+        let (banks, tracer, profile) = (&self.banks, &mut self.tracer, &mut self.profile);
+        let merging = matches!(class, PhaseClass::Merge | PhaseClass::Gather);
+        self.shared_rounds.for_each_round(|round, loads, stores| {
+            let ld_cost = banks.round_cost(loads);
+            let st_cost = banks.round_cost(stores);
+            tracer.shared_round(&SharedRoundEvent {
                 class,
                 warp,
-                round: r,
-                loads: &ld_buf,
-                stores: &st_buf,
+                round,
+                loads,
+                stores,
                 ld_cost,
                 st_cost,
             });
-            if matches!(class, PhaseClass::Merge | PhaseClass::Gather) && ld_cost.active_lanes > 0 {
-                self.profile.merge_degree_hist.record(ld_cost.transactions);
+            if merging && ld_cost.active_lanes > 0 {
+                profile.merge_degree_hist.record(ld_cost.transactions);
             }
-            let c = self.profile.phase_mut(class);
+            let c = profile.phase_mut(class);
             if ld_cost.active_lanes > 0 {
                 c.shared_ld_requests += 1;
                 c.shared_ld_transactions += u64::from(ld_cost.transactions);
@@ -453,56 +492,29 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                 c.shared_st_requests += 1;
                 c.shared_st_transactions += u64::from(st_cost.transactions);
             }
-            if self.log_rounds {
-                log_rounds.push(LoggedRound {
-                    loads: ld_lanes.clone(),
-                    stores: st_lanes.clone(),
-                    ld_cost,
-                    st_cost,
-                });
-            }
-        }
-        if self.log_rounds && !log_rounds.is_empty() {
-            self.logs.push(WarpPhaseLog { class, warp, rounds: log_rounds });
-        }
-
-        // --- global memory rounds ---
-        let max_len = self.global_traces.iter().map(Vec::len).max().unwrap_or(0);
-        let mut gld: Vec<u64> = Vec::with_capacity(w);
-        let mut gst: Vec<u64> = Vec::with_capacity(w);
-        for r in 0..max_len {
-            gld.clear();
-            gst.clear();
-            for trace in &self.global_traces {
-                if let Some(acc) = trace.get(r) {
-                    if acc.store {
-                        gst.push(acc.idx);
-                    } else {
-                        gld.push(acc.idx);
-                    }
-                }
-            }
-            let ld_sectors = sectors_touched(&gld);
-            let st_sectors = sectors_touched(&gst);
-            let c = self.profile.phase_mut(class);
-            if !gld.is_empty() {
+        });
+        self.global_rounds.for_each_round(|round, loads, stores| {
+            let ld_sectors = sectors_touched(loads);
+            let st_sectors = sectors_touched(stores);
+            let c = profile.phase_mut(class);
+            if !loads.is_empty() {
                 c.global_ld_requests += 1;
                 c.global_ld_sectors += ld_sectors;
             }
-            if !gst.is_empty() {
+            if !stores.is_empty() {
                 c.global_st_requests += 1;
                 c.global_st_sectors += st_sectors;
             }
-            self.tracer.global_round(&GlobalRoundEvent {
+            tracer.global_round(&GlobalRoundEvent {
                 class,
                 warp,
-                round: r,
-                ld_lanes: gld.len() as u32,
-                st_lanes: gst.len() as u32,
+                round,
+                ld_lanes: loads.len() as u32,
+                st_lanes: stores.len() as u32,
                 ld_sectors,
                 st_sectors,
             });
-        }
+        });
     }
 }
 
@@ -525,9 +537,11 @@ pub struct LaneCtx<'a, T: Copy, Ck: MemCheck = NoCheck, Fi: FaultInjector = NoFa
     write_lane: &'a mut [u32],
     epoch: u32,
     tid: u32,
+    /// Lane index within the warp.
+    lane: usize,
     counting: bool,
-    shared_trace: &'a mut Vec<SharedAcc>,
-    global_trace: &'a mut Vec<GlobalAcc>,
+    shared_rounds: &'a mut WarpRounds<u32>,
+    global_rounds: &'a mut WarpRounds<u64>,
     alu: &'a mut u64,
     checker: &'a mut Ck,
     injector: &'a mut Fi,
@@ -548,6 +562,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     /// *different* lane in the same phase (a missing-barrier race the
     /// hardware would not tolerate either), or on out-of-bounds access.
     /// With one, hazards are recorded as findings instead.
+    #[inline(always)]
     #[must_use]
     pub fn ld(&mut self, idx: usize) -> T {
         if Ck::ACTIVE {
@@ -564,7 +579,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
             );
         }
         if self.counting {
-            self.shared_trace.push(SharedAcc { addr: idx as u32, store: false });
+            self.shared_rounds.push(self.lane, idx as u32, false);
         }
         if Fi::ACTIVE {
             let mask = self.injector.shared_ld_mask(self.tid, idx);
@@ -578,6 +593,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     /// # Panics
     /// Without an active checker, panics if another lane already wrote
     /// this word in the same phase.
+    #[inline(always)]
     pub fn st(&mut self, idx: usize, v: T) {
         if Ck::ACTIVE {
             if !self.checker.shared_access(self.tid, idx, true) {
@@ -595,7 +611,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
             self.write_lane[idx] = self.tid;
         }
         if self.counting {
-            self.shared_trace.push(SharedAcc { addr: idx as u32, store: true });
+            self.shared_rounds.push(self.lane, idx as u32, true);
         }
         if Fi::ACTIVE {
             if self.injector.drops_store(self.tid) {
@@ -610,24 +626,26 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
 
     /// Global-memory load from a caller-provided array. The element index
     /// `idx` is recorded for coalescing accounting.
+    #[inline(always)]
     #[must_use]
     pub fn ld_global(&mut self, data: &[T], idx: usize) -> T {
         if Ck::ACTIVE && !self.checker.global_access(self.tid, idx, data.len(), false) {
             return T::default();
         }
         if self.counting {
-            self.global_trace.push(GlobalAcc { idx: idx as u64, store: false });
+            self.global_rounds.push(self.lane, idx as u64, false);
         }
         data[idx]
     }
 
     /// Global-memory store into a caller-provided array.
+    #[inline(always)]
     pub fn st_global(&mut self, data: &mut [T], idx: usize, v: T) {
         if Ck::ACTIVE && !self.checker.global_access(self.tid, idx, data.len(), true) {
             return;
         }
         if self.counting {
-            self.global_trace.push(GlobalAcc { idx: idx as u64, store: true });
+            self.global_rounds.push(self.lane, idx as u64, true);
         }
         if Fi::ACTIVE {
             if self.injector.drops_store(self.tid) {
@@ -650,7 +668,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
             let _ = self.checker.global_access(self.tid, idx, usize::MAX, false);
         }
         if self.counting {
-            self.global_trace.push(GlobalAcc { idx: idx as u64, store: false });
+            self.global_rounds.push(self.lane, idx as u64, false);
         }
     }
 
@@ -660,7 +678,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
             let _ = self.checker.global_access(self.tid, idx, usize::MAX, true);
         }
         if self.counting {
-            self.global_trace.push(GlobalAcc { idx: idx as u64, store: true });
+            self.global_rounds.push(self.lane, idx as u64, true);
         }
     }
 
@@ -852,17 +870,29 @@ mod tests {
     }
 
     #[test]
-    fn round_log_captures_addresses() {
-        let mut b = block(4, 4, 16);
-        b.set_round_logging(true);
-        b.phase(PhaseClass::Gather, |tid, lane| {
-            let _ = lane.ld(tid);
+    fn later_warps_ignore_earlier_warps_longer_traces() {
+        // Warp 0 issues three rounds of 4-way conflicts (and one global
+        // round per lane); warp 1 issues one conflict-free round and no
+        // global traffic. Warp 0's leftover slots must not leak into
+        // warp 1's accounting.
+        let mut b = block(8, 4, 64);
+        let data = [0u32; 8];
+        b.phase(PhaseClass::Merge, |tid, lane| {
+            if tid < 4 {
+                let _ = lane.ld_global(&data, tid);
+                for r in 0..3 {
+                    let _ = lane.ld(tid * 4 + r);
+                }
+            } else {
+                let _ = lane.ld(tid);
+            }
         });
-        assert_eq!(b.logs.len(), 1);
-        let log = &b.logs[0];
-        assert_eq!(log.rounds.len(), 1);
-        assert_eq!(log.rounds[0].loads.len(), 4);
-        assert_eq!(log.rounds[0].ld_cost.transactions, 1);
+        let m = b.profile.phase(PhaseClass::Merge);
+        assert_eq!(m.shared_ld_requests, 3 + 1);
+        assert_eq!(m.shared_ld_transactions, 3 * 4 + 1);
+        assert_eq!(m.global_ld_requests, 1);
+        assert_eq!(m.global_ld_sectors, 1);
+        assert_eq!(b.profile.merge_degree_hist.buckets(), &[0, 1, 0, 0, 3]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! memory), so this model mostly certifies that our kernels keep that
 //! property — and prices the total traffic for the timing model.
 
+use crate::banks::MAX_BANKS;
+
 /// Bytes per DRAM sector.
 pub const SECTOR_BYTES: u64 = 32;
 
@@ -28,11 +30,22 @@ pub fn sectors_touched(indices: &[u64]) -> u64 {
     if indices.is_empty() {
         return 0;
     }
-    // ≤ 32 lanes: a tiny sort-based distinct count beats hashing.
-    let mut sectors: Vec<u64> = indices.iter().map(|&i| i / SECTOR_WORDS).collect();
+    // A tiny sort-based distinct count beats hashing. A warp round has at
+    // most MAX_BANKS lanes, so the engine's calls sort a stack buffer;
+    // only longer caller-built inputs use the heap.
+    let mut stack = [0u64; MAX_BANKS];
+    let mut heap = Vec::new();
+    let sectors = if indices.len() <= MAX_BANKS {
+        &mut stack[..indices.len()]
+    } else {
+        heap.resize(indices.len(), 0);
+        &mut heap[..]
+    };
+    for (s, &i) in sectors.iter_mut().zip(indices) {
+        *s = i / SECTOR_WORDS;
+    }
     sectors.sort_unstable();
-    sectors.dedup();
-    sectors.len() as u64
+    1 + sectors.windows(2).filter(|p| p[0] != p[1]).count() as u64
 }
 
 /// Coalescing efficiency of an access: useful bytes / fetched bytes.
@@ -69,6 +82,17 @@ mod tests {
         let idx: Vec<u64> = (0..32).map(|i| i * 8).collect();
         assert_eq!(sectors_touched(&idx), 32);
         assert!((efficiency(&idx) - 0.125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unordered_and_long_inputs_count_distinct_sectors() {
+        // Descending lanes are counted like ascending ones; more indices
+        // than a warp has lanes take the heap buffer.
+        let idx: Vec<u64> = (0..32).rev().map(|i| i * 3).collect();
+        assert_eq!(sectors_touched(&idx), 12);
+        let long: Vec<u64> = (0..100).map(|i| (i * 37) % 800).collect();
+        let distinct: std::collections::BTreeSet<u64> = long.iter().map(|i| i / 8).collect();
+        assert_eq!(sectors_touched(&long), distinct.len() as u64);
     }
 
     #[test]

@@ -9,18 +9,21 @@ use std::collections::BTreeSet;
 
 proptest! {
     /// round_cost equals the brute-force definition: max over banks of
-    /// the number of distinct words in that bank.
+    /// the number of distinct rows in that bank. Widths above 1 fuse
+    /// adjacent words into one row; power-of-two and other bank counts
+    /// and widths take different locators.
     #[test]
     fn prop_round_cost_matches_definition(
         w in 1u32..=64,
+        width in 1u32..=4,
         addrs in proptest::collection::vec(0u32..512, 0..64),
     ) {
         let addrs: Vec<u32> = addrs.into_iter().take(w as usize).collect();
-        let m = BankModel::new(w);
+        let m = BankModel::with_word(w, width);
         let cost = m.round_cost(&addrs);
         let mut per_bank: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); w as usize];
         for &a in &addrs {
-            per_bank[(a % w) as usize].insert(a);
+            per_bank[((a / width) % w) as usize].insert(a / width);
         }
         let expect = per_bank.iter().map(|s| s.len() as u32).max().unwrap_or(0);
         prop_assert_eq!(cost.transactions, expect);
