@@ -2,7 +2,7 @@
 //!
 //! The paper situates CF-Merge among a family of shared-memory-heavy GPU
 //! algorithms whose bank-conflict behaviour has been studied before
-//! (scans [18], tridiagonal solvers, permutations, …) and positions
+//! (scans \[18\], tridiagonal solvers, permutations, …) and positions
 //! mergesort as the fastest *comparison-based* GPU sort. This crate
 //! provides the context those claims live in, implemented on the same
 //! simulator with the same exact conflict accounting:

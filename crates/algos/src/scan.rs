@@ -1,16 +1,16 @@
 //! Block-level prefix sums in shared memory — the classic bank-conflict
-//! case study (Dotsenko et al., cited as [18] by the paper).
+//! case study (Dotsenko et al., cited as \[18\] by the paper).
 //!
 //! Three variants over one tile of `u` elements (one per thread):
 //!
-//! * [`hillis_steele`] — `log u` rounds of `x[i] += x[i - 2^k]`: accesses
+//! * [`HillisSteele`](ScanKind::HillisSteele) — `log u` rounds of `x[i] += x[i - 2^k]`: accesses
 //!   are unit-offset per lane, so it is naturally conflict-free, but it
 //!   does `Θ(u log u)` work.
-//! * [`blelloch`] — the work-efficient up-sweep/down-sweep tree: only
+//! * [`Blelloch`](ScanKind::Blelloch) — the work-efficient up-sweep/down-sweep tree: only
 //!   `Θ(u)` adds, but the tree strides are powers of two — the textbook
 //!   worst case for `w = 32` banks (up to 16-way conflicts near the
 //!   root).
-//! * [`blelloch_padded`] — the classic fix: skew every index by
+//! * [`BlellochPadded`](ScanKind::BlellochPadded) — the classic fix: skew every index by
 //!   `idx / w` padding words so tree strides land in distinct banks.
 //!
 //! The simulator measures all three; tests pin the expected conflict

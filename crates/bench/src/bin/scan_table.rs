@@ -1,4 +1,4 @@
-//! The scan case study (the paper's citation [18] context): bank
+//! The scan case study (the paper's citation \[18\] context): bank
 //! conflicts of three block-scan variants, measured exactly.
 
 use cfmerge_algos::scan::{block_exclusive_scan, ScanKind};

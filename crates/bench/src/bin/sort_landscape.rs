@@ -7,7 +7,7 @@
 //! grows) with a widening gap; CF-Merge ≈ Thrust on random inputs; the
 //! *direct-scatter* radix sort trails them all — its per-pass scattered
 //! stores blow up the sector count, which is exactly why production
-//! radix sorts (Merrill & Grimshaw, cited [32]) bin keys through shared
+//! radix sorts (Merrill & Grimshaw, cited \[32\]) bin keys through shared
 //! memory before writing. The simulator makes that design pressure
 //! visible.
 

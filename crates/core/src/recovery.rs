@@ -1,10 +1,11 @@
-//! Verified recovery and graceful degradation for the sort pipelines,
-//! plus the batch [`SortService`] front-end.
+//! The one sort pipeline driver, with verified recovery and graceful
+//! degradation, plus the batch [`SortService`] front-end.
 //!
-//! [`simulate_sort_robust`] runs the same pipeline as
-//! [`crate::sort::pipeline::simulate_sort`] but verifies every block's
-//! output (sortedness + multiset checksum, see [`crate::verify`]) and
-//! recovers from failures at block granularity:
+//! Every sort entry point runs the same driver: it pads the input, runs
+//! the block sort, partitions and prices each merge pass, and sums the
+//! launches. It verifies every block's output (sortedness + multiset
+//! checksum, see [`crate::verify`]) and recovers from failures at block
+//! granularity:
 //!
 //! 1. **Retry**: a block whose output fails verification is re-executed
 //!    up to [`RobustConfig::max_retries`] times. Each retry is priced in
@@ -22,25 +23,31 @@
 //!    [`SortError::UnrecoverableFault`] — never as silently corrupt
 //!    output.
 //!
-//! With an empty [`FaultPlan`] the robust driver produces bit-identical
-//! output, profile, and modeled seconds to the plain pipeline (one clean
-//! execution per block, verification passes first try).
+//! The plain entry points ([`crate::sort::pipeline::simulate_sort`] and
+//! its `try_`, `_traced` and `_checked` variants) are this driver under a
+//! fixed policy: an empty [`FaultPlan`], no retries, no fallback, no
+//! hedging and no checkpoints. Verification stays on, so a plain block
+//! that fails it is a simulator bug and surfaces as a typed error. With
+//! an empty plan the robust entry points therefore produce bit-identical
+//! output, profile, and modeled seconds to the plain ones. A block whose
+//! plan arms no fault site runs under `NoFaults`, at the plain kernels'
+//! speed.
 //!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
 use crate::params::SortParams;
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::hedge::{HedgeConfig, HedgeCounters};
-use crate::sort::blocksort::{blocksort_block_faulty, MergeStrategy};
+use crate::sort::blocksort::blocksort_block_faulty;
 use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_faulty, MergeChunkJob};
 use crate::sort::pipeline::{KernelReport, SortAlgorithm, SortConfig, SortRun};
 use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
-use cfmerge_gpu_sim::check::NoCheck;
-use cfmerge_gpu_sim::fault::{BlockFaults, FaultInjector, FaultPlan, InjectionRecord};
+use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
+use cfmerge_gpu_sim::fault::{BlockFaults, FaultInjector, FaultPlan, InjectionRecord, NoFaults};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::NullTracer;
+use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
@@ -264,17 +271,46 @@ pub fn pipeline_shape(n: usize, params: &SortParams) -> Vec<u64> {
     vec![runs as u64; 1 + runs.trailing_zeros() as usize]
 }
 
-fn strategy_of(algo: SortAlgorithm) -> MergeStrategy {
-    match algo {
-        SortAlgorithm::ThrustMergesort => MergeStrategy::DirectSerial,
-        SortAlgorithm::CfMerge => MergeStrategy::Gather,
+/// The tracer and checker of each block's successful attempt, one inner
+/// vector per launch, aligned with [`SortRun::kernels`].
+pub(crate) type BlockObservers<Tr, Ck> = Vec<Vec<(Tr, Ck)>>;
+
+/// One block's work in a launch.
+#[derive(Debug, Clone, Copy)]
+enum BlockJob {
+    /// Block-sort the tile starting at this element offset.
+    Tile(usize),
+    /// Merge one output chunk of a pair of sorted runs.
+    Merge(MergeChunkJob),
+}
+
+impl BlockJob {
+    /// Multiset checksum the block's output must carry: its tile's, or —
+    /// by checksum additivity — the sum of its two input ranges'.
+    fn expected_checksum<K: SortKey>(self, src: &[K], tile: usize) -> u64 {
+        match self {
+            BlockJob::Tile(lo) => multiset_checksum(&src[lo..lo + tile]),
+            BlockJob::Merge(job) => multiset_checksum(&src[job.a_begin..job.a_end])
+                .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end])),
+        }
     }
 }
 
+/// One execution of one block.
+struct Attempt<Tr, Ck> {
+    profile: KernelProfile,
+    observers: (Tr, Ck),
+    faults: BlockFaults,
+    verdict: Result<(), VerifyFailure>,
+}
+
 /// Outcome of one block's execute-verify-retry loop.
-struct BlockExec {
+struct BlockExec<Tr, Ck> {
     /// Profile of the successful (or last) attempt.
     profile: KernelProfile,
+    /// Observers of the successful attempt (`None` if every attempt
+    /// failed; failed attempts and hedged duplicates drop theirs).
+    observers: Option<(Tr, Ck)>,
     /// Merged profiles of every failed attempt that was re-run.
     retry_profile: KernelProfile,
     /// Total executions (1 = verified first try).
@@ -296,56 +332,27 @@ struct BlockExec {
     hedge_profile: KernelProfile,
 }
 
-/// Execute-verify loop for one block: `attempt_fn` runs the kernel under
-/// the given injector and returns its profile, the spent injector, and
-/// the verification verdict on what it wrote.
-fn recover_block(
-    kernel_idx: u32,
-    kernel_name: &str,
-    block_idx: usize,
-    plan: &FaultPlan,
-    fallback: bool,
-    max_retries: u32,
-    mut attempt_fn: impl FnMut(BlockFaults) -> (KernelProfile, BlockFaults, Result<(), VerifyFailure>),
-) -> BlockExec {
-    let mut out = BlockExec {
-        profile: KernelProfile::new(),
-        retry_profile: KernelProfile::new(),
-        executions: 0,
-        spike_cycles: 0,
-        injections: Vec::new(),
-        detections: Vec::new(),
-        failure: None,
-        hedges: 0,
-        hedge_wins: 0,
-        hedge_cycles_saved: 0,
-        hedge_profile: KernelProfile::new(),
-    };
-    for attempt in 0..=max_retries {
-        let injector = plan.block_faults(kernel_idx, block_idx as u32, attempt, fallback);
-        let (profile, injector, verdict) = attempt_fn(injector);
-        out.executions = attempt + 1;
-        out.spike_cycles += injector.spike_cycles();
-        out.injections.extend(injector.into_records());
-        match verdict {
-            Ok(()) => {
-                out.profile = profile;
-                out.failure = None;
-                return out;
-            }
-            Err(failure) => {
-                out.detections.push(DetectionRecord {
-                    kernel: kernel_name.to_string(),
-                    block: block_idx,
-                    attempt,
-                    failure,
-                });
-                out.retry_profile.merge(&profile);
-                out.failure = Some(failure);
-            }
+impl<Tr, Ck> BlockExec<Tr, Ck> {
+    /// Apply one hedged duplicate execution before the launch settles.
+    ///
+    /// A winning hedge (verified output, fewer spike cycles than the
+    /// straggler accumulated) replaces the block's latency contribution;
+    /// the output bytes need no replacing, because a verified duplicate
+    /// *is* the unique sorted permutation the straggler already produced.
+    /// A losing or corrupted hedge is discarded — its injections are
+    /// still recorded, but a failed duplicate is not a detection against
+    /// the primary result.
+    fn apply_hedge(&mut self, hedge: Attempt<Tr, Ck>) {
+        let hedge_spikes = hedge.faults.spike_cycles();
+        self.hedges += 1;
+        self.hedge_profile.merge(&hedge.profile);
+        self.injections.extend(hedge.faults.into_records());
+        if hedge.verdict.is_ok() && hedge_spikes < self.spike_cycles {
+            self.hedge_wins += 1;
+            self.hedge_cycles_saved += self.spike_cycles - hedge_spikes;
+            self.spike_cycles = hedge_spikes;
         }
     }
-    out
 }
 
 /// A block that exhausted its retries — the trigger for fallback (or,
@@ -368,60 +375,61 @@ impl BlockFailure {
     }
 }
 
-/// Cross-run accumulator (survives a fallback restart).
+/// Cross-run accumulator (survives a fallback restart), plus the
+/// checkpoint policy and the checkpoints captured under it.
 #[derive(Default)]
 struct RunStats {
     counters: RecoveryCounters,
     injections: Vec<InjectionRecord>,
     detections: Vec<DetectionRecord>,
+    degradations: Vec<Degradation>,
     backoff_seconds: f64,
     retry_seconds: f64,
     spike_seconds: f64,
     hedges: HedgeCounters,
+    checkpoint: CheckpointPolicy,
+    checkpoints: Vec<SortCheckpoint>,
 }
 
-/// Outcome of one hedged duplicate execution, applied to its straggler's
-/// [`BlockExec`] before the launch settles.
-///
-/// A winning hedge (verified output, fewer spike cycles than the
-/// straggler accumulated) replaces the block's latency contribution; the
-/// output bytes need no replacing, because a verified duplicate *is* the
-/// unique sorted permutation the straggler already produced. A losing or
-/// corrupted hedge is discarded — its injections are still recorded, but
-/// a failed duplicate is not a detection against the primary result.
-fn apply_hedge(
-    ex: &mut BlockExec,
-    profile: KernelProfile,
-    injector: BlockFaults,
-    verdict: Result<(), VerifyFailure>,
-) {
-    let hedge_spikes = injector.spike_cycles();
-    ex.hedges += 1;
-    ex.hedge_profile.merge(&profile);
-    ex.injections.extend(injector.into_records());
-    if verdict.is_ok() && hedge_spikes < ex.spike_cycles {
-        ex.hedge_wins += 1;
-        ex.hedge_cycles_saved += ex.spike_cycles - hedge_spikes;
-        ex.spike_cycles = hedge_spikes;
+impl RunStats {
+    /// Record the switch from `from` to the Thrust fallback pipeline.
+    fn fall_back(&mut self, from: SortAlgorithm, reason: String) {
+        let to = SortAlgorithm::ThrustMergesort;
+        self.degradations.push(Degradation::Fallback { from, to, reason });
+        self.counters.fallbacks += 1;
+    }
+
+    fn into_report(self) -> RecoveryReport {
+        RecoveryReport {
+            counters: self.counters,
+            injections: self.injections,
+            detections: self.detections,
+            degradations: self.degradations,
+            backoff_seconds: self.backoff_seconds,
+            retry_seconds: self.retry_seconds,
+            spike_seconds: self.spike_seconds,
+            hedges: self.hedges,
+        }
     }
 }
 
 /// Fold one kernel's per-block outcomes into the stats, price the launch
-/// (main profile as one launch; retries as an extra launch; spikes at the
-/// device clock; backoff as configured), and surface the first
-/// unrecovered block if any.
+/// (main profile as one launch; retries as an extra launch; hedges as an
+/// auxiliary launch; spikes at the device clock; backoff as configured),
+/// and surface the first unrecovered block if any.
 ///
-/// Returns the kernel report plus the extra modeled seconds beyond the
-/// main launch.
-fn settle_kernel(
-    cfg: &SortConfig,
+/// Returns the kernel report, the extra modeled seconds beyond the main
+/// launch, the first unrecovered block, and the blocks' observers.
+#[allow(clippy::type_complexity)]
+fn settle_kernel<Tr, Ck>(
     rcfg: &RobustConfig,
     name: &str,
-    blocks: u64,
     base_profile: KernelProfile,
-    execs: Vec<BlockExec>,
+    execs: Vec<BlockExec<Tr, Ck>>,
     stats: &mut RunStats,
-) -> Result<(KernelReport, f64, Option<BlockFailure>), SortError> {
+) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<(Tr, Ck)>), SortError> {
+    let cfg = &rcfg.base;
+    let blocks = execs.len() as u64;
     let mut profile = base_profile;
     let mut retry_profile = KernelProfile::new();
     let mut retried_execs = 0u64;
@@ -430,8 +438,10 @@ fn settle_kernel(
     let mut failure: Option<BlockFailure> = None;
     let mut hedge_profile = KernelProfile::new();
     let mut hedged_execs = 0u64;
+    let mut observers = Vec::with_capacity(execs.len());
     for (block, mut ex) in execs.into_iter().enumerate() {
         profile.merge(&ex.profile);
+        observers.extend(ex.observers);
         retry_profile.merge(&ex.retry_profile);
         stats.counters.faults_injected += ex.injections.len() as u64;
         stats.counters.faults_detected += ex.detections.len() as u64;
@@ -493,305 +503,358 @@ fn settle_kernel(
     stats.spike_seconds += spike_s;
     extra += backoff;
     stats.backoff_seconds += backoff;
-    Ok((KernelReport { name: name.to_string(), blocks, profile, time }, extra, failure))
+    Ok((KernelReport { name: name.to_string(), blocks, profile, time }, extra, failure, observers))
 }
 
-/// Checkpoint control threaded through one pipeline execution: the
-/// policy plus the checkpoints captured along the way.
-struct CkptCtl {
-    policy: CheckpointPolicy,
-    taken: Vec<SortCheckpoint>,
-}
-
-impl CkptCtl {
-    fn noop() -> Self {
-        Self { policy: CheckpointPolicy::default(), taken: Vec::new() }
+/// Partition one merge pass over sorted runs of `width` into per-block
+/// chunks, and price the partition kernel that finds their boundaries
+/// (host-side here; on the device a small search kernel: one boundary
+/// search per block, 2 uncoalesced global loads per iteration) as the
+/// launch's base profile.
+fn partition_pass<K: SortKey>(
+    src: &[K],
+    width: usize,
+    tile: usize,
+    count_accesses: bool,
+) -> (Vec<BlockJob>, KernelProfile) {
+    let pair = 2 * width;
+    let mut jobs = Vec::with_capacity(src.len() / tile);
+    let mut search_cost = KernelProfile::new();
+    for pair_lo in (0..src.len()).step_by(pair) {
+        let a = &src[pair_lo..pair_lo + width];
+        let b = &src[pair_lo + width..pair_lo + pair];
+        for c in partition_merge(a, b, tile) {
+            jobs.push(BlockJob::Merge(MergeChunkJob {
+                a_begin: pair_lo + c.a_begin,
+                a_end: pair_lo + c.a_end,
+                b_begin: pair_lo + width + c.b_begin,
+                b_end: pair_lo + width + c.b_end,
+            }));
+        }
+        if count_accesses {
+            let blocks_in_pair = (pair / tile) as u64;
+            let steps = u64::from(merge_path_steps(pair / 2, width, width));
+            let s = search_cost.phase_mut(PhaseClass::Search);
+            s.global_ld_requests += blocks_in_pair * steps * 2;
+            s.global_ld_sectors += blocks_in_pair * steps * 2;
+            s.alu_ops += blocks_in_pair * steps * 6;
+        }
     }
+    (jobs, search_cost)
 }
 
-/// One pipeline execution under the plan. `Ok(Err(_))` is a block that
-/// stayed failed after retries (the fallback trigger); outer `Err` is a
-/// configuration-level error (or a simulated kill, when `ckpt` asks for
-/// one). With `resume`, the block sort and completed merge passes are
-/// skipped and execution continues from the checkpoint's verified state
-/// (the caller has already validated it).
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline<K: SortKey>(
-    input: &[K],
+/// What one pipeline execution holds fixed: the pipeline, the
+/// configuration and recovery policy, the fault plan, and the factories
+/// that hand every block attempt a fresh tracer and checker.
+struct Driver<'a, F, G> {
     algo: SortAlgorithm,
-    cfg: &SortConfig,
-    rcfg: &RobustConfig,
-    plan: &FaultPlan,
+    /// `base` is the configuration actually run (after any parameter
+    /// substitution); the other fields are the retry and hedge policy.
+    rcfg: &'a RobustConfig,
+    plan: &'a FaultPlan,
+    /// Marks the degraded alternate pipeline (sticky faults stop firing).
     fallback: bool,
-    stats: &mut RunStats,
-    resume: Option<&SortCheckpoint>,
-    ckpt: &mut CkptCtl,
-) -> Result<Result<SortRun<K>, BlockFailure>, SortError> {
-    let banks = cfg.device.bank_model();
-    let strategy = strategy_of(algo);
-    let (e, u) = (cfg.params.e, cfg.params.u);
-    let tile = u * e;
-    let n = if let Some(cp) = resume { cp.n } else { input.len() };
-    if n == 0 {
-        return Ok(Ok(SortRun {
-            output: Vec::new(),
-            profile: KernelProfile::new(),
-            simulated_seconds: 0.0,
-            kernels: Vec::new(),
-            n: 0,
-        }));
+    make_tracer: &'a F,
+    make_checker: &'a G,
+}
+
+impl<F, G, Tr, Ck> Driver<'_, F, G>
+where
+    Tr: Tracer + Send,
+    Ck: MemCheck + Send,
+    F: Fn() -> Tr + Sync,
+    G: Fn() -> Ck + Sync,
+{
+    /// The one pipeline walk: pad, block sort, then merge passes until a
+    /// single run remains, verifying and pricing every launch.
+    /// `Ok(Err(_))` is a block that stayed failed after retries (the
+    /// fallback trigger); outer `Err` is a configuration-level error (or
+    /// a simulated kill, when the checkpoint policy asks for one). With
+    /// `resume`, the block sort and completed merge passes are skipped
+    /// and execution continues from the checkpoint's verified state (the
+    /// caller has already validated it).
+    #[allow(clippy::type_complexity)]
+    fn run<K: SortKey>(
+        &self,
+        input: &[K],
+        resume: Option<&SortCheckpoint>,
+        stats: &mut RunStats,
+    ) -> Result<Result<(SortRun<K>, BlockObservers<Tr, Ck>), BlockFailure>, SortError> {
+        let cfg = &self.rcfg.base;
+        let tile = cfg.params.tile();
+        let n = resume.map_or(input.len(), |cp| cp.n);
+        if n == 0 {
+            let run = SortRun {
+                output: Vec::new(),
+                profile: KernelProfile::new(),
+                simulated_seconds: 0.0,
+                kernels: Vec::new(),
+                n: 0,
+            };
+            return Ok(Ok((run, Vec::new())));
+        }
+        let policy = stats.checkpoint;
+        let track = !policy.is_noop();
+
+        // `width` is the length of the sorted runs in `src` (0 before the
+        // block sort); `pass` counts completed merge passes.
+        let (mut src, input_checksum, padded_checksum, mut width, mut pass, mut seconds) =
+            if let Some(cp) = resume {
+                let state = cp.state_keys::<K>();
+                let unpadded = cp.unpadded_input_checksum::<K>();
+                (
+                    state,
+                    unpadded,
+                    cp.input_checksum,
+                    cp.width,
+                    cp.completed_passes,
+                    cp.seconds_so_far,
+                )
+            } else {
+                // Pad to a power-of-two number of tiles.
+                let mut src = input.to_vec();
+                src.resize(n.div_ceil(tile).next_power_of_two() * tile, K::MAX_SENTINEL);
+                let padded = if track { multiset_checksum(&src) } else { 0 };
+                (src, multiset_checksum(input), padded, 0, 0, 0.0)
+            };
+        let n_pad = src.len();
+        let mut dst = vec![K::default(); n_pad];
+        let mut kernels: Vec<KernelReport> = Vec::new();
+        let mut observers: BlockObservers<Tr, Ck> = Vec::new();
+
+        loop {
+            let (kernel, name, jobs, base_profile) = if width == 0 {
+                let tiles = (0..n_pad).step_by(tile).map(BlockJob::Tile).collect();
+                (0, "blocksort".to_string(), tiles, KernelProfile::new())
+            } else if width < n_pad {
+                let (jobs, search_cost) = partition_pass(&src, width, tile, cfg.count_accesses);
+                (1 + pass as u32, format!("merge-pass-{pass}"), jobs, search_cost)
+            } else {
+                break;
+            };
+            let (report, extra, failed, blocks) =
+                self.launch(kernel, &name, jobs, &src, &mut dst, base_profile, stats)?;
+            seconds += report.time.seconds + extra;
+            kernels.push(report);
+            if let Some(f) = failed {
+                return Ok(Err(f));
+            }
+            observers.push(blocks);
+            std::mem::swap(&mut src, &mut dst);
+            if width == 0 {
+                width = tile;
+            } else {
+                width *= 2;
+                pass += 1;
+            }
+
+            if track && (policy.every_pass || policy.kill_after_pass == Some(pass)) {
+                let cp = SortCheckpoint::capture(
+                    self.algo.label(),
+                    (cfg.params.e, cfg.params.u),
+                    n,
+                    width,
+                    pass,
+                    seconds,
+                    stats.counters,
+                    padded_checksum,
+                    &src,
+                );
+                if policy.kill_after_pass == Some(pass) {
+                    return Err(SortError::Interrupted {
+                        after_pass: pass,
+                        checkpoint: Box::new(cp),
+                    });
+                }
+                stats.checkpoints.push(cp);
+            }
+        }
+
+        src.truncate(n);
+        // Defense in depth: the whole output against the whole input.
+        // Block verification should make this unreachable; if it ever
+        // fires, the run is treated exactly like a failed block
+        // (fallback, then typed error) — never returned as a success.
+        if let Err(failure) = verify_sorted_checksum(&src, input_checksum) {
+            stats.counters.faults_detected += 1;
+            stats.detections.push(DetectionRecord {
+                kernel: "output-verify".into(),
+                block: 0,
+                attempt: 0,
+                failure,
+            });
+            return Ok(Err(BlockFailure {
+                kernel: "output-verify".into(),
+                block: 0,
+                attempts: 1,
+                failure,
+            }));
+        }
+
+        let mut profile = KernelProfile::new();
+        for k in &kernels {
+            profile.merge(&k.profile);
+        }
+        let run = SortRun { output: src, profile, simulated_seconds: seconds, kernels, n };
+        Ok(Ok((run, observers)))
     }
-    let track = !ckpt.policy.is_noop();
 
-    let mut kernels: Vec<KernelReport> = Vec::new();
-    let (
-        n_pad,
-        mut src,
-        mut dst,
-        input_checksum,
-        padded_checksum,
-        mut width,
-        mut pass,
-        mut seconds,
-    );
-    if let Some(cp) = resume {
-        n_pad = cp.n_pad;
-        src = cp.state_keys::<K>();
-        dst = vec![K::default(); n_pad];
-        input_checksum = cp.unpadded_input_checksum::<K>();
-        padded_checksum = cp.input_checksum;
-        width = cp.width;
-        pass = cp.completed_passes;
-        seconds = cp.seconds_so_far;
-    } else {
-        input_checksum = multiset_checksum(input);
-        let runs = n.div_ceil(tile).next_power_of_two();
-        n_pad = runs * tile;
-        src = input.to_vec();
-        src.resize(n_pad, K::MAX_SENTINEL);
-        padded_checksum = if track { multiset_checksum(&src) } else { 0 };
-        dst = vec![K::default(); n_pad];
-        width = tile;
-        pass = 0;
-        seconds = 0.0;
-
-        // ---- Block sort (launch 0) ----
-        let mut execs: Vec<BlockExec> = src
-            .par_chunks(tile)
-            .zip(dst.par_chunks_mut(tile))
-            .enumerate()
-            .map(|(t, (s, d))| {
-                let expect = multiset_checksum(s);
-                recover_block(0, "blocksort", t, plan, fallback, rcfg.max_retries, |inj| {
-                    let (profile, NullTracer, NoCheck, inj) = blocksort_block_faulty(
-                        banks,
-                        u,
-                        e,
-                        strategy,
-                        s,
-                        d,
-                        t * tile,
-                        cfg.count_accesses,
-                        NullTracer,
-                        NoCheck,
-                        inj,
-                    );
-                    (profile, inj, verify_sorted_checksum(d, expect))
-                })
-            })
-            .collect();
-        // ---- Straggler hedging over the block-sort launch ----
-        let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
-        for i in rcfg.hedge.stragglers(&latencies) {
-            if execs[i].failure.is_some() {
-                continue; // about to trigger fallback; duplicating it is pointless
-            }
-            let s = &src[i * tile..(i + 1) * tile];
-            let mut scratch = vec![K::default(); tile];
-            let expect = multiset_checksum(s);
-            let inj = plan.block_faults(0, i as u32, execs[i].executions, fallback);
-            let (profile, NullTracer, NoCheck, inj) = blocksort_block_faulty(
-                banks,
-                u,
-                e,
-                strategy,
-                s,
-                &mut scratch,
-                i * tile,
-                cfg.count_accesses,
-                NullTracer,
-                NoCheck,
-                inj,
-            );
-            let verdict = verify_sorted_checksum(&scratch, expect);
-            apply_hedge(&mut execs[i], profile, inj, verdict);
-        }
-        let (report, extra, failed) =
-            settle_kernel(cfg, rcfg, "blocksort", runs as u64, KernelProfile::new(), execs, stats)?;
-        seconds += report.time.seconds + extra;
-        kernels.push(report);
-        if let Some(f) = failed {
-            return Ok(Err(f));
-        }
-        std::mem::swap(&mut src, &mut dst);
-
-        if track && (ckpt.policy.every_pass || ckpt.policy.kill_after_pass == Some(0)) {
-            let cp = SortCheckpoint::capture(
-                algo.label(),
-                (e, u),
-                n,
-                tile,
-                0,
-                seconds,
-                stats.counters,
-                padded_checksum,
-                &src,
-            );
-            if ckpt.policy.kill_after_pass == Some(0) {
-                return Err(SortError::Interrupted { after_pass: 0, checkpoint: Box::new(cp) });
-            }
-            ckpt.taken.push(cp);
-        }
-    }
-
-    // ---- Merge passes (launches 1..) ----
-    while width < n_pad {
-        let pair = 2 * width;
-        let kernel_idx = 1 + pass as u32;
-        let name = format!("merge-pass-{pass}");
-        let mut jobs: Vec<MergeChunkJob> = Vec::with_capacity(n_pad / tile);
-        let mut search_cost = KernelProfile::new();
-        for pair_lo in (0..n_pad).step_by(pair) {
-            let a = &src[pair_lo..pair_lo + width];
-            let b = &src[pair_lo + width..pair_lo + pair];
-            for c in partition_merge(a, b, tile) {
-                jobs.push(MergeChunkJob {
-                    a_begin: pair_lo + c.a_begin,
-                    a_end: pair_lo + c.a_end,
-                    b_begin: pair_lo + width + c.b_begin,
-                    b_end: pair_lo + width + c.b_end,
-                });
-            }
-            if cfg.count_accesses {
-                let blocks_in_pair = (pair / tile) as u64;
-                let steps = u64::from(merge_path_steps(pair / 2, width, width));
-                let s = search_cost.phase_mut(PhaseClass::Search);
-                s.global_ld_requests += blocks_in_pair * steps * 2;
-                s.global_ld_sectors += blocks_in_pair * steps * 2;
-                s.alu_ops += blocks_in_pair * steps * 6;
-            }
-        }
-        let mut execs: Vec<BlockExec> = jobs
+    /// One launch: every block's execute-verify-retry loop into its
+    /// `tile`-sized window of `dst`, then straggler hedging, then
+    /// [`settle_kernel`].
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn launch<K: SortKey>(
+        &self,
+        kernel: u32,
+        name: &str,
+        jobs: Vec<BlockJob>,
+        src: &[K],
+        dst: &mut [K],
+        base_profile: KernelProfile,
+        stats: &mut RunStats,
+    ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<(Tr, Ck)>), SortError> {
+        let tile = self.rcfg.base.params.tile();
+        let mut execs: Vec<BlockExec<Tr, Ck>> = jobs
             .par_iter()
             .zip(dst.par_chunks_mut(tile))
             .enumerate()
-            .map(|(bi, (job, chunk))| {
-                // Checksum additivity: the block's expected checksum is
-                // the sum of its two input ranges' checksums.
-                let expect = multiset_checksum(&src[job.a_begin..job.a_end])
-                    .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end]));
-                recover_block(kernel_idx, &name, bi, plan, fallback, rcfg.max_retries, |inj| {
-                    let (profile, NullTracer, NoCheck, inj) = merge_pass_block_faulty(
-                        banks,
-                        u,
-                        e,
-                        strategy,
-                        &src,
-                        *job,
-                        chunk,
-                        cfg.count_accesses,
-                        NullTracer,
-                        NoCheck,
-                        inj,
-                    );
-                    (profile, inj, verify_sorted_checksum(chunk, expect))
-                })
-            })
+            .map(|(block, (&job, out))| self.recover_block(kernel, name, block, job, src, out))
             .collect();
-        // ---- Straggler hedging over this merge launch ----
         let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
-        for bi in rcfg.hedge.stragglers(&latencies) {
-            if execs[bi].failure.is_some() {
-                continue;
+        for block in self.rcfg.hedge.stragglers(&latencies) {
+            let ex = &mut execs[block];
+            if ex.failure.is_some() {
+                continue; // about to trigger fallback; duplicating it is pointless
             }
-            let job = jobs[bi];
+            let job = jobs[block];
             let mut scratch = vec![K::default(); tile];
-            let expect = multiset_checksum(&src[job.a_begin..job.a_end])
-                .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end]));
-            let inj = plan.block_faults(kernel_idx, bi as u32, execs[bi].executions, fallback);
-            let (profile, NullTracer, NoCheck, inj) = merge_pass_block_faulty(
+            let hedge = self.attempt(kernel, block, ex.executions, job, src, &mut scratch);
+            ex.apply_hedge(hedge);
+        }
+        settle_kernel(self.rcfg, name, base_profile, execs, stats)
+    }
+
+    /// Execute-verify loop for one block: up to `1 + max_retries`
+    /// attempts, stopping at the first whose output verifies.
+    fn recover_block<K: SortKey>(
+        &self,
+        kernel: u32,
+        name: &str,
+        block: usize,
+        job: BlockJob,
+        src: &[K],
+        dst: &mut [K],
+    ) -> BlockExec<Tr, Ck> {
+        let mut out = BlockExec {
+            profile: KernelProfile::new(),
+            observers: None,
+            retry_profile: KernelProfile::new(),
+            executions: 0,
+            spike_cycles: 0,
+            injections: Vec::new(),
+            detections: Vec::new(),
+            failure: None,
+            hedges: 0,
+            hedge_wins: 0,
+            hedge_cycles_saved: 0,
+            hedge_profile: KernelProfile::new(),
+        };
+        for attempt in 0..=self.rcfg.max_retries {
+            let a = self.attempt(kernel, block, attempt, job, src, dst);
+            out.executions = attempt + 1;
+            out.spike_cycles += a.faults.spike_cycles();
+            out.injections.extend(a.faults.into_records());
+            match a.verdict {
+                Ok(()) => {
+                    out.profile = a.profile;
+                    out.observers = Some(a.observers);
+                    out.failure = None;
+                    return out;
+                }
+                Err(failure) => {
+                    out.detections.push(DetectionRecord {
+                        kernel: name.to_string(),
+                        block,
+                        attempt,
+                        failure,
+                    });
+                    out.retry_profile.merge(&a.profile);
+                    out.failure = Some(failure);
+                }
+            }
+        }
+        out
+    }
+
+    /// Run `job` once into `dst` under the plan's injector for this
+    /// attempt, with fresh observers, and verify what it wrote.
+    fn attempt<K: SortKey>(
+        &self,
+        kernel: u32,
+        block: usize,
+        attempt: u32,
+        job: BlockJob,
+        src: &[K],
+        dst: &mut [K],
+    ) -> Attempt<Tr, Ck> {
+        let faults = self.plan.block_faults(kernel, block as u32, attempt, self.fallback);
+        let (tracer, checker) = ((self.make_tracer)(), (self.make_checker)());
+        // An unarmed injector changes nothing, but as an active injector
+        // it would still route every access through its hooks: run the
+        // block fault-free instead.
+        let (profile, tracer, checker, faults) = if faults.is_unarmed() {
+            let (profile, tracer, checker, NoFaults) =
+                self.execute(job, src, dst, tracer, checker, NoFaults);
+            (profile, tracer, checker, faults)
+        } else {
+            self.execute(job, src, dst, tracer, checker, faults)
+        };
+        let verdict = verify_sorted_checksum(dst, job.expected_checksum(src, dst.len()));
+        Attempt { profile, observers: (tracer, checker), faults, verdict }
+    }
+
+    /// Run the block's kernel once with the given hooks.
+    fn execute<K: SortKey, Fi: FaultInjector>(
+        &self,
+        job: BlockJob,
+        src: &[K],
+        dst: &mut [K],
+        tracer: Tr,
+        checker: Ck,
+        injector: Fi,
+    ) -> (KernelProfile, Tr, Ck, Fi) {
+        let cfg = &self.rcfg.base;
+        let (banks, e, u) = (cfg.device.bank_model(), cfg.params.e, cfg.params.u);
+        let strategy = self.algo.strategy();
+        match job {
+            BlockJob::Tile(lo) => blocksort_block_faulty(
                 banks,
                 u,
                 e,
                 strategy,
-                &src,
-                job,
-                &mut scratch,
+                &src[lo..lo + dst.len()],
+                dst,
+                lo,
                 cfg.count_accesses,
-                NullTracer,
-                NoCheck,
-                inj,
-            );
-            let verdict = verify_sorted_checksum(&scratch, expect);
-            apply_hedge(&mut execs[bi], profile, inj, verdict);
-        }
-        let blocks = jobs.len() as u64;
-        let (report, extra, failed) =
-            settle_kernel(cfg, rcfg, &name, blocks, search_cost, execs, stats)?;
-        seconds += report.time.seconds + extra;
-        kernels.push(report);
-        if let Some(f) = failed {
-            return Ok(Err(f));
-        }
-        std::mem::swap(&mut src, &mut dst);
-        width = pair;
-        pass += 1;
-
-        if track && (ckpt.policy.every_pass || ckpt.policy.kill_after_pass == Some(pass)) {
-            let cp = SortCheckpoint::capture(
-                algo.label(),
-                (e, u),
-                n,
-                width,
-                pass,
-                seconds,
-                stats.counters,
-                padded_checksum,
-                &src,
-            );
-            if ckpt.policy.kill_after_pass == Some(pass) {
-                return Err(SortError::Interrupted { after_pass: pass, checkpoint: Box::new(cp) });
-            }
-            ckpt.taken.push(cp);
+                tracer,
+                checker,
+                injector,
+            ),
+            BlockJob::Merge(job) => merge_pass_block_faulty(
+                banks,
+                u,
+                e,
+                strategy,
+                src,
+                job,
+                dst,
+                cfg.count_accesses,
+                tracer,
+                checker,
+                injector,
+            ),
         }
     }
-
-    src.truncate(n);
-    // Defense in depth: the whole output against the whole input. Block
-    // verification should make this unreachable; if it ever fires, the
-    // run is treated exactly like a failed block (fallback, then typed
-    // error) — never returned as a success.
-    if let Err(failure) = verify_sorted_checksum(&src, input_checksum) {
-        stats.counters.faults_detected += 1;
-        stats.detections.push(DetectionRecord {
-            kernel: "output-verify".into(),
-            block: 0,
-            attempt: 0,
-            failure,
-        });
-        return Ok(Err(BlockFailure {
-            kernel: "output-verify".into(),
-            block: 0,
-            attempts: 1,
-            failure,
-        }));
-    }
-
-    let mut profile = KernelProfile::new();
-    for k in &kernels {
-        profile.merge(&k.profile);
-    }
-    Ok(Ok(SortRun { output: src, profile, simulated_seconds: seconds, kernels, n }))
 }
 
 /// Sort under fault injection with verified, block-granular recovery.
@@ -808,14 +871,17 @@ fn run_pipeline<K: SortKey>(
 ///
 /// Pass [`FaultPlan::none()`] for a production (no-injection) run: the
 /// result is bit-identical to [`crate::sort::pipeline::simulate_sort`],
-/// with verification as pure insurance.
+/// which runs this same driver with no retries and no fallback.
 pub fn simulate_sort_robust<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &RobustConfig,
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
-    simulate_sort_robust_inner(input, algo, config, plan, &mut CkptCtl::noop())
+    let no_checkpoints = CheckpointPolicy::default();
+    let (run, _, _) =
+        run_robust(input, algo, config.clone(), plan, no_checkpoints, &|| NullTracer, &|| NoCheck)?;
+    Ok(run)
 }
 
 /// [`simulate_sort_robust`] with checkpoint capture: returns the run
@@ -836,82 +902,115 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
     plan: &FaultPlan,
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>), SortError> {
-    let mut ctl = CkptCtl { policy, taken: Vec::new() };
-    let run = simulate_sort_robust_inner(input, algo, config, plan, &mut ctl)?;
-    Ok((run, ctl.taken))
+    let (run, checkpoints, _) =
+        run_robust(input, algo, config.clone(), plan, policy, &|| NullTracer, &|| NoCheck)?;
+    Ok((run, checkpoints))
 }
 
-fn simulate_sort_robust_inner<K: SortKey>(
+/// The plain entry points' run (`simulate_sort` and its `try_`,
+/// `_traced` and `_checked` variants): the one driver under a fixed
+/// policy — no faults, every block verified once, no retry, hedge,
+/// fallback or checkpoint. A block failing verification here is a
+/// simulator bug; it comes back as [`SortError::UnrecoverableFault`].
+pub(crate) fn run_plain<K, Tr, Ck, F, G>(
     input: &[K],
     algo: SortAlgorithm,
-    config: &RobustConfig,
+    config: &SortConfig,
+    make_tracer: &F,
+    make_checker: &G,
+) -> Result<(SortRun<K>, BlockObservers<Tr, Ck>), SortError>
+where
+    K: SortKey,
+    Tr: Tracer + Send,
+    Ck: MemCheck + Send,
+    F: Fn() -> Tr + Sync,
+    G: Fn() -> Ck + Sync,
+{
+    let plain = RobustConfig {
+        base: config.clone(),
+        max_retries: 0,
+        retry_backoff_s: 0.0,
+        allow_fallback: false,
+        hedge: HedgeConfig::default(),
+    };
+    let no_checkpoints = CheckpointPolicy::default();
+    let (robust, _, observers) = run_robust(
+        input,
+        algo,
+        plain,
+        &FaultPlan::none(),
+        no_checkpoints,
+        make_tracer,
+        make_checker,
+    )?;
+    Ok((robust.run, observers))
+}
+
+/// The robust driver's front: validate (substituting known-good
+/// parameters for an unlaunchable shape when fallback is allowed), run
+/// the pipeline, and on a block that stays failed restart it on the
+/// Thrust fallback when allowed.
+#[allow(clippy::type_complexity)]
+fn run_robust<K, Tr, Ck, F, G>(
+    input: &[K],
+    algo: SortAlgorithm,
+    mut rcfg: RobustConfig,
     plan: &FaultPlan,
-    ckpt: &mut CkptCtl,
-) -> Result<RobustSortRun<K>, SortError> {
-    let mut stats = RunStats::default();
-    let mut degradations: Vec<Degradation> = Vec::new();
-    let mut cfg = config.base.clone();
+    checkpoint: CheckpointPolicy,
+    make_tracer: &F,
+    make_checker: &G,
+) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>, BlockObservers<Tr, Ck>), SortError>
+where
+    K: SortKey,
+    Tr: Tracer + Send,
+    Ck: MemCheck + Send,
+    F: Fn() -> Tr + Sync,
+    G: Fn() -> Ck + Sync,
+{
+    let mut stats = RunStats { checkpoint, ..RunStats::default() };
     let mut algo_used = algo;
 
-    match validate_sort_config(&cfg) {
+    match validate_sort_config(&rcfg.base) {
         Ok(()) => {}
-        Err(SortError::Unlaunchable { device, why }) if config.allow_fallback => {
+        Err(SortError::Unlaunchable { device, why }) if rcfg.allow_fallback => {
             let sub = SortParams::known_good_default();
-            degradations.push(Degradation::ParamsSubstituted {
-                from: (cfg.params.e, cfg.params.u),
+            stats.degradations.push(Degradation::ParamsSubstituted {
+                from: (rcfg.base.params.e, rcfg.base.params.u),
                 to: (sub.e, sub.u),
             });
-            degradations.push(Degradation::Fallback {
-                from: algo_used,
-                to: SortAlgorithm::ThrustMergesort,
-                reason: format!("requested configuration cannot launch on {device}: {why}"),
-            });
-            stats.counters.fallbacks += 1;
-            cfg.params = sub;
+            stats.fall_back(
+                algo_used,
+                format!("requested configuration cannot launch on {device}: {why}"),
+            );
+            rcfg.base.params = sub;
             algo_used = SortAlgorithm::ThrustMergesort;
-            validate_sort_config(&cfg)?;
+            validate_sort_config(&rcfg.base)?;
         }
         Err(e) => return Err(e),
     }
 
-    let first = run_pipeline(input, algo_used, &cfg, config, plan, false, &mut stats, None, ckpt)?;
-    let run = match first {
-        Ok(run) => run,
-        Err(block_failure) if config.allow_fallback => {
-            degradations.push(Degradation::Fallback {
-                from: algo_used,
-                to: SortAlgorithm::ThrustMergesort,
-                reason: format!(
-                    "{} block {} failed verification after {} attempts",
-                    block_failure.kernel, block_failure.block, block_failure.attempts
-                ),
-            });
-            stats.counters.fallbacks += 1;
+    let driver =
+        |algo, fallback| Driver { algo, rcfg: &rcfg, plan, fallback, make_tracer, make_checker };
+    let (run, observers) = match driver(algo_used, false).run(input, None, &mut stats)? {
+        Ok(done) => done,
+        Err(f) if rcfg.allow_fallback => {
+            let why = format!(
+                "{} block {} failed verification after {} attempts",
+                f.kernel, f.block, f.attempts
+            );
+            stats.fall_back(algo_used, why);
             algo_used = SortAlgorithm::ThrustMergesort;
-            ckpt.taken.clear(); // primary checkpoints are void once abandoned
-            match run_pipeline(input, algo_used, &cfg, config, plan, true, &mut stats, None, ckpt)?
-            {
-                Ok(run) => run,
-                Err(f) => return Err(f.into_error()),
-            }
+            stats.checkpoints.clear(); // primary checkpoints are void once abandoned
+            driver(algo_used, true)
+                .run(input, None, &mut stats)?
+                .map_err(BlockFailure::into_error)?
         }
-        Err(block_failure) => return Err(block_failure.into_error()),
+        Err(f) => return Err(f.into_error()),
     };
 
-    Ok(RobustSortRun {
-        run,
-        algorithm: algo_used,
-        report: RecoveryReport {
-            counters: stats.counters,
-            injections: stats.injections,
-            detections: stats.detections,
-            degradations,
-            backoff_seconds: stats.backoff_seconds,
-            retry_seconds: stats.retry_seconds,
-            spike_seconds: stats.spike_seconds,
-            hedges: stats.hedges,
-        },
-    })
+    let checkpoints = std::mem::take(&mut stats.checkpoints);
+    let report = stats.into_report();
+    Ok((RobustSortRun { run, algorithm: algo_used, report }, checkpoints, observers))
 }
 
 /// Resume a sort from a [`SortCheckpoint`], skipping the block sort and
@@ -969,84 +1068,56 @@ pub fn resume_sort_robust<K: SortKey>(
     validate_sort_config(cfg)?;
 
     let mut stats = RunStats::default();
-    let mut degradations: Vec<Degradation> = Vec::new();
     let mut algo_used = algo;
-    let first = run_pipeline::<K>(
-        &[],
+    let driver = |algo, fallback| Driver {
         algo,
-        cfg,
-        config,
+        rcfg: config,
         plan,
-        false,
-        &mut stats,
-        Some(checkpoint),
-        &mut CkptCtl::noop(),
-    )?;
-    let run = match first {
-        Ok(run) => run,
-        Err(block_failure) if config.allow_fallback => {
-            degradations.push(Degradation::Fallback {
-                from: algo_used,
-                to: SortAlgorithm::ThrustMergesort,
-                reason: format!(
-                    "resumed {} block {} failed verification after {} attempts",
-                    block_failure.kernel, block_failure.block, block_failure.attempts
-                ),
-            });
-            stats.counters.fallbacks += 1;
+        fallback,
+        make_tracer: &|| NullTracer,
+        make_checker: &|| NoCheck,
+    };
+    let run = match driver(algo, false).run::<K>(&[], Some(checkpoint), &mut stats)? {
+        Ok((run, _)) => run,
+        Err(f) if config.allow_fallback => {
+            let why = format!(
+                "resumed {} block {} failed verification after {} attempts",
+                f.kernel, f.block, f.attempts
+            );
+            stats.fall_back(algo_used, why);
             algo_used = SortAlgorithm::ThrustMergesort;
             // Restart from the checkpoint state as input: a permutation
             // of the padded input, so its sort is the same output (the
             // sentinels sort to the tail and are truncated off).
             let keys = checkpoint.state_keys::<K>();
-            match run_pipeline(
-                &keys,
-                algo_used,
-                cfg,
-                config,
-                plan,
-                true,
-                &mut stats,
-                None,
-                &mut CkptCtl::noop(),
-            )? {
-                Ok(mut run) => {
-                    run.output.truncate(checkpoint.n);
-                    run.n = checkpoint.n;
-                    run.simulated_seconds += checkpoint.seconds_so_far;
-                    run
-                }
-                Err(f) => return Err(f.into_error()),
-            }
+            let (mut run, _) = driver(algo_used, true)
+                .run(&keys, None, &mut stats)?
+                .map_err(BlockFailure::into_error)?;
+            run.output.truncate(checkpoint.n);
+            run.n = checkpoint.n;
+            run.simulated_seconds += checkpoint.seconds_so_far;
+            run
         }
-        Err(block_failure) => return Err(block_failure.into_error()),
+        Err(f) => return Err(f.into_error()),
     };
 
+    let mut report = stats.into_report();
     let mut counters = checkpoint.counters;
-    counters.merge(&stats.counters);
-    Ok(RobustSortRun {
-        run,
-        algorithm: algo_used,
-        report: RecoveryReport {
-            counters,
-            injections: stats.injections,
-            detections: stats.detections,
-            degradations,
-            backoff_seconds: stats.backoff_seconds,
-            retry_seconds: stats.retry_seconds,
-            spike_seconds: stats.spike_seconds,
-            hedges: stats.hedges,
-        },
-    })
+    counters.merge(&report.counters);
+    report.counters = counters;
+    Ok(RobustSortRun { run, algorithm: algo_used, report })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inputs::InputSpec;
+    use crate::sort::blocksort::MergeStrategy;
     use crate::sort::pipeline::simulate_sort;
     use crate::verify::verify_sorted_permutation;
+    use cfmerge_gpu_sim::banks::BankModel;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
+    use cfmerge_gpu_sim::trace::BlockTracer;
 
     fn small_rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))
@@ -1064,12 +1135,112 @@ mod tests {
             let plain = simulate_sort(&input, algo, &rcfg.base);
             let robust =
                 simulate_sort_robust(&input, algo, &rcfg, &FaultPlan::none()).expect("clean run");
-            assert_eq!(robust.run.output, plain.output);
-            assert_eq!(robust.run.simulated_seconds, plain.simulated_seconds, "{algo:?}");
-            assert_eq!(robust.run.kernels.len(), plain.kernels.len());
+            // Output, profile, modeled seconds and every launch report
+            // (name, grid, profile, time).
+            assert_eq!(robust.run, plain, "{algo:?}");
             assert_eq!(robust.algorithm, algo);
             assert!(robust.report.is_clean());
             assert_eq!(robust.report.counters, RecoveryCounters::default());
+        }
+    }
+
+    #[test]
+    fn unarmed_injector_matches_no_faults_exactly() {
+        // The driver runs a block whose plan arms no site under
+        // `NoFaults`. That is sound only if an unarmed `BlockFaults`
+        // changes no output, counter, or trace.
+        let (e, u) = (15usize, 64usize);
+        let tile = e * u;
+        let banks = BankModel::new(32);
+        let plan = FaultPlan::from_sites(vec![site(
+            9,
+            9,
+            FaultKind::SharedBitFlip { bit: 1 },
+            Persistence::Sticky,
+        )]);
+        for spec in [InputSpec::UniformRandom { seed: 41 }, InputSpec::WorstCase { w: 32, e, u }] {
+            let keys = spec.generate(2 * tile);
+            for strategy in [MergeStrategy::DirectSerial, MergeStrategy::Gather] {
+                let what = format!("{} {strategy:?}", spec.label());
+                let mut runs = vec![0u32; 2 * tile];
+                for (t, (s, d)) in keys.chunks(tile).zip(runs.chunks_mut(tile)).enumerate() {
+                    let faults = plan.block_faults(0, t as u32, 0, false);
+                    assert!(faults.is_unarmed());
+                    let mut d_unarmed = vec![0u32; tile];
+                    let (p0, t0, NoCheck, NoFaults) = blocksort_block_faulty(
+                        banks,
+                        u,
+                        e,
+                        strategy,
+                        s,
+                        d,
+                        t * tile,
+                        true,
+                        BlockTracer::new(banks),
+                        NoCheck,
+                        NoFaults,
+                    );
+                    let (p1, t1, NoCheck, f1) = blocksort_block_faulty(
+                        banks,
+                        u,
+                        e,
+                        strategy,
+                        s,
+                        &mut d_unarmed,
+                        t * tile,
+                        true,
+                        BlockTracer::new(banks),
+                        NoCheck,
+                        faults,
+                    );
+                    assert_eq!(d, &d_unarmed[..], "blocksort output, {what}");
+                    assert_eq!(p0, p1, "blocksort profile, {what}");
+                    assert_eq!(format!("{t0:?}"), format!("{t1:?}"), "blocksort trace, {what}");
+                    assert!(!f1.any_fired() && f1.spike_cycles() == 0);
+                }
+                let (a, b) = runs.split_at(tile);
+                for (bi, c) in partition_merge(a, b, tile).into_iter().enumerate() {
+                    let job = MergeChunkJob {
+                        a_begin: c.a_begin,
+                        a_end: c.a_end,
+                        b_begin: tile + c.b_begin,
+                        b_end: tile + c.b_end,
+                    };
+                    let faults = plan.block_faults(1, bi as u32, 0, false);
+                    assert!(faults.is_unarmed());
+                    let (mut d0, mut d1) = (vec![0u32; tile], vec![0u32; tile]);
+                    let (p0, t0, NoCheck, NoFaults) = merge_pass_block_faulty(
+                        banks,
+                        u,
+                        e,
+                        strategy,
+                        &runs,
+                        job,
+                        &mut d0,
+                        true,
+                        BlockTracer::new(banks),
+                        NoCheck,
+                        NoFaults,
+                    );
+                    let (p1, t1, NoCheck, f1) = merge_pass_block_faulty(
+                        banks,
+                        u,
+                        e,
+                        strategy,
+                        &runs,
+                        job,
+                        &mut d1,
+                        true,
+                        BlockTracer::new(banks),
+                        NoCheck,
+                        faults,
+                    );
+                    assert_eq!(d0, d1, "merge output, {what}");
+                    assert_eq!(p0, p1, "merge profile, {what}");
+                    assert_eq!(format!("{t0:?}"), format!("{t1:?}"), "merge trace, {what}");
+                    assert!(!f1.any_fired() && f1.spike_cycles() == 0);
+                }
+            }
         }
     }
 

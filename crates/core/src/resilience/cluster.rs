@@ -3,8 +3,8 @@
 //!
 //! [`ClusterService`] drives a fleet of [`SortService`]s (one per
 //! simulated device, possibly heterogeneous) over modeled time with the
-//! [`EventQueue`](crate::resilience::scheduler::EventQueue) as the single
-//! ordering authority. Jobs arrive on an open-loop schedule (see
+//! [`EventQueue`] as the single ordering authority. Jobs arrive on an
+//! open-loop schedule (see
 //! [`crate::resilience::loadgen`]), are admitted through the *cluster's*
 //! admission policy (the same typed shed decisions as the single-device
 //! service, replicated one level up), shard to a home device by tenant

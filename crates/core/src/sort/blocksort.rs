@@ -76,7 +76,7 @@ pub fn blocksort_block<K: SortKey>(
     global_base: usize,
     count_accesses: bool,
 ) -> KernelProfile {
-    blocksort_block_traced(
+    blocksort_block_faulty(
         banks,
         u,
         e,
@@ -86,89 +86,23 @@ pub fn blocksort_block<K: SortKey>(
         global_base,
         count_accesses,
         NullTracer,
+        NoCheck,
+        NoFaults,
     )
     .0
 }
 
-/// [`blocksort_block`] observed by a [`Tracer`]: identical execution, but
-/// every phase and warp round is reported to `tracer`, which is returned
-/// alongside the profile.
-///
-/// # Panics
-/// Same conditions as [`blocksort_block`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn blocksort_block_traced<K: SortKey, Tr: Tracer>(
-    banks: BankModel,
-    u: usize,
-    e: usize,
-    strategy: MergeStrategy,
-    src_tile: &[K],
-    dst_tile: &mut [K],
-    global_base: usize,
-    count_accesses: bool,
-    tracer: Tr,
-) -> (KernelProfile, Tr) {
-    let (profile, tracer, NoCheck) = blocksort_block_checked(
-        banks,
-        u,
-        e,
-        strategy,
-        src_tile,
-        dst_tile,
-        global_base,
-        count_accesses,
-        tracer,
-        NoCheck,
-    );
-    (profile, tracer)
-}
-
-/// [`blocksort_block`] observed by both a [`Tracer`] and a [`MemCheck`]
-/// checker (e.g. the [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)): identical
-/// execution, with every memory access additionally routed through
-/// `checker`, which is returned alongside the profile and tracer.
-///
-/// # Panics
-/// Same conditions as [`blocksort_block`].
-#[must_use]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // kernel signature mirrors the CUDA launch; loops index parallel register arrays
-pub fn blocksort_block_checked<K: SortKey, Tr: Tracer, Ck: MemCheck>(
-    banks: BankModel,
-    u: usize,
-    e: usize,
-    strategy: MergeStrategy,
-    src_tile: &[K],
-    dst_tile: &mut [K],
-    global_base: usize,
-    count_accesses: bool,
-    tracer: Tr,
-    checker: Ck,
-) -> (KernelProfile, Tr, Ck) {
-    let (profile, tracer, checker, NoFaults) = blocksort_block_faulty(
-        banks,
-        u,
-        e,
-        strategy,
-        src_tile,
-        dst_tile,
-        global_base,
-        count_accesses,
-        tracer,
-        checker,
-        NoFaults,
-    );
-    (profile, tracer, checker)
-}
-
-/// [`blocksort_block`] corrupted by a [`FaultInjector`] (see
-/// [`cfmerge_gpu_sim::fault`]) in addition to the tracer and checker
-/// hooks. With [`NoFaults`] this *is* [`blocksort_block_checked`] —
-/// bit-identical execution. With an active injector, scheduled bit-flips,
-/// stuck banks, and lane drop-outs corrupt the tile; corrupted merge-path
-/// search results are clamped into geometric bounds (see
-/// `clamped_split`) so corruption always surfaces as wrong output data —
-/// detectable by verification — never as a host-side panic.
+/// [`blocksort_block`] with all three block hooks: every phase and warp
+/// round is reported to `tracer`, every memory access is routed through
+/// `checker` (e.g. the [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)), and
+/// `injector` may corrupt execution (see [`cfmerge_gpu_sim::fault`]); all
+/// three come back with the profile. With [`NoFaults`] execution is
+/// bit-identical to [`blocksort_block`]. With an active injector,
+/// scheduled bit-flips, stuck banks, and lane drop-outs corrupt the
+/// tile; corrupted merge-path search results are clamped into geometric
+/// bounds (see `clamped_split`) so corruption always surfaces as wrong
+/// output data — detectable by verification — never as a host-side
+/// panic.
 ///
 /// # Panics
 /// Same conditions as [`blocksort_block`].
@@ -316,7 +250,7 @@ pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInj
         }
     });
 
-    block.finish_faulty()
+    block.finish()
 }
 
 fn pair_layout(

@@ -1,15 +1,16 @@
 //! Typed error and degradation taxonomy for the sort pipelines.
 //!
-//! PR 2 converted `occupancy()`/`kernel_time()` to `Result`; this module
-//! finishes the job for the user-reachable pipeline entry points. A
-//! caller that can react to failure uses [`try_simulate_sort`]
-//! (`crate::sort::pipeline::try_simulate_sort`) and the recovery driver
-//! (`crate::recovery`), which return [`SortError`] instead of panicking;
-//! [`Degradation`] describes the non-fatal compromises the recovery
-//! driver makes (and always reports — never silently).
+//! A caller that can react to failure uses
+//! [`try_simulate_sort`](crate::sort::pipeline::try_simulate_sort) and the
+//! recovery driver ([`crate::recovery`]), which return [`SortError`]
+//! instead of panicking; [`validate_sort_config`] is the one
+//! configuration check behind every entry point. [`Degradation`]
+//! describes the non-fatal compromises the recovery driver makes (and
+//! always reports — never silently).
 
 use crate::sort::pipeline::{SortAlgorithm, SortConfig};
 use crate::verify::VerifyFailure;
+use cfmerge_gpu_sim::banks::MAX_BANKS;
 use cfmerge_json::{Json, ToJson};
 
 /// Why a sort could not produce a verified result.
@@ -296,12 +297,18 @@ impl ToJson for Degradation {
     }
 }
 
-/// Typed version of the pipeline entry checks that
-/// `simulate_sort`/`simulate_merge` enforce by panicking: the model's
-/// standing `(E, u, w)` assumptions plus device launchability.
+/// The one configuration check of every sort and merge entry point: the
+/// model's standing `(E, u, w)` assumptions, the simulator's warp-width
+/// limit, and device launchability. The `try_*` entry points return its
+/// error; `simulate_sort`/`simulate_merge` panic with it.
 pub fn validate_sort_config(config: &SortConfig) -> Result<(), SortError> {
     let w = config.device.warp_width as usize;
     let (e, u) = (config.params.e, config.params.u);
+    if w > MAX_BANKS {
+        return Err(SortError::InvalidConfig {
+            reason: format!("warp width w={w} exceeds the simulator's {MAX_BANKS}-lane limit"),
+        });
+    }
     if w == 0 || !u.is_multiple_of(w) {
         return Err(SortError::InvalidConfig {
             reason: format!("u={u} must be a positive multiple of w={w}"),

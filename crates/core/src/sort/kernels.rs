@@ -1,6 +1,7 @@
 //! Shared-memory kernel building blocks used by both pipelines.
 //!
-//! Everything here runs *inside* a [`BlockSim`] phase body, against a
+//! Everything here runs *inside* a
+//! [`BlockSim`](cfmerge_gpu_sim::BlockSim) phase body, against a
 //! [`LaneCtx`] — the only way to touch memory, so all accounting is
 //! automatic. The two pipelines differ only in which pieces they compose:
 //!

@@ -6,7 +6,7 @@
 //! with either strategy and inspect the conflict profile of exactly one
 //! pass.
 
-use super::blocksort::MergeStrategy;
+use super::error::{validate_sort_config, SortError};
 use super::key::SortKey;
 use super::merge_pass::{merge_pass_block, MergeChunkJob};
 use super::pipeline::{KernelReport, SortAlgorithm, SortConfig};
@@ -59,19 +59,12 @@ pub fn simulate_merge<K: SortKey>(
 ) -> MergeRun<K> {
     debug_assert!(a.is_sorted(), "input A must be sorted");
     debug_assert!(b.is_sorted(), "input B must be sorted");
-    let w = config.device.warp_width as usize;
-    let (e, u) = (config.params.e, config.params.u);
-    config.params.validate(w);
-    if let Err(why) =
-        cfmerge_gpu_sim::occupancy::occupancy(&config.device, &config.launch(1).resources)
-    {
-        panic!("configuration cannot launch on {}: {why}", config.device.name);
+    if let Err(err) = validate_sort_config(config) {
+        panic!("{err}");
     }
+    let (e, u) = (config.params.e, config.params.u);
     let banks = config.device.bank_model();
-    let strategy = match algo {
-        SortAlgorithm::ThrustMergesort => MergeStrategy::DirectSerial,
-        SortAlgorithm::CfMerge => MergeStrategy::Gather,
-    };
+    let strategy = algo.strategy();
     let tile = u * e;
     let total = a.len() + b.len();
 
@@ -109,17 +102,9 @@ pub fn simulate_merge<K: SortKey>(
         profile.merge(p);
     }
     let blocks = jobs.len() as u64;
-    let launch = cfmerge_gpu_sim::timing::LaunchConfig {
-        blocks,
-        resources: cfmerge_gpu_sim::occupancy::BlockResources {
-            threads: u as u32,
-            shared_bytes: config.params.shared_bytes(),
-            regs_per_thread: cfmerge_gpu_sim::occupancy::mergesort_regs_estimate(e as u32),
-        },
-    };
     let time = config
         .timing
-        .kernel_time(&config.device, &profile.total(), &launch)
+        .kernel_time(&config.device, &profile.total(), &config.launch(blocks))
         .expect("launchability was validated at entry");
     out.truncate(total);
     MergeRun {
@@ -131,26 +116,21 @@ pub fn simulate_merge<K: SortKey>(
 }
 
 /// Non-panicking variant of [`simulate_merge`]: configuration problems
-/// and unsorted inputs come back as a typed
-/// [`SortError`](super::error::SortError) instead of a panic (release
-/// builds of `simulate_merge` silently accept unsorted inputs; this
-/// entry point always checks).
+/// and unsorted inputs come back as a typed [`SortError`] instead of a
+/// panic (release builds of `simulate_merge` silently accept unsorted
+/// inputs; this entry point always checks).
 pub fn try_simulate_merge<K: SortKey>(
     a: &[K],
     b: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
-) -> Result<MergeRun<K>, super::error::SortError> {
-    super::error::validate_sort_config(config)?;
+) -> Result<MergeRun<K>, SortError> {
+    validate_sort_config(config)?;
     if !a.is_sorted() {
-        return Err(super::error::SortError::InvalidConfig {
-            reason: "merge input A is not sorted".into(),
-        });
+        return Err(SortError::InvalidConfig { reason: "merge input A is not sorted".into() });
     }
     if !b.is_sorted() {
-        return Err(super::error::SortError::InvalidConfig {
-            reason: "merge input B is not sorted".into(),
-        });
+        return Err(SortError::InvalidConfig { reason: "merge input B is not sorted".into() });
     }
     Ok(simulate_merge(a, b, algo, config))
 }

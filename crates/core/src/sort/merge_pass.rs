@@ -72,30 +72,7 @@ pub fn merge_pass_block<K: SortKey>(
     dst_chunk: &mut [K],
     count_accesses: bool,
 ) -> KernelProfile {
-    merge_pass_block_traced(banks, u, e, strategy, src, job, dst_chunk, count_accesses, NullTracer)
-        .0
-}
-
-/// [`merge_pass_block`] observed by a [`Tracer`]: identical execution,
-/// with every phase and warp round reported to `tracer`, which is
-/// returned alongside the profile.
-///
-/// # Panics
-/// Same conditions as [`merge_pass_block`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn merge_pass_block_traced<K: SortKey, Tr: Tracer>(
-    banks: BankModel,
-    u: usize,
-    e: usize,
-    strategy: MergeStrategy,
-    src: &[K],
-    job: MergeChunkJob,
-    dst_chunk: &mut [K],
-    count_accesses: bool,
-    tracer: Tr,
-) -> (KernelProfile, Tr) {
-    let (profile, tracer, NoCheck) = merge_pass_block_checked(
+    merge_pass_block_faulty(
         banks,
         u,
         e,
@@ -104,57 +81,23 @@ pub fn merge_pass_block_traced<K: SortKey, Tr: Tracer>(
         job,
         dst_chunk,
         count_accesses,
-        tracer,
+        NullTracer,
         NoCheck,
-    );
-    (profile, tracer)
-}
-
-/// [`merge_pass_block`] observed by both a [`Tracer`] and a [`MemCheck`]
-/// checker (e.g. the [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)): identical
-/// execution, with every memory access additionally routed through
-/// `checker`, which is returned alongside the profile and tracer.
-///
-/// # Panics
-/// Same conditions as [`merge_pass_block`].
-#[must_use]
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // kernel signature mirrors the CUDA launch; loops index parallel register arrays
-pub fn merge_pass_block_checked<K: SortKey, Tr: Tracer, Ck: MemCheck>(
-    banks: BankModel,
-    u: usize,
-    e: usize,
-    strategy: MergeStrategy,
-    src: &[K],
-    job: MergeChunkJob,
-    dst_chunk: &mut [K],
-    count_accesses: bool,
-    tracer: Tr,
-    checker: Ck,
-) -> (KernelProfile, Tr, Ck) {
-    let (profile, tracer, checker, NoFaults) = merge_pass_block_faulty(
-        banks,
-        u,
-        e,
-        strategy,
-        src,
-        job,
-        dst_chunk,
-        count_accesses,
-        tracer,
-        checker,
         NoFaults,
-    );
-    (profile, tracer, checker)
+    )
+    .0
 }
 
-/// [`merge_pass_block`] corrupted by a [`FaultInjector`] (see
-/// [`cfmerge_gpu_sim::fault`]) in addition to the tracer and checker
-/// hooks. With [`NoFaults`] this *is* [`merge_pass_block_checked`] —
-/// bit-identical execution. With an active injector, scheduled bit-flips,
-/// stuck banks, and lane drop-outs corrupt the chunk; corrupted
-/// merge-path search results are clamped into geometric bounds so
-/// corruption always surfaces as wrong output data — detectable by
-/// verification — never as a host-side panic.
+/// [`merge_pass_block`] with all three block hooks: every phase and warp
+/// round is reported to `tracer`, every memory access is routed through
+/// `checker` (e.g. the [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)), and
+/// `injector` may corrupt execution (see [`cfmerge_gpu_sim::fault`]); all
+/// three come back with the profile. With [`NoFaults`] execution is
+/// bit-identical to [`merge_pass_block`]. With an active injector,
+/// scheduled bit-flips, stuck banks, and lane drop-outs corrupt the
+/// chunk; corrupted merge-path search results are clamped into geometric
+/// bounds so corruption always surfaces as wrong output data —
+/// detectable by verification — never as a host-side panic.
 ///
 /// # Panics
 /// Same conditions as [`merge_pass_block`].
@@ -255,7 +198,7 @@ pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultIn
         }
     });
 
-    block.finish_faulty()
+    block.finish()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! many threads of a warp into sequential scans whose start addresses are
 //! congruent modulo `w` — every scan step then hits the same bank and the
 //! warp serializes. Section 4 constructs such inputs for *any* `w` and
-//! `1 < E ≤ w` (the prior work [8] required `w` a power of two, coprime
+//! `1 < E ≤ w` (the prior work \[8\] required `w` a power of two, coprime
 //! `E`, and `w/2 < E < w`):
 //!
 //! * [`tuples`] builds the per-warp consumption-tuple sequence `T` — one

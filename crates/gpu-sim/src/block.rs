@@ -327,23 +327,10 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
         self.injector
     }
 
-    /// Consume the block, returning its accumulated profile and tracer —
-    /// the pair a traced kernel hands back to its launcher.
+    /// Consume the block, returning its accumulated profile and its three
+    /// observers — what a kernel hands back to its launcher.
     #[must_use]
-    pub fn finish(self) -> (KernelProfile, Tr) {
-        (self.profile, self.tracer)
-    }
-
-    /// Consume the block, returning profile, tracer, and checker.
-    #[must_use]
-    pub fn finish_checked(self) -> (KernelProfile, Tr, Ck) {
-        (self.profile, self.tracer, self.checker)
-    }
-
-    /// Consume the block, returning profile, tracer, checker, and
-    /// injector — what a fault-injected kernel hands its recovery driver.
-    #[must_use]
-    pub fn finish_faulty(self) -> (KernelProfile, Tr, Ck, Fi) {
+    pub fn finish(self) -> (KernelProfile, Tr, Ck, Fi) {
         (self.profile, self.tracer, self.checker, self.injector)
     }
 

@@ -86,7 +86,7 @@ pub enum Pattern {
         e: usize,
     },
     /// The blocksort CF writeback: lane `tid` stores rank
-    /// `tid·E + round` through [`reflected_slot`] with run width `run_w`.
+    /// `tid·E + round` through `reflected_slot` with run width `run_w`.
     /// A static, input-independent schedule.
     Reflected {
         /// Elements per thread `E`.

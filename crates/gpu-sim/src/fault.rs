@@ -495,6 +495,14 @@ impl BlockFaults {
         self.records
     }
 
+    /// Whether no site is armed for this execution. Such an injector
+    /// changes no value and no counter, so a launcher may run the block
+    /// with [`NoFaults`] instead and skip the per-access injector hooks.
+    #[must_use]
+    pub fn is_unarmed(&self) -> bool {
+        self.armed.is_empty()
+    }
+
     /// Whether any armed site fired.
     #[must_use]
     pub fn any_fired(&self) -> bool {

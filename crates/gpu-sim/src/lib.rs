@@ -12,7 +12,7 @@
 //!   into warp rounds, and costed. A built-in race detector panics on
 //!   missing barriers.
 //! * [`global`] — 32-byte-sector coalescing for global memory.
-//! * [`occupancy`] — the theoretical occupancy calculator behind the
+//! * [`occupancy`](mod@occupancy) — the theoretical occupancy calculator behind the
 //!   paper's `E=15,u=512` (100%) vs `E=17,u=256` (75%) discussion.
 //! * [`timing`] — a documented, once-calibrated cost model turning
 //!   profiled counts into simulated runtimes.

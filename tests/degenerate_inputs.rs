@@ -10,6 +10,7 @@ use cfmerge::core::sort::{
     simulate_merge, simulate_sort, try_simulate_merge, try_simulate_sort, validate_sort_config,
     SortAlgorithm, SortConfig, SortError,
 };
+use cfmerge::gpu_sim::device::Device;
 use cfmerge::gpu_sim::fault::FaultPlan;
 
 fn cfg() -> SortConfig {
@@ -107,6 +108,30 @@ fn typed_errors_for_bad_configurations() {
     // And a good config passes through to a real run.
     let run = try_simulate_sort(&input, SortAlgorithm::CfMerge, &cfg()).expect("valid config");
     assert!(run.output.is_sorted());
+}
+
+#[test]
+fn warps_wider_than_the_simulator_are_a_typed_error() {
+    // The block engine holds at most 64 lanes per warp; a wider device
+    // must be rejected up front, not panic inside the first block.
+    let wide =
+        SortConfig { device: Device::toy(128), ..SortConfig::with_params(SortParams::new(5, 128)) };
+    let input = InputSpec::UniformRandom { seed: 5 }.generate(1000);
+    for algo in ALGOS {
+        assert!(matches!(
+            try_simulate_sort(&input, algo, &wide),
+            Err(SortError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            simulate_sort_robust(
+                &input,
+                algo,
+                &RobustConfig::new(wide.clone()),
+                &FaultPlan::none()
+            ),
+            Err(SortError::InvalidConfig { .. })
+        ));
+    }
 }
 
 #[test]

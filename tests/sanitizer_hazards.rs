@@ -14,7 +14,7 @@ fn block(u: usize, w: u32, len: usize) -> BlockSim<u32, NullTracer, Sanitizer> {
 }
 
 fn findings(b: BlockSim<u32, NullTracer, Sanitizer>) -> Vec<Finding> {
-    let (_, _, ck) = b.finish_checked();
+    let (_, _, ck, _) = b.finish();
     ck.into_findings()
 }
 

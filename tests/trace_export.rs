@@ -108,7 +108,7 @@ fn tiny_trace() -> SortTrace {
     block.phase(PhaseClass::Merge, |tid, lane| {
         let _ = lane.ld((tid % 4) * 8); // banks {0,8,16,24} mod 8 → 4-way on bank 0
     });
-    let (_, tracer) = block.finish();
+    let (_, tracer, _, _) = block.finish();
     let ticks = tracer.ticks();
     SortTrace {
         label: "golden/tiny".into(),
