@@ -227,7 +227,7 @@ fn run_sweep(only: Option<&str>) -> bool {
         PERMANENT_PLANS
     );
 
-    let outcomes = svc.run_all();
+    let outcomes = svc.drain();
     let mut art = RunArtifact::new("chaos", device());
     let mut violations: Vec<String> = Vec::new();
     let mut unrecoverable_typed = 0u64;

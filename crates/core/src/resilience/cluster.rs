@@ -5,9 +5,9 @@
 //! simulated device, possibly heterogeneous) over modeled time with the
 //! [`EventQueue`] as the single ordering authority. Jobs arrive on an
 //! open-loop schedule (see
-//! [`crate::resilience::loadgen`]), are admitted through the *cluster's*
-//! admission policy (the same typed shed decisions as the single-device
-//! service, replicated one level up), shard to a home device by tenant
+//! [`crate::resilience::loadgen`]), are admitted at the *cluster's* front
+//! door by the same admission core the single-device service calls
+//! ([`crate::resilience::admission`]), shard to a home device by tenant
 //! hash, and are dispatched by `(priority class, per-tenant served
 //! seconds, job id)` — idle devices steal from the longest queue.
 //!
@@ -43,12 +43,12 @@ use crate::params::SortParams;
 use crate::recovery::{
     resume_sort_robust, simulate_sort_robust_checkpointed, RobustConfig, RobustSortRun,
 };
-use crate::resilience::admission::{estimate_sort_seconds, ShedPolicy};
+use crate::resilience::admission::{self, AdmissionConfig};
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::faultdomain::{DeviceFaultPlan, DeviceTimeline};
 use crate::resilience::loadgen::{ClusterRequest, Priority};
 use crate::resilience::scheduler::EventQueue;
-use crate::resilience::service::{ResilienceConfig, ServiceCounters, SortService};
+use crate::resilience::service::{Payload, ResilienceConfig, ServiceCounters, SortService};
 use crate::sort::pipeline::SortAlgorithm;
 use crate::sort::SortError;
 use crate::telemetry::{MetricsRegistry, MetricsSnapshot};
@@ -129,7 +129,8 @@ impl ClusterConfig {
     }
 }
 
-/// A submitted job waiting to arrive/dispatch.
+/// A submitted job waiting to arrive/dispatch. Its payload starts
+/// fresh and becomes a checkpoint resume when a crash migrates it.
 #[derive(Debug)]
 struct PendingJob {
     id: ClusterJobId,
@@ -137,41 +138,18 @@ struct PendingJob {
     tenant: String,
     priority: Priority,
     arrival_s: f64,
-    input: Vec<u32>,
-    algo: SortAlgorithm,
+    payload: Payload,
     plan: FaultPlan,
     deadline_s: Option<f64>,
     cancelled: bool,
 }
 
-/// One unit of dispatchable work: a fresh job, or a checkpoint resume
-/// produced by migration.
+/// One unit of dispatchable work: an admitted job and the migrations it
+/// has survived so far.
 #[derive(Debug)]
-enum WorkItem {
-    Fresh { job: PendingJob, migrations: u32 },
-    Resume { job: PendingJob, checkpoint: Box<SortCheckpoint>, migrations: u32 },
-}
-
-impl WorkItem {
-    fn job(&self) -> &PendingJob {
-        match self {
-            WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-        }
-    }
-
-    fn migrations(&self) -> u32 {
-        match self {
-            WorkItem::Fresh { migrations, .. } | WorkItem::Resume { migrations, .. } => *migrations,
-        }
-    }
-
-    /// Key count, for migration pricing and admission bookkeeping.
-    fn n(&self) -> usize {
-        match self {
-            WorkItem::Fresh { job, .. } => job.input.len(),
-            WorkItem::Resume { checkpoint, .. } => checkpoint.n,
-        }
-    }
+struct WorkItem {
+    job: PendingJob,
+    migrations: u32,
 }
 
 /// One simulated device: its inner service, compiled fault timeline, and
@@ -189,9 +167,9 @@ impl DeviceSlot {
     /// Whether `item` may run on this device. Fresh jobs run anywhere;
     /// a checkpoint is pinned to its `(E, u)` launch configuration.
     fn compatible(&self, item: &WorkItem) -> bool {
-        match item {
-            WorkItem::Fresh { .. } => true,
-            WorkItem::Resume { checkpoint, .. } => {
+        match &item.job.payload {
+            Payload::Fresh { .. } => true,
+            Payload::Resume { checkpoint } => {
                 self.cfg.base.params.e == checkpoint.e && self.cfg.base.params.u == checkpoint.u
             }
         }
@@ -253,6 +231,35 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
+    /// The outcome of a job that never ran to completion on a device:
+    /// refused or shed at the front door, cancelled, stranded, or lost to
+    /// a device crash.
+    fn unrun(
+        job: PendingJob,
+        device: Option<usize>,
+        completed_s: f64,
+        migrations: u32,
+        err: SortError,
+    ) -> Self {
+        Self {
+            id: job.id,
+            label: job.label,
+            tenant: job.tenant,
+            priority: job.priority,
+            device,
+            arrival_s: job.arrival_s,
+            completed_s,
+            migrations,
+            result: Err(err),
+            quarantined: false,
+            probe: false,
+            degraded: false,
+            canary: false,
+            tuned: None,
+            retries_granted: 0,
+        }
+    }
+
     /// End-to-end modeled latency (queueing + execution).
     #[must_use]
     pub fn latency_s(&self) -> f64 {
@@ -322,8 +329,8 @@ pub struct ClusterReport {
     /// Per-job outcomes in submission order.
     pub outcomes: Vec<ClusterOutcome>,
     /// Cluster-level tallies merged with every device's inner counters
-    /// (inner `submitted`/`admitted` are zeroed first — the cluster
-    /// front door already counted those jobs once).
+    /// (inner services only execute, so admission is counted once, at
+    /// the cluster front door).
     pub counters: ServiceCounters,
     /// Makespan: the latest modeled completion time across all jobs.
     pub clock_s: f64,
@@ -492,8 +499,7 @@ impl ClusterService {
             tenant: tenant.to_string(),
             priority,
             arrival_s: at_s,
-            input,
-            algo,
+            payload: Payload::Fresh { input, algo },
             plan,
             deadline_s,
             cancelled: false,
@@ -544,14 +550,10 @@ impl ClusterService {
             .iter()
             .enumerate()
             .map(|(d, cfg)| {
-                // Device-local admission is unbounded: the cluster's
-                // front door already made every shed decision. Breaker
-                // and budget stay per-device.
-                let inner = ResilienceConfig {
-                    admission: crate::resilience::admission::AdmissionConfig::default(),
-                    ..self.config.resilience
-                };
-                let mut svc = SortService::with_resilience(cfg.clone(), inner);
+                // The cluster's front door makes every admission
+                // decision; each device's service only executes, under
+                // its own breakers and budget.
+                let mut svc = SortService::with_resilience(cfg.clone(), self.config.resilience);
                 if let Some((table, policy)) = &self.tuning {
                     svc.enable_tuning(table.clone(), *policy)
                         .expect("table was verified at ClusterService::enable_tuning");
@@ -568,7 +570,7 @@ impl ClusterService {
             .collect::<Vec<_>>();
 
         let mut sim = Sim {
-            resilience: self.config.resilience,
+            admission: self.config.resilience.admission,
             migration: self.config.migration,
             slots,
             eq: EventQueue::new(),
@@ -603,7 +605,7 @@ impl ClusterService {
 /// The running simulation (split from [`ClusterService`] so the event
 /// loop can borrow its pieces independently).
 struct Sim {
-    resilience: ResilienceConfig,
+    admission: AdmissionConfig,
     migration: MigrationConfig,
     slots: Vec<DeviceSlot>,
     eq: EventQueue<ClusterEvent>,
@@ -662,34 +664,52 @@ impl Sim {
         }
     }
 
-    /// Cluster-level admission: replicates [`SortService`]'s decisions
-    /// (including the exact typed reasons) against the cluster-wide
-    /// in-flight count.
+    /// Cluster-level admission through the admission core both front
+    /// doors call: the depth is the cluster-wide in-flight count, and any
+    /// queued fresh job on any device may be evicted.
     fn admit(&mut self, job: PendingJob, now: f64) {
-        self.counters.submitted += 1;
         if let Some(reg) = &mut self.telemetry {
             reg.inc("cluster_jobs_submitted_total", 1);
         }
-        if let Some(d) = job.deadline_s {
-            if !d.is_finite() || d < 0.0 {
-                self.counters.invalid_deadline += 1;
+        let mut queued: Vec<(ClusterJobId, usize, Option<f64>)> = self
+            .slots
+            .iter()
+            .flat_map(|slot| &slot.queue)
+            .filter(|item| matches!(item.job.payload, Payload::Fresh { .. }))
+            .map(|item| (item.job.id, item.job.payload.n(), item.job.deadline_s))
+            .collect();
+        queued.sort_by_key(|(id, ..)| id.0);
+        let decision = admission::admit(
+            &self.admission,
+            self.in_flight,
+            job.payload.n(),
+            job.deadline_s,
+            &queued,
+            &self.slots[0].cfg.base,
+            &mut self.counters,
+        );
+        let evicted = match decision {
+            Ok(evicted) => evicted,
+            Err(err) => {
+                let name = match err {
+                    SortError::InvalidDeadline { .. } => "cluster_invalid_deadline_total",
+                    _ => "cluster_jobs_shed_total",
+                };
                 if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_invalid_deadline_total", 1);
+                    reg.inc(name, 1);
                 }
-                self.record_unrun(job, now, SortError::InvalidDeadline { deadline_s: d });
+                self.record_unrun(job, now, err);
                 return;
             }
-        }
-        let job = match self.resilience.admission.capacity {
-            Some(capacity) if self.in_flight >= capacity => {
-                match self.apply_shed(job, capacity, now) {
-                    Some(job) => job,
-                    None => return,
-                }
-            }
-            _ => job,
         };
-        self.counters.admitted += 1;
+        for (id, err) in evicted {
+            let item = self.remove_queued(id);
+            self.in_flight -= 1;
+            if let Some(reg) = &mut self.telemetry {
+                reg.inc("cluster_jobs_shed_total", 1);
+            }
+            self.record_unrun(item.job, now, err);
+        }
         if let Some(reg) = &mut self.telemetry {
             reg.inc("cluster_jobs_admitted_total", 1);
         }
@@ -706,135 +726,23 @@ impl Sim {
             reg.set_gauge("cluster_inflight", self.in_flight as f64);
         }
         let home = (fnv1a(&job.tenant) % self.slots.len() as u64) as usize;
-        self.slots[home].queue.push(WorkItem::Fresh { job, migrations: 0 });
+        self.slots[home].queue.push(WorkItem { job, migrations: 0 });
     }
 
-    /// The cluster is at capacity: decide who pays. Returns the incoming
-    /// job if it was admitted.
-    fn apply_shed(
-        &mut self,
-        incoming: PendingJob,
-        capacity: usize,
-        now: f64,
-    ) -> Option<PendingJob> {
-        match self.resilience.admission.policy {
-            ShedPolicy::RejectNewest => {
-                self.counters.shed_overload += 1;
-                self.record_shed(incoming, now, SortError::Overloaded { capacity });
-                None
-            }
-            ShedPolicy::RejectLargest => {
-                // Largest queued-not-running fresh job, ties to the
-                // newest — the same victim the single-device service
-                // picks, since its queue order is id order.
-                let mut victim: Option<(usize, u64, usize, usize)> = None;
-                for (d, slot) in self.slots.iter().enumerate() {
-                    for (pos, item) in slot.queue.iter().enumerate() {
-                        if let WorkItem::Fresh { job, .. } = item {
-                            if job.input.len() >= incoming.input.len() {
-                                let key = (job.input.len(), job.id.0);
-                                if victim.is_none_or(|(n, id, ..)| key > (n, id)) {
-                                    victim = Some((key.0, key.1, d, pos));
-                                }
-                            }
-                        }
-                    }
-                }
-                match victim {
-                    Some((n, _, d, pos)) => {
-                        self.counters.shed_largest += 1;
-                        self.in_flight -= 1;
-                        let evicted = self.slots[d].queue.remove(pos);
-                        let WorkItem::Fresh { job, .. } = evicted else { unreachable!() };
-                        let err = SortError::Shed {
-                            policy: ShedPolicy::RejectLargest.label(),
-                            reason: format!(
-                                "evicted ({n} keys) for a newer {}-key job with the queue at \
-                                 capacity {capacity}",
-                                incoming.input.len()
-                            ),
-                        };
-                        self.record_shed(job, now, err);
-                        Some(incoming)
-                    }
-                    None => {
-                        self.counters.shed_overload += 1;
-                        self.record_shed(incoming, now, SortError::Overloaded { capacity });
-                        None
-                    }
-                }
-            }
-            ShedPolicy::DeadlineAware => {
-                let base = self.slots[0].cfg.base.clone();
-                let mut doomed: Vec<PendingJob> = Vec::new();
-                for slot in &mut self.slots {
-                    let mut i = 0;
-                    while i < slot.queue.len() {
-                        let unreachable = match &slot.queue[i] {
-                            WorkItem::Fresh { job, .. } => job
-                                .deadline_s
-                                .is_some_and(|d| estimate_sort_seconds(job.input.len(), &base) > d),
-                            WorkItem::Resume { .. } => false,
-                        };
-                        if unreachable {
-                            if let WorkItem::Fresh { job, .. } = slot.queue.remove(i) {
-                                doomed.push(job);
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                if doomed.is_empty() {
-                    self.counters.shed_overload += 1;
-                    self.record_shed(incoming, now, SortError::Overloaded { capacity });
-                    return None;
-                }
-                doomed.sort_by_key(|j| j.id.0);
-                for job in doomed {
-                    self.counters.shed_deadline += 1;
-                    self.in_flight -= 1;
-                    let d = job.deadline_s.expect("shed for its deadline");
-                    let floor = estimate_sort_seconds(job.input.len(), &base);
-                    let err = SortError::Shed {
-                        policy: ShedPolicy::DeadlineAware.label(),
-                        reason: format!(
-                            "deadline {d:.3e}s unreachable: optimistic lower bound is {floor:.3e}s"
-                        ),
-                    };
-                    self.record_shed(job, now, err);
-                }
-                Some(incoming)
+    /// Take the queued item of job `id` out of whichever device queue
+    /// holds it.
+    fn remove_queued(&mut self, id: ClusterJobId) -> WorkItem {
+        for slot in &mut self.slots {
+            if let Some(pos) = slot.queue.iter().position(|item| item.job.id == id) {
+                return slot.queue.remove(pos);
             }
         }
-    }
-
-    fn record_shed(&mut self, job: PendingJob, now: f64, err: SortError) {
-        if let Some(reg) = &mut self.telemetry {
-            reg.inc("cluster_jobs_shed_total", 1);
-        }
-        self.record_unrun(job, now, err);
+        unreachable!("admission only evicts queued jobs")
     }
 
     /// Outcome for a job that never reached a device.
     fn record_unrun(&mut self, job: PendingJob, now: f64, err: SortError) {
-        self.outcomes.push(ClusterOutcome {
-            id: job.id,
-            label: job.label,
-            tenant: job.tenant,
-            priority: job.priority,
-            device: None,
-            arrival_s: job.arrival_s,
-            completed_s: now,
-            migrations: 0,
-            result: Err(err),
-            quarantined: false,
-            probe: false,
-            degraded: false,
-            canary: false,
-            tuned: None,
-            retries_granted: 0,
-        });
+        self.outcomes.push(ClusterOutcome::unrun(job, None, now, 0, err));
     }
 
     /// Keep handing work to free devices until nothing moves: own queue
@@ -895,7 +803,7 @@ impl Sim {
             if !self.slots[dst].compatible(item) {
                 continue;
             }
-            let job = item.job();
+            let job = &item.job;
             let key = (job.priority.rank(), self.served_s(&job.tenant), job.id.0);
             let better = best.as_ref().is_none_or(|(_, b)| {
                 key.0.cmp(&b.0).then(key.1.total_cmp(&b.1)).then(key.2.cmp(&b.2)).is_lt()
@@ -935,10 +843,11 @@ impl Sim {
     /// Failed probes price as 0 — a typed error "completes" instantly,
     /// before any crash.
     fn probe(&self, d: usize, item: &WorkItem) -> (f64, Vec<SortCheckpoint>) {
-        match item {
-            WorkItem::Fresh { job, .. } => match simulate_sort_robust_checkpointed::<u32>(
-                &job.input,
-                job.algo,
+        let job = &item.job;
+        match &job.payload {
+            Payload::Fresh { input, algo } => match simulate_sort_robust_checkpointed::<u32>(
+                input,
+                *algo,
                 &self.slots[d].cfg,
                 &job.plan,
                 CheckpointPolicy::every_pass(),
@@ -946,7 +855,7 @@ impl Sim {
                 Ok((run, ckpts)) => (run.run.simulated_seconds, ckpts),
                 Err(_) => (0.0, Vec::new()),
             },
-            WorkItem::Resume { job, checkpoint, .. } => {
+            Payload::Resume { checkpoint } => {
                 match resume_sort_robust::<u32>(checkpoint, &self.slots[d].cfg, &job.plan) {
                     Ok(run) => (
                         (run.run.simulated_seconds - checkpoint.seconds_so_far).max(0.0),
@@ -989,15 +898,10 @@ impl Sim {
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("cluster_jobs_failed_total", 1);
             }
-            let migrations = item.migrations();
-            let job = match item {
-                WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-            };
             self.finish_failed(
-                job,
+                item,
                 d,
                 crash_s,
-                migrations,
                 SortError::DeviceLost {
                     device: d,
                     reason: format!("whole-device crash at {crash_s:.3e}s with migration disabled"),
@@ -1005,21 +909,15 @@ impl Sim {
             );
             return;
         }
-        let migrations = item.migrations() + 1;
-        if migrations > self.migration.max_migrations {
+        if item.migrations >= self.migration.max_migrations {
             self.counters.migrations_failed += 1;
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("cluster_jobs_failed_total", 1);
             }
-            let done = item.migrations();
-            let job = match item {
-                WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-            };
             self.finish_failed(
-                job,
+                item,
                 d,
                 crash_s,
-                done,
                 SortError::MigrationFailed {
                     from_device: d,
                     reason: format!("migration cap {} exhausted", self.migration.max_migrations),
@@ -1029,16 +927,13 @@ impl Sim {
         }
         // A resume re-migrates its own checkpoint; a fresh job upgrades
         // to a resume if any checkpoint completed before the crash.
-        let next = match item {
-            WorkItem::Resume { job, checkpoint, .. } => {
-                WorkItem::Resume { job, checkpoint, migrations }
-            }
-            WorkItem::Fresh { job, .. } => match usable.into_iter().next_back() {
-                Some(cp) => WorkItem::Resume { job, checkpoint: Box::new(cp), migrations },
-                None => WorkItem::Fresh { job, migrations },
-            },
-        };
-        let cost = self.migration.fixed_s + self.migration.per_key_s * next.n() as f64;
+        let mut next = item;
+        if let (Payload::Fresh { .. }, Some(cp)) =
+            (&next.job.payload, usable.into_iter().next_back())
+        {
+            next.job.payload = Payload::Resume { checkpoint: Box::new(cp) };
+        }
+        let cost = self.migration.fixed_s + self.migration.per_key_s * next.job.payload.n() as f64;
         let ready = crash_s + cost;
         // Target: the compatible device that is up soonest after the
         // checkpoint lands; ties to the shortest queue, then the lowest
@@ -1059,6 +954,7 @@ impl Sim {
         }
         match target {
             Some((_, _, t)) => {
+                next.migrations += 1;
                 self.counters.migrations += 1;
                 self.migration_s += cost;
                 if let Some(reg) = &mut self.telemetry {
@@ -1073,15 +969,10 @@ impl Sim {
                 if let Some(reg) = &mut self.telemetry {
                     reg.inc("cluster_jobs_failed_total", 1);
                 }
-                let done = next.migrations() - 1;
-                let job = match next {
-                    WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-                };
                 self.finish_failed(
-                    job,
+                    next,
                     d,
                     crash_s,
-                    done,
                     SortError::MigrationFailed {
                         from_device: d,
                         reason: "no surviving compatible device".to_string(),
@@ -1093,35 +984,12 @@ impl Sim {
 
     /// Outcome for a job killed by the fault domain (typed, counted,
     /// removed from flight).
-    fn finish_failed(
-        &mut self,
-        job: PendingJob,
-        d: usize,
-        at_s: f64,
-        migrations: u32,
-        err: SortError,
-    ) {
+    fn finish_failed(&mut self, item: WorkItem, d: usize, at_s: f64, err: SortError) {
         self.in_flight -= 1;
         if let Some(reg) = &mut self.telemetry {
             reg.set_gauge("cluster_inflight", self.in_flight as f64);
         }
-        self.outcomes.push(ClusterOutcome {
-            id: job.id,
-            label: job.label,
-            tenant: job.tenant,
-            priority: job.priority,
-            device: Some(d),
-            arrival_s: job.arrival_s,
-            completed_s: at_s,
-            migrations,
-            result: Err(err),
-            quarantined: false,
-            probe: false,
-            degraded: false,
-            canary: false,
-            tuned: None,
-            retries_granted: 0,
-        });
+        self.outcomes.push(ClusterOutcome::unrun(item.job, Some(d), at_s, item.migrations, err));
     }
 
     /// Run the item on device `d`'s inner service and record its
@@ -1129,30 +997,19 @@ impl Sim {
     /// (total minus the checkpointed prefix) scaled by any degrade
     /// multiplier.
     fn execute_on(&mut self, d: usize, item: WorkItem, now: f64, mult: f64) {
-        let slot = &mut self.slots[d];
-        // An idle device still saw modeled time pass: budget refill and
-        // breaker cooldowns are functions of the cluster clock.
-        slot.svc.sync_clock(now);
-        let (job, migrations, s0, outcome) = match item {
-            WorkItem::Fresh { mut job, migrations } => {
-                let input = std::mem::take(&mut job.input);
-                slot.svc.submit_with_faults(
-                    &job.label,
-                    input,
-                    job.algo,
-                    job.plan.clone(),
-                    job.deadline_s,
-                );
-                let o = slot.svc.drain().pop().expect("one job submitted");
-                (job, migrations, 0.0, o)
-            }
-            WorkItem::Resume { job, checkpoint, migrations } => {
-                let s0 = checkpoint.seconds_so_far;
-                slot.svc.submit_resume(&job.label, *checkpoint, job.plan.clone(), job.deadline_s);
-                let o = slot.svc.drain().pop().expect("one job submitted");
-                (job, migrations, s0, o)
-            }
+        let WorkItem { job, migrations } = item;
+        let s0 = match &job.payload {
+            Payload::Fresh { .. } => 0.0,
+            Payload::Resume { checkpoint } => checkpoint.seconds_so_far,
         };
+        let outcome = self.slots[d].svc.run_now(
+            now,
+            job.id.0,
+            job.label,
+            job.payload,
+            job.plan,
+            job.deadline_s,
+        );
         // The inner clock advanced by the job's execution seconds (a
         // deadline miss still advances by the time it burned); the
         // device itself is only occupied for the un-checkpointed suffix.
@@ -1181,7 +1038,7 @@ impl Sim {
         }
         self.outcomes.push(ClusterOutcome {
             id: job.id,
-            label: job.label,
+            label: outcome.label,
             tenant: job.tenant,
             priority: job.priority,
             device: Some(d),
@@ -1212,21 +1069,16 @@ impl Sim {
                 stranded.push((d, item));
             }
         }
-        stranded.sort_by_key(|(_, item)| item.job().id.0);
+        stranded.sort_by_key(|(_, item)| item.job.id.0);
         for (d, item) in stranded {
             self.counters.device_lost += 1;
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("cluster_jobs_failed_total", 1);
             }
-            let migrations = item.migrations();
-            let job = match item {
-                WorkItem::Fresh { job, .. } | WorkItem::Resume { job, .. } => job,
-            };
             self.finish_failed(
-                job,
+                item,
                 d,
                 now,
-                migrations,
                 SortError::DeviceLost {
                     device: d,
                     reason: "queued on a dead device with no surviving compatible device"
@@ -1244,7 +1096,7 @@ impl Sim {
         let mut counters = self.counters;
         let mut per_device = Vec::new();
         for (d, slot) in self.slots.iter().enumerate() {
-            let mut inner = *slot.svc.counters();
+            let inner = slot.svc.counters();
             per_device.push(DeviceSummary {
                 device: d,
                 executed: inner.executed,
@@ -1252,11 +1104,7 @@ impl Sim {
                 failed: inner.failed,
                 clock_s: slot.svc.clock_s(),
             });
-            // The cluster front door already counted every submission
-            // and admission once.
-            inner.submitted = 0;
-            inner.admitted = 0;
-            counters.merge(&inner);
+            counters.merge(inner);
         }
         let tenant_slos = Self::compute_slos(&self.outcomes);
         if let Some(reg) = &mut self.telemetry {
@@ -1313,7 +1161,7 @@ mod tests {
     use crate::inputs::InputSpec;
     use crate::params::SortParams;
     use crate::recovery::simulate_sort_robust;
-    use crate::resilience::admission::AdmissionConfig;
+    use crate::resilience::admission::{AdmissionConfig, ShedPolicy};
     use crate::resilience::faultdomain::{DeviceFaultEvent, DeviceFaultKind};
     use crate::sort::pipeline::SortConfig;
 

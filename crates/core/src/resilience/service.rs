@@ -18,7 +18,7 @@ use crate::recovery::{
     resume_sort_robust, simulate_sort_robust, simulate_sort_robust_checkpointed, RecoveryCounters,
     RobustConfig, RobustSortRun,
 };
-use crate::resilience::admission::{estimate_sort_seconds, AdmissionConfig, ShedPolicy};
+use crate::resilience::admission::{self, AdmissionConfig};
 use crate::resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
 use crate::resilience::budget::{RetryBudget, RetryBudgetConfig};
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
@@ -50,9 +50,20 @@ pub struct ResilienceConfig {
 }
 
 /// What a job sorts: fresh input, or a checkpoint to resume.
-enum Payload {
+#[derive(Debug)]
+pub(crate) enum Payload {
     Fresh { input: Vec<u32>, algo: SortAlgorithm },
     Resume { checkpoint: Box<SortCheckpoint> },
+}
+
+impl Payload {
+    /// Key count, for admission sizing.
+    pub(crate) fn n(&self) -> usize {
+        match self {
+            Payload::Fresh { input, .. } => input.len(),
+            Payload::Resume { checkpoint } => checkpoint.n,
+        }
+    }
 }
 
 struct Job {
@@ -66,8 +77,6 @@ struct Job {
     /// Set at admission time when the job was refused or shed; such jobs
     /// never execute, not even partially.
     pre_shed: Option<SortError>,
-    /// Key count, for admission sizing.
-    n: usize,
 }
 
 impl Job {
@@ -117,6 +126,23 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The outcome of a job that never ran: shed, cancelled, or refused
+    /// by the tuning ladder.
+    fn unrun(id: JobId, label: String, err: SortError) -> Self {
+        Self {
+            id,
+            label,
+            result: Err(err),
+            quarantined: false,
+            probe: false,
+            degraded: false,
+            canary: false,
+            tuned: None,
+            retries_granted: 0,
+            checkpoints: Vec::new(),
+        }
+    }
+
     /// The job's recovery counters; for failed jobs, a zeroed set with
     /// `unrecovered = 1` when the failure was an unrecoverable fault.
     #[must_use]
@@ -147,8 +173,8 @@ pub fn aggregate_counters(outcomes: &[JobOutcome]) -> RecoveryCounters {
 pub struct ServiceCounters {
     /// Jobs ever submitted (sheds and cancels included).
     pub submitted: u64,
-    /// Jobs the queue accepted (some may be shed later by
-    /// [`ShedPolicy::RejectLargest`] / [`ShedPolicy::DeadlineAware`]).
+    /// Jobs the queue accepted (some may be evicted later by a
+    /// [`ShedPolicy`](admission::ShedPolicy) that sheds queued jobs).
     pub admitted: u64,
     /// Jobs that actually ran the robust driver.
     pub executed: u64,
@@ -160,9 +186,11 @@ pub struct ServiceCounters {
     pub cancelled: u64,
     /// Incoming jobs refused with [`SortError::Overloaded`].
     pub shed_overload: u64,
-    /// Queued jobs evicted by [`ShedPolicy::RejectLargest`].
+    /// Queued jobs evicted by
+    /// [`ShedPolicy::RejectLargest`](admission::ShedPolicy::RejectLargest).
     pub shed_largest: u64,
-    /// Queued jobs shed by [`ShedPolicy::DeadlineAware`].
+    /// Queued jobs shed by
+    /// [`ShedPolicy::DeadlineAware`](admission::ShedPolicy::DeadlineAware).
     pub shed_deadline: u64,
     /// Submissions refused with [`SortError::InvalidDeadline`].
     pub invalid_deadline: u64,
@@ -586,18 +614,6 @@ impl SortService {
         self.clock_s
     }
 
-    /// Advance the service clock to the cluster's global event time (a
-    /// device that sat idle still saw its retry budget refill and its
-    /// breaker cooldowns tick). Never moves the clock backwards, and is
-    /// a no-op in the single-device batch pattern where dispatch times
-    /// coincide with the accumulated clock — which is exactly why N=1
-    /// fault-free cluster runs stay bit-identical to [`SortService`].
-    pub(crate) fn sync_clock(&mut self, now_s: f64) {
-        if now_s > self.clock_s {
-            self.clock_s = now_s;
-        }
-    }
-
     /// Retry tokens currently in the budget (`None` when unlimited).
     #[must_use]
     pub fn budget_tokens(&self) -> Option<f64> {
@@ -646,7 +662,6 @@ impl SortService {
         deadline_s: Option<f64>,
         policy: CheckpointPolicy,
     ) -> JobId {
-        let n = input.len();
         self.enqueue(Job {
             id: JobId(0), // assigned by enqueue
             label: label.to_string(),
@@ -656,7 +671,6 @@ impl SortService {
             cancelled: false,
             checkpoint_policy: policy,
             pre_shed: None,
-            n,
         })
     }
 
@@ -670,7 +684,6 @@ impl SortService {
         plan: FaultPlan,
         deadline_s: Option<f64>,
     ) -> JobId {
-        let n = checkpoint.n;
         self.enqueue(Job {
             id: JobId(0),
             label: label.to_string(),
@@ -680,7 +693,6 @@ impl SortService {
             cancelled: false,
             checkpoint_policy: CheckpointPolicy::default(),
             pre_shed: None,
-            n,
         })
     }
 
@@ -691,31 +703,32 @@ impl SortService {
     fn enqueue(&mut self, mut job: Job) -> JobId {
         job.id = JobId(self.next_id);
         self.next_id += 1;
-        self.counters.submitted += 1;
-
-        // Deadline sanity comes first: a NaN or negative deadline is a
-        // caller bug, not load.
-        if let Some(d) = job.deadline_s {
-            if !d.is_finite() || d < 0.0 {
-                self.counters.invalid_deadline += 1;
-                job.pre_shed = Some(SortError::InvalidDeadline { deadline_s: d });
-                let id = job.id;
-                self.jobs.push(job);
-                self.record_admission(false);
-                return id;
+        // Every admitted job in the batch may be evicted, resumes
+        // included; a job's batch position is its id order.
+        let queued: Vec<(usize, usize, Option<f64>)> = self
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| j.admitted())
+            .map(|(i, j)| (i, j.payload.n(), j.deadline_s))
+            .collect();
+        match admission::admit(
+            &self.resilience.admission,
+            queued.len(),
+            job.payload.n(),
+            job.deadline_s,
+            &queued,
+            &self.config.base,
+            &mut self.counters,
+        ) {
+            Ok(evicted) => {
+                for (i, err) in evicted {
+                    self.jobs[i].pre_shed = Some(err);
+                }
             }
-        }
-
-        match self.resilience.admission.capacity {
-            Some(capacity) if self.admitted_count() >= capacity => {
-                self.apply_shed_policy(&mut job, capacity);
-            }
-            _ => {}
+            Err(err) => job.pre_shed = Some(err),
         }
         let admitted = job.pre_shed.is_none();
-        if admitted {
-            self.counters.admitted += 1;
-        }
         let id = job.id;
         self.jobs.push(job);
         self.record_admission(admitted);
@@ -742,75 +755,6 @@ impl SortService {
 
     fn admitted_count(&self) -> usize {
         self.jobs.iter().filter(|j| j.admitted()).count()
-    }
-
-    /// The queue is full: decide who pays, per the configured policy.
-    fn apply_shed_policy(&mut self, incoming: &mut Job, capacity: usize) {
-        match self.resilience.admission.policy {
-            ShedPolicy::RejectNewest => {
-                self.counters.shed_overload += 1;
-                incoming.pre_shed = Some(SortError::Overloaded { capacity });
-            }
-            ShedPolicy::RejectLargest => {
-                // Evict the largest queued job (ties to the newest) if it
-                // is at least as large as the incoming one.
-                let victim = self
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, j)| j.admitted() && j.n >= incoming.n)
-                    .max_by_key(|(i, j)| (j.n, *i))
-                    .map(|(i, _)| i);
-                match victim {
-                    Some(i) => {
-                        self.counters.shed_largest += 1;
-                        let n = self.jobs[i].n;
-                        self.jobs[i].pre_shed = Some(SortError::Shed {
-                            policy: ShedPolicy::RejectLargest.label(),
-                            reason: format!(
-                                "evicted ({n} keys) for a newer {}-key job with the queue at \
-                                 capacity {capacity}",
-                                incoming.n
-                            ),
-                        });
-                    }
-                    None => {
-                        self.counters.shed_overload += 1;
-                        incoming.pre_shed = Some(SortError::Overloaded { capacity });
-                    }
-                }
-            }
-            ShedPolicy::DeadlineAware => {
-                // Shed queued jobs that provably cannot meet their own
-                // deadline: the optimistic lower-bound estimate already
-                // exceeds it, so running them would only burn modeled
-                // time ahead of feasible work.
-                let mut shed_any = false;
-                for j in &mut self.jobs {
-                    if !j.admitted() {
-                        continue;
-                    }
-                    if let Some(d) = j.deadline_s {
-                        let floor = estimate_sort_seconds(j.n, &self.config.base);
-                        if floor > d {
-                            shed_any = true;
-                            self.counters.shed_deadline += 1;
-                            j.pre_shed = Some(SortError::Shed {
-                                policy: ShedPolicy::DeadlineAware.label(),
-                                reason: format!(
-                                    "deadline {d:.3e}s unreachable: optimistic lower bound is \
-                                     {floor:.3e}s"
-                                ),
-                            });
-                        }
-                    }
-                }
-                if !shed_any {
-                    self.counters.shed_overload += 1;
-                    incoming.pre_shed = Some(SortError::Overloaded { capacity });
-                }
-            }
-        }
     }
 
     /// Cancel a pending job. Returns `false` if the id is unknown (or the
@@ -842,9 +786,36 @@ impl SortService {
         jobs.into_iter().map(|job| self.execute(job)).collect()
     }
 
-    /// Legacy alias for [`SortService::drain`].
-    pub fn run_all(&mut self) -> Vec<JobOutcome> {
-        self.drain()
+    /// Run one job at modeled time `now_s`, outside the batch, and
+    /// return its outcome. The caller's own front door already numbered
+    /// and admitted the job, so this skips id allocation and admission.
+    ///
+    /// The service clock first advances to `now_s` (a device that sat
+    /// idle still saw its retry budget refill and its breaker cooldowns
+    /// tick). It never moves backwards, and the advance is a no-op when
+    /// dispatch times coincide with the accumulated clock — which is
+    /// exactly why N=1 fault-free cluster runs stay bit-identical to a
+    /// batch [`SortService`].
+    pub(crate) fn run_now(
+        &mut self,
+        now_s: f64,
+        id: u64,
+        label: String,
+        payload: Payload,
+        plan: FaultPlan,
+        deadline_s: Option<f64>,
+    ) -> JobOutcome {
+        self.clock_s = self.clock_s.max(now_s);
+        self.execute(Job {
+            id: JobId(id),
+            label,
+            payload,
+            plan,
+            deadline_s,
+            cancelled: false,
+            checkpoint_policy: CheckpointPolicy::default(),
+            pre_shed: None,
+        })
     }
 
     fn breaker_for(&mut self, key: (String, usize, usize)) -> &mut CircuitBreaker {
@@ -884,36 +855,14 @@ impl SortService {
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("service_jobs_shed_total", 1);
             }
-            return JobOutcome {
-                id: job.id,
-                label: job.label,
-                result: Err(err),
-                quarantined: false,
-                probe: false,
-                degraded: false,
-                canary: false,
-                tuned: None,
-                retries_granted: 0,
-                checkpoints: Vec::new(),
-            };
+            return JobOutcome::unrun(job.id, job.label, err);
         }
         if job.cancelled {
             self.counters.cancelled += 1;
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("service_jobs_cancelled_total", 1);
             }
-            return JobOutcome {
-                id: job.id,
-                label: job.label,
-                result: Err(SortError::Cancelled),
-                quarantined: false,
-                probe: false,
-                degraded: false,
-                canary: false,
-                tuned: None,
-                retries_granted: 0,
-                checkpoints: Vec::new(),
-            };
+            return JobOutcome::unrun(job.id, job.label, SortError::Cancelled);
         }
 
         // Ladder admission (only when tuning is installed): fresh jobs
@@ -932,18 +881,7 @@ impl SortService {
                     if let Some(reg) = &mut self.telemetry {
                         reg.inc("service_uncertified_rejected_total", 1);
                     }
-                    return JobOutcome {
-                        id: job.id,
-                        label: job.label,
-                        result: Err(err),
-                        quarantined: false,
-                        probe: false,
-                        degraded: false,
-                        canary: false,
-                        tuned: None,
-                        retries_granted: 0,
-                        checkpoints: Vec::new(),
-                    };
+                    return JobOutcome::unrun(job.id, job.label, err);
                 }
             }
         }
@@ -1194,6 +1132,7 @@ mod tests {
     use super::*;
     use crate::inputs::InputSpec;
     use crate::params::SortParams;
+    use crate::resilience::admission::ShedPolicy;
     use crate::sort::pipeline::SortConfig;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
 
@@ -1234,7 +1173,7 @@ mod tests {
         assert!(!svc.cancel(JobId(999)));
         assert_eq!(svc.pending(), 4);
 
-        let outcomes = svc.run_all();
+        let outcomes = svc.drain();
         assert_eq!(svc.pending(), 0);
         assert_eq!(outcomes.len(), 4);
         assert_eq!(outcomes[0].id, ok_id);

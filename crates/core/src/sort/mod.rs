@@ -31,7 +31,6 @@ pub use key::{simulate_sort_f32, SortKey};
 pub use merge_api::{simulate_merge, try_simulate_merge, MergeRun};
 pub use pairs::{sort_pairs_stable, PairSortRun};
 pub use pipeline::{
-    simulate_sort, simulate_sort_checked, simulate_sort_keys, simulate_sort_keys_checked,
-    simulate_sort_keys_traced, simulate_sort_traced, try_simulate_sort, try_simulate_sort_keys,
-    CheckedSortRun, KernelFinding, KernelReport, SortAlgorithm, SortConfig, SortRun, TracedSortRun,
+    simulate_sort, simulate_sort_checked, simulate_sort_traced, try_simulate_sort, CheckedSortRun,
+    KernelFinding, KernelReport, SortAlgorithm, SortConfig, SortRun, TracedSortRun,
 };

@@ -12,7 +12,7 @@
 //! (The paper sidesteps this by benchmarking 4-byte keys only; this
 //! module is the natural library extension a real user would need.)
 
-use super::pipeline::{simulate_sort_keys, SortAlgorithm, SortConfig, SortRun};
+use super::pipeline::{simulate_sort, SortAlgorithm, SortConfig, SortRun};
 
 /// Result of a stable pair sort.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ pub fn sort_pairs_stable(
     assert!(keys.len() <= u32::MAX as usize, "index tiebreak is 32-bit");
     let packed: Vec<u64> =
         keys.iter().enumerate().map(|(i, &k)| (u64::from(k) << 32) | i as u64).collect();
-    let run = simulate_sort_keys::<u64>(&packed, algo, config);
+    let run = simulate_sort::<u64>(&packed, algo, config);
     let mut out_keys = Vec::with_capacity(keys.len());
     let mut out_values = Vec::with_capacity(values.len());
     for &p in &run.output {

@@ -174,7 +174,9 @@ pub struct TracedSortRun<K = u32> {
     pub trace: SortTrace,
 }
 
-/// Sort `input` on the simulated GPU with the chosen pipeline.
+/// Sort `input` on the simulated GPU with the chosen pipeline. Any
+/// [`SortKey`] type sorts; the input slice fixes it (`u64` keys back the
+/// stable sort-by-key API in [`super::pairs`]).
 ///
 /// # Panics
 /// Panics with the [`SortError`] that [`try_simulate_sort`] would
@@ -182,37 +184,18 @@ pub struct TracedSortRun<K = u32> {
 /// [`validate_sort_config`](super::error::validate_sort_config)), or a
 /// block failing verification (a simulator bug).
 #[must_use]
-pub fn simulate_sort(input: &[u32], algo: SortAlgorithm, config: &SortConfig) -> SortRun {
-    simulate_sort_keys::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`simulate_sort`]: sort any [`SortKey`] type
-/// (`u64` keys back the stable sort-by-key API in [`super::pairs`]).
-///
-/// # Panics
-/// Same conditions as [`simulate_sort`].
-#[must_use]
-pub fn simulate_sort_keys<K: SortKey>(
+pub fn simulate_sort<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> SortRun<K> {
-    or_panic(try_simulate_sort_keys(input, algo, config))
+    or_panic(try_simulate_sort(input, algo, config))
 }
 
 /// Non-panicking variant of [`simulate_sort`]: the configuration checks
 /// and the per-block verification come back as a typed [`SortError`]
 /// instead of a panic.
-pub fn try_simulate_sort(
-    input: &[u32],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-) -> Result<SortRun, SortError> {
-    try_simulate_sort_keys::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`try_simulate_sort`].
-pub fn try_simulate_sort_keys<K: SortKey>(
+pub fn try_simulate_sort<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
@@ -232,20 +215,7 @@ fn or_panic<T>(result: Result<T, SortError>) -> T {
 /// # Panics
 /// Same conditions as [`simulate_sort`].
 #[must_use]
-pub fn simulate_sort_traced(
-    input: &[u32],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-) -> TracedSortRun {
-    simulate_sort_keys_traced::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`simulate_sort_traced`].
-///
-/// # Panics
-/// Same conditions as [`simulate_sort`].
-#[must_use]
-pub fn simulate_sort_keys_traced<K: SortKey>(
+pub fn simulate_sort_traced<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
@@ -335,20 +305,7 @@ impl<K> CheckedSortRun<K> {
 /// # Panics
 /// Same conditions as [`simulate_sort`].
 #[must_use]
-pub fn simulate_sort_checked(
-    input: &[u32],
-    algo: SortAlgorithm,
-    config: &SortConfig,
-) -> CheckedSortRun {
-    simulate_sort_keys_checked::<u32>(input, algo, config)
-}
-
-/// Generic-key variant of [`simulate_sort_checked`].
-///
-/// # Panics
-/// Same conditions as [`simulate_sort`].
-#[must_use]
-pub fn simulate_sort_keys_checked<K: SortKey>(
+pub fn simulate_sort_checked<K: SortKey>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
@@ -531,7 +488,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let run = simulate_sort(&[], SortAlgorithm::CfMerge, &cfg(15, 512));
+        let run = simulate_sort::<u32>(&[], SortAlgorithm::CfMerge, &cfg(15, 512));
         assert!(run.output.is_empty());
         assert_eq!(run.simulated_seconds, 0.0);
     }

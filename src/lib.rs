@@ -55,9 +55,8 @@ pub mod prelude {
         RetryBudgetConfig, ServiceCounters, ShedPolicy, SortCheckpoint,
     };
     pub use cfmerge_core::sort::{
-        simulate_sort, simulate_sort_keys, simulate_sort_traced, sort_pairs_stable,
-        try_simulate_sort, Degradation, SortAlgorithm, SortConfig, SortError, SortKey, SortRun,
-        TracedSortRun,
+        simulate_sort, simulate_sort_traced, sort_pairs_stable, try_simulate_sort, Degradation,
+        SortAlgorithm, SortConfig, SortError, SortKey, SortRun, TracedSortRun,
     };
     pub use cfmerge_core::worst_case::WorstCaseBuilder;
     pub use cfmerge_gpu_sim::device::Device;

@@ -10,17 +10,23 @@
 //!    perturb the event order either — the serialized-report equality
 //!    here is what pins that contract.
 //! 2. **Single-device parity** — with faults off, one device, and every
-//!    arrival at `t = 0`, the cluster is bit-identical to `SortService`:
-//!    outcomes, modeled clock, and counters.
+//!    arrival at `t = 0`, the cluster is bit-identical to `SortService`
+//!    under every admission policy: outcomes, modeled clock, and
+//!    counters.
+//! 3. **Cross-queue eviction** — a bounded `RejectLargest` cluster evicts
+//!    the largest queued job even when it sits on another device's
+//!    queue.
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
 use cfmerge::core::recovery::{RobustConfig, SortService};
 use cfmerge::core::resilience::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterService, DeviceFaultPlan,
-    DeviceFaultSpec, LoadGenConfig, MigrationConfig, ResilienceConfig, ShedPolicy, TrafficShape,
+    DeviceFaultSpec, LoadGenConfig, MigrationConfig, Priority, ResilienceConfig, ShedPolicy,
+    TrafficShape,
 };
-use cfmerge::core::sort::{SortAlgorithm, SortConfig};
+use cfmerge::core::sort::{SortAlgorithm, SortConfig, SortError};
+use cfmerge_gpu_sim::fault::FaultPlan;
 use cfmerge_json::ToJson;
 use proptest::prelude::*;
 
@@ -110,18 +116,29 @@ proptest! {
         let tb = b.telemetry.expect("telemetry enabled").to_json().to_string_pretty();
         prop_assert_eq!(ta, tb);
     }
+}
+
+proptest! {
+    // Cheap cases (one small device, at most nine jobs): enough of them
+    // that every policy sees its queue overflow with tight and generous
+    // deadlines queued.
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Property 2: a fault-free N=1 cluster with all arrivals at t=0 is
-    /// bit-identical to `SortService` for any job mix.
+    /// bit-identical to `SortService` for any job mix under any
+    /// admission policy. Every third job carries a deadline, unreachable
+    /// or generous by a seed bit, so deadline-aware shedding and
+    /// deadline misses both occur.
     #[test]
     fn prop_single_device_cluster_matches_sort_service(
         seed in any::<u64>(),
-        sizes in proptest::collection::vec(1usize..6, 1..6),
+        sizes in proptest::collection::vec(1usize..6, 1..10),
+        admission in policy_strategy(),
     ) {
         let params = SortParams::new(5, 32);
-        let mut svc = SortService::new(rcfg());
-        let mut cluster =
-            ClusterService::new(ClusterConfig::single(rcfg(), ResilienceConfig::default()));
+        let resilience = ResilienceConfig { admission, ..ResilienceConfig::default() };
+        let mut svc = SortService::with_resilience(rcfg(), resilience);
+        let mut cluster = ClusterService::new(ClusterConfig::single(rcfg(), resilience));
         for (i, tiles) in sizes.iter().enumerate() {
             let n = tiles * params.tile() + i % 5;
             let input =
@@ -131,8 +148,20 @@ proptest! {
             } else {
                 SortAlgorithm::ThrustMergesort
             };
-            svc.submit(&format!("job-{i}"), input.clone(), algo);
-            cluster.submit(&format!("job-{i}"), input, algo);
+            let deadline_s =
+                (i % 3 == 0).then(|| if (seed >> i) & 1 == 0 { 1e-15 } else { 1.0 });
+            let label = format!("job-{i}");
+            svc.submit_with_faults(&label, input.clone(), algo, FaultPlan::none(), deadline_s);
+            cluster.submit_at(
+                &label,
+                "default",
+                Priority::Interactive,
+                0.0,
+                input,
+                algo,
+                FaultPlan::none(),
+                deadline_s,
+            );
         }
         let svc_out = svc.drain();
         let report = cluster.run();
@@ -151,4 +180,60 @@ proptest! {
         prop_assert_eq!(report.clock_s, svc.clock_s());
         prop_assert_eq!(&report.counters, svc.counters());
     }
+}
+
+/// Two tenants homed on different devices of a 2-device cluster, every
+/// arrival at t = 0, and a bounded `RejectLargest` queue: the largest
+/// queued job waits on the *other* tenant's device, and it is the one
+/// evicted, with the single-device service's reason string.
+#[test]
+fn reject_largest_evicts_across_device_queues() {
+    let fnv = |s: &str| {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+    let (near, far) = ("tenant-a", "tenant-b");
+    assert_ne!(fnv(near) % 2, fnv(far) % 2, "the two tenants must home on different devices");
+
+    let mut cfg = ClusterConfig::homogeneous(2, rcfg());
+    cfg.resilience.admission = AdmissionConfig::bounded(2, ShedPolicy::RejectLargest);
+    let mut cluster = ClusterService::new(cfg);
+    let tile = SortParams::new(5, 32).tile();
+    let mut submit = |label: &str, tenant: &str, tiles: usize| {
+        let input = InputSpec::UniformRandom { seed: tiles as u64 }.generate(tiles * tile);
+        cluster.submit_at(
+            label,
+            tenant,
+            Priority::Interactive,
+            0.0,
+            input,
+            SortAlgorithm::CfMerge,
+            FaultPlan::none(),
+            None,
+        )
+    };
+    let small = submit("small", near, 1);
+    let big = submit("big", far, 8);
+    let newcomer = submit("newcomer", near, 2);
+    let report = cluster.run();
+
+    let outcome = |id| report.outcomes.iter().find(|o| o.id == id).expect("every job has one");
+    match &outcome(big).result {
+        Err(SortError::Shed { policy, reason }) => {
+            assert_eq!(*policy, "reject-largest");
+            assert_eq!(
+                reason,
+                "evicted (1280 keys) for a newer 320-key job with the queue at capacity 2"
+            );
+        }
+        other => panic!("the far device's big job must be evicted, got {other:?}"),
+    }
+    assert_eq!(outcome(big).device, None, "an evicted job never reaches a device");
+    assert!(outcome(small).result.is_ok());
+    assert!(outcome(newcomer).result.is_ok());
+    assert_eq!(report.counters.shed_largest, 1);
+    assert_eq!(report.counters.shed_overload, 0);
+    assert_eq!((report.counters.submitted, report.counters.admitted), (3, 3));
+    assert_eq!(report.counters.verified_ok, 2);
 }

@@ -22,7 +22,7 @@ const ALGOS: [SortAlgorithm; 2] = [SortAlgorithm::ThrustMergesort, SortAlgorithm
 #[test]
 fn empty_input_sorts_to_empty() {
     for algo in ALGOS {
-        let run = simulate_sort(&[], algo, &cfg());
+        let run = simulate_sort::<u32>(&[], algo, &cfg());
         assert!(run.output.is_empty());
         assert_eq!(run.n, 0);
         assert_eq!(run.simulated_seconds, 0.0);
