@@ -19,7 +19,7 @@ use cfmerge_core::resilience::ServiceCounters;
 use cfmerge_core::sort::{KernelReport, SortAlgorithm, SortRun};
 use cfmerge_core::telemetry::MetricsSnapshot;
 use cfmerge_gpu_sim::device::Device;
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::{json_struct, FromJson, Json, JsonError, ToJson};
 use std::path::{Path, PathBuf};
 
 /// Version of the artifact layout; bump on breaking schema changes.
@@ -97,36 +97,12 @@ impl RunRecord {
     }
 }
 
-impl ToJson for RunRecord {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("label", Json::from(self.label.as_str())),
-            ("algorithm", Json::from(self.algorithm.as_str())),
-            ("n", Json::from(self.n)),
-            ("simulated_seconds", Json::from(self.simulated_seconds)),
-            ("throughput", Json::from(self.throughput)),
-            ("merge_conflicts", Json::from(self.merge_conflicts)),
-            ("kernels", self.kernels.to_json()),
-        ];
-        if let Some(rc) = &self.recovery {
-            pairs.push(("recovery", rc.to_json()));
-        }
-        Json::obj(pairs)
-    }
-}
-
-impl FromJson for RunRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            label: v.field("label")?,
-            algorithm: v.field("algorithm")?,
-            n: v.field("n")?,
-            simulated_seconds: v.field("simulated_seconds")?,
-            throughput: v.field("throughput")?,
-            merge_conflicts: v.field("merge_conflicts")?,
-            kernels: v.field("kernels")?,
-            recovery: v.field_opt("recovery")?,
-        })
+json_struct! {
+    RunRecord {
+        label, algorithm, n, simulated_seconds, throughput, merge_conflicts, kernels,
+        // Written only for robust-driver runs; absent from plain runs and
+        // from artifacts written before the field existed.
+        recovery ?= None,
     }
 }
 

@@ -11,7 +11,7 @@
 use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::params::SortParams;
 use cfmerge_core::sort::{simulate_sort, SortAlgorithm, SortConfig, SortRun};
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// One measured point of a sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,30 +30,8 @@ pub struct SweepPoint {
     pub merge_conflicts: u64,
 }
 
-impl ToJson for SweepPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("i", Json::from(self.i)),
-            ("n", Json::from(self.n)),
-            ("seconds", Json::from(self.seconds)),
-            ("throughput", Json::from(self.throughput)),
-            ("conflicts_per_round", Json::from(self.conflicts_per_round)),
-            ("merge_conflicts", Json::from(self.merge_conflicts)),
-        ])
-    }
-}
-
-impl FromJson for SweepPoint {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            i: v.field("i")?,
-            n: v.field("n")?,
-            seconds: v.field("seconds")?,
-            throughput: v.field("throughput")?,
-            conflicts_per_round: v.field("conflicts_per_round")?,
-            merge_conflicts: v.field("merge_conflicts")?,
-        })
-    }
+json_struct! {
+    SweepPoint { i, n, seconds, throughput, conflicts_per_round, merge_conflicts }
 }
 
 /// A full series: one (algorithm, input, parameters) combination.
@@ -65,17 +43,7 @@ pub struct Series {
     pub points: Vec<SweepPoint>,
 }
 
-impl ToJson for Series {
-    fn to_json(&self) -> Json {
-        Json::obj([("label", Json::from(self.label.as_str())), ("points", self.points.to_json())])
-    }
-}
-
-impl FromJson for Series {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self { label: v.field("label")?, points: v.field("points")? })
-    }
-}
+json_struct! { Series { label, points } }
 
 /// Default exponent range: `2^9·E … 2^15·E`.
 #[must_use]

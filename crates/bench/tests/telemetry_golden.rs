@@ -15,6 +15,8 @@
 use cfmerge_bench::artifact::{RunArtifact, SCHEMA_VERSION};
 use cfmerge_bench::sweep::{Series, SweepPoint};
 use cfmerge_bench::telemetry_report;
+use cfmerge_core::cert::CertificateTable;
+use cfmerge_core::tuning::TuningTable;
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_json::{FromJson, Json, ToJson};
 use std::path::Path;
@@ -91,45 +93,43 @@ fn schema_v1_artifacts_still_parse_after_the_telemetry_bump() {
 #[test]
 fn every_pinned_results_artifact_parses() {
     // The pinned artifacts in results/ are the perf gate's baselines;
-    // whatever schema vintage they are, today's loader must read them.
+    // whatever schema vintage they are, today's loader must read them,
+    // and its output must re-emit each file byte for byte (pretty JSON
+    // plus the writer's trailing newline): the schema of every type
+    // they contain is pinned, key order and omitted defaults included.
     let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
     let mut checked = 0;
     for entry in std::fs::read_dir(dir).expect("results/ exists") {
         let path = entry.expect("readable dir entry").path();
-        if path.extension().is_some_and(|e| e == "json")
-            && !path.to_string_lossy().contains("perfetto")
+        if path.extension().is_none_or(|e| e != "json")
+            || path.to_string_lossy().contains("perfetto")
         {
-            if path.file_name().is_some_and(|n| n == "tuning.json") {
-                // The tuning table is pinned raw (docs/CERTIFICATION.md
-                // describes its schema); hold it to its own loader and
-                // its own checksum.
-                let text = std::fs::read_to_string(&path).expect("readable");
-                let json = cfmerge_json::Json::parse(&text)
-                    .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
-                let table = cfmerge_core::tuning::TuningTable::from_json(&json)
-                    .unwrap_or_else(|e| panic!("{} must load: {e}", path.display()));
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let json =
+            Json::parse(&text).unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
+        let reemitted = match path.file_name().and_then(|n| n.to_str()) {
+            // The tuning table is pinned raw (docs/CERTIFICATION.md
+            // describes its schema); hold it to its own loader and its
+            // own checksum.
+            Some("tuning.json") => TuningTable::from_json(&json).map(|table| {
                 table
                     .verify()
                     .unwrap_or_else(|e| panic!("{} checksum must verify: {e}", path.display()));
-                checked += 1;
-                continue;
-            }
-            if path.file_name().is_some_and(|n| n == "certificates.json") {
-                // The certificate table is the one pinned JSON with its
-                // own schema (docs/CERTIFICATION.md); hold it to its own
-                // loader instead.
-                let text = std::fs::read_to_string(&path).expect("readable");
-                let json = cfmerge_json::Json::parse(&text)
-                    .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
-                cfmerge_core::cert::CertificateTable::from_json(&json)
-                    .unwrap_or_else(|e| panic!("{} must load: {e}", path.display()));
-                checked += 1;
-                continue;
-            }
-            RunArtifact::load(&path)
-                .unwrap_or_else(|e| panic!("pinned artifact {} must parse: {e}", path.display()));
-            checked += 1;
+                table.to_json()
+            }),
+            // The certificate table has its own schema too.
+            Some("certificates.json") => CertificateTable::from_json(&json).map(|t| t.to_json()),
+            _ => RunArtifact::from_json(&json).map(|a| a.to_json()),
         }
+        .unwrap_or_else(|e| panic!("{} must load: {e}", path.display()));
+        assert!(
+            format!("{}\n", reemitted.to_string_pretty()) == text,
+            "{} does not re-emit byte for byte through its loader",
+            path.display()
+        );
+        checked += 1;
     }
-    assert!(checked >= 5, "expected the pinned artifact set, found {checked}");
+    assert!(checked >= 22, "expected the pinned artifact set, found {checked}");
 }

@@ -23,7 +23,7 @@ use crate::params::SortParams;
 use crate::sort::{simulate_sort, SortAlgorithm, SortConfig};
 use cfmerge_gpu_sim::check::{lint_phases, Access, BankShape, PhaseIr, Verdict};
 use cfmerge_gpu_sim::{Device, PhaseClass};
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// Version of the certificate schema. Bump on any change to the record
 /// layout; the gate treats a version change as drift.
@@ -140,45 +140,10 @@ impl CertRecord {
     }
 }
 
-impl ToJson for CertRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("profile", Json::from(self.profile.as_str())),
-            ("algo", Json::from(self.algo.as_str())),
-            ("e", Json::from(self.e)),
-            ("u", Json::from(self.u)),
-            ("kernel", Json::from(self.kernel.as_str())),
-            ("phase", Json::from(self.phase.as_str())),
-            ("access", Json::from(self.access.as_str())),
-            ("banks", Json::from(self.banks)),
-            ("bank_word_u32s", Json::from(self.bank_word_u32s)),
-            ("verdict", Json::from(self.verdict.as_str())),
-            ("strategy", Json::from(self.strategy.as_str())),
-            ("worst_degree", Json::from(self.worst_degree)),
-            ("expected", Json::from(self.expected.as_str())),
-            ("pass", Json::from(self.pass)),
-        ])
-    }
-}
-
-impl FromJson for CertRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CertRecord {
-            profile: v.field("profile")?,
-            algo: v.field("algo")?,
-            e: v.field("e")?,
-            u: v.field("u")?,
-            kernel: v.field("kernel")?,
-            phase: v.field("phase")?,
-            access: v.field("access")?,
-            banks: v.field("banks")?,
-            bank_word_u32s: v.field("bank_word_u32s")?,
-            verdict: v.field("verdict")?,
-            strategy: v.field("strategy")?,
-            worst_degree: v.field("worst_degree")?,
-            expected: v.field("expected")?,
-            pass: v.field("pass")?,
-        })
+json_struct! {
+    CertRecord {
+        profile, algo, e, u, kernel, phase, access, banks, bank_word_u32s, verdict, strategy,
+        worst_degree, expected, pass,
     }
 }
 
@@ -204,35 +169,7 @@ pub struct LintRecord {
     pub message: String,
 }
 
-impl ToJson for LintRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("profile", Json::from(self.profile.as_str())),
-            ("algo", Json::from(self.algo.as_str())),
-            ("e", Json::from(self.e)),
-            ("u", Json::from(self.u)),
-            ("lint", Json::from(self.lint.as_str())),
-            ("kernel", Json::from(self.kernel.as_str())),
-            ("phase", Json::from(self.phase.as_str())),
-            ("message", Json::from(self.message.as_str())),
-        ])
-    }
-}
-
-impl FromJson for LintRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(LintRecord {
-            profile: v.field("profile")?,
-            algo: v.field("algo")?,
-            e: v.field("e")?,
-            u: v.field("u")?,
-            lint: v.field("lint")?,
-            kernel: v.field("kernel")?,
-            phase: v.field("phase")?,
-            message: v.field("message")?,
-        })
-    }
-}
+json_struct! { LintRecord { profile, algo, e, u, lint, kernel, phase, message } }
 
 /// The versioned certificate table: every verdict and lint finding over
 /// the full lattice, in deterministic order (profiles × configs × algos ×
@@ -279,25 +216,7 @@ fn count_by(keys: impl Iterator<Item = String>) -> Vec<(String, usize)> {
     counts
 }
 
-impl ToJson for CertificateTable {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::from(self.schema)),
-            ("records", Json::arr(self.records.iter().map(ToJson::to_json))),
-            ("lints", Json::arr(self.lints.iter().map(ToJson::to_json))),
-        ])
-    }
-}
-
-impl FromJson for CertificateTable {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CertificateTable {
-            schema: v.field("schema")?,
-            records: v.field("records")?,
-            lints: v.field("lints")?,
-        })
-    }
-}
+json_struct! { CertificateTable { schema, records, lints } }
 
 /// Lower one kernel's registry specs to the lint pass's IR.
 fn lint_ir(reports: &[PhaseReport], kernel: &str) -> Vec<PhaseIr> {
@@ -469,6 +388,7 @@ pub fn diff_tables(pinned: &CertificateTable, fresh: &CertificateTable) -> Vec<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfmerge_json::{FromJson, ToJson};
 
     #[test]
     fn table_covers_every_profile_config_algo() {

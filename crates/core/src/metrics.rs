@@ -1,7 +1,7 @@
 //! Reporting helpers: throughput, speedups, and the summary statistics
 //! quoted in Section 5.1.
 
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// Why a reporting helper could not produce a number. Earlier revisions
 /// silently emitted `0.0` for these cases, which poisoned downstream
@@ -78,25 +78,7 @@ impl ThroughputPoint {
     }
 }
 
-impl ToJson for ThroughputPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", Json::from(self.n)),
-            ("seconds", Json::from(self.seconds)),
-            ("elems_per_us", Json::from(self.elems_per_us)),
-        ])
-    }
-}
-
-impl FromJson for ThroughputPoint {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            n: v.field("n")?,
-            seconds: v.field("seconds")?,
-            elems_per_us: v.field("elems_per_us")?,
-        })
-    }
-}
+json_struct! { ThroughputPoint { n, seconds, elems_per_us } }
 
 /// The speedup summary the paper reports for Figure 5: "average, mean, and
 /// maximum speedup" over the sweep (the paper's "average" is the ratio of
@@ -114,27 +96,7 @@ pub struct SpeedupSummary {
     pub min: f64,
 }
 
-impl ToJson for SpeedupSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("average", Json::from(self.average)),
-            ("mean", Json::from(self.mean)),
-            ("max", Json::from(self.max)),
-            ("min", Json::from(self.min)),
-        ])
-    }
-}
-
-impl FromJson for SpeedupSummary {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            average: v.field("average")?,
-            mean: v.field("mean")?,
-            max: v.field("max")?,
-            min: v.field("min")?,
-        })
-    }
-}
+json_struct! { SpeedupSummary { average, mean, max, min } }
 
 /// Summarize baseline-vs-improved runtimes (paired by index).
 ///

@@ -48,7 +48,7 @@ use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
 use cfmerge_gpu_sim::fault::{BlockFaults, FaultInjector, FaultPlan, InjectionRecord, NoFaults};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
 use rayon::prelude::*;
@@ -133,35 +133,13 @@ impl RecoveryCounters {
     }
 }
 
-impl ToJson for RecoveryCounters {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("faults_injected", Json::from(self.faults_injected)),
-            ("faults_detected", Json::from(self.faults_detected)),
-            ("blocks_retried", Json::from(self.blocks_retried)),
-            ("retries", Json::from(self.retries)),
-            ("fallbacks", Json::from(self.fallbacks)),
-            ("unrecovered", Json::from(self.unrecovered)),
-            ("hedges_launched", Json::from(self.hedges_launched)),
-            ("hedges_won", Json::from(self.hedges_won)),
-        ])
-    }
-}
-
-impl FromJson for RecoveryCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            faults_injected: v.field("faults_injected")?,
-            faults_detected: v.field("faults_detected")?,
-            blocks_retried: v.field("blocks_retried")?,
-            retries: v.field("retries")?,
-            fallbacks: v.field("fallbacks")?,
-            unrecovered: v.field("unrecovered")?,
-            // The hedge counters postdate the original schema; absent in
-            // pre-resilience artifacts.
-            hedges_launched: v.field_opt("hedges_launched")?.unwrap_or(0),
-            hedges_won: v.field_opt("hedges_won")?.unwrap_or(0),
-        })
+json_struct! {
+    RecoveryCounters {
+        faults_injected, faults_detected, blocks_retried, retries, fallbacks, unrecovered,
+        // The hedge counters postdate the original schema; absent in
+        // pre-resilience artifacts.
+        hedges_launched = 0,
+        hedges_won = 0,
     }
 }
 
@@ -1118,6 +1096,7 @@ mod tests {
     use cfmerge_gpu_sim::banks::BankModel;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
     use cfmerge_gpu_sim::trace::BlockTracer;
+    use cfmerge_json::FromJson;
 
     fn small_rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))

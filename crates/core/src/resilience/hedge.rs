@@ -10,7 +10,7 @@
 //! have zero spike cycles everywhere, so no hedge ever launches and the
 //! run stays bit-identical to the unhedged driver.
 
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// When the robust driver hedges a straggling block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,31 +85,12 @@ impl HedgeCounters {
     }
 }
 
-impl ToJson for HedgeCounters {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("launched", Json::from(self.launched)),
-            ("won", Json::from(self.won)),
-            ("cycles_saved", Json::from(self.cycles_saved)),
-            ("hedge_seconds", Json::from(self.hedge_seconds)),
-        ])
-    }
-}
-
-impl FromJson for HedgeCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            launched: v.field("launched")?,
-            won: v.field("won")?,
-            cycles_saved: v.field("cycles_saved")?,
-            hedge_seconds: v.field("hedge_seconds")?,
-        })
-    }
-}
+json_struct! { HedgeCounters { launched, won, cycles_saved, hedge_seconds } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfmerge_json::{FromJson, ToJson};
 
     #[test]
     fn disabled_policy_never_hedges() {

@@ -11,7 +11,7 @@
 //! behaves exactly like the legacy batch front-end.
 
 use cfmerge_gpu_sim::fault::FaultPlan;
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 use crate::params::SortParams;
 use crate::recovery::{
@@ -276,89 +276,27 @@ impl ServiceCounters {
     }
 }
 
-impl ToJson for ServiceCounters {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("submitted", Json::from(self.submitted)),
-            ("admitted", Json::from(self.admitted)),
-            ("executed", Json::from(self.executed)),
-            ("verified_ok", Json::from(self.verified_ok)),
-            ("failed", Json::from(self.failed)),
-            ("cancelled", Json::from(self.cancelled)),
-            ("shed_overload", Json::from(self.shed_overload)),
-            ("shed_largest", Json::from(self.shed_largest)),
-            ("shed_deadline", Json::from(self.shed_deadline)),
-            ("invalid_deadline", Json::from(self.invalid_deadline)),
-            ("budget_denied", Json::from(self.budget_denied)),
-            ("breaker_opens", Json::from(self.breaker_opens)),
-            ("breaker_half_opens", Json::from(self.breaker_half_opens)),
-            ("breaker_closes", Json::from(self.breaker_closes)),
-            ("quarantined", Json::from(self.quarantined)),
-            ("probes", Json::from(self.probes)),
-            ("resumed", Json::from(self.resumed)),
-            ("checkpoints_taken", Json::from(self.checkpoints_taken)),
-            ("device_crashes", Json::from(self.device_crashes)),
-            ("device_restarts", Json::from(self.device_restarts)),
-            ("device_lost", Json::from(self.device_lost)),
-            ("migrations", Json::from(self.migrations)),
-            ("migrations_failed", Json::from(self.migrations_failed)),
-            ("steals", Json::from(self.steals)),
-        ];
+json_struct! {
+    ServiceCounters {
+        submitted, admitted, executed, verified_ok, failed, cancelled, shed_overload,
+        shed_largest, shed_deadline, invalid_deadline, budget_denied, breaker_opens,
+        breaker_half_opens, breaker_closes, quarantined, probes, resumed, checkpoints_taken,
+        // Cluster-era fields: absent from older artifacts.
+        device_crashes = 0,
+        device_restarts = 0,
+        device_lost = 0,
+        migrations = 0,
+        migrations_failed = 0,
+        steals = 0,
         // Tuner-era fields are emitted only when nonzero, so every
         // artifact pinned before the tuner existed — and every run with
         // tuning off — stays bit-identical.
-        for (name, value) in [
-            ("tuned_jobs", self.tuned_jobs),
-            ("ladder_steps", self.ladder_steps),
-            ("uncertified_rejected", self.uncertified_rejected),
-            ("canary_jobs", self.canary_jobs),
-            ("canary_rollbacks", self.canary_rollbacks),
-            ("canary_promotions", self.canary_promotions),
-        ] {
-            if value != 0 {
-                pairs.push((name, Json::from(value)));
-            }
-        }
-        Json::obj(pairs)
-    }
-}
-
-impl FromJson for ServiceCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            submitted: v.field("submitted")?,
-            admitted: v.field("admitted")?,
-            executed: v.field("executed")?,
-            verified_ok: v.field("verified_ok")?,
-            failed: v.field("failed")?,
-            cancelled: v.field("cancelled")?,
-            shed_overload: v.field("shed_overload")?,
-            shed_largest: v.field("shed_largest")?,
-            shed_deadline: v.field("shed_deadline")?,
-            invalid_deadline: v.field("invalid_deadline")?,
-            budget_denied: v.field("budget_denied")?,
-            breaker_opens: v.field("breaker_opens")?,
-            breaker_half_opens: v.field("breaker_half_opens")?,
-            breaker_closes: v.field("breaker_closes")?,
-            quarantined: v.field("quarantined")?,
-            probes: v.field("probes")?,
-            resumed: v.field("resumed")?,
-            checkpoints_taken: v.field("checkpoints_taken")?,
-            // Cluster-era fields (PR 8): absent from older artifacts.
-            device_crashes: v.field_opt("device_crashes")?.unwrap_or(0),
-            device_restarts: v.field_opt("device_restarts")?.unwrap_or(0),
-            device_lost: v.field_opt("device_lost")?.unwrap_or(0),
-            migrations: v.field_opt("migrations")?.unwrap_or(0),
-            migrations_failed: v.field_opt("migrations_failed")?.unwrap_or(0),
-            steals: v.field_opt("steals")?.unwrap_or(0),
-            // Tuner-era fields: omitted whenever zero.
-            tuned_jobs: v.field_opt("tuned_jobs")?.unwrap_or(0),
-            ladder_steps: v.field_opt("ladder_steps")?.unwrap_or(0),
-            uncertified_rejected: v.field_opt("uncertified_rejected")?.unwrap_or(0),
-            canary_jobs: v.field_opt("canary_jobs")?.unwrap_or(0),
-            canary_rollbacks: v.field_opt("canary_rollbacks")?.unwrap_or(0),
-            canary_promotions: v.field_opt("canary_promotions")?.unwrap_or(0),
-        })
+        tuned_jobs ?= 0,
+        ladder_steps ?= 0,
+        uncertified_rejected ?= 0,
+        canary_jobs ?= 0,
+        canary_rollbacks ?= 0,
+        canary_promotions ?= 0,
     }
 }
 
@@ -1135,6 +1073,7 @@ mod tests {
     use crate::resilience::admission::ShedPolicy;
     use crate::sort::pipeline::SortConfig;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
+    use cfmerge_json::ToJson;
 
     fn small_rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))

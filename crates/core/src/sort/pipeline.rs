@@ -24,7 +24,7 @@ use cfmerge_gpu_sim::occupancy::{mergesort_regs_estimate, BlockResources};
 use cfmerge_gpu_sim::profiler::KernelProfile;
 use cfmerge_gpu_sim::timing::{LaunchConfig, TimeBreakdown, TimingModel};
 use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, NullTracer, SortTrace};
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// Which pipeline to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,27 +327,7 @@ pub fn simulate_sort_checked<K: SortKey>(
     CheckedSortRun { run, findings, dropped }
 }
 
-impl ToJson for KernelReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("blocks", Json::from(self.blocks)),
-            ("profile", self.profile.to_json()),
-            ("time", self.time.to_json()),
-        ])
-    }
-}
-
-impl FromJson for KernelReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: v.field("name")?,
-            blocks: v.field("blocks")?,
-            profile: v.field("profile")?,
-            time: v.field("time")?,
-        })
-    }
-}
+json_struct! { KernelReport { name, blocks, profile, time } }
 
 #[cfg(test)]
 mod tests {

@@ -12,7 +12,7 @@
 //! [`MetricsRegistry`]: crate::telemetry::MetricsRegistry
 
 use crate::telemetry::histogram::LogHistogram;
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::{json_struct, FromJson, Json, JsonError, ToJson};
 
 /// Frozen histogram state: sparse buckets plus derived statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,8 +85,10 @@ impl FromJson for HistogramSnapshot {
                     pair.as_arr().ok_or_else(|| JsonError::new("expected [index, count] pair"))?;
                 match pair {
                     [i, c] => Ok((
-                        i.as_u64().ok_or_else(|| JsonError::new("bad bucket index"))? as u32,
-                        c.as_u64().ok_or_else(|| JsonError::new("bad bucket count"))?,
+                        u32::from_json(i)
+                            .map_err(|e| JsonError::new(format!("bad bucket index: {e}")))?,
+                        u64::from_json(c)
+                            .map_err(|e| JsonError::new(format!("bad bucket count: {e}")))?,
                     )),
                     _ => Err(JsonError::new("expected [index, count] pair")),
                 }
@@ -248,17 +250,7 @@ impl MetricsSnapshot {
     }
 }
 
-impl ToJson for MetricsSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([("metrics", self.metrics.to_json())])
-    }
-}
-
-impl FromJson for MetricsSnapshot {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self { metrics: v.field("metrics")? })
-    }
-}
+json_struct! { MetricsSnapshot { metrics } }
 
 /// Prometheus metric names allow `[a-zA-Z0-9_:]`; everything else
 /// becomes `_`.
@@ -291,6 +283,16 @@ mod tests {
         assert_eq!(back, snap);
         // And the re-serialization is byte-identical.
         assert_eq!(back.to_json().to_string_pretty(), text);
+    }
+
+    #[test]
+    fn out_of_range_bucket_index_fails_to_load() {
+        let h = sample().histogram("job_latency_seconds").unwrap().clone();
+        let text = h.to_json().to_string_compact();
+        let (head, _) = text.split_once(r#""buckets":[["#).unwrap();
+        let bad = format!(r#"{head}"buckets":[[4294967296,1]]}}"#);
+        let e = HistogramSnapshot::from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+        assert_eq!(e.message, "bad bucket index: 4294967296 is out of range for u32");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The versioned, checksummed tuning-table artifact and its ladders.
 
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::{json_struct, FromJson, Json, JsonError, ToJson};
 
 use crate::params::SortParams;
 
@@ -29,13 +29,20 @@ impl RungTier {
             RungTier::Degraded => "degraded",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, JsonError> {
-        match s {
-            "certified" => Ok(RungTier::Certified),
-            "degraded" => Ok(RungTier::Degraded),
-            other => Err(JsonError::new(format!("unknown rung tier `{other}`"))),
-        }
+impl ToJson for RungTier {
+    fn to_json(&self) -> Json {
+        Json::from(self.label())
+    }
+}
+
+impl FromJson for RungTier {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        [RungTier::Certified, RungTier::Degraded]
+            .into_iter()
+            .find(|tier| v.as_str() == Some(tier.label()))
+            .ok_or_else(|| JsonError::new(format!("unknown rung tier {v}")))
     }
 }
 
@@ -73,33 +80,7 @@ impl TuningRung {
     }
 }
 
-impl ToJson for TuningRung {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("rank", Json::from(self.rank)),
-            ("e", Json::from(self.e)),
-            ("u", Json::from(self.u)),
-            ("tier", Json::from(self.tier.label())),
-            ("worst_degree", Json::from(self.worst_degree)),
-            ("occupancy", Json::from(self.occupancy)),
-            ("modeled_cost_s", Json::from(self.modeled_cost_s)),
-        ])
-    }
-}
-
-impl FromJson for TuningRung {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            rank: v.field("rank")?,
-            e: v.field("e")?,
-            u: v.field("u")?,
-            tier: RungTier::parse(&v.field::<String>("tier")?)?,
-            worst_degree: v.field("worst_degree")?,
-            occupancy: v.field("occupancy")?,
-            modeled_cost_s: v.field("modeled_cost_s")?,
-        })
-    }
-}
+json_struct! { TuningRung { rank, e, u, tier, worst_degree, occupancy, modeled_cost_s } }
 
 /// A configuration the tuner refused to put on the ladder, and why —
 /// the fail-closed side of the artifact.
@@ -114,21 +95,7 @@ pub struct ExcludedConfig {
     pub reason: String,
 }
 
-impl ToJson for ExcludedConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("e", Json::from(self.e)),
-            ("u", Json::from(self.u)),
-            ("reason", Json::from(self.reason.as_str())),
-        ])
-    }
-}
-
-impl FromJson for ExcludedConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self { e: v.field("e")?, u: v.field("u")?, reason: v.field("reason")? })
-    }
-}
+json_struct! { ExcludedConfig { e, u, reason } }
 
 /// The per-(device profile, pipeline) degradation ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,29 +128,7 @@ impl TuningLadder {
     }
 }
 
-impl ToJson for TuningLadder {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("profile", Json::from(self.profile.as_str())),
-            ("device", Json::from(self.device.as_str())),
-            ("algo", Json::from(self.algo.as_str())),
-            ("rungs", Json::arr(self.rungs.iter().map(ToJson::to_json))),
-            ("excluded", Json::arr(self.excluded.iter().map(ToJson::to_json))),
-        ])
-    }
-}
-
-impl FromJson for TuningLadder {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            profile: v.field("profile")?,
-            device: v.field("device")?,
-            algo: v.field("algo")?,
-            rungs: v.field("rungs")?,
-            excluded: v.field("excluded")?,
-        })
-    }
-}
+json_struct! { TuningLadder { profile, device, algo, rungs, excluded } }
 
 /// One pinned validation scenario replayed by the `tune` bin against a
 /// freshly built table (ladder step-down under a tripped breaker;
@@ -199,21 +144,7 @@ pub struct ValidationScenario {
     pub events: Vec<String>,
 }
 
-impl ToJson for ValidationScenario {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("pass", Json::from(self.pass)),
-            ("events", Json::arr(self.events.iter().map(|e| Json::from(e.as_str())))),
-        ])
-    }
-}
-
-impl FromJson for ValidationScenario {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self { name: v.field("name")?, pass: v.field("pass")?, events: v.field("events")? })
-    }
-}
+json_struct! { ValidationScenario { name, pass, events } }
 
 /// The versioned, checksummed tuning artifact (`results/tuning.json`).
 #[derive(Debug, Clone, PartialEq)]
@@ -282,32 +213,12 @@ impl TuningTable {
     }
 }
 
-impl ToJson for TuningTable {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("schema", Json::from(self.schema)),
-            ("cert_schema", Json::from(self.cert_schema)),
-            ("checksum", Json::from(self.checksum.as_str())),
-            ("ladders", Json::arr(self.ladders.iter().map(ToJson::to_json))),
-        ];
+json_struct! {
+    TuningTable {
+        schema, cert_schema, checksum, ladders,
         // Omitted when empty so a service-built table round-trips to the
         // same bytes whether or not it was ever validated.
-        if !self.validation.is_empty() {
-            pairs.push(("validation", Json::arr(self.validation.iter().map(ToJson::to_json))));
-        }
-        Json::obj(pairs)
-    }
-}
-
-impl FromJson for TuningTable {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            schema: v.field("schema")?,
-            cert_schema: v.field("cert_schema")?,
-            checksum: v.field("checksum")?,
-            ladders: v.field("ladders")?,
-            validation: v.field_opt("validation")?.unwrap_or_default(),
-        })
+        validation ?= Vec::new(),
     }
 }
 
@@ -386,6 +297,23 @@ mod tests {
         assert!(t.verify().is_ok(), "validation must not invalidate the checksum");
         let back = TuningTable::from_json(&t.to_json()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn out_of_range_schema_fails_to_load() {
+        // 2^32 + 1 truncates to schema 1, which `verify` would accept: the
+        // checksum covers only the ladders.
+        let mut json = small_table().to_json();
+        let Json::Obj(pairs) = &mut json else { unreachable!() };
+        pairs[0] = ("schema".into(), Json::Num(4_294_967_297.0));
+        let e = TuningTable::from_json(&json).unwrap_err();
+        assert_eq!(e.message, r#"in key "schema": 4294967297 is out of range for u32"#);
+    }
+
+    #[test]
+    fn unknown_rung_tier_fails_to_load() {
+        let e = RungTier::from_json(&Json::from("gold")).unwrap_err();
+        assert_eq!(e.message, r#"unknown rung tier "gold""#);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`BankModel::round_cost`] implements this exactly, and is the single
 //! function every conflict number in this repository flows through.
 
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// Static description of a shared-memory bank layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,24 +36,12 @@ pub struct BankModel {
     pub bank_word_u32s: u32,
 }
 
-impl ToJson for BankModel {
-    fn to_json(&self) -> Json {
+json_struct! {
+    BankModel {
+        num_banks,
         // The width is emitted only when non-default so artifacts written
         // before the field existed stay bit-identical.
-        let mut pairs = vec![("num_banks", Json::from(self.num_banks))];
-        if self.bank_word_u32s != 1 {
-            pairs.push(("bank_word_u32s", Json::from(self.bank_word_u32s)));
-        }
-        Json::obj(pairs)
-    }
-}
-
-impl FromJson for BankModel {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            num_banks: v.field("num_banks")?,
-            bank_word_u32s: v.field_opt("bank_word_u32s")?.unwrap_or(1),
-        })
+        bank_word_u32s ?= 1,
     }
 }
 
@@ -227,6 +215,7 @@ fn count_distinct_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfmerge_json::{FromJson, ToJson};
 
     #[test]
     fn empty_round_is_free() {

@@ -11,7 +11,7 @@
 //! optimistic `ConflictFree`.
 
 use crate::banks::{BankModel, MAX_BANKS};
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// The shared-memory shape a certificate is proved against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,21 +65,12 @@ impl BankShape {
     }
 }
 
-impl ToJson for BankShape {
-    fn to_json(&self) -> Json {
-        Json::obj([("banks", Json::from(self.banks)), ("word_u32s", Json::from(self.word_u32s))])
-    }
-}
-
-impl FromJson for BankShape {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self { banks: v.field("banks")?, word_u32s: v.field("word_u32s")? })
-    }
-}
+json_struct! { BankShape { banks, word_u32s } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfmerge_json::{FromJson, ToJson};
 
     #[test]
     fn shape_labels_and_support() {

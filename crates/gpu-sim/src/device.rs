@@ -6,7 +6,7 @@
 //! uses, a 64K-register file per SM, and ~616 GB/s of DRAM bandwidth.
 
 use crate::banks::BankModel;
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::json_struct;
 
 /// Static description of a simulated GPU.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,52 +137,20 @@ impl Device {
     }
 }
 
-impl ToJson for Device {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::from(self.name.as_str())),
-            ("sm_count", Json::from(self.sm_count)),
-            ("clock_hz", Json::from(self.clock_hz)),
-            ("mem_bandwidth", Json::from(self.mem_bandwidth)),
-            ("warp_width", Json::from(self.warp_width)),
-            ("max_threads_per_sm", Json::from(self.max_threads_per_sm)),
-            ("max_warps_per_sm", Json::from(self.max_warps_per_sm)),
-            ("max_blocks_per_sm", Json::from(self.max_blocks_per_sm)),
-            ("shared_per_sm", Json::from(self.shared_per_sm)),
-            ("regfile_per_sm", Json::from(self.regfile_per_sm)),
-            ("max_regs_per_thread", Json::from(self.max_regs_per_thread)),
-        ];
+json_struct! {
+    Device {
+        name, sm_count, clock_hz, mem_bandwidth, warp_width, max_threads_per_sm, max_warps_per_sm,
+        max_blocks_per_sm, shared_per_sm, regfile_per_sm, max_regs_per_thread,
         // Emitted only in 64-bit-bank mode so every artifact written
         // before the field existed stays bit-identical.
-        if self.bank_word_u32s != 1 {
-            pairs.push(("bank_word_u32s", Json::from(self.bank_word_u32s)));
-        }
-        Json::obj(pairs)
-    }
-}
-
-impl FromJson for Device {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            name: v.field("name")?,
-            sm_count: v.field("sm_count")?,
-            clock_hz: v.field("clock_hz")?,
-            mem_bandwidth: v.field("mem_bandwidth")?,
-            warp_width: v.field("warp_width")?,
-            max_threads_per_sm: v.field("max_threads_per_sm")?,
-            max_warps_per_sm: v.field("max_warps_per_sm")?,
-            max_blocks_per_sm: v.field("max_blocks_per_sm")?,
-            shared_per_sm: v.field("shared_per_sm")?,
-            regfile_per_sm: v.field("regfile_per_sm")?,
-            max_regs_per_thread: v.field("max_regs_per_thread")?,
-            bank_word_u32s: v.field_opt("bank_word_u32s")?.unwrap_or(1),
-        })
+        bank_word_u32s ?= 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfmerge_json::{FromJson, ToJson};
 
     #[test]
     fn preset_matches_paper_testbed() {

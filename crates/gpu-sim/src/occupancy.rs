@@ -10,7 +10,7 @@
 //! to 3 blocks = 24 of 32 warps = 75%).
 
 use crate::device::Device;
-use cfmerge_json::{FromJson, Json, JsonError, ToJson};
+use cfmerge_json::{json_struct, FromJson, Json, JsonError, ToJson};
 
 /// Which resource limits residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,27 +82,7 @@ pub struct Occupancy {
     pub limiter: Limiter,
 }
 
-impl ToJson for Occupancy {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("blocks_per_sm", Json::from(self.blocks_per_sm)),
-            ("warps_per_sm", Json::from(self.warps_per_sm)),
-            ("fraction", Json::from(self.fraction)),
-            ("limiter", self.limiter.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Occupancy {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            blocks_per_sm: v.field("blocks_per_sm")?,
-            warps_per_sm: v.field("warps_per_sm")?,
-            fraction: v.field("fraction")?,
-            limiter: v.field("limiter")?,
-        })
-    }
-}
+json_struct! { Occupancy { blocks_per_sm, warps_per_sm, fraction, limiter } }
 
 /// Per-block resource demand of a kernel launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,25 +95,7 @@ pub struct BlockResources {
     pub regs_per_thread: u32,
 }
 
-impl ToJson for BlockResources {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", Json::from(self.threads)),
-            ("shared_bytes", Json::from(self.shared_bytes)),
-            ("regs_per_thread", Json::from(self.regs_per_thread)),
-        ])
-    }
-}
-
-impl FromJson for BlockResources {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            threads: v.field("threads")?,
-            shared_bytes: v.field("shared_bytes")?,
-            regs_per_thread: v.field("regs_per_thread")?,
-        })
-    }
-}
+json_struct! { BlockResources { threads, shared_bytes, regs_per_thread } }
 
 /// Compute theoretical occupancy of `res` on `dev`.
 ///

@@ -11,6 +11,26 @@
 //! would mean ~9·10^15 simulated transactions). Writing uses Rust's
 //! shortest-round-trip float formatting, so values survive
 //! write → parse → write unchanged.
+//!
+//! Reading never yields a wrong value: an integer outside its target
+//! type's range is a [`JsonError`], not a truncation, and documents nested
+//! deeper than [`MAX_DEPTH`] are refused instead of overflowing the stack.
+//!
+//! # Struct schemas
+//!
+//! Plain structs get both conversions from one ordered field list via
+//! [`json_struct!`]; the list order is the key order on write. Each field
+//! takes one of three forms:
+//!
+//! - `name` — always written; required on read.
+//! - `name = default` — always written; `default` when absent on read.
+//! - `name ?= default` — written only when the value differs from
+//!   `default`; `default` when absent on read.
+//!
+//! **Compatibility rule:** artifacts in `results/` and `tests/golden/` are
+//! pinned byte for byte, so a field added to a pinned type must be
+//! `= default` (older files still load) or `?= default` (older files
+//! still load *and* re-emit unchanged while the field holds its default).
 
 #![forbid(unsafe_code)]
 
@@ -68,6 +88,74 @@ pub trait FromJson: Sized {
     fn from_json(v: &Json) -> Result<Self, JsonError>;
 }
 
+/// Implement [`ToJson`] and [`FromJson`] for a struct from one ordered
+/// field list (see the [crate docs](crate#struct-schemas) for the three
+/// field forms). Keys are the field names, written in list order.
+///
+/// ```
+/// use cfmerge_json::{json_struct, FromJson, Json, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: u32,
+///     y: u32,
+///     weight: f64,
+///     tag: Option<String>,
+/// }
+///
+/// json_struct! { Point { x, y, weight = 1.0, tag ?= None } }
+///
+/// let p = Point { x: 3, y: 4, weight: 1.0, tag: None };
+/// assert_eq!(p.to_json().to_string_compact(), r#"{"x":3,"y":4,"weight":1}"#);
+/// assert_eq!(Point::from_json(&Json::parse(r#"{"y":4,"x":3}"#).unwrap()).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ident { $($fields:tt)* }) => {
+        $crate::json_struct!(@munch $ty [] $($fields)*);
+    };
+    // Normalize each field to `(name mode default?)`, one per step.
+    (@munch $ty:ident [$($done:tt)*] $name:ident ?= $default:expr $(, $($rest:tt)*)?) => {
+        $crate::json_struct!(@munch $ty [$($done)* ($name omit $default)] $($($rest)*)?);
+    };
+    (@munch $ty:ident [$($done:tt)*] $name:ident = $default:expr $(, $($rest:tt)*)?) => {
+        $crate::json_struct!(@munch $ty [$($done)* ($name always $default)] $($($rest)*)?);
+    };
+    (@munch $ty:ident [$($done:tt)*] $name:ident $(, $($rest:tt)*)?) => {
+        $crate::json_struct!(@munch $ty [$($done)* ($name required)] $($($rest)*)?);
+    };
+    (@munch $ty:ident [$(($name:ident $mode:ident $($default:expr)?))*]) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let mut pairs = ::std::vec::Vec::new();
+                $($crate::json_struct!(@put pairs, self.$name, $name $mode $($default)?);)*
+                $crate::Json::obj(pairs)
+            }
+        }
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Json) -> ::std::result::Result<Self, $crate::JsonError> {
+                ::std::result::Result::Ok(Self {
+                    $($name: $crate::json_struct!(@get v, $name $mode $($default)?),)*
+                })
+            }
+        }
+    };
+    (@put $pairs:ident, $value:expr, $name:ident omit $default:expr) => {
+        if $value != $default {
+            $crate::json_struct!(@put $pairs, $value, $name always);
+        }
+    };
+    (@put $pairs:ident, $value:expr, $name:ident $mode:ident $($default:expr)?) => {
+        $pairs.push((stringify!($name), $crate::ToJson::to_json(&$value)))
+    };
+    (@get $v:ident, $name:ident required) => {
+        $v.field(stringify!($name))?
+    };
+    (@get $v:ident, $name:ident $mode:ident $default:expr) => {
+        $v.field_opt(stringify!($name))?.unwrap_or($default)
+    };
+}
+
 impl Json {
     /// Build an object from key/value pairs (keys keep this order).
     pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
@@ -116,9 +204,10 @@ impl Json {
         }
     }
 
-    /// The value as a usize, if it is a non-negative integral number.
+    /// The value as a usize, if it is a non-negative integral number in
+    /// range.
     pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|n| n as usize)
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The value as a string slice, if it is a string.
@@ -203,7 +292,7 @@ impl Json {
 
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -284,9 +373,16 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input from
+/// overflowing the stack; pinned artifacts nest at most 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -328,11 +424,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -508,24 +619,42 @@ macro_rules! impl_json_num {
 }
 impl_json_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 
-macro_rules! impl_json_num_from {
-    ($($t:ty => $conv:ident),*) => {$(
+macro_rules! impl_json_int_from {
+    ($($t:ty),*) => {$(
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self, JsonError> {
-                v.$conv()
-                    .map(|n| n as $t)
-                    .ok_or_else(|| JsonError::new(concat!("expected ", stringify!($t))))
+                let expected = || JsonError::new(concat!("expected ", stringify!($t)));
+                let n = v.as_u64().ok_or_else(expected)?;
+                <$t>::try_from(n).map_err(|_| {
+                    JsonError::new(format!("{n} is out of range for {}", stringify!($t)))
+                })
             }
         }
     )*};
 }
-impl_json_num_from!(u8 => as_u64, u16 => as_u64, u32 => as_u64, u64 => as_u64,
-                    usize => as_u64, f32 => as_f64, f64 => as_f64);
+impl_json_int_from!(u8, u16, u32, u64, usize);
+
+impl FromJson for f32 {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.as_f64().map(|n| n as f32).ok_or_else(|| JsonError::new("expected f32"))
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.as_f64().ok_or_else(|| JsonError::new("expected f64"))
+    }
+}
 
 impl FromJson for i64 {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
+        // `i64::MIN` is exactly -2^63; 2^63 itself is one past `i64::MAX`.
+        let range = -(2f64.powi(63))..2f64.powi(63);
         match v {
-            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(63) => Ok(*n as i64),
+            Json::Num(n) if n.fract() == 0.0 && range.contains(n) => Ok(*n as i64),
+            Json::Num(n) if n.fract() == 0.0 => {
+                Err(JsonError::new(format!("{n} is out of range for i64")))
+            }
             _ => Err(JsonError::new("expected i64")),
         }
     }
@@ -711,5 +840,105 @@ mod tests {
         assert_eq!(v.field_opt::<f64>("absent").unwrap(), None);
         assert!(v.field::<u64>("s").is_err());
         assert!(v.field::<u64>("absent").is_err());
+    }
+
+    #[test]
+    fn narrowing_reads_reject_out_of_range_values() {
+        fn read<T: FromJson + fmt::Debug>(n: f64) -> Result<String, String> {
+            T::from_json(&Json::Num(n)).map(|t| format!("{t:?}")).map_err(|e| e.message)
+        }
+        let table = [
+            (read::<u8>(255.0), Ok("255")),
+            (read::<u8>(300.0), Err("300 is out of range for u8")),
+            (read::<u16>(65535.0), Ok("65535")),
+            (read::<u16>(65536.0), Err("65536 is out of range for u16")),
+            (read::<u32>(4294967295.0), Ok("4294967295")),
+            (read::<u32>(4294967296.0), Err("4294967296 is out of range for u32")),
+            (read::<u32>(-1.0), Err("expected u32")),
+            (read::<u64>(2f64.powi(53)), Ok("9007199254740992")),
+            (read::<u64>(0.5), Err("expected u64")),
+            (read::<usize>(2f64.powi(53)), Ok("9007199254740992")),
+            (read::<i64>(-(2f64.powi(63))), Ok("-9223372036854775808")),
+            (read::<i64>(2f64.powi(63)), Err("9223372036854776000 is out of range for i64")),
+            (read::<i64>(-1.5), Err("expected i64")),
+        ];
+        for (row, (got, want)) in table.iter().enumerate() {
+            assert_eq!(got.as_deref().map_err(String::as_str), *want, "row {row}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = "[".repeat(100_000);
+        let e = Json::parse(&deep).expect_err("must refuse, not overflow");
+        assert!(e.message.contains("nesting deeper than 128"), "{e}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+        let objects = format!("{}1{}", r#"{"k":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        assert!(Json::parse(&format!("[{objects}]")).is_err());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Schema {
+        id: u32,
+        name: String,
+        added: u64,
+        width: u32,
+        extra: Vec<u32>,
+    }
+
+    json_struct! {
+        Schema {
+            id,
+            name,
+            added = 7,
+            width ?= 1,
+            extra ?= Vec::new(),
+        }
+    }
+
+    fn schema() -> Schema {
+        Schema { id: 1, name: "s".into(), added: 7, width: 1, extra: Vec::new() }
+    }
+
+    #[test]
+    fn struct_schema_required_fields_name_the_missing_key() {
+        let e = Schema::from_json(&Json::parse(r#"{"id": 1}"#).unwrap()).unwrap_err();
+        assert_eq!(e.message, r#"missing object key "name""#);
+        let e =
+            Schema::from_json(&Json::parse(r#"{"id": 1.5, "name": "s"}"#).unwrap()).unwrap_err();
+        assert_eq!(e.message, r#"in key "id": expected u32"#);
+    }
+
+    #[test]
+    fn struct_schema_defaulted_field_reads_default_and_is_always_written() {
+        let s = Schema::from_json(&Json::parse(r#"{"id": 1, "name": "s"}"#).unwrap()).unwrap();
+        assert_eq!(s, schema());
+        assert_eq!(s.to_json().to_string_compact(), r#"{"id":1,"name":"s","added":7}"#);
+        let s = Schema { added: 0, ..schema() };
+        assert_eq!(s.to_json().to_string_compact(), r#"{"id":1,"name":"s","added":0}"#);
+    }
+
+    #[test]
+    fn struct_schema_omitted_field_is_written_only_off_default() {
+        let s = Schema { width: 2, extra: vec![5], ..schema() };
+        let text = s.to_json().to_string_compact();
+        assert_eq!(text, r#"{"id":1,"name":"s","added":7,"width":2,"extra":[5]}"#);
+        assert_eq!(Schema::from_json(&Json::parse(&text).unwrap()).unwrap(), s);
+        let explicit = r#"{"id":1,"name":"s","added":7,"width":1,"extra":[]}"#;
+        let s = Schema::from_json(&Json::parse(explicit).unwrap()).unwrap();
+        assert_eq!(s.to_json().to_string_compact(), r#"{"id":1,"name":"s","added":7}"#);
+    }
+
+    #[test]
+    fn struct_schema_key_order_follows_the_field_list() {
+        let text = r#"{"extra":[2],"width":3,"added":4,"name":"s","id":9}"#;
+        let s = Schema::from_json(&Json::parse(text).unwrap()).unwrap();
+        let keys: Vec<String> =
+            s.to_json().as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(keys, ["id", "name", "added", "width", "extra"]);
     }
 }
