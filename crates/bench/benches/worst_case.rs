@@ -1,11 +1,9 @@
 //! Benches for the worst-case input machinery: tuple construction, side
-//! assignment, the recursive full-input builder, and the lock-step
-//! conflict measurement.
+//! assignment, and the lock-step conflict measurement. (The full-input
+//! builder is timed by `host_bench`'s `inputs.worst_case_ns_per_key`.)
 
-use cfmerge_core::worst_case::{
-    lockstep_baseline_conflicts, sequence_t, tuples::WcParams, WorstCaseBuilder,
-};
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use cfmerge_core::worst_case::{lockstep_baseline_conflicts, sequence_t, tuples::WcParams};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_tuples(c: &mut Criterion) {
     let mut g = c.benchmark_group("worst_case/tuples");
@@ -14,18 +12,6 @@ fn bench_tuples(c: &mut Criterion) {
             let p = WcParams::new(w, e);
             b.iter(|| black_box(sequence_t(&p).len()))
         });
-    }
-    g.finish();
-}
-
-fn bench_builder(c: &mut Criterion) {
-    let mut g = c.benchmark_group("worst_case/build");
-    g.sample_size(10);
-    let builder = WorstCaseBuilder::new(32, 15, 512);
-    for tiles in [8usize, 64] {
-        let n = tiles * 512 * 15;
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_function(format!("tiles{tiles}"), |b| b.iter(|| black_box(builder.build(n).len())));
     }
     g.finish();
 }
@@ -47,6 +33,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_tuples, bench_builder, bench_lockstep_measurement
+    targets = bench_tuples, bench_lockstep_measurement
 }
 criterion_main!(benches);

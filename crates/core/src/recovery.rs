@@ -30,24 +30,24 @@
 //! that fails it is a simulator bug and surfaces as a typed error. With
 //! an empty plan the robust entry points therefore produce bit-identical
 //! output, profile, and modeled seconds to the plain ones. A block whose
-//! plan arms no fault site runs under `NoFaults`, at the plain kernels'
-//! speed.
+//! plan arms a fault site runs under its `BlockFaults` alone; any other
+//! block runs under the caller's observer (`Passive` for every entry point
+//! but the traced and checked ones), at the plain kernels' speed.
 //!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
 use crate::params::SortParams;
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::hedge::{HedgeConfig, HedgeCounters};
-use crate::sort::blocksort::blocksort_block_faulty;
+use crate::sort::blocksort::blocksort_block_observed;
 use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
-use crate::sort::merge_pass::{merge_pass_block_faulty, MergeChunkJob};
+use crate::sort::merge_pass::{merge_pass_block_observed, MergeChunkJob};
 use crate::sort::pipeline::{KernelReport, SortAlgorithm, SortConfig, SortRun};
 use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
-use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
-use cfmerge_gpu_sim::fault::{BlockFaults, FaultInjector, FaultPlan, InjectionRecord, NoFaults};
+use cfmerge_gpu_sim::fault::{BlockFaults, FaultPlan, InjectionRecord};
+use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
@@ -249,9 +249,9 @@ pub fn pipeline_shape(n: usize, params: &SortParams) -> Vec<u64> {
     vec![runs as u64; 1 + runs.trailing_zeros() as usize]
 }
 
-/// The tracer and checker of each block's successful attempt, one inner
-/// vector per launch, aligned with [`SortRun::kernels`].
-pub(crate) type BlockObservers<Tr, Ck> = Vec<Vec<(Tr, Ck)>>;
+/// The observer of each block's successful attempt, one inner vector per
+/// launch, aligned with [`SortRun::kernels`] when the plan is empty.
+pub(crate) type BlockObservers<O> = Vec<Vec<O>>;
 
 /// One block's work in a launch.
 #[derive(Debug, Clone, Copy)]
@@ -275,20 +275,22 @@ impl BlockJob {
 }
 
 /// One execution of one block.
-struct Attempt<Tr, Ck> {
+struct Attempt<O> {
     profile: KernelProfile,
-    observers: (Tr, Ck),
+    /// The caller's observer; `None` for an armed block, which runs
+    /// under `faults` alone.
+    observer: Option<O>,
     faults: BlockFaults,
     verdict: Result<(), VerifyFailure>,
 }
 
 /// Outcome of one block's execute-verify-retry loop.
-struct BlockExec<Tr, Ck> {
+struct BlockExec<O> {
     /// Profile of the successful (or last) attempt.
     profile: KernelProfile,
-    /// Observers of the successful attempt (`None` if every attempt
+    /// Observer of the successful attempt (`None` if every attempt
     /// failed; failed attempts and hedged duplicates drop theirs).
-    observers: Option<(Tr, Ck)>,
+    observer: Option<O>,
     /// Merged profiles of every failed attempt that was re-run.
     retry_profile: KernelProfile,
     /// Total executions (1 = verified first try).
@@ -310,7 +312,7 @@ struct BlockExec<Tr, Ck> {
     hedge_profile: KernelProfile,
 }
 
-impl<Tr, Ck> BlockExec<Tr, Ck> {
+impl<O> BlockExec<O> {
     /// Apply one hedged duplicate execution before the launch settles.
     ///
     /// A winning hedge (verified output, fewer spike cycles than the
@@ -320,7 +322,7 @@ impl<Tr, Ck> BlockExec<Tr, Ck> {
     /// A losing or corrupted hedge is discarded — its injections are
     /// still recorded, but a failed duplicate is not a detection against
     /// the primary result.
-    fn apply_hedge(&mut self, hedge: Attempt<Tr, Ck>) {
+    fn apply_hedge(&mut self, hedge: Attempt<O>) {
         let hedge_spikes = hedge.faults.spike_cycles();
         self.hedges += 1;
         self.hedge_profile.merge(&hedge.profile);
@@ -399,13 +401,13 @@ impl RunStats {
 /// Returns the kernel report, the extra modeled seconds beyond the main
 /// launch, the first unrecovered block, and the blocks' observers.
 #[allow(clippy::type_complexity)]
-fn settle_kernel<Tr, Ck>(
+fn settle_kernel<O>(
     rcfg: &RobustConfig,
     name: &str,
     base_profile: KernelProfile,
-    execs: Vec<BlockExec<Tr, Ck>>,
+    execs: Vec<BlockExec<O>>,
     stats: &mut RunStats,
-) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<(Tr, Ck)>), SortError> {
+) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
     let cfg = &rcfg.base;
     let blocks = execs.len() as u64;
     let mut profile = base_profile;
@@ -419,7 +421,7 @@ fn settle_kernel<Tr, Ck>(
     let mut observers = Vec::with_capacity(execs.len());
     for (block, mut ex) in execs.into_iter().enumerate() {
         profile.merge(&ex.profile);
-        observers.extend(ex.observers);
+        observers.extend(ex.observer);
         retry_profile.merge(&ex.retry_profile);
         stats.counters.faults_injected += ex.injections.len() as u64;
         stats.counters.faults_detected += ex.detections.len() as u64;
@@ -522,9 +524,9 @@ fn partition_pass<K: SortKey>(
 }
 
 /// What one pipeline execution holds fixed: the pipeline, the
-/// configuration and recovery policy, the fault plan, and the factories
-/// that hand every block attempt a fresh tracer and checker.
-struct Driver<'a, F, G> {
+/// configuration and recovery policy, the fault plan, and the factory
+/// that hands every unarmed block attempt a fresh observer.
+struct Driver<'a, F> {
     algo: SortAlgorithm,
     /// `base` is the configuration actually run (after any parameter
     /// substitution); the other fields are the retry and hedge policy.
@@ -532,16 +534,13 @@ struct Driver<'a, F, G> {
     plan: &'a FaultPlan,
     /// Marks the degraded alternate pipeline (sticky faults stop firing).
     fallback: bool,
-    make_tracer: &'a F,
-    make_checker: &'a G,
+    make_observer: &'a F,
 }
 
-impl<F, G, Tr, Ck> Driver<'_, F, G>
+impl<F, O> Driver<'_, F>
 where
-    Tr: Tracer + Send,
-    Ck: MemCheck + Send,
-    F: Fn() -> Tr + Sync,
-    G: Fn() -> Ck + Sync,
+    O: Observer + Send,
+    F: Fn() -> O + Sync,
 {
     /// The one pipeline walk: pad, block sort, then merge passes until a
     /// single run remains, verifying and pricing every launch.
@@ -557,7 +556,7 @@ where
         input: &[K],
         resume: Option<&SortCheckpoint>,
         stats: &mut RunStats,
-    ) -> Result<Result<(SortRun<K>, BlockObservers<Tr, Ck>), BlockFailure>, SortError> {
+    ) -> Result<Result<(SortRun<K>, BlockObservers<O>), BlockFailure>, SortError> {
         let cfg = &self.rcfg.base;
         let tile = cfg.params.tile();
         let n = resume.map_or(input.len(), |cp| cp.n);
@@ -598,7 +597,7 @@ where
         let n_pad = src.len();
         let mut dst = vec![K::default(); n_pad];
         let mut kernels: Vec<KernelReport> = Vec::new();
-        let mut observers: BlockObservers<Tr, Ck> = Vec::new();
+        let mut observers: BlockObservers<O> = Vec::new();
 
         loop {
             let (kernel, name, jobs, base_profile) = if width == 0 {
@@ -690,9 +689,9 @@ where
         dst: &mut [K],
         base_profile: KernelProfile,
         stats: &mut RunStats,
-    ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<(Tr, Ck)>), SortError> {
+    ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
         let tile = self.rcfg.base.params.tile();
-        let mut execs: Vec<BlockExec<Tr, Ck>> = jobs
+        let mut execs: Vec<BlockExec<O>> = jobs
             .par_iter()
             .zip(dst.par_chunks_mut(tile))
             .enumerate()
@@ -722,10 +721,10 @@ where
         job: BlockJob,
         src: &[K],
         dst: &mut [K],
-    ) -> BlockExec<Tr, Ck> {
+    ) -> BlockExec<O> {
         let mut out = BlockExec {
             profile: KernelProfile::new(),
-            observers: None,
+            observer: None,
             retry_profile: KernelProfile::new(),
             executions: 0,
             spike_cycles: 0,
@@ -745,7 +744,7 @@ where
             match a.verdict {
                 Ok(()) => {
                     out.profile = a.profile;
-                    out.observers = Some(a.observers);
+                    out.observer = a.observer;
                     out.failure = None;
                     return out;
                 }
@@ -764,8 +763,9 @@ where
         out
     }
 
-    /// Run `job` once into `dst` under the plan's injector for this
-    /// attempt, with fresh observers, and verify what it wrote.
+    /// Run `job` once into `dst` — under the plan's injector for this
+    /// attempt if it arms a site, else under a fresh observer — and
+    /// verify what it wrote.
     fn attempt<K: SortKey>(
         &self,
         kernel: u32,
@@ -774,38 +774,35 @@ where
         job: BlockJob,
         src: &[K],
         dst: &mut [K],
-    ) -> Attempt<Tr, Ck> {
+    ) -> Attempt<O> {
         let faults = self.plan.block_faults(kernel, block as u32, attempt, self.fallback);
-        let (tracer, checker) = ((self.make_tracer)(), (self.make_checker)());
-        // An unarmed injector changes nothing, but as an active injector
-        // it would still route every access through its hooks: run the
-        // block fault-free instead.
-        let (profile, tracer, checker, faults) = if faults.is_unarmed() {
-            let (profile, tracer, checker, NoFaults) =
-                self.execute(job, src, dst, tracer, checker, NoFaults);
-            (profile, tracer, checker, faults)
+        // An unarmed injector changes nothing, but it would still route
+        // every access through its hooks: run the block under the
+        // caller's observer instead.
+        let (profile, observer, faults) = if faults.is_unarmed() {
+            let (profile, observer) = self.execute(job, src, dst, (self.make_observer)());
+            (profile, Some(observer), faults)
         } else {
-            self.execute(job, src, dst, tracer, checker, faults)
+            let (profile, faults) = self.execute(job, src, dst, faults);
+            (profile, None, faults)
         };
         let verdict = verify_sorted_checksum(dst, job.expected_checksum(src, dst.len()));
-        Attempt { profile, observers: (tracer, checker), faults, verdict }
+        Attempt { profile, observer, faults, verdict }
     }
 
-    /// Run the block's kernel once with the given hooks.
-    fn execute<K: SortKey, Fi: FaultInjector>(
+    /// Run the block's kernel once under `observer`.
+    fn execute<K: SortKey, P: Observer>(
         &self,
         job: BlockJob,
         src: &[K],
         dst: &mut [K],
-        tracer: Tr,
-        checker: Ck,
-        injector: Fi,
-    ) -> (KernelProfile, Tr, Ck, Fi) {
+        observer: P,
+    ) -> (KernelProfile, P) {
         let cfg = &self.rcfg.base;
         let (banks, e, u) = (cfg.device.bank_model(), cfg.params.e, cfg.params.u);
         let strategy = self.algo.strategy();
         match job {
-            BlockJob::Tile(lo) => blocksort_block_faulty(
+            BlockJob::Tile(lo) => blocksort_block_observed(
                 banks,
                 u,
                 e,
@@ -814,11 +811,9 @@ where
                 dst,
                 lo,
                 cfg.count_accesses,
-                tracer,
-                checker,
-                injector,
+                observer,
             ),
-            BlockJob::Merge(job) => merge_pass_block_faulty(
+            BlockJob::Merge(job) => merge_pass_block_observed(
                 banks,
                 u,
                 e,
@@ -827,9 +822,7 @@ where
                 job,
                 dst,
                 cfg.count_accesses,
-                tracer,
-                checker,
-                injector,
+                observer,
             ),
         }
     }
@@ -857,8 +850,7 @@ pub fn simulate_sort_robust<K: SortKey>(
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
     let no_checkpoints = CheckpointPolicy::default();
-    let (run, _, _) =
-        run_robust(input, algo, config.clone(), plan, no_checkpoints, &|| NullTracer, &|| NoCheck)?;
+    let (run, _, _) = run_robust(input, algo, config.clone(), plan, no_checkpoints, &|| Passive)?;
     Ok(run)
 }
 
@@ -880,8 +872,7 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
     plan: &FaultPlan,
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>), SortError> {
-    let (run, checkpoints, _) =
-        run_robust(input, algo, config.clone(), plan, policy, &|| NullTracer, &|| NoCheck)?;
+    let (run, checkpoints, _) = run_robust(input, algo, config.clone(), plan, policy, &|| Passive)?;
     Ok((run, checkpoints))
 }
 
@@ -890,19 +881,16 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
 /// policy — no faults, every block verified once, no retry, hedge,
 /// fallback or checkpoint. A block failing verification here is a
 /// simulator bug; it comes back as [`SortError::UnrecoverableFault`].
-pub(crate) fn run_plain<K, Tr, Ck, F, G>(
+pub(crate) fn run_plain<K, O, F>(
     input: &[K],
     algo: SortAlgorithm,
     config: &SortConfig,
-    make_tracer: &F,
-    make_checker: &G,
-) -> Result<(SortRun<K>, BlockObservers<Tr, Ck>), SortError>
+    make_observer: &F,
+) -> Result<(SortRun<K>, BlockObservers<O>), SortError>
 where
     K: SortKey,
-    Tr: Tracer + Send,
-    Ck: MemCheck + Send,
-    F: Fn() -> Tr + Sync,
-    G: Fn() -> Ck + Sync,
+    O: Observer + Send,
+    F: Fn() -> O + Sync,
 {
     let plain = RobustConfig {
         base: config.clone(),
@@ -912,15 +900,8 @@ where
         hedge: HedgeConfig::default(),
     };
     let no_checkpoints = CheckpointPolicy::default();
-    let (robust, _, observers) = run_robust(
-        input,
-        algo,
-        plain,
-        &FaultPlan::none(),
-        no_checkpoints,
-        make_tracer,
-        make_checker,
-    )?;
+    let (robust, _, observers) =
+        run_robust(input, algo, plain, &FaultPlan::none(), no_checkpoints, make_observer)?;
     Ok((robust.run, observers))
 }
 
@@ -929,21 +910,18 @@ where
 /// the pipeline, and on a block that stays failed restart it on the
 /// Thrust fallback when allowed.
 #[allow(clippy::type_complexity)]
-fn run_robust<K, Tr, Ck, F, G>(
+fn run_robust<K, O, F>(
     input: &[K],
     algo: SortAlgorithm,
     mut rcfg: RobustConfig,
     plan: &FaultPlan,
     checkpoint: CheckpointPolicy,
-    make_tracer: &F,
-    make_checker: &G,
-) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>, BlockObservers<Tr, Ck>), SortError>
+    make_observer: &F,
+) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>, BlockObservers<O>), SortError>
 where
     K: SortKey,
-    Tr: Tracer + Send,
-    Ck: MemCheck + Send,
-    F: Fn() -> Tr + Sync,
-    G: Fn() -> Ck + Sync,
+    O: Observer + Send,
+    F: Fn() -> O + Sync,
 {
     let mut stats = RunStats { checkpoint, ..RunStats::default() };
     let mut algo_used = algo;
@@ -967,8 +945,7 @@ where
         Err(e) => return Err(e),
     }
 
-    let driver =
-        |algo, fallback| Driver { algo, rcfg: &rcfg, plan, fallback, make_tracer, make_checker };
+    let driver = |algo, fallback| Driver { algo, rcfg: &rcfg, plan, fallback, make_observer };
     let (run, observers) = match driver(algo_used, false).run(input, None, &mut stats)? {
         Ok(done) => done,
         Err(f) if rcfg.allow_fallback => {
@@ -1047,14 +1024,8 @@ pub fn resume_sort_robust<K: SortKey>(
 
     let mut stats = RunStats::default();
     let mut algo_used = algo;
-    let driver = |algo, fallback| Driver {
-        algo,
-        rcfg: config,
-        plan,
-        fallback,
-        make_tracer: &|| NullTracer,
-        make_checker: &|| NoCheck,
-    };
+    let driver =
+        |algo, fallback| Driver { algo, rcfg: config, plan, fallback, make_observer: &|| Passive };
     let run = match driver(algo, false).run::<K>(&[], Some(checkpoint), &mut stats)? {
         Ok((run, _)) => run,
         Err(f) if config.allow_fallback => {
@@ -1095,7 +1066,7 @@ mod tests {
     use crate::verify::verify_sorted_permutation;
     use cfmerge_gpu_sim::banks::BankModel;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
-    use cfmerge_gpu_sim::trace::BlockTracer;
+    use cfmerge_gpu_sim::trace::{BlockTracer, GlobalRoundEvent, SharedRoundEvent};
     use cfmerge_json::FromJson;
 
     fn small_rcfg() -> RobustConfig {
@@ -1123,11 +1094,71 @@ mod tests {
         }
     }
 
+    /// Forwards every hook to both observers, so one block can be traced
+    /// and injected at once.
+    struct Both<A, B>(A, B);
+
+    impl<A: Observer, B: Observer> Observer for Both<A, B> {
+        const CHECKS: bool = A::CHECKS || B::CHECKS;
+        const INJECTS: bool = A::INJECTS || B::INJECTS;
+
+        fn begin_block(&mut self, w: usize, u: usize, shared_len: usize) {
+            self.0.begin_block(w, u, shared_len);
+            self.1.begin_block(w, u, shared_len);
+        }
+        fn phase_begin(&mut self, class: PhaseClass) {
+            self.0.phase_begin(class);
+            self.1.phase_begin(class);
+        }
+        fn warp_begin(&mut self, warp: usize) {
+            self.0.warp_begin(warp);
+            self.1.warp_begin(warp);
+        }
+        fn shared_access(&mut self, tid: u32, idx: usize, store: bool) -> bool {
+            self.0.shared_access(tid, idx, store) & self.1.shared_access(tid, idx, store)
+        }
+        fn global_access(&mut self, tid: u32, idx: usize, len: usize, store: bool) -> bool {
+            self.0.global_access(tid, idx, len, store) & self.1.global_access(tid, idx, len, store)
+        }
+        fn shared_ld_mask(&mut self, tid: u32, idx: usize) -> u64 {
+            self.0.shared_ld_mask(tid, idx) ^ self.1.shared_ld_mask(tid, idx)
+        }
+        fn shared_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+            self.0.shared_st_mask(tid, idx) ^ self.1.shared_st_mask(tid, idx)
+        }
+        fn global_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+            self.0.global_st_mask(tid, idx) ^ self.1.global_st_mask(tid, idx)
+        }
+        fn drops_store(&mut self, tid: u32) -> bool {
+            self.0.drops_store(tid) | self.1.drops_store(tid)
+        }
+        fn warp_end(&mut self, warp: usize, class: PhaseClass) {
+            self.0.warp_end(warp, class);
+            self.1.warp_end(warp, class);
+        }
+        fn shared_round(&mut self, ev: &SharedRoundEvent<'_>) {
+            self.0.shared_round(ev);
+            self.1.shared_round(ev);
+        }
+        fn global_round(&mut self, ev: &GlobalRoundEvent) {
+            self.0.global_round(ev);
+            self.1.global_round(ev);
+        }
+        fn alu(&mut self, class: PhaseClass, ops: u64) {
+            self.0.alu(class, ops);
+            self.1.alu(class, ops);
+        }
+        fn phase_end(&mut self, class: PhaseClass) {
+            self.0.phase_end(class);
+            self.1.phase_end(class);
+        }
+    }
+
     #[test]
     fn unarmed_injector_matches_no_faults_exactly() {
-        // The driver runs a block whose plan arms no site under
-        // `NoFaults`. That is sound only if an unarmed `BlockFaults`
-        // changes no output, counter, or trace.
+        // The driver runs a block whose plan arms no site under the
+        // caller's observer. That is sound only if an unarmed
+        // `BlockFaults` changes no output, counter, or trace.
         let (e, u) = (15usize, 64usize);
         let tile = e * u;
         let banks = BankModel::new(32);
@@ -1146,7 +1177,7 @@ mod tests {
                     let faults = plan.block_faults(0, t as u32, 0, false);
                     assert!(faults.is_unarmed());
                     let mut d_unarmed = vec![0u32; tile];
-                    let (p0, t0, NoCheck, NoFaults) = blocksort_block_faulty(
+                    let (p0, t0) = blocksort_block_observed(
                         banks,
                         u,
                         e,
@@ -1156,10 +1187,8 @@ mod tests {
                         t * tile,
                         true,
                         BlockTracer::new(banks),
-                        NoCheck,
-                        NoFaults,
                     );
-                    let (p1, t1, NoCheck, f1) = blocksort_block_faulty(
+                    let (p1, Both(t1, f1)) = blocksort_block_observed(
                         banks,
                         u,
                         e,
@@ -1168,9 +1197,7 @@ mod tests {
                         &mut d_unarmed,
                         t * tile,
                         true,
-                        BlockTracer::new(banks),
-                        NoCheck,
-                        faults,
+                        Both(BlockTracer::new(banks), faults),
                     );
                     assert_eq!(d, &d_unarmed[..], "blocksort output, {what}");
                     assert_eq!(p0, p1, "blocksort profile, {what}");
@@ -1188,7 +1215,7 @@ mod tests {
                     let faults = plan.block_faults(1, bi as u32, 0, false);
                     assert!(faults.is_unarmed());
                     let (mut d0, mut d1) = (vec![0u32; tile], vec![0u32; tile]);
-                    let (p0, t0, NoCheck, NoFaults) = merge_pass_block_faulty(
+                    let (p0, t0) = merge_pass_block_observed(
                         banks,
                         u,
                         e,
@@ -1198,10 +1225,8 @@ mod tests {
                         &mut d0,
                         true,
                         BlockTracer::new(banks),
-                        NoCheck,
-                        NoFaults,
                     );
-                    let (p1, t1, NoCheck, f1) = merge_pass_block_faulty(
+                    let (p1, Both(t1, f1)) = merge_pass_block_observed(
                         banks,
                         u,
                         e,
@@ -1210,9 +1235,7 @@ mod tests {
                         job,
                         &mut d1,
                         true,
-                        BlockTracer::new(banks),
-                        NoCheck,
-                        faults,
+                        Both(BlockTracer::new(banks), faults),
                     );
                     assert_eq!(d0, d1, "merge output, {what}");
                     assert_eq!(p0, p1, "merge profile, {what}");
@@ -1544,6 +1567,40 @@ mod tests {
             resume_sort_robust::<u32>(&cp, &other_cfg, &FaultPlan::none()),
             Err(SortError::CheckpointInvalid { .. })
         ));
+    }
+
+    #[test]
+    fn self_consistent_checkpoint_of_the_wrong_shape_is_rejected() {
+        // Sorted runs and matching checksums, but a padded length or run
+        // width the driver cannot continue from at E=5, u=32 (tile 160).
+        let rcfg = small_rcfg();
+        for (n_pad, width) in [(3 * 160, 160), (200, 100)] {
+            let mut state = InputSpec::UniformRandom { seed: 37 }.generate(n_pad);
+            state.chunks_mut(width).for_each(<[u32]>::sort_unstable);
+            let cp = SortCheckpoint::capture::<u32>(
+                SortAlgorithm::CfMerge.label(),
+                (5, 32),
+                n_pad,
+                width,
+                0,
+                0.0,
+                RecoveryCounters::default(),
+                multiset_checksum(&state),
+                &state,
+            );
+            let shape = format!("n_pad={n_pad} width={width}");
+            assert!(
+                matches!(cp.validate_as::<u32>(), Err(SortError::CheckpointInvalid { .. })),
+                "{shape}"
+            );
+            assert!(
+                matches!(
+                    resume_sort_robust::<u32>(&cp, &rcfg, &FaultPlan::none()),
+                    Err(SortError::CheckpointInvalid { .. })
+                ),
+                "{shape}"
+            );
+        }
     }
 
     #[test]

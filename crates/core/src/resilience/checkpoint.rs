@@ -147,8 +147,10 @@ impl SortCheckpoint {
     }
 
     /// Validate the checkpoint for resuming as key type `K`: version,
-    /// structural shape, every run sorted under `K`'s order, every block
-    /// checksum matching, and the whole state matching `input_checksum`.
+    /// structural shape (including a padded length and run width the
+    /// driver can continue from at the checkpoint's `E·u` tile), every run
+    /// sorted under `K`'s order, every block checksum matching, and the
+    /// whole state matching `input_checksum`.
     ///
     /// # Errors
     /// [`SortError::CheckpointInvalid`] naming the first violated
@@ -167,8 +169,29 @@ impl SortCheckpoint {
         if self.n > self.n_pad || self.n == 0 {
             return bad(format!("n={} out of range for n_pad={}", self.n, self.n_pad));
         }
-        if self.width == 0 || !self.n_pad.is_multiple_of(self.width) {
-            return bad(format!("width {} does not tile n_pad {}", self.width, self.n_pad));
+        // The driver pads to a power-of-two number of tiles and doubles
+        // the run width from one tile each pass; any other shape cannot
+        // be continued. Checked arithmetic: the fields may be hostile.
+        let Some(tile) = self.e.checked_mul(self.u).filter(|&t| t > 0) else {
+            return bad(format!("tile E·u = {}·{} is zero or overflows", self.e, self.u));
+        };
+        let padded =
+            self.n.div_ceil(tile).checked_next_power_of_two().and_then(|r| r.checked_mul(tile));
+        if padded != Some(self.n_pad) {
+            return bad(format!(
+                "n_pad {} is not n={} padded to a power-of-two number of {tile}-key tiles",
+                self.n_pad, self.n
+            ));
+        }
+        let width = u32::try_from(self.completed_passes)
+            .ok()
+            .and_then(|p| 1usize.checked_shl(p))
+            .and_then(|runs| runs.checked_mul(tile));
+        if width != Some(self.width) || self.width > self.n_pad {
+            return bad(format!(
+                "width {} is not the {tile}-key tile after {} passes within n_pad {}",
+                self.width, self.completed_passes, self.n_pad
+            ));
         }
         if self.block_checksums.len() != self.n_pad / self.width {
             return bad(format!(
@@ -312,6 +335,22 @@ mod tests {
         let mut cp = sample();
         cp.block_checksums[1] = cp.block_checksums[1].wrapping_add(1);
         assert!(cp.validate_as::<u32>().is_err());
+    }
+
+    #[test]
+    fn hostile_shape_fields_are_rejected_without_overflow() {
+        let mut cp = sample();
+        cp.e = usize::MAX;
+        cp.u = 2;
+        assert!(matches!(cp.validate_as::<u32>(), Err(SortError::CheckpointInvalid { .. })));
+
+        let mut cp = sample();
+        cp.completed_passes = 200;
+        assert!(matches!(cp.validate_as::<u32>(), Err(SortError::CheckpointInvalid { .. })));
+
+        let mut cp = sample();
+        cp.completed_passes = 63;
+        assert!(matches!(cp.validate_as::<u32>(), Err(SortError::CheckpointInvalid { .. })));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Device-level fault domains for the cluster layer.
 //!
-//! PR 4's `FaultInjector` corrupts *blocks inside a kernel launch*; this
-//! module models the next blast radius up: a whole simulated device
-//! crashing (permanently or with a restart after a cooldown) or running
-//! degraded (a latency multiplier on everything it executes). Plans are
+//! The block-level `BlockFaults` injector corrupts *blocks inside a
+//! kernel launch*; this module models the next blast radius up: a whole
+//! simulated device crashing (permanently or with a restart after a
+//! cooldown) or running degraded (a latency multiplier on everything it
+//! executes). Plans are
 //! seeded and deterministic, like [`cfmerge_gpu_sim::fault::FaultPlan`]:
 //! the same seed and spec always produce the same events, so a chaos
 //! scenario is reproducible down to the bit.

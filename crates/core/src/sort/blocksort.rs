@@ -26,10 +26,8 @@ use crate::gather::schedule::ThreadSplit;
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::block::BlockSim;
-use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
-use cfmerge_gpu_sim::fault::{FaultInjector, NoFaults};
+use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 use cfmerge_mergepath::networks::{oets_ops, oets_sort};
 
 /// How threads move `(Aᵢ, Bᵢ)` from shared memory to registers.
@@ -76,7 +74,7 @@ pub fn blocksort_block<K: SortKey>(
     global_base: usize,
     count_accesses: bool,
 ) -> KernelProfile {
-    blocksort_block_faulty(
+    blocksort_block_observed(
         banks,
         u,
         e,
@@ -85,30 +83,27 @@ pub fn blocksort_block<K: SortKey>(
         dst_tile,
         global_base,
         count_accesses,
-        NullTracer,
-        NoCheck,
-        NoFaults,
+        Passive,
     )
     .0
 }
 
-/// [`blocksort_block`] with all three block hooks: every phase and warp
-/// round is reported to `tracer`, every memory access is routed through
-/// `checker` (e.g. the [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)), and
-/// `injector` may corrupt execution (see [`cfmerge_gpu_sim::fault`]); all
-/// three come back with the profile. With [`NoFaults`] execution is
-/// bit-identical to [`blocksort_block`]. With an active injector,
-/// scheduled bit-flips, stuck banks, and lane drop-outs corrupt the
-/// tile; corrupted merge-path search results are clamped into geometric
-/// bounds (see `clamped_split`) so corruption always surfaces as wrong
-/// output data — detectable by verification — never as a host-side
-/// panic.
+/// [`blocksort_block`] watched by `observer`, which comes back with the
+/// profile: a [`BlockTracer`](cfmerge_gpu_sim::BlockTracer) records every
+/// phase and warp round, a [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)
+/// checks every access, and [`BlockFaults`](cfmerge_gpu_sim::BlockFaults)
+/// may corrupt execution. Under [`Passive`] execution is bit-identical
+/// to [`blocksort_block`]. Under injection, scheduled bit-flips, stuck banks
+/// and lane drop-outs corrupt the tile; corrupted merge-path search
+/// results are clamped into geometric bounds (see `clamped_split`) so
+/// corruption always surfaces as wrong output data — detectable by
+/// verification — never as a host-side panic.
 ///
 /// # Panics
 /// Same conditions as [`blocksort_block`].
 #[must_use]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // kernel signature mirrors the CUDA launch; loops index parallel register arrays
-pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>(
+pub fn blocksort_block_observed<K: SortKey, O: Observer>(
     banks: BankModel,
     u: usize,
     e: usize,
@@ -117,10 +112,8 @@ pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInj
     dst_tile: &mut [K],
     global_base: usize,
     count_accesses: bool,
-    tracer: Tr,
-    checker: Ck,
-    injector: Fi,
-) -> (KernelProfile, Tr, Ck, Fi) {
+    observer: O,
+) -> (KernelProfile, O) {
     let w = banks.num_banks as usize;
     assert!(
         u.is_multiple_of(w) && u.is_power_of_two(),
@@ -130,8 +123,7 @@ pub fn blocksort_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInj
     assert_eq!(src_tile.len(), tile);
     assert_eq!(dst_tile.len(), tile);
 
-    let mut block =
-        BlockSim::<K, Tr, Ck, Fi>::with_faults(banks, u, tile, tracer, checker, injector);
+    let mut block = BlockSim::with_observer(banks, u, tile, observer);
     block.set_counting(count_accesses);
 
     // 1. Coalesced load.

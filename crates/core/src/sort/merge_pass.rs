@@ -20,10 +20,8 @@ use crate::gather::schedule::ThreadSplit;
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::block::BlockSim;
-use cfmerge_gpu_sim::check::{MemCheck, NoCheck};
-use cfmerge_gpu_sim::fault::{FaultInjector, NoFaults};
+use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_gpu_sim::trace::{NullTracer, Tracer};
 
 /// One block's work item in a merge pass: absolute element ranges in the
 /// source buffer for its `A` and `B` parts, and the absolute output base.
@@ -72,38 +70,25 @@ pub fn merge_pass_block<K: SortKey>(
     dst_chunk: &mut [K],
     count_accesses: bool,
 ) -> KernelProfile {
-    merge_pass_block_faulty(
-        banks,
-        u,
-        e,
-        strategy,
-        src,
-        job,
-        dst_chunk,
-        count_accesses,
-        NullTracer,
-        NoCheck,
-        NoFaults,
-    )
-    .0
+    merge_pass_block_observed(banks, u, e, strategy, src, job, dst_chunk, count_accesses, Passive).0
 }
 
-/// [`merge_pass_block`] with all three block hooks: every phase and warp
-/// round is reported to `tracer`, every memory access is routed through
-/// `checker` (e.g. the [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)), and
-/// `injector` may corrupt execution (see [`cfmerge_gpu_sim::fault`]); all
-/// three come back with the profile. With [`NoFaults`] execution is
-/// bit-identical to [`merge_pass_block`]. With an active injector,
-/// scheduled bit-flips, stuck banks, and lane drop-outs corrupt the
-/// chunk; corrupted merge-path search results are clamped into geometric
-/// bounds so corruption always surfaces as wrong output data —
-/// detectable by verification — never as a host-side panic.
+/// [`merge_pass_block`] watched by `observer`, which comes back with the
+/// profile: a [`BlockTracer`](cfmerge_gpu_sim::BlockTracer) records every
+/// phase and warp round, a [`Sanitizer`](cfmerge_gpu_sim::Sanitizer)
+/// checks every access, and [`BlockFaults`](cfmerge_gpu_sim::BlockFaults)
+/// may corrupt execution. Under [`Passive`] execution is bit-identical
+/// to [`merge_pass_block`]. Under injection, scheduled bit-flips, stuck banks
+/// and lane drop-outs corrupt the chunk; corrupted merge-path search
+/// results are clamped into geometric bounds (see `clamped_split`) so
+/// corruption always surfaces as wrong output data — detectable by
+/// verification — never as a host-side panic.
 ///
 /// # Panics
 /// Same conditions as [`merge_pass_block`].
 #[must_use]
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)] // kernel signature mirrors the CUDA launch; loops index parallel register arrays
-pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>(
+pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
     banks: BankModel,
     u: usize,
     e: usize,
@@ -112,10 +97,8 @@ pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultIn
     job: MergeChunkJob,
     dst_chunk: &mut [K],
     count_accesses: bool,
-    tracer: Tr,
-    checker: Ck,
-    injector: Fi,
-) -> (KernelProfile, Tr, Ck, Fi) {
+    observer: O,
+) -> (KernelProfile, O) {
     let w = banks.num_banks as usize;
     assert!(u.is_multiple_of(w), "u={u} must be a multiple of w={w}");
     let tile = u * e;
@@ -123,8 +106,7 @@ pub fn merge_pass_block_faulty<K: SortKey, Tr: Tracer, Ck: MemCheck, Fi: FaultIn
     assert_eq!(dst_chunk.len(), tile);
     let a_len = job.a_len();
 
-    let mut block =
-        BlockSim::<K, Tr, Ck, Fi>::with_faults(banks, u, tile, tracer, checker, injector);
+    let mut block = BlockSim::with_observer(banks, u, tile, observer);
     block.set_counting(count_accesses);
 
     let layout = match strategy {

@@ -18,12 +18,13 @@ use super::error::SortError;
 use super::key::SortKey;
 use crate::params::SortParams;
 use crate::recovery::run_plain;
-use cfmerge_gpu_sim::check::{Finding, NoCheck, Sanitizer};
+use cfmerge_gpu_sim::check::{Finding, Sanitizer};
 use cfmerge_gpu_sim::device::Device;
+use cfmerge_gpu_sim::observer::Passive;
 use cfmerge_gpu_sim::occupancy::{mergesort_regs_estimate, BlockResources};
 use cfmerge_gpu_sim::profiler::KernelProfile;
 use cfmerge_gpu_sim::timing::{LaunchConfig, TimeBreakdown, TimingModel};
-use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, NullTracer, SortTrace};
+use cfmerge_gpu_sim::trace::{BlockTracer, KernelTrace, SortTrace};
 use cfmerge_json::json_struct;
 
 /// Which pipeline to run.
@@ -200,7 +201,7 @@ pub fn try_simulate_sort<K: SortKey>(
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> Result<SortRun<K>, SortError> {
-    Ok(run_plain(input, algo, config, &|| NullTracer, &|| NoCheck)?.0)
+    Ok(run_plain(input, algo, config, &|| Passive)?.0)
 }
 
 /// The panicking entry points' contract: panic with the typed error.
@@ -222,7 +223,7 @@ pub fn simulate_sort_traced<K: SortKey>(
 ) -> TracedSortRun<K> {
     let banks = config.device.bank_model();
     let (run, observers) =
-        or_panic(run_plain(input, algo, config, &move || BlockTracer::new(banks), &|| NoCheck));
+        or_panic(run_plain(input, algo, config, &move || BlockTracer::new(banks)));
     let kernels = run
         .kernels
         .iter()
@@ -231,7 +232,7 @@ pub fn simulate_sort_traced<K: SortKey>(
             name: k.name.clone(),
             grid_blocks: k.blocks,
             seconds: k.time.seconds,
-            blocks: blocks.into_iter().map(|(t, NoCheck)| t).collect(),
+            blocks,
         })
         .collect();
     let trace = SortTrace {
@@ -310,12 +311,11 @@ pub fn simulate_sort_checked<K: SortKey>(
     algo: SortAlgorithm,
     config: &SortConfig,
 ) -> CheckedSortRun<K> {
-    let (run, observers) =
-        or_panic(run_plain(input, algo, config, &|| NullTracer, &Sanitizer::new));
+    let (run, observers) = or_panic(run_plain(input, algo, config, &Sanitizer::new));
     let mut findings = Vec::new();
     let mut dropped = 0u64;
     for (kernel, blocks) in run.kernels.iter().zip(observers) {
-        for (block, (NullTracer, ck)) in blocks.into_iter().enumerate() {
+        for (block, ck) in blocks.into_iter().enumerate() {
             dropped += ck.dropped;
             findings.extend(ck.into_findings().into_iter().map(|finding| KernelFinding {
                 kernel: kernel.name.clone(),

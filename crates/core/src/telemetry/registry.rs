@@ -1,8 +1,8 @@
 //! The [`MetricsRegistry`]: named counters, gauges, and histograms over
 //! modeled time.
 //!
-//! The registry is strictly opt-in, mirroring the simulator's
-//! `NullTracer` philosophy: nothing in the hot paths holds one, the
+//! The registry is strictly opt-in, mirroring the simulator's `Passive`
+//! block observer: nothing in the hot paths holds one, the
 //! resilience service carries an `Option<MetricsRegistry>` that defaults
 //! to `None`, and recording never touches modeled time — a run with
 //! telemetry enabled produces bit-identical outputs, kernels, and

@@ -26,11 +26,11 @@
 //!   treated as predicated off for the trailing rounds.
 
 use crate::banks::{BankModel, MAX_BANKS};
-use crate::check::{MemCheck, NoCheck};
-use crate::fault::{FaultInjector, FaultWord, NoFaults};
+use crate::fault::FaultWord;
 use crate::global::sectors_touched;
+use crate::observer::{Observer, Passive};
 use crate::profiler::{KernelProfile, PhaseClass};
-use crate::trace::{GlobalRoundEvent, NullTracer, SharedRoundEvent, Tracer};
+use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
 
 /// A set of lanes of one warp, bit `l` standing for lane `l`; a warp has
 /// at most [`MAX_BANKS`] = 64 lanes.
@@ -143,21 +143,11 @@ impl<A: Copy + Default> WarpRounds<A> {
 
 /// Simulated thread block: `u` threads over a shared-memory array of `T`.
 ///
-/// The second type parameter is the [`Tracer`] observing execution; the
-/// default [`NullTracer`] compiles its hooks away entirely, so untraced
-/// blocks are identical to the pre-tracing engine. The third is the
-/// [`MemCheck`] hazard checker (see [`crate::check`]); the default
-/// [`NoCheck`] likewise vanishes at compile time, leaving the built-in
-/// panic-on-race asserts in force. The fourth is the [`FaultInjector`]
-/// corrupting execution (see [`crate::fault`]); the default [`NoFaults`]
-/// also compiles away, so an un-injected block is bit-identical to the
-/// pre-fault engine.
-pub struct BlockSim<
-    T: Copy,
-    Tr: Tracer = NullTracer,
-    Ck: MemCheck = NoCheck,
-    Fi: FaultInjector = NoFaults,
-> {
+/// The second type parameter is the [`Observer`] watching execution
+/// (tracing, hazard checking or fault injection); the default
+/// [`Passive`] compiles its hooks away entirely, leaving the built-in
+/// panic-on-race asserts in force.
+pub struct BlockSim<T: Copy, O: Observer = Passive> {
     banks: BankModel,
     /// Threads per block (`u` in the paper; must be a multiple of `w`).
     u: usize,
@@ -168,20 +158,14 @@ pub struct BlockSim<
     /// Accumulated counters for this block.
     pub profile: KernelProfile,
     counting: bool,
-    tracer: Tr,
-    checker: Ck,
-    injector: Fi,
-    /// XOR-corruption applier: identity unless built via [`Self::with_faults`],
-    /// which keeps `T: Copy + Default` users free of any bits-conversion
-    /// bound while letting faulted blocks flip bits in any [`FaultWord`].
-    flip: fn(T, u64) -> T,
+    observer: O,
     // The current warp's accesses, reused by every warp of every phase.
     shared_rounds: WarpRounds<u32>,
     global_rounds: WarpRounds<u64>,
 }
 
-impl<T: Copy + Default> BlockSim<T> {
-    /// New untraced block: `u` threads, shared memory of `shared_len`
+impl<T: FaultWord + Default> BlockSim<T> {
+    /// New unobserved block: `u` threads, shared memory of `shared_len`
     /// words, warp width / bank count from `banks`.
     ///
     /// # Panics
@@ -189,88 +173,22 @@ impl<T: Copy + Default> BlockSim<T> {
     /// the warp is wider than [`MAX_BANKS`] lanes.
     #[must_use]
     pub fn new(banks: BankModel, u: usize, shared_len: usize) -> Self {
-        Self::with_tracer(banks, u, shared_len, NullTracer)
+        Self::with_observer(banks, u, shared_len, Passive)
     }
 }
 
-impl<T: Copy + Default, Tr: Tracer> BlockSim<T, Tr> {
-    /// New block observed by `tracer` (see [`crate::trace`]).
+impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
+    /// New block watched by `observer` (see [`crate::observer`]).
     ///
     /// # Panics
     /// Panics if `u` is zero or not a multiple of the warp width, or if
     /// the warp is wider than [`MAX_BANKS`] lanes.
     #[must_use]
-    pub fn with_tracer(banks: BankModel, u: usize, shared_len: usize, tracer: Tr) -> Self {
-        Self::with_checker(banks, u, shared_len, tracer, NoCheck)
-    }
-}
-
-impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck> BlockSim<T, Tr, Ck> {
-    /// New block observed by `tracer` and audited by `checker` (see
-    /// [`crate::check`]). An *active* checker replaces the engine's
-    /// panicking race asserts: hazards become recorded findings and the
-    /// kernel runs to completion.
-    ///
-    /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width, or if
-    /// the warp is wider than [`MAX_BANKS`] lanes.
-    #[must_use]
-    pub fn with_checker(
-        banks: BankModel,
-        u: usize,
-        shared_len: usize,
-        tracer: Tr,
-        checker: Ck,
-    ) -> Self {
-        Self::with_hooks(banks, u, shared_len, tracer, checker, NoFaults, |v, _| v)
-    }
-}
-
-impl<T: Copy + Default + FaultWord, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector>
-    BlockSim<T, Tr, Ck, Fi>
-{
-    /// New block corrupted by `injector` (see [`crate::fault`]), observed
-    /// by `tracer` and audited by `checker`. Requires `T: FaultWord` so
-    /// the injector's XOR masks can be applied to stored/loaded values —
-    /// the only constructor with that bound.
-    ///
-    /// # Panics
-    /// Panics if `u` is zero or not a multiple of the warp width, or if
-    /// the warp is wider than [`MAX_BANKS`] lanes.
-    #[must_use]
-    pub fn with_faults(
-        banks: BankModel,
-        u: usize,
-        shared_len: usize,
-        tracer: Tr,
-        checker: Ck,
-        injector: Fi,
-    ) -> Self {
-        Self::with_hooks(banks, u, shared_len, tracer, checker, injector, |v, m| {
-            if m == 0 {
-                v
-            } else {
-                T::from_fault_bits(v.to_fault_bits() ^ m)
-            }
-        })
-    }
-}
-
-impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, Fi> {
-    fn with_hooks(
-        banks: BankModel,
-        u: usize,
-        shared_len: usize,
-        tracer: Tr,
-        mut checker: Ck,
-        mut injector: Fi,
-        flip: fn(T, u64) -> T,
-    ) -> Self {
+    pub fn with_observer(banks: BankModel, u: usize, shared_len: usize, mut observer: O) -> Self {
         let w = banks.num_banks as usize;
         assert!(w <= MAX_BANKS, "BlockSim supports at most {MAX_BANKS} lanes per warp, got {w}");
         assert!(u > 0 && u.is_multiple_of(w), "u={u} must be a positive multiple of w={w}");
-        checker.begin_block(w, u, shared_len);
-        injector.begin_block(w, u, shared_len);
+        observer.begin_block(w, u, shared_len);
         Self {
             banks,
             u,
@@ -280,58 +198,23 @@ impl<T: Copy + Default, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T,
             epoch: 0,
             profile: KernelProfile::new(),
             counting: true,
-            tracer,
-            checker,
-            injector,
-            flip,
+            observer,
             shared_rounds: WarpRounds::new(w),
             global_rounds: WarpRounds::new(w),
         }
     }
-}
 
-impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, Fi> {
-    /// The tracer observing this block.
+    /// The observer watching this block.
     #[must_use]
-    pub fn tracer(&self) -> &Tr {
-        &self.tracer
+    pub fn observer(&self) -> &O {
+        &self.observer
     }
 
-    /// Consume the block and return its tracer (for recorders).
+    /// Consume the block, returning its accumulated profile and its
+    /// observer — what a kernel hands back to its launcher.
     #[must_use]
-    pub fn into_tracer(self) -> Tr {
-        self.tracer
-    }
-
-    /// The checker auditing this block.
-    #[must_use]
-    pub fn checker(&self) -> &Ck {
-        &self.checker
-    }
-
-    /// Consume the block and return its checker (for its findings).
-    #[must_use]
-    pub fn into_checker(self) -> Ck {
-        self.checker
-    }
-
-    /// The fault injector corrupting this block.
-    #[must_use]
-    pub fn injector(&self) -> &Fi {
-        &self.injector
-    }
-
-    /// Consume the block and return its injector (for forensic records).
-    #[must_use]
-    pub fn into_injector(self) -> Fi {
-        self.injector
-    }
-
-    /// Consume the block, returning its accumulated profile and its three
-    /// observers — what a kernel hands back to its launcher.
-    #[must_use]
-    pub fn finish(self) -> (KernelProfile, Tr, Ck, Fi) {
-        (self.profile, self.tracer, self.checker, self.injector)
+    pub fn finish(self) -> (KernelProfile, O) {
+        (self.profile, self.observer)
     }
 
     /// Warp width `w`.
@@ -375,20 +258,16 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
     /// under `class`.
     pub fn phase<F>(&mut self, class: PhaseClass, mut body: F)
     where
-        F: FnMut(usize, &mut LaneCtx<'_, T, Ck, Fi>),
+        F: FnMut(usize, &mut LaneCtx<'_, T, O>),
     {
         self.epoch = self.epoch.wrapping_add(1);
-        self.tracer.phase_begin(class);
-        self.checker.phase_begin(class);
-        if Fi::ACTIVE {
-            self.injector.phase_begin(class);
-        }
+        self.observer.phase_begin(class);
         let w = self.warp_width();
         let warps = self.warps();
         let mut alu_total = 0u64;
 
         for warp in 0..warps {
-            self.checker.warp_begin(warp);
+            self.observer.warp_begin(warp);
             self.shared_rounds.clear();
             self.global_rounds.clear();
             for lane in 0..w {
@@ -406,28 +285,22 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                         shared_rounds: &mut self.shared_rounds,
                         global_rounds: &mut self.global_rounds,
                         alu: &mut alu,
-                        checker: &mut self.checker,
-                        injector: &mut self.injector,
-                        flip: self.flip,
+                        observer: &mut self.observer,
                     };
                     body(tid, &mut ctx);
                 }
                 alu_total += alu;
             }
-            self.checker.warp_end(warp, class);
+            self.observer.warp_end(warp, class);
             if self.counting {
                 self.account_warp(class, warp);
             }
         }
         self.profile.phase_mut(class).alu_ops += alu_total;
         if alu_total > 0 {
-            self.tracer.alu(class, alu_total);
+            self.observer.alu(class, alu_total);
         }
-        self.tracer.phase_end(class);
-        self.checker.phase_end(class);
-        if Fi::ACTIVE {
-            self.injector.phase_end();
-        }
+        self.observer.phase_end(class);
     }
 
     /// Convenience: run a phase with no memory side effects, charging only
@@ -435,17 +308,9 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
     pub fn alu_phase(&mut self, class: PhaseClass, ops_per_thread: u64) {
         let ops = ops_per_thread * self.u as u64;
         self.profile.phase_mut(class).alu_ops += ops;
-        self.tracer.phase_begin(class);
-        self.checker.phase_begin(class);
-        if Fi::ACTIVE {
-            self.injector.phase_begin(class);
-        }
-        self.tracer.alu(class, ops);
-        self.tracer.phase_end(class);
-        self.checker.phase_end(class);
-        if Fi::ACTIVE {
-            self.injector.phase_end();
-        }
+        self.observer.phase_begin(class);
+        self.observer.alu(class, ops);
+        self.observer.phase_end(class);
     }
 
     /// Cost the current warp's recorded rounds into the profile. A round
@@ -453,12 +318,12 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
     /// a mixed or partial round is split into stack buffers of at most
     /// `w ≤ MAX_BANKS` lanes, so accounting allocates nothing.
     fn account_warp(&mut self, class: PhaseClass, warp: usize) {
-        let (banks, tracer, profile) = (&self.banks, &mut self.tracer, &mut self.profile);
+        let (banks, observer, profile) = (&self.banks, &mut self.observer, &mut self.profile);
         let merging = matches!(class, PhaseClass::Merge | PhaseClass::Gather);
         self.shared_rounds.for_each_round(|round, loads, stores| {
             let ld_cost = banks.round_cost(loads);
             let st_cost = banks.round_cost(stores);
-            tracer.shared_round(&SharedRoundEvent {
+            observer.shared_round(&SharedRoundEvent {
                 class,
                 warp,
                 round,
@@ -492,7 +357,7 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
                 c.global_st_requests += 1;
                 c.global_st_sectors += st_sectors;
             }
-            tracer.global_round(&GlobalRoundEvent {
+            observer.global_round(&GlobalRoundEvent {
                 class,
                 warp,
                 round,
@@ -508,17 +373,14 @@ impl<T: Copy, Tr: Tracer, Ck: MemCheck, Fi: FaultInjector> BlockSim<T, Tr, Ck, F
 /// Per-lane handle passed to phase bodies: the only way kernel code can
 /// touch memory, so every access is recorded.
 ///
-/// With an *active* [`MemCheck`] attached, every access is routed through
-/// the checker, which may suppress it (out-of-bounds accesses become
-/// findings instead of panics; suppressed loads yield `T::default()`),
-/// and the built-in panicking race asserts stand down in favor of the
-/// checker's shadow-memory race detection.
-///
-/// With an *active* [`FaultInjector`] attached, loads and stores may be
-/// corrupted (XOR masks) or dropped (lane drop-outs); the traffic is
-/// recorded and costed either way — on real hardware a faulted store
-/// still occupies its transaction.
-pub struct LaneCtx<'a, T: Copy, Ck: MemCheck = NoCheck, Fi: FaultInjector = NoFaults> {
+/// With a [`CHECKS`](Observer::CHECKS) observer attached, every access is
+/// routed through it, which may suppress it (out-of-bounds accesses
+/// become findings instead of panics; suppressed loads yield
+/// `T::default()`), and the built-in panicking race asserts stand down in
+/// favor of the observer's own race detection. With an
+/// [`INJECTS`](Observer::INJECTS) observer, loads and stores may be
+/// corrupted (XOR masks) or dropped (lane drop-outs).
+pub struct LaneCtx<'a, T: Copy, O: Observer = Passive> {
     shared: &'a mut [T],
     write_epoch: &'a mut [u32],
     write_lane: &'a mut [u32],
@@ -530,12 +392,20 @@ pub struct LaneCtx<'a, T: Copy, Ck: MemCheck = NoCheck, Fi: FaultInjector = NoFa
     shared_rounds: &'a mut WarpRounds<u32>,
     global_rounds: &'a mut WarpRounds<u64>,
     alu: &'a mut u64,
-    checker: &'a mut Ck,
-    injector: &'a mut Fi,
-    flip: fn(T, u64) -> T,
+    observer: &'a mut O,
 }
 
-impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> {
+/// `v` with the bits of `mask` flipped.
+#[inline]
+fn flip<T: FaultWord>(v: T, mask: u64) -> T {
+    if mask == 0 {
+        v
+    } else {
+        T::from_fault_bits(v.to_fault_bits() ^ mask)
+    }
+}
+
+impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
     /// This thread's id within the block.
     #[must_use]
     pub fn tid(&self) -> usize {
@@ -545,15 +415,15 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     /// Shared-memory load.
     ///
     /// # Panics
-    /// Without an active checker, panics if the word was written by a
+    /// Without a checking observer, panics if the word was written by a
     /// *different* lane in the same phase (a missing-barrier race the
     /// hardware would not tolerate either), or on out-of-bounds access.
     /// With one, hazards are recorded as findings instead.
     #[inline(always)]
     #[must_use]
     pub fn ld(&mut self, idx: usize) -> T {
-        if Ck::ACTIVE {
-            if !self.checker.shared_access(self.tid, idx, false) {
+        if O::CHECKS {
+            if !self.observer.shared_access(self.tid, idx, false) {
                 return T::default();
             }
         } else {
@@ -568,9 +438,9 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
         if self.counting {
             self.shared_rounds.push(self.lane, idx as u32, false);
         }
-        if Fi::ACTIVE {
-            let mask = self.injector.shared_ld_mask(self.tid, idx);
-            return (self.flip)(self.shared[idx], mask);
+        if O::INJECTS {
+            let mask = self.observer.shared_ld_mask(self.tid, idx);
+            return flip(self.shared[idx], mask);
         }
         self.shared[idx]
     }
@@ -578,12 +448,12 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     /// Shared-memory store.
     ///
     /// # Panics
-    /// Without an active checker, panics if another lane already wrote
+    /// Without a checking observer, panics if another lane already wrote
     /// this word in the same phase.
     #[inline(always)]
     pub fn st(&mut self, idx: usize, v: T) {
-        if Ck::ACTIVE {
-            if !self.checker.shared_access(self.tid, idx, true) {
+        if O::CHECKS {
+            if !self.observer.shared_access(self.tid, idx, true) {
                 return;
             }
         } else {
@@ -600,12 +470,12 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
         if self.counting {
             self.shared_rounds.push(self.lane, idx as u32, true);
         }
-        if Fi::ACTIVE {
-            if self.injector.drops_store(self.tid) {
+        if O::INJECTS {
+            if self.observer.drops_store(self.tid) {
                 return; // lane drop-out: traffic costed, data never commits
             }
-            let mask = self.injector.shared_st_mask(self.tid, idx);
-            self.shared[idx] = (self.flip)(v, mask);
+            let mask = self.observer.shared_st_mask(self.tid, idx);
+            self.shared[idx] = flip(v, mask);
             return;
         }
         self.shared[idx] = v;
@@ -616,7 +486,7 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     #[inline(always)]
     #[must_use]
     pub fn ld_global(&mut self, data: &[T], idx: usize) -> T {
-        if Ck::ACTIVE && !self.checker.global_access(self.tid, idx, data.len(), false) {
+        if O::CHECKS && !self.observer.global_access(self.tid, idx, data.len(), false) {
             return T::default();
         }
         if self.counting {
@@ -628,66 +498,34 @@ impl<T: Copy + Default, Ck: MemCheck, Fi: FaultInjector> LaneCtx<'_, T, Ck, Fi> 
     /// Global-memory store into a caller-provided array.
     #[inline(always)]
     pub fn st_global(&mut self, data: &mut [T], idx: usize, v: T) {
-        if Ck::ACTIVE && !self.checker.global_access(self.tid, idx, data.len(), true) {
+        if O::CHECKS && !self.observer.global_access(self.tid, idx, data.len(), true) {
             return;
         }
         if self.counting {
             self.global_rounds.push(self.lane, idx as u64, true);
         }
-        if Fi::ACTIVE {
-            if self.injector.drops_store(self.tid) {
+        if O::INJECTS {
+            if self.observer.drops_store(self.tid) {
                 return;
             }
-            let mask = self.injector.global_st_mask(self.tid, idx);
-            data[idx] = (self.flip)(v, mask);
+            let mask = self.observer.global_st_mask(self.tid, idx);
+            data[idx] = flip(v, mask);
             return;
         }
         data[idx] = v;
     }
 
-    /// Record the *traffic* of a global load at `idx` without moving
-    /// data — for kernels that stage their reads/writes outside the
-    /// engine (e.g. scatter kernels whose output buffer cannot be
-    /// mutably shared across concurrently simulated blocks). No bounds
-    /// are known here, so a checker only counts the access.
-    pub fn mark_global_ld(&mut self, idx: usize) {
-        if Ck::ACTIVE {
-            let _ = self.checker.global_access(self.tid, idx, usize::MAX, false);
-        }
-        if self.counting {
-            self.global_rounds.push(self.lane, idx as u64, false);
-        }
-    }
-
-    /// Record the traffic of a global store at `idx` without writing.
+    /// Record the traffic of a global store at `idx` without writing —
+    /// for kernels that commit their output outside the engine (e.g.
+    /// scatter kernels whose output buffer cannot be mutably shared
+    /// across concurrently simulated blocks). No bounds are known here,
+    /// so a checking observer only counts the access.
     pub fn mark_global_st(&mut self, idx: usize) {
-        if Ck::ACTIVE {
-            let _ = self.checker.global_access(self.tid, idx, usize::MAX, true);
+        if O::CHECKS {
+            let _ = self.observer.global_access(self.tid, idx, usize::MAX, true);
         }
         if self.counting {
             self.global_rounds.push(self.lane, idx as u64, true);
-        }
-    }
-
-    /// Whether this lane's stores are currently dropped by the fault
-    /// injector. Kernels that commit their output *outside* the engine
-    /// (the [`Self::mark_global_st`] pattern) must consult this
-    /// themselves — `st`/`st_global` handle it automatically.
-    pub fn store_dropped(&mut self) -> bool {
-        Fi::ACTIVE && self.injector.drops_store(self.tid)
-    }
-
-    /// Apply the injector's global-store corruption to `v` destined for
-    /// element `idx` — the data-path companion to
-    /// [`Self::mark_global_st`] for kernels staging writes outside the
-    /// engine. Identity when no injector is attached.
-    #[must_use]
-    pub fn corrupt_global_st(&mut self, idx: usize, v: T) -> T {
-        if Fi::ACTIVE {
-            let mask = self.injector.global_st_mask(self.tid, idx);
-            (self.flip)(v, mask)
-        } else {
-            v
         }
     }
 
@@ -895,8 +733,8 @@ mod tests {
         let _ = block(10, 8, 16);
     }
 
-    fn checked_block(u: usize, w: u32, len: usize) -> BlockSim<u32, NullTracer, Sanitizer> {
-        BlockSim::with_checker(BankModel::new(w), u, len, NullTracer, Sanitizer::new())
+    fn checked_block(u: usize, w: u32, len: usize) -> BlockSim<u32, Sanitizer> {
+        BlockSim::with_observer(BankModel::new(w), u, len, Sanitizer::new())
     }
 
     use crate::check::{Hazard, Sanitizer};
@@ -907,7 +745,7 @@ mod tests {
         b.phase(PhaseClass::Other, |tid, lane| {
             lane.st(5, tid as u32); // all lanes store word 5
         });
-        let ck = b.into_checker();
+        let (_, ck) = b.finish();
         assert!(!ck.is_clean());
         assert!(
             ck.findings().iter().any(|f| matches!(f.hazard, Hazard::WriteWriteRace { .. })),
@@ -926,7 +764,7 @@ mod tests {
                 assert_eq!(v, 0, "suppressed OOB load yields the default value");
             }
         });
-        let ck = b.into_checker();
+        let (_, ck) = b.finish();
         let oob: Vec<_> = ck
             .findings()
             .iter()
@@ -949,6 +787,113 @@ mod tests {
                 let _ = lane.ld(r * 8 + (tid + 1) % 8);
             }
         });
-        assert!(b.checker().is_clean(), "{}", b.checker().report());
+        assert!(b.observer().is_clean(), "{}", b.observer().report());
+    }
+
+    /// Logs every hook call; checks and injects so the access hooks run.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl Observer for Recorder {
+        const CHECKS: bool = true;
+        const INJECTS: bool = true;
+
+        fn begin_block(&mut self, w: usize, u: usize, shared_len: usize) {
+            self.0.push(format!("begin_block {w} {u} {shared_len}"));
+        }
+        fn phase_begin(&mut self, class: PhaseClass) {
+            self.0.push(format!("phase_begin {class:?}"));
+        }
+        fn warp_begin(&mut self, warp: usize) {
+            self.0.push(format!("warp_begin {warp}"));
+        }
+        fn shared_access(&mut self, tid: u32, idx: usize, store: bool) -> bool {
+            self.0.push(format!("shared_access {tid} {idx} {store}"));
+            true
+        }
+        fn global_access(&mut self, tid: u32, idx: usize, _len: usize, store: bool) -> bool {
+            self.0.push(format!("global_access {tid} {idx} {store}"));
+            true
+        }
+        fn shared_ld_mask(&mut self, tid: u32, idx: usize) -> u64 {
+            self.0.push(format!("shared_ld_mask {tid} {idx}"));
+            0
+        }
+        fn shared_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+            self.0.push(format!("shared_st_mask {tid} {idx}"));
+            0
+        }
+        fn global_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
+            self.0.push(format!("global_st_mask {tid} {idx}"));
+            0
+        }
+        fn drops_store(&mut self, tid: u32) -> bool {
+            self.0.push(format!("drops_store {tid}"));
+            false
+        }
+        fn warp_end(&mut self, warp: usize, class: PhaseClass) {
+            self.0.push(format!("warp_end {warp} {class:?}"));
+        }
+        fn shared_round(&mut self, ev: &SharedRoundEvent<'_>) {
+            self.0.push(format!("shared_round {} {}", ev.warp, ev.round));
+        }
+        fn global_round(&mut self, ev: &GlobalRoundEvent) {
+            self.0.push(format!("global_round {} {}", ev.warp, ev.round));
+        }
+        fn alu(&mut self, class: PhaseClass, ops: u64) {
+            self.0.push(format!("alu {class:?} {ops}"));
+        }
+        fn phase_end(&mut self, class: PhaseClass) {
+            self.0.push(format!("phase_end {class:?}"));
+        }
+    }
+
+    #[test]
+    fn observer_hooks_run_in_engine_order() {
+        let (w, u) = (4usize, 8usize);
+        let data: Vec<u32> = (0..8).collect();
+        let mut out = vec![0u32; 8];
+        let mut b =
+            BlockSim::<u32, _>::with_observer(BankModel::new(4), u, 16, Recorder::default());
+        b.phase(PhaseClass::LoadTile, |tid, lane| {
+            let v = lane.ld_global(&data, tid);
+            lane.st(tid, v);
+            let _ = lane.ld(tid);
+            lane.st_global(&mut out, tid, v);
+            lane.alu(1);
+        });
+        b.alu_phase(PhaseClass::RegisterOps, 2);
+        let (_, Recorder(got)) = b.finish();
+
+        let mut want = vec!["begin_block 4 8 16".to_string(), "phase_begin LoadTile".into()];
+        for warp in 0..u / w {
+            want.push(format!("warp_begin {warp}"));
+            for tid in warp * w..(warp + 1) * w {
+                want.extend([
+                    format!("global_access {tid} {tid} false"),
+                    format!("shared_access {tid} {tid} true"),
+                    format!("drops_store {tid}"),
+                    format!("shared_st_mask {tid} {tid}"),
+                    format!("shared_access {tid} {tid} false"),
+                    format!("shared_ld_mask {tid} {tid}"),
+                    format!("global_access {tid} {tid} true"),
+                    format!("drops_store {tid}"),
+                    format!("global_st_mask {tid} {tid}"),
+                ]);
+            }
+            want.push(format!("warp_end {warp} LoadTile"));
+            // Round 0 stores then round 1 loads in shared memory; round
+            // 0 loads then round 1 stores in global memory.
+            for kind in ["shared_round", "global_round"] {
+                want.extend((0..2).map(|round| format!("{kind} {warp} {round}")));
+            }
+        }
+        want.extend(["alu LoadTile 8", "phase_end LoadTile"].map(String::from));
+        want.extend(
+            ["phase_begin RegisterOps", "alu RegisterOps 16", "phase_end RegisterOps"]
+                .map(String::from),
+        );
+        assert_eq!(got, want);
+        assert_eq!(out, data);
     }
 }

@@ -1,7 +1,7 @@
 //! Dynamic hazard sanitizer: shadow memory + lock-step auditing for one
 //! simulated block.
 
-use super::MemCheck;
+use crate::observer::Observer;
 use crate::profiler::PhaseClass;
 use std::fmt;
 
@@ -145,7 +145,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The dynamic sanitizer: a [`MemCheck`] implementation holding per-word
+/// The dynamic sanitizer: a checking [`Observer`] holding per-word
 /// shadow state (last writer, up to two distinct readers, init bit — all
 /// epoch-stamped so a barrier clears them in O(1)) and per-lane access
 /// counters for lock-step auditing.
@@ -186,7 +186,7 @@ impl Default for Sanitizer {
 
 impl Sanitizer {
     /// A fresh sanitizer; shadow state is sized by
-    /// [`MemCheck::begin_block`] when a `BlockSim` adopts it.
+    /// [`Observer::begin_block`] when a `BlockSim` adopts it.
     #[must_use]
     pub fn new() -> Self {
         let mut divergence_exempt = [false; PhaseClass::COUNT];
@@ -304,8 +304,8 @@ impl Sanitizer {
     }
 }
 
-impl MemCheck for Sanitizer {
-    const ACTIVE: bool = true;
+impl Observer for Sanitizer {
+    const CHECKS: bool = true;
 
     fn begin_block(&mut self, w: usize, _u: usize, shared_len: usize) {
         self.w = w;

@@ -1,27 +1,24 @@
 //! Fault injection: seeded, deterministic hardware-fault models woven
-//! into the block engine behind a zero-cost hook.
+//! into the block engine as an [`Observer`].
 //!
 //! Production GPUs flip bits, run with marginal banks, lose lanes, and
 //! miss latency targets; the paper's guarantees (and the prover's
 //! certificates) only cover the fault-free happy path. This module lets a
 //! pipeline *rehearse* those failures deterministically:
 //!
-//! * [`FaultInjector`] — observation-and-corruption hooks threaded
-//!   through [`BlockSim`](crate::BlockSim)/[`LaneCtx`](crate::LaneCtx)
-//!   exactly like [`Tracer`](crate::Tracer) and
-//!   [`MemCheck`](crate::check::MemCheck). The default [`NoFaults`] is a
-//!   zero-sized type whose inlined empty hooks monomorphize away, so an
-//!   un-injected simulation compiles to exactly the code it ran before
-//!   this module existed.
 //! * [`FaultPlan`] — a seeded, fully deterministic schedule of
 //!   [`FaultSite`]s: each names a (kernel launch, block, phase)
 //!   coordinate, a [`FaultKind`], and a [`Persistence`] class. The same
 //!   seed always produces the same plan, so every chaos run is exactly
 //!   reproducible.
-//! * [`BlockFaults`] — the active per-block injector a plan hands to one
-//!   simulated block execution. Every fault that actually fires is logged
-//!   as an [`InjectionRecord`] for forensics; a fault that never reaches
-//!   its coordinate simply does not fire.
+//! * [`BlockFaults`] — the per-block injector a plan hands to one
+//!   simulated block execution: an [`Observer`] with `INJECTS = true`,
+//!   whose corruption hooks [`LaneCtx`](crate::LaneCtx) consults on every
+//!   access. Every fault that actually fires is logged as an
+//!   [`InjectionRecord`] for forensics; a fault that never reaches its
+//!   coordinate simply does not fire. Without it, the default
+//!   [`Passive`](crate::Passive) observer compiles the corruption hooks
+//!   away.
 //!
 //! ## Fault model
 //!
@@ -38,10 +35,12 @@
 //! bits↔value conversion for the key types the simulator sorts. Masks are
 //! truncated to the key width.
 
+use crate::observer::Observer;
 use crate::profiler::PhaseClass;
 use cfmerge_json::{Json, ToJson};
 
-/// Keys whose bit pattern fault injection may corrupt.
+/// Keys whose bit pattern fault injection may corrupt: the word type of
+/// every [`BlockSim`](crate::BlockSim).
 ///
 /// Implemented for the integer key types the simulator sorts; the XOR
 /// mask is applied over the `u64` image and truncated to the key width.
@@ -67,76 +66,6 @@ macro_rules! impl_fault_word {
     )*};
 }
 impl_fault_word!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-/// Corruption-and-delay hooks the block engine consults while executing.
-///
-/// All hooks default to no-ops and `ACTIVE = false`, so the default
-/// [`NoFaults`] vanishes at compile time. An active injector is asked for
-/// an XOR mask on every shared/global access (0 = pristine) and whether a
-/// lane's stores commit at all.
-pub trait FaultInjector {
-    /// Whether the engine should consult this injector at all.
-    const ACTIVE: bool = false;
-
-    /// A block simulation starts: `w` lanes per warp, `u` threads, shared
-    /// extent of `shared_len` words.
-    #[inline]
-    fn begin_block(&mut self, w: usize, u: usize, shared_len: usize) {
-        let _ = (w, u, shared_len);
-    }
-
-    /// A barrier-delimited phase opens.
-    #[inline]
-    fn phase_begin(&mut self, class: PhaseClass) {
-        let _ = class;
-    }
-
-    /// The phase's closing barrier.
-    #[inline]
-    fn phase_end(&mut self) {}
-
-    /// XOR mask applied to the value lane `tid` loads from shared `idx`.
-    #[inline]
-    fn shared_ld_mask(&mut self, tid: u32, idx: usize) -> u64 {
-        let _ = (tid, idx);
-        0
-    }
-
-    /// XOR mask applied to the value lane `tid` stores to shared `idx`.
-    #[inline]
-    fn shared_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
-        let _ = (tid, idx);
-        0
-    }
-
-    /// XOR mask applied to the value lane `tid` stores to global `idx`.
-    #[inline]
-    fn global_st_mask(&mut self, tid: u32, idx: usize) -> u64 {
-        let _ = (tid, idx);
-        0
-    }
-
-    /// Whether lane `tid`'s stores are currently dropped (lane drop-out).
-    /// The access is still issued and costed — the data never commits.
-    #[inline]
-    fn drops_store(&mut self, tid: u32) -> bool {
-        let _ = tid;
-        false
-    }
-
-    /// Extra pipe cycles injected so far (latency spikes); drained by the
-    /// launcher into the timing model after the block completes.
-    #[inline]
-    fn spike_cycles(&self) -> u64 {
-        0
-    }
-}
-
-/// The do-nothing injector: a zero-sized type whose hooks compile away.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
 
 /// What a fault does when it fires. See the module table for semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -497,7 +426,7 @@ impl BlockFaults {
 
     /// Whether no site is armed for this execution. Such an injector
     /// changes no value and no counter, so a launcher may run the block
-    /// with [`NoFaults`] instead and skip the per-access injector hooks.
+    /// under another observer instead and skip the per-access hooks.
     #[must_use]
     pub fn is_unarmed(&self) -> bool {
         self.armed.is_empty()
@@ -507,6 +436,13 @@ impl BlockFaults {
     #[must_use]
     pub fn any_fired(&self) -> bool {
         !self.records.is_empty()
+    }
+
+    /// Extra pipe cycles injected so far (latency spikes); drained by the
+    /// launcher into the timing model after the block completes.
+    #[must_use]
+    pub fn spike_cycles(&self) -> u64 {
+        self.spike_cycles
     }
 
     fn class_now(&self) -> PhaseClass {
@@ -533,8 +469,8 @@ impl BlockFaults {
     }
 }
 
-impl FaultInjector for BlockFaults {
-    const ACTIVE: bool = true;
+impl Observer for BlockFaults {
+    const INJECTS: bool = true;
 
     fn begin_block(&mut self, w: usize, u: usize, _shared_len: usize) {
         self.w = w;
@@ -558,7 +494,7 @@ impl FaultInjector for BlockFaults {
         }
     }
 
-    fn phase_end(&mut self) {
+    fn phase_end(&mut self, _class: PhaseClass) {
         self.current_class = None;
     }
 
@@ -626,10 +562,6 @@ impl FaultInjector for BlockFaults {
             }
         }
         drops
-    }
-
-    fn spike_cycles(&self) -> u64 {
-        self.spike_cycles
     }
 }
 
@@ -702,7 +634,7 @@ mod tests {
         inj.phase_begin(PhaseClass::LoadTile);
         assert_eq!(inj.shared_st_mask(0, 0), 1 << 5);
         assert_eq!(inj.shared_st_mask(1, 1), 0, "one-shot flip must not refire");
-        inj.phase_end();
+        inj.phase_end(PhaseClass::LoadTile);
         let recs = inj.into_records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].phase_seq, 1);
@@ -722,7 +654,7 @@ mod tests {
         inj.begin_block(8, 8, 64);
         inj.phase_begin(PhaseClass::LoadTile);
         assert_eq!(inj.shared_ld_mask(0, 3), 0, "not armed before its phase");
-        inj.phase_end();
+        inj.phase_end(PhaseClass::LoadTile);
         inj.phase_begin(PhaseClass::Merge);
         assert_eq!(inj.shared_ld_mask(0, 3), 1);
         assert_eq!(inj.shared_ld_mask(0, 11), 1, "same bank, next row");

@@ -11,6 +11,9 @@
 //!   barrier-delimited phases; every lane's accesses are traced, aligned
 //!   into warp rounds, and costed. A built-in race detector panics on
 //!   missing barriers.
+//! * [`observer`] — the one hook a block is watched through: tracing,
+//!   hazard checking and fault injection are all [`Observer`]s, and the
+//!   zero-sized default [`Passive`] compiles away.
 //! * [`global`] — 32-byte-sector coalescing for global memory.
 //! * [`occupancy`](mod@occupancy) — the theoretical occupancy calculator behind the
 //!   paper's `E=15,u=512` (100%) vs `E=17,u=256` (75%) discussion.
@@ -21,18 +24,18 @@
 //! * [`device`] — device presets (RTX 2080 Ti-like; tiny teaching devices
 //!   for the paper's `w = 12`/`w = 9`/`w = 6` figures).
 //! * [`stats`] — running summaries and conflict-degree histograms.
-//! * [`trace`] — structured tracing: a zero-cost [`trace::Tracer`] hook in
-//!   the block engine, a Chrome-trace-event/Perfetto exporter, and
-//!   conflict forensics (see docs/OBSERVABILITY.md).
+//! * [`trace`] — structured tracing: the [`trace::BlockTracer`] observer,
+//!   a Chrome-trace-event/Perfetto exporter, and conflict forensics (see
+//!   docs/OBSERVABILITY.md).
 //! * [`check`] — kernel analysis: a dynamic hazard sanitizer (races, OOB,
-//!   uninitialized reads, lock-step divergence) behind a zero-cost
-//!   [`check::MemCheck`] hook, plus a symbolic affine-address prover that
-//!   certifies schedules conflict-free for *all* inputs via the paper's
-//!   Corollaries 17/18 (see docs/ANALYSIS.md).
-//! * [`fault`] — deterministic fault injection behind a zero-cost
-//!   [`fault::FaultInjector`] hook: seeded [`fault::FaultPlan`]s of
-//!   bit-flips, stuck banks, lane drop-outs, and latency spikes, with
-//!   every firing recorded for forensics (see docs/ROBUSTNESS.md).
+//!   uninitialized reads, lock-step divergence) as a checking observer,
+//!   plus a symbolic affine-address prover that certifies schedules
+//!   conflict-free for *all* inputs via the paper's Corollaries 17/18
+//!   (see docs/ANALYSIS.md).
+//! * [`fault`] — deterministic fault injection as an injecting observer:
+//!   seeded [`fault::FaultPlan`]s of bit-flips, stuck banks, lane
+//!   drop-outs, and latency spikes, with every firing recorded for
+//!   forensics (see docs/ROBUSTNESS.md).
 //!
 //! The simulator is *exact* for conflict counts (they are a deterministic
 //! function of the addresses issued per lock-step round) and *modeled* for
@@ -58,6 +61,7 @@ pub mod check;
 pub mod device;
 pub mod fault;
 pub mod global;
+pub mod observer;
 pub mod occupancy;
 pub mod profiler;
 pub mod stats;
@@ -66,13 +70,14 @@ pub mod trace;
 
 pub use banks::{BankModel, RoundCost};
 pub use block::{BlockSim, LaneCtx};
-pub use check::{BankShape, MemCheck, NoCheck, Sanitizer};
+pub use check::{BankShape, Sanitizer};
 pub use device::Device;
 pub use fault::{
-    BlockFaults, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultWord,
-    InjectionRecord, NoFaults, Persistence,
+    BlockFaults, FaultKind, FaultPlan, FaultSite, FaultSpec, FaultWord, InjectionRecord,
+    Persistence,
 };
+pub use observer::{Observer, Passive};
 pub use occupancy::{occupancy, BlockResources, Occupancy};
 pub use profiler::{KernelProfile, PhaseClass, PhaseCounters};
 pub use timing::{LaunchConfig, TimeBreakdown, TimingModel};
-pub use trace::{BlockTracer, ConflictForensics, KernelTrace, NullTracer, SortTrace, Tracer};
+pub use trace::{BlockTracer, ConflictForensics, KernelTrace, SortTrace};

@@ -3,16 +3,16 @@
 //!
 //! The paper validates its claim with aggregate `nvprof` counters; this
 //! module answers the next question a performance engineer asks: *where
-//! inside the run* do the conflicts happen? [`BlockSim`](crate::block)
-//! feeds a [`Tracer`] with every barrier-delimited phase and every
-//! warp-level access round; [`BlockTracer`] records them on a
+//! inside the run* do the conflicts happen? [`BlockTracer`] is an
+//! [`Observer`] of [`BlockSim`](crate::block): it records every
+//! barrier-delimited phase and every costed warp-level access round on a
 //! transaction-weighted tick clock, and [`SortTrace::perfetto_json`]
 //! renders the result as Chrome trace-event JSON that loads directly in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! Tracing is strictly opt-in: the default [`NullTracer`] is a zero-sized
-//! type whose inlined empty hooks monomorphize to nothing, so untraced
-//! simulations pay no cost.
+//! Tracing is strictly opt-in: the default [`Passive`](crate::Passive)
+//! observer is a zero-sized type whose inlined empty hooks monomorphize
+//! to nothing, so untraced simulations pay no cost.
 //!
 //! ## The tick clock
 //!
@@ -26,6 +26,7 @@
 //! sequentially); per-warp attribution survives in the event arguments.
 
 use crate::banks::{BankModel, RoundCost};
+use crate::observer::Observer;
 use crate::profiler::PhaseClass;
 use cfmerge_json::Json;
 
@@ -66,39 +67,6 @@ pub struct GlobalRoundEvent {
     /// 32-byte sectors the stores touched.
     pub st_sectors: u64,
 }
-
-/// Hooks the block engine calls while executing a kernel.
-///
-/// Every method has an inlined empty default, so implementors override
-/// only what they need and [`NullTracer`] compiles to nothing.
-pub trait Tracer {
-    /// A barrier-delimited phase begins.
-    #[inline]
-    fn phase_begin(&mut self, _class: PhaseClass) {}
-
-    /// One warp shared-memory round was issued and costed.
-    #[inline]
-    fn shared_round(&mut self, _ev: &SharedRoundEvent<'_>) {}
-
-    /// One warp global-memory round was issued and coalesced.
-    #[inline]
-    fn global_round(&mut self, _ev: &GlobalRoundEvent) {}
-
-    /// `ops` scalar ALU operations were charged to the phase (summed over
-    /// all lanes of the block).
-    #[inline]
-    fn alu(&mut self, _class: PhaseClass, _ops: u64) {}
-
-    /// The phase's closing barrier.
-    #[inline]
-    fn phase_end(&mut self, _class: PhaseClass) {}
-}
-
-/// The zero-cost default tracer: records nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {}
 
 /// A phase span on a block's tick timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +125,7 @@ pub struct ConflictRound {
 /// degree are kept; aggregate statistics remain exact).
 pub const DEFAULT_CONFLICT_CAP: usize = 256;
 
-/// A [`Tracer`] that records one block's timeline: phase spans on a tick
+/// An [`Observer`] that records one block's timeline: phase spans on a tick
 /// clock, conflicted rounds with their address/bank multisets, per-bank
 /// transaction heat, and per-phase degree histograms.
 #[derive(Debug, Clone)]
@@ -261,7 +229,7 @@ impl BlockTracer {
     }
 }
 
-impl Tracer for BlockTracer {
+impl Observer for BlockTracer {
     fn phase_begin(&mut self, class: PhaseClass) {
         debug_assert!(self.open_phase.is_none(), "phases cannot nest");
         self.open_phase = Some((class, self.clock));
@@ -589,12 +557,12 @@ mod tests {
     use crate::block::BlockSim;
 
     fn traced_block(u: usize, w: u32, len: usize) -> BlockSim<u32, BlockTracer> {
-        BlockSim::with_tracer(BankModel::new(w), u, len, BlockTracer::new(BankModel::new(w)))
+        BlockSim::with_observer(BankModel::new(w), u, len, BlockTracer::new(BankModel::new(w)))
     }
 
     #[test]
-    fn null_tracer_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<NullTracer>(), 0);
+    fn passive_observer_is_zero_sized() {
+        assert_eq!(std::mem::size_of::<crate::Passive>(), 0);
     }
 
     #[test]
@@ -604,7 +572,7 @@ mod tests {
         b.phase(PhaseClass::Merge, |tid, lane| {
             let _ = lane.ld(tid);
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         assert_eq!(tr.spans.len(), 2);
         assert_eq!(tr.spans[0].class, PhaseClass::LoadTile);
         assert_eq!(tr.spans[1].class, PhaseClass::Merge);
@@ -621,7 +589,7 @@ mod tests {
         b.phase(PhaseClass::Merge, |tid, lane| {
             let _ = lane.ld(tid * 8);
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         assert_eq!(tr.conflicts.len(), 1);
         let c = &tr.conflicts[0];
         assert_eq!(c.degree, 8);
@@ -636,14 +604,15 @@ mod tests {
     #[test]
     fn conflict_cap_keeps_worst_rounds() {
         let banks = BankModel::new(8);
-        let mut b = BlockSim::<u32, _>::with_tracer(banks, 8, 128, BlockTracer::with_cap(banks, 2));
+        let mut b =
+            BlockSim::<u32, _>::with_observer(banks, 8, 128, BlockTracer::with_cap(banks, 2));
         // Three conflicted rounds of degrees 2, 8, 4.
         b.phase(PhaseClass::Merge, |tid, lane| {
             let _ = lane.ld(if tid < 2 { tid * 8 } else { 64 + tid }); // degree 2
             let _ = lane.ld(tid * 8); // degree 8
             let _ = lane.ld((tid % 4) * 8 + tid / 4); // degree 4
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         assert_eq!(tr.conflicts.len(), 2);
         assert_eq!(tr.dropped_conflicts, 1);
         let mut degrees: Vec<u32> = tr.conflicts.iter().map(|c| c.degree).collect();
@@ -659,7 +628,7 @@ mod tests {
             let _ = lane.ld(tid); // conflict-free: degree 1
             let _ = lane.ld(tid * 8); // 8-way
         });
-        let tr = b.into_tracer();
+        let (_, tr) = b.finish();
         let g = &tr.degree_rounds[PhaseClass::Gather.index()];
         assert_eq!(g[1], 1);
         assert_eq!(g[8], 1);
@@ -683,7 +652,7 @@ mod tests {
                 name: "k0".into(),
                 grid_blocks: 1,
                 seconds: 1e-6,
-                blocks: vec![b.into_tracer()],
+                blocks: vec![b.finish().1],
             }],
         };
         let doc = trace.perfetto_json();
@@ -717,7 +686,7 @@ mod tests {
                 name: "k0".into(),
                 grid_blocks: 1,
                 seconds: 9e-9, // 9 ticks total → scale = 1 ns/tick
-                blocks: vec![b.into_tracer()],
+                blocks: vec![b.finish().1],
             }],
         };
         let folded = trace.folded_stacks();
@@ -741,7 +710,7 @@ mod tests {
                 name: "k0".into(),
                 grid_blocks: 1,
                 seconds: 1e-6,
-                blocks: vec![b.into_tracer()],
+                blocks: vec![b.finish().1],
             }],
         };
         let f = trace.forensics();

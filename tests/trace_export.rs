@@ -96,7 +96,7 @@ fn pipeline_trace_export_is_schema_valid() {
 /// scales to exactly 1 µs, keeping every exported number an integer.
 fn tiny_trace() -> SortTrace {
     let w = 8u32;
-    let mut block = BlockSim::<u32, BlockTracer>::with_tracer(
+    let mut block = BlockSim::<u32, _>::with_observer(
         BankModel::new(w),
         8,
         64,
@@ -108,7 +108,7 @@ fn tiny_trace() -> SortTrace {
     block.phase(PhaseClass::Merge, |tid, lane| {
         let _ = lane.ld((tid % 4) * 8); // banks {0,8,16,24} mod 8 → 4-way on bank 0
     });
-    let (_, tracer, _, _) = block.finish();
+    let (_, tracer) = block.finish();
     let ticks = tracer.ticks();
     SortTrace {
         label: "golden/tiny".into(),
