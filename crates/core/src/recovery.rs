@@ -34,6 +34,15 @@
 //! block runs under the caller's observer (`Passive` for every entry point
 //! but the traced and checked ones), at the plain kernels' speed.
 //!
+//! A block under `Passive` may not run at all. Each launch keeps a small
+//! memo of simulated blocks keyed by their comparison order type (see
+//! `recovery/memo.rs`); a block whose comparisons all come out as a
+//! representative's gets its sorted output written natively and the
+//! representative's profile charged. Sampled hits are re-simulated and
+//! must match exactly. Traced, checked and fault-armed blocks are always
+//! simulated, so `simulate_sort_traced(x).run` equals `simulate_sort(x)`
+//! bit for bit.
+//!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
 use crate::params::SortParams;
@@ -51,7 +60,10 @@ use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
+use memo::LaunchMemo;
 use rayon::prelude::*;
+
+mod memo;
 
 // The batch service moved to `crate::resilience::service` when it grew
 // admission control, retry budgets, and circuit breakers; re-exported
@@ -535,6 +547,9 @@ struct Driver<'a, F> {
     /// Marks the degraded alternate pipeline (sticky faults stop firing).
     fallback: bool,
     make_observer: &'a F,
+    /// Blocks the memo gate let through to the simulator.
+    #[cfg(test)]
+    simulated: std::sync::atomic::AtomicUsize,
 }
 
 impl<F, O> Driver<'_, F>
@@ -588,9 +603,11 @@ where
                     cp.seconds_so_far,
                 )
             } else {
-                // Pad to a power-of-two number of tiles.
-                let mut src = input.to_vec();
-                src.resize(n.div_ceil(tile).next_power_of_two() * tile, K::MAX_SENTINEL);
+                // Pad to a power-of-two number of tiles, in one allocation.
+                let n_pad = n.div_ceil(tile).next_power_of_two() * tile;
+                let mut src = Vec::with_capacity(n_pad);
+                src.extend_from_slice(input);
+                src.resize(n_pad, K::MAX_SENTINEL);
                 let padded = if track { multiset_checksum(&src) } else { 0 };
                 (src, multiset_checksum(input), padded, 0, 0, 0.0)
             };
@@ -678,7 +695,7 @@ where
 
     /// One launch: every block's execute-verify-retry loop into its
     /// `tile`-sized window of `dst`, then straggler hedging, then
-    /// [`settle_kernel`].
+    /// [`settle_kernel`]. The launch's block memo lives exactly this long.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn launch<K: SortKey>(
         &self,
@@ -691,11 +708,14 @@ where
         stats: &mut RunStats,
     ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
         let tile = self.rcfg.base.params.tile();
+        let memo = LaunchMemo::new(name, jobs.len(), tile);
         let mut execs: Vec<BlockExec<O>> = jobs
             .par_iter()
             .zip(dst.par_chunks_mut(tile))
             .enumerate()
-            .map(|(block, (&job, out))| self.recover_block(kernel, name, block, job, src, out))
+            .map(|(block, (&job, out))| {
+                self.recover_block(&memo, kernel, name, block, job, src, out)
+            })
             .collect();
         let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
         for block in self.rcfg.hedge.stragglers(&latencies) {
@@ -705,7 +725,7 @@ where
             }
             let job = jobs[block];
             let mut scratch = vec![K::default(); tile];
-            let hedge = self.attempt(kernel, block, ex.executions, job, src, &mut scratch);
+            let hedge = self.attempt(&memo, kernel, block, ex.executions, job, src, &mut scratch);
             ex.apply_hedge(hedge);
         }
         settle_kernel(self.rcfg, name, base_profile, execs, stats)
@@ -713,8 +733,10 @@ where
 
     /// Execute-verify loop for one block: up to `1 + max_retries`
     /// attempts, stopping at the first whose output verifies.
+    #[allow(clippy::too_many_arguments)]
     fn recover_block<K: SortKey>(
         &self,
+        memo: &LaunchMemo<'_, K>,
         kernel: u32,
         name: &str,
         block: usize,
@@ -737,7 +759,7 @@ where
             hedge_profile: KernelProfile::new(),
         };
         for attempt in 0..=self.rcfg.max_retries {
-            let a = self.attempt(kernel, block, attempt, job, src, dst);
+            let a = self.attempt(memo, kernel, block, attempt, job, src, dst);
             out.executions = attempt + 1;
             out.spike_cycles += a.faults.spike_cycles();
             out.injections.extend(a.faults.into_records());
@@ -764,10 +786,13 @@ where
     }
 
     /// Run `job` once into `dst` — under the plan's injector for this
-    /// attempt if it arms a site, else under a fresh observer — and
-    /// verify what it wrote.
+    /// attempt if it arms a site, else under a fresh observer, through the
+    /// launch's memo when that observer is passive — and verify what it
+    /// wrote, replayed or simulated.
+    #[allow(clippy::too_many_arguments)]
     fn attempt<K: SortKey>(
         &self,
+        memo: &LaunchMemo<'_, K>,
         kernel: u32,
         block: usize,
         attempt: u32,
@@ -779,12 +804,19 @@ where
         // An unarmed injector changes nothing, but it would still route
         // every access through its hooks: run the block under the
         // caller's observer instead.
-        let (profile, observer, faults) = if faults.is_unarmed() {
-            let (profile, observer) = self.execute(job, src, dst, (self.make_observer)());
-            (profile, Some(observer), faults)
-        } else {
+        let (profile, observer, faults) = if !faults.is_unarmed() {
             let (profile, faults) = self.execute(job, src, dst, faults);
             (profile, None, faults)
+        } else if O::PASSIVE {
+            let profile = memo.execute(block, job, src, dst, |dst| {
+                #[cfg(test)]
+                self.simulated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.execute(job, src, dst, Passive).0
+            });
+            (profile, Some((self.make_observer)()), faults)
+        } else {
+            let (profile, observer) = self.execute(job, src, dst, (self.make_observer)());
+            (profile, Some(observer), faults)
         };
         let verdict = verify_sorted_checksum(dst, job.expected_checksum(src, dst.len()));
         Attempt { profile, observer, faults, verdict }
@@ -945,7 +977,15 @@ where
         Err(e) => return Err(e),
     }
 
-    let driver = |algo, fallback| Driver { algo, rcfg: &rcfg, plan, fallback, make_observer };
+    let driver = |algo, fallback| Driver {
+        algo,
+        rcfg: &rcfg,
+        plan,
+        fallback,
+        make_observer,
+        #[cfg(test)]
+        simulated: Default::default(),
+    };
     let (run, observers) = match driver(algo_used, false).run(input, None, &mut stats)? {
         Ok(done) => done,
         Err(f) if rcfg.allow_fallback => {
@@ -1024,8 +1064,15 @@ pub fn resume_sort_robust<K: SortKey>(
 
     let mut stats = RunStats::default();
     let mut algo_used = algo;
-    let driver =
-        |algo, fallback| Driver { algo, rcfg: config, plan, fallback, make_observer: &|| Passive };
+    let driver = |algo, fallback| Driver {
+        algo,
+        rcfg: config,
+        plan,
+        fallback,
+        make_observer: &|| Passive,
+        #[cfg(test)]
+        simulated: Default::default(),
+    };
     let run = match driver(algo, false).run::<K>(&[], Some(checkpoint), &mut stats)? {
         Ok((run, _)) => run,
         Err(f) if config.allow_fallback => {
@@ -1599,6 +1646,101 @@ mod tests {
                     Err(SortError::CheckpointInvalid { .. })
                 ),
                 "{shape}"
+            );
+        }
+    }
+
+    /// A driver that runs blocks unwatched, so through the memo.
+    fn passive_driver<'a>(
+        algo: SortAlgorithm,
+        rcfg: &'a RobustConfig,
+        plan: &'a FaultPlan,
+    ) -> Driver<'a, fn() -> Passive> {
+        Driver {
+            algo,
+            rcfg,
+            plan,
+            fallback: false,
+            make_observer: &((|| Passive) as fn() -> Passive),
+            simulated: Default::default(),
+        }
+    }
+
+    #[test]
+    fn merge_memo_key_keeps_sector_alignment() {
+        // Every A key is below every B key, so chunks at any offset share
+        // one interleaving (80 from A, then 80 from B); only the sector
+        // alignment of `a_begin` tells them apart.
+        let rcfg = small_rcfg();
+        let plan = FaultPlan::none();
+        let driver = passive_driver(SortAlgorithm::CfMerge, &rcfg, &plan);
+        let src: Vec<u32> = (0..2000).map(|k| if k < 1000 { k } else { 5000 + k }).collect();
+        let chunk = |a: usize| {
+            BlockJob::Merge(MergeChunkJob { a_begin: a, a_end: a + 80, b_begin: 1000, b_end: 1080 })
+        };
+        let memo = LaunchMemo::new("merge-pass-0", 4, 160);
+        let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
+        let mut simulations = 0;
+        let mut profiles = Vec::new();
+        // Block indices 0..3 of a 4-block launch: none is sampled.
+        for (block, a) in [0, 3, 8].into_iter().enumerate() {
+            let profile = memo.execute(block, chunk(a), &src, &mut dst, |dst| {
+                simulations += 1;
+                driver.execute(chunk(a), &src, dst, Passive).0
+            });
+            let (simulated, Passive) = driver.execute(chunk(a), &src, &mut fresh, Passive);
+            assert_eq!(dst, fresh, "a_begin {a}");
+            assert_eq!(profile, simulated, "a_begin {a}");
+            profiles.push(profile);
+        }
+        let load = |p: &KernelProfile| *p.phase(PhaseClass::LoadTile);
+        assert_ne!(load(&profiles[0]), load(&profiles[1]), "misaligned A loads more sectors");
+        // a_begin 8 shares a_begin 0's residue: a hit, not a simulation.
+        assert_eq!(simulations, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "blocksort block 63 re-simulated to a profile that differs")]
+    fn doctored_representative_fails_its_sampled_resimulation() {
+        let rcfg = small_rcfg();
+        let plan = FaultPlan::none();
+        let driver = passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan);
+        let tile = InputSpec::RandomPermutation { seed: 39 }.generate(160);
+        let src = [tile.clone(), tile].concat();
+        let simulate =
+            |lo, dst: &mut [u32]| driver.execute(BlockJob::Tile(lo), &src, dst, Passive).0;
+        let mut dst = vec![0u32; 160];
+        let memo = LaunchMemo::new("blocksort", 128, 160);
+        let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst| {
+            let mut profile = simulate(0, dst);
+            profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
+            profile
+        });
+        // An unsampled hit charges the cached profile as it is...
+        let replayed =
+            memo.execute(1, BlockJob::Tile(160), &src, &mut dst, |_| unreachable!("a hit"));
+        assert_eq!(replayed, doctored);
+        // ...and a sampled one re-simulates and catches the difference.
+        let _ = memo.execute(63, BlockJob::Tile(160), &src, &mut dst, |dst| simulate(160, dst));
+    }
+
+    #[test]
+    fn tile_periodic_sort_replays_most_blocks() {
+        let rcfg = small_rcfg();
+        let plan = FaultPlan::none();
+        let tile = InputSpec::RandomPermutation { seed: 40 }.generate(160);
+        let input = tile.repeat(16);
+        for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+            let driver = passive_driver(algo, &rcfg, &plan);
+            let Ok(Ok((run, _))) = driver.run(&input, None, &mut RunStats::default()) else {
+                panic!("clean run of {algo:?} failed");
+            };
+            let blocks: u64 = run.kernels.iter().map(|k| k.blocks).sum();
+            let simulated = driver.simulated.load(std::sync::atomic::Ordering::Relaxed) as u64;
+            assert!(simulated < blocks / 2, "{algo:?}: simulated {simulated} of {blocks} blocks");
+            assert_eq!(
+                run,
+                crate::sort::pipeline::simulate_sort_traced(&input, algo, &rcfg.base).run
             );
         }
     }

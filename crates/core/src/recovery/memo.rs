@@ -1,0 +1,240 @@
+//! Exact per-launch block memoisation.
+//!
+//! Both kernels are comparison-based: every shared and global address a
+//! block issues, and so its whole [`KernelProfile`], is fixed by the
+//! outcomes of its key comparisons plus the global sector alignment of
+//! the slices it loads. Two blocks of one launch whose comparisons all
+//! come out alike — whose *order types* are equal — therefore have equal
+//! profiles, and the second need not be simulated: its sorted output is
+//! written natively and the first block's profile is charged.
+//!
+//! * **Tile**: the order type is the tile's weak order. The block sort
+//!   loads and stores tile-relative indices (its `global_base` is
+//!   unused), so no alignment term is needed.
+//! * **Merge chunk**: the order type is `|A|`, the weak order of `A`
+//!   then `B` — for sorted runs, their interleaving in the merged output
+//!   with its equal pairs — and `a_begin` and `b_begin` modulo
+//!   [`SECTOR_WORDS`]: the load reads absolute indices, and the sectors a
+//!   warp round touches shift with their residues.
+//!
+//! A representative keeps its input keys and profile. A block matches it
+//! when it has the same shape (kind, `|A|`, residues) and walking it in
+//! the representative's sorted order gives `==` exactly where the
+//! representative's did and `<` everywhere else. The representative's
+//! argsort is computed the first time a block of its shape also has its
+//! adjacent input keys compare as the representative's do; until then
+//! that cheaper check stands in front of the walk. Each check fails
+//! fast, so a miss costs a few comparisons per representative, and a
+//! launch where every block misses sorts nothing. The walk is the
+//! block's sorted output, so a hit has written `dst` by the time it is
+//! known. Writing it as the output relies on equal keys being
+//! interchangeable, which holds for every [`SortKey`] (primitive
+//! integers, whose `Ord` equality is identity).
+//!
+//! A launch keeps at most [`MAX_REPS`] representatives, first come, first
+//! kept, and the memo is dropped with the launch. Hits at sampled block
+//! indices (see [`LaunchMemo::execute`]) are re-simulated and must
+//! reproduce the cached profile exactly; a mismatch is an invariant
+//! violation and panics.
+
+use super::BlockJob;
+use crate::sort::key::SortKey;
+use cfmerge_gpu_sim::global::SECTOR_WORDS;
+use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
+use cfmerge_json::ToJson;
+use std::cmp::Ordering;
+use std::sync::OnceLock;
+
+/// Representatives one launch keeps.
+const MAX_REPS: usize = 4;
+
+/// Every hit at a block index `≡ SAMPLE_EVERY − 1 (mod SAMPLE_EVERY)` is
+/// re-simulated.
+const SAMPLE_EVERY: usize = 64;
+
+/// One launch's representatives.
+pub(crate) struct LaunchMemo<'a, K> {
+    /// Kernel launch name, for the sample-mismatch panic.
+    kernel: &'a str,
+    /// Blocks in the launch (the last one is always sampled).
+    blocks: usize,
+    /// Keys per block.
+    tile: usize,
+    reps: [OnceLock<Rep<K>>; MAX_REPS],
+}
+
+/// What a block must share with a representative before its keys are
+/// compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Tile,
+    Merge { a_len: usize, a_phase: usize, b_phase: usize },
+}
+
+/// A simulated block.
+struct Rep<K> {
+    shape: Shape,
+    /// The block's input: its tile, or its chunk's `A` then `B`.
+    keys: Vec<K>,
+    /// The weak order of `keys`, computed when a block first gets past
+    /// the shape and adjacent-pair checks.
+    order: OnceLock<WeakOrder>,
+    profile: KernelProfile,
+}
+
+/// A weak order on input positions.
+struct WeakOrder {
+    /// Positions in sorted order.
+    perm: Vec<u32>,
+    /// `ties[i]`: sorted positions `i` and `i + 1` hold equal keys.
+    ties: Vec<bool>,
+}
+
+impl<'a, K: SortKey> LaunchMemo<'a, K> {
+    pub(crate) fn new(kernel: &'a str, blocks: usize, tile: usize) -> Self {
+        Self { kernel, blocks, tile, reps: Default::default() }
+    }
+
+    /// Run block `block` of the launch into `dst`: replay it if a
+    /// representative shares its order type, else `simulate` it and keep
+    /// it as a representative while there is room. A hit at a sampled
+    /// index (one block in [`SAMPLE_EVERY`], and the launch's last) is
+    /// simulated too, and panics unless it reproduces the cached profile.
+    pub(crate) fn execute(
+        &self,
+        block: usize,
+        job: BlockJob,
+        src: &[K],
+        dst: &mut [K],
+        simulate: impl FnOnce(&mut [K]) -> KernelProfile,
+    ) -> KernelProfile {
+        let sampled = block % SAMPLE_EVERY == SAMPLE_EVERY - 1 || block + 1 == self.blocks;
+        let cached = self.replay(job, src, dst);
+        if let Some(cached) = cached.filter(|_| !sampled) {
+            return cached.clone();
+        }
+        let profile = simulate(dst);
+        match cached {
+            Some(cached) if *cached != profile => panic!(
+                "block memo invariant violated: {} block {block} re-simulated to a profile \
+                 that differs from its order type's cached one at {}",
+                self.kernel,
+                first_difference(cached, &profile)
+            ),
+            Some(_) => {}
+            None => self.record(job, src, &profile),
+        }
+        profile
+    }
+
+    /// The profile of a representative `job` shares an order type with,
+    /// having written `job`'s sorted output to `dst`; `None` on a miss
+    /// (`dst` then holds partial junk the simulation overwrites).
+    fn replay(&self, job: BlockJob, src: &[K], dst: &mut [K]) -> Option<&KernelProfile> {
+        let (shape, a, b) = block_input(job, src, self.tile);
+        self.reps
+            .iter()
+            .map_while(OnceLock::get)
+            .find(|rep| rep.replays(shape, a, b, dst))
+            .map(|rep| &rep.profile)
+    }
+
+    /// Keep a simulated block as a representative while there is room.
+    fn record(&self, job: BlockJob, src: &[K], profile: &KernelProfile) {
+        if let Some(slot) = self.reps.iter().find(|slot| slot.get().is_none()) {
+            let (shape, a, b) = block_input(job, src, self.tile);
+            let keys = [a, b].concat();
+            let rep = Rep { shape, keys, order: OnceLock::new(), profile: profile.clone() };
+            // A concurrent block may have taken the slot: first come,
+            // first kept.
+            let _ = slot.set(rep);
+        }
+    }
+}
+
+/// A block's shape and its input as one or two slices.
+fn block_input<K>(job: BlockJob, src: &[K], tile: usize) -> (Shape, &[K], &[K]) {
+    match job {
+        BlockJob::Tile(lo) => (Shape::Tile, &src[lo..lo + tile], &[]),
+        BlockJob::Merge(m) => {
+            let sector = SECTOR_WORDS as usize;
+            let shape = Shape::Merge {
+                a_len: m.a_len(),
+                a_phase: m.a_begin % sector,
+                b_phase: m.b_begin % sector,
+            };
+            (shape, &src[m.a_begin..m.a_end], &src[m.b_begin..m.b_end])
+        }
+    }
+}
+
+impl<K: SortKey> Rep<K> {
+    /// Whether the block with input `a` then `b` has this order type;
+    /// writes its sorted output to `dst` on the way.
+    fn replays(&self, shape: Shape, a: &[K], b: &[K], dst: &mut [K]) -> bool {
+        let key = |i: usize| if i < a.len() { a[i] } else { b[i - a.len()] };
+        let adjacent_alike = || {
+            let rep = self.keys.windows(2).map(|p| p[0].cmp(&p[1]));
+            (1..self.keys.len()).map(|i| key(i - 1).cmp(&key(i))).eq(rep)
+        };
+        if shape != self.shape || a.len() + b.len() != self.keys.len() {
+            return false;
+        }
+        // The adjacent-pair check only guards the argsort: once that
+        // exists, the walk fails just as fast on its own.
+        let order = match self.order.get() {
+            Some(order) => order,
+            None if adjacent_alike() => self.order.get_or_init(|| WeakOrder::of(&self.keys)),
+            None => return false,
+        };
+        walk(order.perm.iter().map(|&i| key(i as usize)), &order.ties, dst)
+    }
+}
+
+impl WeakOrder {
+    fn of<K: Ord>(keys: &[K]) -> WeakOrder {
+        let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
+        perm.sort_unstable_by_key(|&i| &keys[i as usize]);
+        let ties = perm.windows(2).map(|p| keys[p[0] as usize] == keys[p[1] as usize]).collect();
+        WeakOrder { perm, ties }
+    }
+}
+
+/// Copy `seq` into `dst` while checking that each adjacent pair compares
+/// `==` where `ties` says so and `<` everywhere else; stops at the first
+/// pair that does not.
+fn walk<K: Ord + Copy>(mut seq: impl Iterator<Item = K>, ties: &[bool], dst: &mut [K]) -> bool {
+    let Some((first, rest)) = dst.split_first_mut() else {
+        return true;
+    };
+    let Some(mut prev) = seq.next() else {
+        return false;
+    };
+    *first = prev;
+    for ((slot, next), &tie) in rest.iter_mut().zip(seq).zip(ties) {
+        let want = if tie { Ordering::Equal } else { Ordering::Less };
+        if prev.cmp(&next) != want {
+            return false;
+        }
+        *slot = next;
+        prev = next;
+    }
+    true
+}
+
+/// The first phase and counter at which two profiles differ.
+fn first_difference(cached: &KernelProfile, simulated: &KernelProfile) -> String {
+    for class in PhaseClass::all() {
+        let (c, s) = (cached.phase(class).to_json(), simulated.phase(class).to_json());
+        let pairs = c.as_obj().unwrap_or_default().iter().zip(s.as_obj().unwrap_or_default());
+        for ((counter, cv), (_, sv)) in pairs {
+            if cv != sv {
+                return format!(
+                    "phase {} counter {counter} (cached {cv}, simulated {sv})",
+                    class.label()
+                );
+            }
+        }
+    }
+    "the merge degree histogram".to_string()
+}

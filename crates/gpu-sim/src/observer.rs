@@ -40,6 +40,10 @@ use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
 ///   of the corruption hooks and a store may be dropped. The traffic is
 ///   recorded and costed either way: on real hardware a faulted store
 ///   still occupies its transaction.
+///
+/// A third const, [`PASSIVE`](Self::PASSIVE), is read by drivers, not by
+/// the engine: it says that nothing watches the block, so the block need
+/// not run at all if its profile is already known.
 pub trait Observer {
     /// Route accesses through the checking hooks instead of the engine's
     /// race asserts.
@@ -47,6 +51,12 @@ pub trait Observer {
 
     /// Consult the corruption hooks on every access.
     const INJECTS: bool = false;
+
+    /// The observer watches nothing and changes nothing, so a block's
+    /// execution is a pure function of its input: a driver may replay a
+    /// block whose comparisons all come out as an earlier block's instead
+    /// of simulating it. Only [`Passive`] sets it.
+    const PASSIVE: bool = false;
 
     /// A block simulation starts: `w` lanes per warp, `u` threads, and a
     /// shared-memory extent of `shared_len` words.
@@ -157,4 +167,6 @@ pub trait Observer {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Passive;
 
-impl Observer for Passive {}
+impl Observer for Passive {
+    const PASSIVE: bool = true;
+}

@@ -1,0 +1,120 @@
+//! Block memoisation must be invisible: a sort that replays blocks from
+//! their order type's representative produces exactly the run a sort
+//! that simulates every block does.
+//!
+//! No switch is needed to turn the memo off. It applies only under the
+//! passive observer, and the traced entry point watches every block with
+//! a `BlockTracer`, so `simulate_sort_traced(x).run` is the memo-off
+//! reference for `simulate_sort(x)` and the robust entry points.
+
+use cfmerge::core::inputs::InputSpec;
+use cfmerge::core::params::SortParams;
+use cfmerge::core::recovery::{
+    resume_sort_robust, simulate_sort_robust, simulate_sort_robust_checkpointed, RobustConfig,
+};
+use cfmerge::core::resilience::checkpoint::CheckpointPolicy;
+use cfmerge::core::sort::{
+    simulate_sort, simulate_sort_traced, SortAlgorithm, SortConfig, SortError, SortKey, SortRun,
+};
+use cfmerge::gpu_sim::fault::FaultPlan;
+
+const ALGOS: [SortAlgorithm; 2] = [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge];
+
+/// Small launch shapes: (E, u).
+const SHAPES: [(usize, usize); 2] = [(5, 32), (7, 64)];
+
+/// Every input shape, `n` keys at the given launch shape (a ragged `n`
+/// takes the first `n` keys of the padded length's input, since the
+/// worst-case construction needs a power-of-two number of tiles).
+fn inputs(e: usize, u: usize, n: usize) -> Vec<(String, Vec<u32>)> {
+    let tile = e * u;
+    let padded = n.div_ceil(tile).next_power_of_two() * tile;
+    let mut pattern = InputSpec::RandomPermutation { seed: 5 }.generate(tile);
+    pattern.iter_mut().for_each(|x| *x *= 3);
+    let periodic = (0..n).map(|i| pattern[i % tile]).collect();
+    let specs = [
+        InputSpec::UniformRandom { seed: 1 },
+        InputSpec::FewDistinct { seed: 2, distinct: 4 },
+        InputSpec::Sorted,
+        InputSpec::Reversed,
+        InputSpec::WorstCase { w: 32, e, u },
+    ];
+    let mut all: Vec<(String, Vec<u32>)> =
+        specs.iter().map(|s| (s.label(), s.generate(padded)[..n].to_vec())).collect();
+    all.push(("all-equal".into(), vec![7; n]));
+    all.push(("tile-periodic".into(), periodic));
+    all
+}
+
+/// Widen to 64 bits without changing any comparison.
+fn widen(keys: &[u32]) -> Vec<u64> {
+    keys.iter().map(|&k| (u64::from(k) << 32) | 0x5555).collect()
+}
+
+fn assert_same_run<K: SortKey + std::fmt::Debug>(got: &SortRun<K>, want: &SortRun<K>, what: &str) {
+    assert_eq!(got.output, want.output, "output, {what}");
+    assert_eq!(got.profile, want.profile, "profile, {what}");
+    assert_eq!(
+        got.simulated_seconds.to_bits(),
+        want.simulated_seconds.to_bits(),
+        "simulated seconds, {what}"
+    );
+    assert_eq!(got.kernels, want.kernels, "kernels, {what}");
+    assert_eq!(got.n, want.n, "n, {what}");
+}
+
+/// The plain, robust and resumed sorts of `keys` against the traced one.
+fn check<K: SortKey + std::fmt::Debug>(
+    keys: &[K],
+    algo: SortAlgorithm,
+    rcfg: &RobustConfig,
+    what: &str,
+) {
+    let cfg = &rcfg.base;
+    let reference = simulate_sort_traced(keys, algo, cfg).run;
+    assert_same_run(&simulate_sort(keys, algo, cfg), &reference, &format!("plain, {what}"));
+    let robust = simulate_sort_robust(keys, algo, rcfg, &FaultPlan::none()).expect("clean run");
+    assert!(robust.report.is_clean(), "{what}");
+    assert_same_run(&robust.run, &reference, &format!("robust, {what}"));
+
+    // Kill after the first merge pass, then resume: the resumed run
+    // re-executes only the remaining launches.
+    let killed = simulate_sort_robust_checkpointed(
+        keys,
+        algo,
+        rcfg,
+        &FaultPlan::none(),
+        CheckpointPolicy::kill_after(1),
+    );
+    let cp = match killed {
+        Err(SortError::Interrupted { checkpoint, .. }) => *checkpoint,
+        other => panic!("expected Interrupted after pass 1, {what}: {other:?}"),
+    };
+    let resumed = resume_sort_robust::<K>(&cp, rcfg, &FaultPlan::none()).expect("resume");
+    let what = format!("resumed, {what}");
+    assert_eq!(resumed.run.output, reference.output, "output, {what}");
+    assert_eq!(
+        resumed.run.simulated_seconds.to_bits(),
+        reference.simulated_seconds.to_bits(),
+        "simulated seconds, {what}"
+    );
+    assert_eq!(resumed.run.kernels[..], reference.kernels[2..], "kernels, {what}");
+}
+
+#[test]
+fn memoised_sorts_equal_fully_simulated_sorts() {
+    for (e, u) in SHAPES {
+        let tile = e * u;
+        let rcfg = RobustConfig::new(SortConfig::with_params(SortParams::new(e, u)));
+        // 8 tiles, and a ragged length that pads to 8 tiles.
+        for n in [8 * tile, 5 * tile + 7] {
+            for (label, keys) in inputs(e, u, n) {
+                for algo in ALGOS {
+                    let what = format!("{algo:?} E={e} u={u} n={n} {label}");
+                    check(&keys, algo, &rcfg, &format!("u32 {what}"));
+                    check(&widen(&keys), algo, &rcfg, &format!("u64 {what}"));
+                }
+            }
+        }
+    }
+}
