@@ -81,12 +81,14 @@ impl CfLayout {
     }
 
     /// Number of elements in the `B` list.
+    #[inline]
     #[must_use]
     pub fn b_total(&self) -> usize {
         self.total - self.a_total
     }
 
     /// π: logical index of the `A` element at A-offset `x`.
+    #[inline]
     #[must_use]
     pub fn a_logical(&self, x: usize) -> usize {
         debug_assert!(x < self.a_total, "A offset {x} out of range {}", self.a_total);
@@ -94,6 +96,7 @@ impl CfLayout {
     }
 
     /// π: logical index of the `B` element at B-offset `y` (reversed).
+    #[inline]
     #[must_use]
     pub fn b_logical(&self, y: usize) -> usize {
         debug_assert!(y < self.b_total(), "B offset {y} out of range {}", self.b_total());
@@ -101,6 +104,7 @@ impl CfLayout {
     }
 
     /// ρ: physical shared-memory slot of logical index `c`.
+    #[inline]
     #[must_use]
     pub fn rho(&self, c: usize) -> usize {
         debug_assert!(c < self.total);
@@ -127,12 +131,14 @@ impl CfLayout {
 
     /// Physical slot of the `A` element at A-offset `x` — the composition
     /// `ρ(π_A(x))`.
+    #[inline]
     #[must_use]
     pub fn a_slot(&self, x: usize) -> usize {
         self.rho(self.a_logical(x))
     }
 
     /// Physical slot of the `B` element at B-offset `y` — `ρ(π_B(y))`.
+    #[inline]
     #[must_use]
     pub fn b_slot(&self, y: usize) -> usize {
         self.rho(self.b_logical(y))

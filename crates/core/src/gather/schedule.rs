@@ -134,6 +134,30 @@ impl GatherSchedule {
         }
     }
 
+    /// The `E` rounds in round order as `(m, slot)`: round `j` reads
+    /// `Aᵢ[m]` if `m < |Aᵢ|` and `Bᵢ[E − 1 − m]` otherwise, from physical
+    /// `slot`, where `m = (j − k) mod E`. The same reads as
+    /// [`round`](Self::round), but `m` is stepped instead of recomputed,
+    /// so a round costs no division. Storing round `j`'s element in
+    /// register `m` undoes the rotation: `Aᵢ` ascending, then `Bᵢ`
+    /// descending.
+    pub fn walk(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let e = self.layout.e;
+        let (a_begin, a_len) = (self.split.a_begin, self.split.a_len);
+        let b_last = self.b_begin() + e - 1;
+        let mut m = (e - self.k) % e;
+        (0..e).map(move |_| {
+            let slot = if m < a_len {
+                self.layout.a_slot(a_begin + m)
+            } else {
+                self.layout.b_slot(b_last - m)
+            };
+            let here = m;
+            m = if m + 1 == e { 0 } else { m + 1 };
+            (here, slot)
+        })
+    }
+
     /// All `E` rounds in order.
     #[must_use]
     pub fn rounds(&self) -> Vec<RegisterSlot> {
@@ -204,6 +228,33 @@ mod tests {
                     }
                 }
                 assert!(a_seen.iter().all(|&x| x) && b_seen.iter().all(|&x| x));
+            }
+        }
+    }
+
+    #[test]
+    fn walk_reads_what_round_reads() {
+        // Every thread of small blocks, coprime and not, both layouts.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(43);
+        for &(w, e, warps) in &[(12usize, 5usize, 1usize), (9, 6, 2), (8, 8, 2), (32, 15, 2)] {
+            let u = w * warps;
+            for _ in 0..10 {
+                let (splits, a_total) = random_splits(&mut rng, u, e);
+                for layout in [
+                    CfLayout::new(w, e, u * e, a_total),
+                    CfLayout::reversal_only(w, e, u * e, a_total),
+                ] {
+                    for (tid, &split) in splits.iter().enumerate() {
+                        let s = GatherSchedule::new(layout, tid, split);
+                        for (j, (m, slot)) in s.walk().enumerate() {
+                            assert_eq!(slot, s.round(j).slot(), "w={w} E={e} tid={tid} j={j}");
+                            match s.round(j) {
+                                RegisterSlot::A { m: x, .. } => assert_eq!(m, x),
+                                RegisterSlot::B { m: y, .. } => assert_eq!(m, e - 1 - y),
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -25,7 +25,7 @@ use crate::gather::layout::CfLayout;
 use crate::gather::schedule::ThreadSplit;
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::banks::BankModel;
-use cfmerge_gpu_sim::block::BlockSim;
+use cfmerge_gpu_sim::block::{BlockSim, LaneCtx};
 use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_mergepath::networks::{oets_ops, oets_sort};
@@ -52,6 +52,49 @@ fn cf_rank_slot(r: usize, run_w: usize) -> usize {
         // B element with offset y = rel − W lands at pair-local
         // 2W − 1 − y (the π reversal).
         p * pair + (pair - 1 - (rel - run_w))
+    }
+}
+
+/// [`cf_rank_slot`] of the consecutive ranks `first, first + 1, …`,
+/// stepped through the pair instead of dividing per rank.
+fn cf_rank_slots(first: usize, run_w: usize) -> impl Iterator<Item = usize> {
+    let pair = 2 * run_w;
+    let (mut pair_base, mut rel) = (first / pair * pair, first % pair);
+    std::iter::repeat_with(move || {
+        let slot = if rel < run_w { pair_base + rel } else { pair_base + 3 * run_w - 1 - rel };
+        rel += 1;
+        if rel == pair {
+            (pair_base, rel) = (pair_base + pair, 0);
+        }
+        slot
+    })
+}
+
+/// Store a thread's registers, the ranks `first, first + 1, …`, into
+/// shared memory: at their ranks, or with `cf_run_w = Some(W)` into the
+/// CF layout of run width `W`.
+fn store_ranks<K: SortKey, O: Observer>(
+    lane: &mut LaneCtx<'_, K, O>,
+    first: usize,
+    regs: &[K],
+    cf_run_w: Option<usize>,
+) {
+    match cf_run_w {
+        Some(run_w) => {
+            for ((m, &v), slot) in regs.iter().enumerate().zip(cf_rank_slots(first, run_w)) {
+                debug_assert_eq!(
+                    slot,
+                    cf_rank_slot(first + m, run_w),
+                    "CF store walk left cf_rank_slot"
+                );
+                lane.st(slot, v);
+            }
+        }
+        None => {
+            for (m, &v) in regs.iter().enumerate() {
+                lane.st(first + m, v);
+            }
+        }
     }
 }
 
@@ -140,26 +183,21 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
     });
     let _ = global_base; // tiles are sector-aligned; relative indices suffice
 
-    // 2. Per-thread register sort.
-    let mut regs = vec![vec![K::default(); e]; u];
+    // 2. Per-thread register sort, then store back — into the round-0
+    //    layout (run width E) for CF.
+    let cf = strategy == MergeStrategy::Gather;
+    let mut regs = vec![K::default(); tile];
     block.phase(PhaseClass::Sort, |tid, lane| {
-        for m in 0..e {
-            regs[tid][m] = lane.ld(tid * e + m);
+        let regs = &mut regs[tid * e..(tid + 1) * e];
+        for (m, r) in regs.iter_mut().enumerate() {
+            *r = lane.ld(tid * e + m);
         }
-        let ops = oets_sort(&mut regs[tid]);
+        let ops = oets_sort(regs);
         debug_assert_eq!(ops, oets_ops(e));
         lane.alu(3 * ops);
     });
-    // Store back — into round-0 layout for CF (run width E).
     block.phase(PhaseClass::Sort, |tid, lane| {
-        for m in 0..e {
-            let rank = tid * e + m;
-            let slot = match strategy {
-                MergeStrategy::DirectSerial => rank,
-                MergeStrategy::Gather => cf_rank_slot(rank, e),
-            };
-            lane.st(slot, regs[tid][m]);
-        }
+        store_ranks(lane, tid * e, &regs[tid * e..(tid + 1) * e], cf.then_some(e));
     });
 
     // 3. Merge rounds.
@@ -191,7 +229,8 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
                     let local_tid = tid % threads_per_pair;
                     let layout = pair_layout(strategy, w, e, p * pair, run_w);
                     let b_begin = local_tid * e - splits[tid].a_begin;
-                    serial_merge_from_shared(lane, &layout, splits[tid], b_begin, &mut regs[tid]);
+                    let out = &mut regs[tid * e..(tid + 1) * e];
+                    serial_merge_from_shared(lane, &layout, splits[tid], b_begin, out);
                 });
             }
             MergeStrategy::Gather => {
@@ -199,35 +238,16 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
                     let p = tid / threads_per_pair;
                     let local_tid = tid % threads_per_pair;
                     let layout = CfLayout::reversal_only(w, e, pair, run_w);
-                    gather_merge_from_shared(
-                        lane,
-                        p * pair,
-                        &layout,
-                        local_tid,
-                        splits[tid],
-                        &mut regs[tid],
-                    );
+                    let out = &mut regs[tid * e..(tid + 1) * e];
+                    gather_merge_from_shared(lane, p * pair, &layout, local_tid, splits[tid], out);
                 });
             }
         }
         // 3c. store for the next round (or natural if this was the last).
         let next_w = pair;
-        let last = next_w >= tile;
+        let cf_next = (cf && next_w < tile).then_some(next_w);
         block.phase(PhaseClass::Sort, |tid, lane| {
-            for m in 0..e {
-                let rank = tid * e + m;
-                let slot = match strategy {
-                    MergeStrategy::DirectSerial => rank,
-                    MergeStrategy::Gather => {
-                        if last {
-                            rank
-                        } else {
-                            cf_rank_slot(rank, next_w)
-                        }
-                    }
-                };
-                lane.st(slot, regs[tid][m]);
-            }
+            store_ranks(lane, tid * e, &regs[tid * e..(tid + 1) * e], cf_next);
         });
         run_w = next_w;
     }
@@ -352,6 +372,22 @@ mod tests {
         );
         assert!(dst.is_sorted());
         assert_eq!(p.total().shared_requests(), 0);
+    }
+
+    #[test]
+    fn cf_rank_walk_matches_closed_form_for_every_thread() {
+        for (u, e) in [(8usize, 5usize), (16, 3), (32, 15), (32, 17)] {
+            let mut run_w = e;
+            while run_w < u * e {
+                for tid in 0..u {
+                    let walked: Vec<usize> = cf_rank_slots(tid * e, run_w).take(e).collect();
+                    let closed: Vec<usize> =
+                        (tid * e..(tid + 1) * e).map(|r| cf_rank_slot(r, run_w)).collect();
+                    assert_eq!(walked, closed, "u={u} E={e} W={run_w} tid={tid}");
+                }
+                run_w *= 2;
+            }
+        }
     }
 
     #[test]

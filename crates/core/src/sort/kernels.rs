@@ -15,10 +15,11 @@
 use crate::gather::layout::CfLayout;
 use crate::gather::schedule::{GatherSchedule, ThreadSplit};
 use crate::sort::key::SortKey;
+use cfmerge_gpu_sim::banks::MAX_BANKS;
 use cfmerge_gpu_sim::block::LaneCtx;
 use cfmerge_gpu_sim::observer::Observer;
 use cfmerge_mergepath::diagonal::merge_path_by;
-use cfmerge_mergepath::networks::{oets_ops, oets_sort};
+use cfmerge_mergepath::networks::{merge_bitonic_runs, oets_ops, oets_sort};
 
 /// How a block's `[A | B]` pair is laid out in shared memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +44,7 @@ pub enum PairLayout {
 
 impl PairLayout {
     /// Shared slot of the `A` element at A-offset `x`.
+    #[inline]
     #[must_use]
     pub fn a_slot(&self, x: usize) -> usize {
         match *self {
@@ -55,6 +57,7 @@ impl PairLayout {
     }
 
     /// Shared slot of the `B` element at B-offset `y`.
+    #[inline]
     #[must_use]
     pub fn b_slot(&self, y: usize) -> usize {
         match *self {
@@ -67,6 +70,7 @@ impl PairLayout {
     }
 
     /// `|A|`.
+    #[inline]
     #[must_use]
     pub fn a_total(&self) -> usize {
         match *self {
@@ -76,6 +80,7 @@ impl PairLayout {
     }
 
     /// `|A| + |B|`.
+    #[inline]
     #[must_use]
     pub fn total(&self) -> usize {
         match *self {
@@ -189,6 +194,17 @@ pub fn serial_merge_from_shared<K: SortKey, O: Observer>(
 /// `pair_tid` is the thread's index *within the pair* (equals `tid` for
 /// whole-block pairs). Requires the shared region to hold the permuted
 /// layout. Writes the merged outputs to `out`.
+///
+/// The gather issues Algorithm 1's loads in round order through
+/// [`GatherSchedule::walk`], which also undoes the rotation: the
+/// registers hold `Aᵢ` ascending then `Bᵢ` descending. The network is
+/// charged its fixed `3·oets_ops(E)` ALU ops, and [`merge_bitonic_runs`]
+/// computes its output in `O(E)` host time.
+///
+/// # Panics
+/// Panics if the split does not fit the layout (see
+/// [`GatherSchedule::new`]) or `E` exceeds [`MAX_BANKS`], the widest warp
+/// and so the largest `E` a block can run.
 pub fn gather_merge_from_shared<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
     base: usize,
@@ -199,16 +215,23 @@ pub fn gather_merge_from_shared<K: SortKey, O: Observer>(
 ) {
     let e = out.len();
     debug_assert_eq!(e, layout.e);
+    assert!(e <= MAX_BANKS, "E = {e} exceeds the {MAX_BANKS} registers a thread can hold");
     let sched = GatherSchedule::new(*layout, pair_tid, split);
-    for (j, slot) in out.iter_mut().enumerate() {
-        *slot = lane.ld(base + sched.round(j).slot());
+    let mut regs = [K::default(); MAX_BANKS];
+    for (j, (m, slot)) in sched.walk().enumerate() {
+        debug_assert_eq!(slot, sched.round(j).slot(), "gather walk left Algorithm 1 at round {j}");
+        regs[m] = lane.ld(base + slot);
     }
-    // Register merge: the array is a rotation of (A ascending, B
-    // descending); OETS sorts it with a static compare-exchange schedule
-    // (dynamic indexing would spill to local memory on a real GPU).
-    let ops = oets_sort(out);
-    debug_assert_eq!(ops, oets_ops(e));
-    lane.alu(3 * ops); // ~3 instructions per compare-exchange
+    merge_bitonic_runs(&regs[..e], split.a_len, out);
+    debug_assert!(
+        {
+            let mut network = regs[..e].to_vec();
+            oets_sort(&mut network);
+            network == out
+        },
+        "register merge differs from the odd-even transposition network"
+    );
+    lane.alu(3 * oets_ops(e)); // ~3 instructions per compare-exchange
 }
 
 #[cfg(test)]

@@ -16,6 +16,15 @@
 /// The [`FaultWord`](cfmerge_gpu_sim::fault::FaultWord) supertrait gives
 /// the fault injector a bit pattern to corrupt; it costs nothing on
 /// fault-free runs.
+///
+/// # Equality contract
+///
+/// Equality is bit identity: `a == b` exactly when
+/// `a.to_fault_bits() == b.to_fault_bits()`. Two things rely on it. The
+/// multiset checksum of [`crate::verify`] hashes bit patterns, so equal
+/// keys must hash alike. CF-Merge's register merge emits the sorted
+/// permutation in any order of equal keys, which is only the network's
+/// output if equal keys are indistinguishable.
 pub trait SortKey:
     Copy + Ord + Default + Send + Sync + cfmerge_gpu_sim::fault::FaultWord + 'static
 {
@@ -104,6 +113,33 @@ mod tests {
         sentinel_dominates::<u16>(&[0, u16::MAX]);
         sentinel_dominates::<i32>(&[i32::MIN, -1, 0, i32::MAX]);
         sentinel_dominates::<i64>(&[i64::MIN, 0, i64::MAX]);
+    }
+
+    /// `a == b` ⇔ equal fault bits, over every pair of `samples`.
+    fn equality_is_bit_identity<K: SortKey + std::fmt::Debug>(samples: &[K]) {
+        for &a in samples {
+            for &b in samples {
+                assert_eq!(a == b, a.to_fault_bits() == b.to_fault_bits(), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_key_type_keeps_the_equality_contract() {
+        equality_is_bit_identity::<u16>(&[0, 1, 0x7FFF, 0x8000, u16::MAX - 1, u16::MAX]);
+        equality_is_bit_identity::<u32>(&[0, 1, 0x7FFF_FFFF, 0x8000_0000, u32::MAX - 1, u32::MAX]);
+        equality_is_bit_identity::<u64>(&[0, 1, u64::from(u32::MAX), 1 << 63, u64::MAX]);
+        equality_is_bit_identity::<i32>(&[i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX]);
+        equality_is_bit_identity::<i64>(&[
+            i64::MIN,
+            i64::MIN + 1,
+            i64::from(i32::MIN),
+            -1,
+            0,
+            1,
+            i64::from(u32::MAX),
+            i64::MAX,
+        ]);
     }
 
     fn interesting_floats() -> Vec<f32> {

@@ -146,12 +146,13 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
     }
 
     // 3. Move to registers and merge.
-    let mut regs = vec![vec![K::default(); e]; u];
+    let mut regs = vec![K::default(); tile];
     match strategy {
         MergeStrategy::DirectSerial => {
             block.phase(PhaseClass::Merge, |tid, lane| {
                 let b_begin = tid * e - splits[tid].a_begin;
-                serial_merge_from_shared(lane, &layout, splits[tid], b_begin, &mut regs[tid]);
+                let out = &mut regs[tid * e..(tid + 1) * e];
+                serial_merge_from_shared(lane, &layout, splits[tid], b_begin, out);
             });
         }
         MergeStrategy::Gather => {
@@ -160,7 +161,8 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
                 PairLayout::Natural { .. } => unreachable!(),
             };
             block.phase(PhaseClass::Gather, |tid, lane| {
-                gather_merge_from_shared(lane, 0, &cf, tid, splits[tid], &mut regs[tid]);
+                let out = &mut regs[tid * e..(tid + 1) * e];
+                gather_merge_from_shared(lane, 0, &cf, tid, splits[tid], out);
             });
         }
     }
@@ -168,7 +170,7 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
     // 4. Stage through shared (rank layout), then coalesced store.
     block.phase(PhaseClass::StoreTile, |tid, lane| {
         for m in 0..e {
-            lane.st(tid * e + m, regs[tid][m]);
+            lane.st(tid * e + m, regs[tid * e + m]);
         }
     });
     block.phase(PhaseClass::StoreTile, |tid, lane| {

@@ -80,18 +80,35 @@ impl std::fmt::Display for VerifyFailure {
 /// (computed from the block's input ranges via [`multiset_checksum`]'s
 /// additivity). Passing implies the output is exactly the sorted
 /// permutation of the input, up to checksum collision (≈ 2⁻⁶⁴).
+///
+/// One pass folds the sortedness test into the checksum; the first
+/// inversion is located only on failure. An unsorted output is reported
+/// as [`VerifyFailure::NotSorted`] even if its checksum is also wrong.
 pub fn verify_sorted_checksum<K: SortKey>(
     output: &[K],
     expect_checksum: u64,
 ) -> Result<(), VerifyFailure> {
-    if let Some(i) = (1..output.len()).find(|&i| output[i - 1] > output[i]) {
-        return Err(VerifyFailure::NotSorted { index: i - 1 });
+    let mut got = output.first().map_or(0, |k| mix64(k.to_fault_bits()));
+    let mut sorted = true;
+    for pair in output.windows(2) {
+        sorted &= pair[0] <= pair[1];
+        got = got.wrapping_add(mix64(pair[1].to_fault_bits()));
     }
-    let got = multiset_checksum(output);
+    if !sorted {
+        check_sorted(output)?;
+    }
     if got != expect_checksum {
         return Err(VerifyFailure::ChecksumMismatch { expect: expect_checksum, got });
     }
     Ok(())
+}
+
+/// `Err` with the first inversion of `output`, if it has one.
+fn check_sorted<K: Ord>(output: &[K]) -> Result<(), VerifyFailure> {
+    match output.windows(2).position(|pair| pair[0] > pair[1]) {
+        Some(index) => Err(VerifyFailure::NotSorted { index }),
+        None => Ok(()),
+    }
 }
 
 /// Exact oracle (test harnesses): `output` is sorted *and* a true
@@ -101,9 +118,7 @@ pub fn verify_sorted_permutation<K: SortKey>(
     input: &[K],
     output: &[K],
 ) -> Result<(), VerifyFailure> {
-    if let Some(i) = (1..output.len()).find(|&i| output[i - 1] > output[i]) {
-        return Err(VerifyFailure::NotSorted { index: i - 1 });
-    }
+    check_sorted(output)?;
     if input.len() != output.len() {
         return Err(VerifyFailure::NotAPermutation);
     }
@@ -158,6 +173,27 @@ mod tests {
             verify_sorted_checksum(&[2u32, 4, 6, 9], expect),
             Err(VerifyFailure::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn late_inversion_is_located_and_outranks_a_bad_checksum() {
+        let input = [1u32, 2, 3, 4, 5, 6];
+        let expect = multiset_checksum(&input);
+        // Inversion at index 3, and 9 replaces 6: both checks fail.
+        assert_eq!(
+            verify_sorted_checksum(&[1u32, 2, 3, 9, 4, 5], expect),
+            Err(VerifyFailure::NotSorted { index: 3 })
+        );
+        assert_eq!(
+            verify_sorted_checksum(&[1u32, 2, 3, 4, 5, 9], expect),
+            Err(VerifyFailure::ChecksumMismatch {
+                expect,
+                got: multiset_checksum(&[1u32, 2, 3, 4, 5, 9])
+            })
+        );
+        let empty: [u32; 0] = [];
+        assert_eq!(verify_sorted_checksum(&empty, 0), Ok(()));
+        assert_eq!(verify_sorted_checksum(&[7u32], multiset_checksum(&[7u32])), Ok(()));
     }
 
     #[test]

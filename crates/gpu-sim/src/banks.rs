@@ -114,13 +114,13 @@ impl BankModel {
     /// serves both halves.
     ///
     /// The implementation is the hot inner loop of the whole simulator
-    /// and allocates nothing. One pass collects a lane mask per bank; a
+    /// and allocates nothing. One pass collects the set of banks hit; a
     /// round whose lanes sit in distinct banks costs one transaction
-    /// with no further work, and otherwise only banks holding several
-    /// lanes are searched for distinct rows. When both the bank count and
-    /// the row width are powers of two (every shipped device), an address
-    /// is located by a shift and a mask instead of a division and a
-    /// modulo.
+    /// with no further work. Otherwise a second pass collects a lane
+    /// mask per bank, and only banks holding several lanes are searched
+    /// for distinct rows. When both the bank count and the row width are
+    /// powers of two (every shipped device), an address is located by a
+    /// shift and a mask instead of a division and a modulo.
     ///
     /// # Panics
     /// Panics if the model or the round exceeds [`MAX_BANKS`].
@@ -170,21 +170,21 @@ fn count_distinct_rows(
     bank_of: impl Fn(u32) -> u32,
 ) -> RoundCost {
     let active_lanes = addrs.len() as u32;
-    // lanes_in[b]: the lanes (bit l = lane l) whose address is in bank b.
-    let mut lanes_in = [0u64; MAX_BANKS];
-    let mut banks_hit = 0u64;
-    for (lane, &addr) in addrs.iter().enumerate() {
-        let b = bank_of(row_of(addr)) as usize;
-        lanes_in[b] |= 1 << lane;
-        banks_hit |= 1 << b;
-    }
     // Lanes in pairwise distinct banks, which is every round of a
-    // conflict-free phase, cost one transaction.
+    // conflict-free phase, cost one transaction: the first pass only
+    // collects the banks hit.
+    let banks_hit = addrs.iter().fold(0u64, |hit, &addr| hit | 1 << bank_of(row_of(addr)));
     let mut transactions = 1;
     if banks_hit.count_ones() == active_lanes {
         return RoundCost { transactions, conflicts: 0, active_lanes };
     }
-    // Otherwise a bank costs one transaction per distinct row among its
+    // Two lanes share a bank: a second pass builds lanes_in[b], the lanes
+    // (bit l = lane l) whose address is in bank b.
+    let mut lanes_in = [0u64; MAX_BANKS];
+    for (lane, &addr) in addrs.iter().enumerate() {
+        lanes_in[bank_of(row_of(addr)) as usize] |= 1 << lane;
+    }
+    // A bank costs one transaction per distinct row among its
     // lanes (lanes sharing a row are served by one broadcast). With the
     // default 4-byte banks a row IS the word address, so the accounting
     // is unchanged from the paper. Only a bank with more lanes than the

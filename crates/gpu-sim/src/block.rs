@@ -52,6 +52,9 @@ fn all_lanes(w: usize) -> LaneMask {
 /// only the lengths and the used store masks, so the buffers grow to the
 /// block's longest warp trace once and are then reused by every warp and
 /// phase without allocating.
+///
+/// While a lane runs, its round count lives in its [`LaneCtx`] cursor;
+/// [`BlockSim::phase`] writes it to `lens` once the lane is done.
 struct WarpRounds<A> {
     slots: Vec<A>,
     /// Per round, the lanes that stored; zero beyond the current warp's
@@ -72,10 +75,10 @@ impl<A: Copy + Default> WarpRounds<A> {
         self.lens.fill(0);
     }
 
+    /// Record `lane`'s access number `*cursor` and advance the cursor.
     #[inline]
-    fn push(&mut self, lane: usize, acc: A, store: bool) {
-        let w = self.lens.len();
-        let r = self.lens[lane];
+    fn push(&mut self, lane: usize, cursor: &mut usize, acc: A, store: bool) {
+        let (w, r) = (self.lens.len(), *cursor);
         if r == self.stores.len() {
             self.add_round();
         }
@@ -83,7 +86,7 @@ impl<A: Copy + Default> WarpRounds<A> {
         if store {
             self.stores[r] |= 1 << lane;
         }
-        self.lens[lane] = r + 1;
+        *cursor = r + 1;
     }
 
     /// Make room for one more round: taken only while the buffers grow
@@ -152,8 +155,9 @@ pub struct BlockSim<T: Copy, O: Observer = Passive> {
     /// Threads per block (`u` in the paper; must be a multiple of `w`).
     u: usize,
     shared: Vec<T>,
-    write_epoch: Vec<u32>,
-    write_lane: Vec<u32>,
+    /// Per shared word, the race detector's tag of its last writer:
+    /// [`write_tag`] of the phase epoch and the writing thread.
+    write_tags: Vec<u64>,
     epoch: u32,
     /// Accumulated counters for this block.
     pub profile: KernelProfile,
@@ -193,8 +197,7 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
             banks,
             u,
             shared: vec![T::default(); shared_len],
-            write_epoch: vec![0; shared_len],
-            write_lane: vec![u32::MAX; shared_len],
+            write_tags: vec![write_tag(0, u32::MAX); shared_len],
             epoch: 0,
             profile: KernelProfile::new(),
             counting: true,
@@ -272,23 +275,24 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
             self.global_rounds.clear();
             for lane in 0..w {
                 let tid = warp * w + lane;
-                let mut alu = 0u64;
-                {
-                    let mut ctx = LaneCtx {
-                        shared: &mut self.shared,
-                        write_epoch: &mut self.write_epoch,
-                        write_lane: &mut self.write_lane,
-                        epoch: self.epoch,
-                        tid: tid as u32,
-                        lane,
-                        counting: self.counting,
-                        shared_rounds: &mut self.shared_rounds,
-                        global_rounds: &mut self.global_rounds,
-                        alu: &mut alu,
-                        observer: &mut self.observer,
-                    };
-                    body(tid, &mut ctx);
-                }
+                let mut ctx = LaneCtx {
+                    shared: &mut self.shared,
+                    write_tags: &mut self.write_tags,
+                    tag: write_tag(self.epoch, tid as u32),
+                    tid: tid as u32,
+                    lane,
+                    counting: self.counting,
+                    shared_rounds: &mut self.shared_rounds,
+                    shared_cursor: 0,
+                    global_rounds: &mut self.global_rounds,
+                    global_cursor: 0,
+                    alu: 0,
+                    observer: &mut self.observer,
+                };
+                body(tid, &mut ctx);
+                let (shared_len, global_len, alu) = (ctx.shared_cursor, ctx.global_cursor, ctx.alu);
+                self.shared_rounds.lens[lane] = shared_len;
+                self.global_rounds.lens[lane] = global_len;
                 alu_total += alu;
             }
             self.observer.warp_end(warp, class);
@@ -382,17 +386,39 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
 /// corrupted (XOR masks) or dropped (lane drop-outs).
 pub struct LaneCtx<'a, T: Copy, O: Observer = Passive> {
     shared: &'a mut [T],
-    write_epoch: &'a mut [u32],
-    write_lane: &'a mut [u32],
-    epoch: u32,
+    write_tags: &'a mut [u64],
+    /// This lane's [`write_tag`] in the current phase.
+    tag: u64,
     tid: u32,
     /// Lane index within the warp.
     lane: usize,
     counting: bool,
     shared_rounds: &'a mut WarpRounds<u32>,
+    /// Shared accesses this lane has recorded in the phase so far.
+    shared_cursor: usize,
     global_rounds: &'a mut WarpRounds<u64>,
-    alu: &'a mut u64,
+    /// Global accesses this lane has recorded in the phase so far.
+    global_cursor: usize,
+    alu: u64,
     observer: &'a mut O,
+}
+
+/// The race detector's tag for a shared-memory write: the phase epoch in
+/// the high half and the writing thread in the low half, so that one
+/// load tells whether a word was written in this phase, and by whom.
+#[inline]
+fn write_tag(epoch: u32, tid: u32) -> u64 {
+    u64::from(epoch) << 32 | u64::from(tid)
+}
+
+impl<T: Copy, O: Observer> LaneCtx<'_, T, O> {
+    /// Whether this lane may touch shared word `idx`: no *other* thread
+    /// wrote it in the current phase. Returns the last writer's tag.
+    #[inline(always)]
+    fn may_touch(&self, idx: usize) -> (bool, u64) {
+        let t = self.write_tags[idx];
+        (t == self.tag || t >> 32 != self.tag >> 32, t)
+    }
 }
 
 /// `v` with the bits of `mask` flipped.
@@ -427,16 +453,16 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
                 return T::default();
             }
         } else {
+            let (ok, t) = self.may_touch(idx);
             assert!(
-                self.write_epoch[idx] != self.epoch || self.write_lane[idx] == self.tid,
+                ok,
                 "race: lane {} loads shared[{idx}] written by lane {} in the same phase \
                  (missing barrier)",
-                self.tid,
-                self.write_lane[idx],
+                self.tid, t as u32,
             );
         }
         if self.counting {
-            self.shared_rounds.push(self.lane, idx as u32, false);
+            self.shared_rounds.push(self.lane, &mut self.shared_cursor, idx as u32, false);
         }
         if O::INJECTS {
             let mask = self.observer.shared_ld_mask(self.tid, idx);
@@ -457,18 +483,17 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
                 return;
             }
         } else {
+            let (ok, t) = self.may_touch(idx);
             assert!(
-                self.write_epoch[idx] != self.epoch || self.write_lane[idx] == self.tid,
+                ok,
                 "race: lanes {} and {} both store shared[{idx}] in the same phase \
                  (missing barrier)",
-                self.write_lane[idx],
-                self.tid,
+                t as u32, self.tid,
             );
-            self.write_epoch[idx] = self.epoch;
-            self.write_lane[idx] = self.tid;
+            self.write_tags[idx] = self.tag;
         }
         if self.counting {
-            self.shared_rounds.push(self.lane, idx as u32, true);
+            self.shared_rounds.push(self.lane, &mut self.shared_cursor, idx as u32, true);
         }
         if O::INJECTS {
             if self.observer.drops_store(self.tid) {
@@ -490,7 +515,7 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             return T::default();
         }
         if self.counting {
-            self.global_rounds.push(self.lane, idx as u64, false);
+            self.global_rounds.push(self.lane, &mut self.global_cursor, idx as u64, false);
         }
         data[idx]
     }
@@ -502,7 +527,7 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             return;
         }
         if self.counting {
-            self.global_rounds.push(self.lane, idx as u64, true);
+            self.global_rounds.push(self.lane, &mut self.global_cursor, idx as u64, true);
         }
         if O::INJECTS {
             if self.observer.drops_store(self.tid) {
@@ -525,13 +550,13 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             let _ = self.observer.global_access(self.tid, idx, usize::MAX, true);
         }
         if self.counting {
-            self.global_rounds.push(self.lane, idx as u64, true);
+            self.global_rounds.push(self.lane, &mut self.global_cursor, idx as u64, true);
         }
     }
 
     /// Charge `n` scalar ALU operations to this lane.
     pub fn alu(&mut self, n: u64) {
-        *self.alu += n;
+        self.alu += n;
     }
 }
 

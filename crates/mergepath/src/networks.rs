@@ -12,21 +12,61 @@
 /// Odd-even transposition sort (Habermann 1972): `n` rounds of
 /// alternating-parity adjacent compare-exchanges. Works for any `n` and
 /// any input. Returns the number of compare-exchanges performed.
-pub fn oets_sort<T: Ord>(v: &mut [T]) -> u64 {
+///
+/// Each compare-exchange is a branch-free `min`/`max` pair; on equal
+/// elements both keep their places, exactly as a swap-if-greater would.
+pub fn oets_sort<T: Ord + Copy>(v: &mut [T]) -> u64 {
     let n = v.len();
     let mut ops = 0u64;
     for round in 0..n {
-        let start = round % 2;
-        let mut i = start;
+        let mut i = round % 2;
         while i + 1 < n {
-            if v[i] > v[i + 1] {
-                v.swap(i, i + 1);
-            }
+            let (lo, hi) = (v[i], v[i + 1]);
+            v[i] = lo.min(hi);
+            v[i + 1] = lo.max(hi);
             ops += 1;
             i += 2;
         }
     }
     ops
+}
+
+/// Sort `regs` into `out` when `regs[..a_len]` ascends and `regs[a_len..]`
+/// descends — the bitonic register array of CF-Merge's gather — with the
+/// result [`oets_sort`] gives on any arrangement of `regs`, in `O(n)`.
+///
+/// The two runs are merged linearly. The merge emits a permutation of
+/// `regs`; if that is not sorted, because a run was not, [`oets_sort`]
+/// sorts it. Either way `out` is the sorted permutation of `regs`, which
+/// is also what the network gives on any arrangement of `regs` when
+/// equal elements are identical (as sort keys are).
+///
+/// # Panics
+/// Panics if `out.len() != regs.len()` or `a_len > regs.len()`.
+pub fn merge_bitonic_runs<T: Ord + Copy>(regs: &[T], a_len: usize, out: &mut [T]) {
+    assert_eq!(regs.len(), out.len(), "register arrays differ in length");
+    let (a, b) = regs.split_at(a_len);
+    if a.is_empty() || b.is_empty() {
+        out[..a.len()].copy_from_slice(a);
+        out[a.len()..].copy_from_slice(b);
+        out[a.len()..].reverse();
+    } else {
+        // `a` is read from its front, `b` from its back (its smallest
+        // end). The heads are clamped into range so that every step reads
+        // both without a branch: which run wins is data-dependent and
+        // would be mispredicted half the time.
+        let (mut i, mut j) = (0, b.len());
+        for slot in out.iter_mut() {
+            let (x, y) = (a[i.min(a.len() - 1)], b[j.saturating_sub(1)]);
+            let take_a = (j == 0) | ((i < a.len()) & (x <= y));
+            *slot = std::hint::select_unpredictable(take_a, x, y);
+            i += usize::from(take_a);
+            j -= usize::from(!take_a);
+        }
+    }
+    if !out.is_sorted() {
+        oets_sort(out);
+    }
 }
 
 /// Exact compare-exchange count of [`oets_sort`] on `n` elements
@@ -129,6 +169,51 @@ mod tests {
             assert_eq!(v, expect, "n={n}");
             assert_eq!(ops, oets_ops(n as usize), "n={n}");
         }
+    }
+
+    /// `merge_bitonic_runs` against `oets_sort` on the register array the
+    /// gather leaves before un-rotating it: every rotation `k`, every
+    /// split `a_len`, keys drawn from a small range so runs repeat keys.
+    #[test]
+    fn bitonic_run_merge_matches_oets_on_every_split_and_rotation() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
+        for e in [5usize, 15, 16, 17, 32] {
+            for a_len in 0..=e {
+                for k in 0..e {
+                    let mut a: Vec<u32> = (0..a_len).map(|_| rng.gen_range(0..6)).collect();
+                    let mut b: Vec<u32> = (0..e - a_len).map(|_| rng.gen_range(0..6)).collect();
+                    a.sort_unstable();
+                    b.sort_unstable_by(|x, y| y.cmp(x));
+                    let regs: Vec<u32> = a.iter().chain(&b).copied().collect();
+                    let mut rotated = regs.clone();
+                    rotated.rotate_right(k);
+                    oets_sort(&mut rotated);
+                    let mut out = vec![0; e];
+                    merge_bitonic_runs(&regs, a_len, &mut out);
+                    assert_eq!(out, rotated, "E={e} a_len={a_len} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitonic_run_merge_sorts_unsorted_runs() {
+        // A corrupted load breaks a run; the merge alone would emit
+        // [5, 1, 2, 3, 4]-like output, so the network must finish it.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        for e in [5usize, 15, 16, 17, 32] {
+            for a_len in 0..=e {
+                let regs: Vec<u32> = (0..e).map(|_| rng.gen_range(0..1000)).collect();
+                let mut expect = regs.clone();
+                oets_sort(&mut expect);
+                let mut out = vec![0; e];
+                merge_bitonic_runs(&regs, a_len, &mut out);
+                assert_eq!(out, expect, "E={e} a_len={a_len}");
+            }
+        }
+        let mut out = [0u32; 5];
+        merge_bitonic_runs(&[9, 1, 2, 8, 3], 3, &mut out);
+        assert_eq!(out, [1, 2, 3, 8, 9]);
     }
 
     #[test]
