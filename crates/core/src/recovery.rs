@@ -41,7 +41,15 @@
 //! representative's profile charged. Sampled hits are re-simulated and
 //! must match exactly. Traced, checked and fault-armed blocks are always
 //! simulated, so `simulate_sort_traced(x).run` equals `simulate_sort(x)`
-//! bit for bit.
+//! bit for bit. A `Passive` block the memo cannot replay may run *lean*:
+//! its key-oblivious phases go unrecorded and unpriced, and the launch's
+//! cached oblivious share is charged instead (same file).
+//!
+//! A merge block's expected checksum comes from stripe checksums the
+//! previous launch's verification left (see [`crate::verify`]), as long as
+//! every block of that launch verified on its first attempt; the block
+//! sort, the first launch after a resume and a launch after a failed
+//! attempt hash their input ranges.
 //!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
@@ -53,15 +61,19 @@ use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_observed, MergeChunkJob};
 use crate::sort::pipeline::{KernelReport, SortAlgorithm, SortConfig, SortRun};
-use crate::verify::{multiset_checksum, verify_sorted_checksum, VerifyFailure};
+use crate::verify::{
+    multiset_checksum, verify_sorted_checksum, verify_sorted_striped, StripeChecksums,
+    VerifyFailure,
+};
 use cfmerge_gpu_sim::fault::{BlockFaults, FaultPlan, InjectionRecord};
 use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
-use memo::LaunchMemo;
+use memo::{LaunchMemo, Lean, ObliviousShare, Pricing, Simulated};
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 mod memo;
 
@@ -276,14 +288,66 @@ enum BlockJob {
 
 impl BlockJob {
     /// Multiset checksum the block's output must carry: its tile's, or —
-    /// by checksum additivity — the sum of its two input ranges'.
-    fn expected_checksum<K: SortKey>(self, src: &[K], tile: usize) -> u64 {
-        match self {
-            BlockJob::Tile(lo) => multiset_checksum(&src[lo..lo + tile]),
-            BlockJob::Merge(job) => multiset_checksum(&src[job.a_begin..job.a_end])
+    /// by checksum additivity — the sum of its two input ranges', read off
+    /// `src`'s stripe checksums when they are `carried`.
+    fn expected_checksum<K: SortKey>(
+        self,
+        src: &[K],
+        tile: usize,
+        carried: Option<&StripeChecksums>,
+    ) -> u64 {
+        match (self, carried) {
+            (BlockJob::Tile(lo), _) => multiset_checksum(&src[lo..lo + tile]),
+            (BlockJob::Merge(job), Some(sums)) => sums
+                .range(src, job.a_begin, job.a_end)
+                .wrapping_add(sums.range(src, job.b_begin, job.b_end)),
+            (BlockJob::Merge(job), None) => multiset_checksum(&src[job.a_begin..job.a_end])
                 .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end])),
         }
     }
+}
+
+/// Keys per stripe checksum for blocks of `tile` keys: a divisor of the
+/// tile, so no stripe straddles two blocks.
+fn stripe_width(tile: usize) -> usize {
+    cfmerge_numtheory::gcd(tile as u64, 64) as usize
+}
+
+thread_local! {
+    /// The stripe buffer of the last sort run on this thread, kept for the
+    /// next. A buffer allocated and freed per sort, among the key buffers,
+    /// raised `host_bench`'s `fig5_worst` peak RSS by 12% within seconds
+    /// of repeated sorts.
+    static STRIPES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A run's stripe buffer, taken from [`STRIPES`] and given back on drop.
+struct StripeBuf(Vec<u64>);
+
+impl StripeBuf {
+    fn take(len: usize) -> Self {
+        let mut buf = STRIPES.with(RefCell::take);
+        buf.clear();
+        buf.resize(len, 0);
+        StripeBuf(buf)
+    }
+}
+
+impl Drop for StripeBuf {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.0);
+        STRIPES.with(|cell| *cell.borrow_mut() = buf);
+    }
+}
+
+/// What every block of one launch shares.
+struct Launch<'a, K> {
+    /// Launch index in the fault plan's numbering.
+    kernel: u32,
+    name: &'a str,
+    memo: LaunchMemo<'a, K>,
+    /// Each block's expected output checksum.
+    expected: Vec<u64>,
 }
 
 /// One execution of one block.
@@ -547,7 +611,8 @@ struct Driver<'a, F> {
     /// Marks the degraded alternate pipeline (sticky faults stop firing).
     fallback: bool,
     make_observer: &'a F,
-    /// Blocks the memo gate let through to the simulator.
+    /// Simulations the memo asked for (a debug build simulates each lean
+    /// block twice).
     #[cfg(test)]
     simulated: std::sync::atomic::AtomicUsize,
 }
@@ -615,6 +680,10 @@ where
         let mut dst = vec![K::default(); n_pad];
         let mut kernels: Vec<KernelReport> = Vec::new();
         let mut observers: BlockObservers<O> = Vec::new();
+        // Each launch's verification leaves the stripe checksums of `dst`
+        // here; they describe `src` after the swap, if `carried`.
+        let mut stripes = StripeBuf::take(n_pad / stripe_width(tile));
+        let mut carried = false;
 
         loop {
             let (kernel, name, jobs, base_profile) = if width == 0 {
@@ -626,14 +695,28 @@ where
             } else {
                 break;
             };
+            let sums =
+                carried.then(|| StripeChecksums::from_stripes(stripe_width(tile), &mut stripes.0));
+            let expected =
+                jobs.iter().map(|j| j.expected_checksum(&src, tile, sums.as_ref())).collect();
+            let launch = Launch {
+                kernel,
+                name: &name,
+                memo: LaunchMemo::new(&name, jobs.len(), tile),
+                expected,
+            };
+            let detected = stats.counters.faults_detected;
             let (report, extra, failed, blocks) =
-                self.launch(kernel, &name, jobs, &src, &mut dst, base_profile, stats)?;
+                self.launch(&launch, jobs, &src, &mut dst, &mut stripes.0, base_profile, stats)?;
             seconds += report.time.seconds + extra;
             kernels.push(report);
             if let Some(f) = failed {
                 return Ok(Err(f));
             }
             observers.push(blocks);
+            // A retried block's stripes are its verified retry's, but only
+            // a launch where no attempt failed carries them on.
+            carried = stats.counters.faults_detected == detected;
             std::mem::swap(&mut src, &mut dst);
             if width == 0 {
                 width = tile;
@@ -694,27 +777,27 @@ where
     }
 
     /// One launch: every block's execute-verify-retry loop into its
-    /// `tile`-sized window of `dst`, then straggler hedging, then
-    /// [`settle_kernel`]. The launch's block memo lives exactly this long.
+    /// `tile`-sized window of `dst` (and its stripes of `stripes`), then
+    /// straggler hedging, then [`settle_kernel`].
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn launch<K: SortKey>(
         &self,
-        kernel: u32,
-        name: &str,
+        launch: &Launch<'_, K>,
         jobs: Vec<BlockJob>,
         src: &[K],
         dst: &mut [K],
+        stripes: &mut [u64],
         base_profile: KernelProfile,
         stats: &mut RunStats,
     ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
         let tile = self.rcfg.base.params.tile();
-        let memo = LaunchMemo::new(name, jobs.len(), tile);
         let mut execs: Vec<BlockExec<O>> = jobs
             .par_iter()
             .zip(dst.par_chunks_mut(tile))
+            .zip(stripes.par_chunks_mut(tile / stripe_width(tile)))
             .enumerate()
-            .map(|(block, (&job, out))| {
-                self.recover_block(&memo, kernel, name, block, job, src, out)
+            .map(|(block, ((&job, out), sums))| {
+                self.recover_block(launch, block, job, src, out, sums)
             })
             .collect();
         let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
@@ -725,24 +808,23 @@ where
             }
             let job = jobs[block];
             let mut scratch = vec![K::default(); tile];
-            let hedge = self.attempt(&memo, kernel, block, ex.executions, job, src, &mut scratch);
+            // A hedge's scratch output leaves no stripes.
+            let hedge = self.attempt(launch, block, ex.executions, job, src, &mut scratch, None);
             ex.apply_hedge(hedge);
         }
-        settle_kernel(self.rcfg, name, base_profile, execs, stats)
+        settle_kernel(self.rcfg, launch.name, base_profile, execs, stats)
     }
 
     /// Execute-verify loop for one block: up to `1 + max_retries`
     /// attempts, stopping at the first whose output verifies.
-    #[allow(clippy::too_many_arguments)]
     fn recover_block<K: SortKey>(
         &self,
-        memo: &LaunchMemo<'_, K>,
-        kernel: u32,
-        name: &str,
+        launch: &Launch<'_, K>,
         block: usize,
         job: BlockJob,
         src: &[K],
         dst: &mut [K],
+        stripes: &mut [u64],
     ) -> BlockExec<O> {
         let mut out = BlockExec {
             profile: KernelProfile::new(),
@@ -759,7 +841,7 @@ where
             hedge_profile: KernelProfile::new(),
         };
         for attempt in 0..=self.rcfg.max_retries {
-            let a = self.attempt(memo, kernel, block, attempt, job, src, dst);
+            let a = self.attempt(launch, block, attempt, job, src, dst, Some(&mut *stripes));
             out.executions = attempt + 1;
             out.spike_cycles += a.faults.spike_cycles();
             out.injections.extend(a.faults.into_records());
@@ -772,7 +854,7 @@ where
                 }
                 Err(failure) => {
                     out.detections.push(DetectionRecord {
-                        kernel: name.to_string(),
+                        kernel: launch.name.to_string(),
                         block,
                         attempt,
                         failure,
@@ -788,19 +870,20 @@ where
     /// Run `job` once into `dst` — under the plan's injector for this
     /// attempt if it arms a site, else under a fresh observer, through the
     /// launch's memo when that observer is passive — and verify what it
-    /// wrote, replayed or simulated.
+    /// wrote, replayed or simulated, leaving its stripe checksums in
+    /// `stripes` if given.
     #[allow(clippy::too_many_arguments)]
     fn attempt<K: SortKey>(
         &self,
-        memo: &LaunchMemo<'_, K>,
-        kernel: u32,
+        launch: &Launch<'_, K>,
         block: usize,
         attempt: u32,
         job: BlockJob,
         src: &[K],
         dst: &mut [K],
+        stripes: Option<&mut [u64]>,
     ) -> Attempt<O> {
-        let faults = self.plan.block_faults(kernel, block as u32, attempt, self.fallback);
+        let faults = self.plan.block_faults(launch.kernel, block as u32, attempt, self.fallback);
         // An unarmed injector changes nothing, but it would still route
         // every access through its hooks: run the block under the
         // caller's observer instead.
@@ -808,18 +891,41 @@ where
             let (profile, faults) = self.execute(job, src, dst, faults);
             (profile, None, faults)
         } else if O::PASSIVE {
-            let profile = memo.execute(block, job, src, dst, |dst| {
+            let profile = launch.memo.execute(block, job, src, dst, |dst, pricing| {
                 #[cfg(test)]
                 self.simulated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.execute(job, src, dst, Passive).0
+                self.simulate(job, src, dst, pricing)
             });
             (profile, Some((self.make_observer)()), faults)
         } else {
             let (profile, observer) = self.execute(job, src, dst, (self.make_observer)());
             (profile, Some(observer), faults)
         };
-        let verdict = verify_sorted_checksum(dst, job.expected_checksum(src, dst.len()));
+        let expect = launch.expected[block];
+        let verdict = match stripes {
+            Some(stripes) => verify_sorted_striped(dst, expect, stripe_width(dst.len()), stripes),
+            None => verify_sorted_checksum(dst, expect),
+        };
         Attempt { profile, observer, faults, verdict }
+    }
+
+    /// Run the block's kernel unwatched: in full, collecting its oblivious
+    /// share, or lean.
+    fn simulate<K: SortKey>(
+        &self,
+        job: BlockJob,
+        src: &[K],
+        dst: &mut [K],
+        pricing: Pricing,
+    ) -> Simulated {
+        match pricing {
+            Pricing::Full => {
+                let (profile, ObliviousShare(share)) =
+                    self.execute(job, src, dst, ObliviousShare::default());
+                (profile, share)
+            }
+            Pricing::Lean => (self.execute(job, src, dst, Lean).0, KernelProfile::new()),
+        }
     }
 
     /// Run the block's kernel once under `observer`.
@@ -1680,13 +1786,13 @@ mod tests {
         };
         let memo = LaunchMemo::new("merge-pass-0", 4, 160);
         let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
-        let mut simulations = 0;
+        let mut calls = Vec::new();
         let mut profiles = Vec::new();
         // Block indices 0..3 of a 4-block launch: none is sampled.
         for (block, a) in [0, 3, 8].into_iter().enumerate() {
-            let profile = memo.execute(block, chunk(a), &src, &mut dst, |dst| {
-                simulations += 1;
-                driver.execute(chunk(a), &src, dst, Passive).0
+            let profile = memo.execute(block, chunk(a), &src, &mut dst, |dst, pricing| {
+                calls.push((block, pricing));
+                driver.simulate(chunk(a), &src, dst, pricing)
             });
             let (simulated, Passive) = driver.execute(chunk(a), &src, &mut fresh, Passive);
             assert_eq!(dst, fresh, "a_begin {a}");
@@ -1696,32 +1802,90 @@ mod tests {
         let load = |p: &KernelProfile| *p.phase(PhaseClass::LoadTile);
         assert_ne!(load(&profiles[0]), load(&profiles[1]), "misaligned A loads more sectors");
         // a_begin 8 shares a_begin 0's residue: a hit, not a simulation.
-        assert_eq!(simulations, 2);
+        // The miss at a_begin 3 runs lean (and, in a debug build, in full
+        // once more to cross-check).
+        assert_eq!(calls[..2], [(0, Pricing::Full), (1, Pricing::Lean)]);
+        assert!(calls.iter().all(|&(block, _)| block < 2), "{calls:?}");
+    }
+
+    /// Two copies of one random tile, then a different tile.
+    fn three_tiles() -> Vec<u32> {
+        let tile = InputSpec::RandomPermutation { seed: 39 }.generate(160);
+        let other = InputSpec::RandomPermutation { seed: 41 }.generate(160);
+        [tile.clone(), tile, other].concat()
+    }
+
+    /// Block-sort the tile of `src` at `lo` unwatched.
+    fn simulate_tile(src: &[u32], lo: usize, dst: &mut [u32], pricing: Pricing) -> Simulated {
+        let (rcfg, plan) = (small_rcfg(), FaultPlan::none());
+        let driver = passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan);
+        driver.simulate(BlockJob::Tile(lo), src, dst, pricing)
     }
 
     #[test]
-    #[should_panic(expected = "blocksort block 63 re-simulated to a profile that differs")]
-    fn doctored_representative_fails_its_sampled_resimulation() {
-        let rcfg = small_rcfg();
-        let plan = FaultPlan::none();
-        let driver = passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan);
-        let tile = InputSpec::RandomPermutation { seed: 39 }.generate(160);
-        let src = [tile.clone(), tile].concat();
-        let simulate =
-            |lo, dst: &mut [u32]| driver.execute(BlockJob::Tile(lo), &src, dst, Passive).0;
+    fn lean_miss_is_charged_the_launchs_oblivious_share() {
+        let src = three_tiles();
+        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
         let memo = LaunchMemo::new("blocksort", 128, 160);
-        let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst| {
-            let mut profile = simulate(0, dst);
+        let first =
+            memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, p| simulate(0, dst, p));
+        let mut pricings = Vec::new();
+        let lean = memo.execute(2, BlockJob::Tile(320), &src, &mut dst, |dst, p| {
+            pricings.push(p);
+            simulate(320, dst, p)
+        });
+        assert_eq!(pricings[0], Pricing::Lean);
+        let mut full_dst = vec![0u32; 160];
+        let (full, share) = simulate(320, &mut full_dst, Pricing::Full);
+        assert_eq!((&lean, &dst), (&full, &full_dst));
+        // The share is the block's oblivious phases: no search or merge.
+        assert!(
+            share.phase(PhaseClass::Merge).is_zero() && share.phase(PhaseClass::Search).is_zero()
+        );
+        assert_eq!(share.phase(PhaseClass::StoreTile), first.phase(PhaseClass::StoreTile));
+    }
+
+    // A sampled block checks its oblivious share first, so the doctored
+    // representative below keeps an honest share to reach the profile
+    // check.
+    #[test]
+    #[should_panic(expected = "blocksort block 63 re-simulated to a profile that differs")]
+    fn doctored_representative_fails_its_sampled_resimulation() {
+        let src = three_tiles();
+        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
+        let mut dst = vec![0u32; 160];
+        let memo = LaunchMemo::new("blocksort", 128, 160);
+        let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
+            let (mut profile, share) = simulate(0, dst, pricing);
             profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
-            profile
+            (profile, share)
         });
         // An unsampled hit charges the cached profile as it is...
         let replayed =
-            memo.execute(1, BlockJob::Tile(160), &src, &mut dst, |_| unreachable!("a hit"));
+            memo.execute(1, BlockJob::Tile(160), &src, &mut dst, |_, _| unreachable!("a hit"));
         assert_eq!(replayed, doctored);
         // ...and a sampled one re-simulates and catches the difference.
-        let _ = memo.execute(63, BlockJob::Tile(160), &src, &mut dst, |dst| simulate(160, dst));
+        let _ =
+            memo.execute(63, BlockJob::Tile(160), &src, &mut dst, |dst, p| simulate(160, dst, p));
+    }
+
+    #[test]
+    #[should_panic(expected = "oblivious share invariant violated: blocksort block 63 reported \
+                               an oblivious share that differs from the launch's cached one at \
+                               phase sort counter alu_ops")]
+    fn doctored_oblivious_share_fails_a_sampled_block() {
+        let src = three_tiles();
+        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
+        let mut dst = vec![0u32; 160];
+        let memo = LaunchMemo::new("blocksort", 128, 160);
+        let _ = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
+            let (profile, mut share) = simulate(0, dst, pricing);
+            share.phase_mut(PhaseClass::Sort).alu_ops += 1;
+            (profile, share)
+        });
+        let _ =
+            memo.execute(63, BlockJob::Tile(160), &src, &mut dst, |dst, p| simulate(160, dst, p));
     }
 
     #[test]

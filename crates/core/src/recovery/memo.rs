@@ -36,11 +36,27 @@
 //! indices (see [`LaunchMemo::execute`]) are re-simulated and must
 //! reproduce the cached profile exactly; a mismatch is an invariant
 //! violation and panics.
+//!
+//! ## Lean misses
+//!
+//! A block the memo cannot replay is simulated, but not all of it needs
+//! pricing. The kernels run the phases whose addresses never depend on a
+//! key as oblivious phases (see `BlockSim::oblivious_phase`), and their
+//! counters, the block's *oblivious share*, are equal in every block of a
+//! launch. The memo keeps the share of the launch's first fully
+//! simulated block. Every later miss the sampling rule does not pick
+//! runs [`Pricing::Lean`]: its oblivious phases move data and keep the
+//! race detector on but record and charge nothing, and the cached share
+//! is added to its profile. Every sampled block, hit or miss, runs
+//! [`Pricing::Full`] and panics unless its share equals the cached one.
+//! Debug builds also re-simulate every lean block in full and panic
+//! unless the two profiles agree.
 
 use super::BlockJob;
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::global::SECTOR_WORDS;
-use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
+use cfmerge_gpu_sim::observer::Observer;
+use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use cfmerge_json::ToJson;
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -52,7 +68,39 @@ const MAX_REPS: usize = 4;
 /// re-simulated.
 const SAMPLE_EVERY: usize = 64;
 
-/// One launch's representatives.
+/// How a missed block is simulated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pricing {
+    /// Record and price every phase, and report the oblivious share.
+    Full,
+    /// Run the oblivious phases unrecorded and unpriced.
+    Lean,
+}
+
+/// What simulating a block yields: its profile, and its oblivious share
+/// (empty for a [`Pricing::Lean`] run, which charges its oblivious phases
+/// nothing).
+pub(crate) type Simulated = (KernelProfile, KernelProfile);
+
+/// The observer of a [`Pricing::Full`] block: passive, but collecting the
+/// block's oblivious share.
+#[derive(Default)]
+pub(crate) struct ObliviousShare(pub(crate) KernelProfile);
+
+impl Observer for ObliviousShare {
+    fn oblivious_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+        self.0.phase_mut(class).add(counters);
+    }
+}
+
+/// The observer of a [`Pricing::Lean`] block.
+pub(crate) struct Lean;
+
+impl Observer for Lean {
+    const LEAN: bool = true;
+}
+
+/// One launch's representatives, and its oblivious share.
 pub(crate) struct LaunchMemo<'a, K> {
     /// Kernel launch name, for the sample-mismatch panic.
     kernel: &'a str,
@@ -61,6 +109,8 @@ pub(crate) struct LaunchMemo<'a, K> {
     /// Keys per block.
     tile: usize,
     reps: [OnceLock<Rep<K>>; MAX_REPS],
+    /// The oblivious share of the launch's first fully simulated block.
+    share: OnceLock<KernelProfile>,
 }
 
 /// What a block must share with a representative before its keys are
@@ -92,7 +142,7 @@ struct WeakOrder {
 
 impl<'a, K: SortKey> LaunchMemo<'a, K> {
     pub(crate) fn new(kernel: &'a str, blocks: usize, tile: usize) -> Self {
-        Self { kernel, blocks, tile, reps: Default::default() }
+        Self { kernel, blocks, tile, reps: Default::default(), share: OnceLock::new() }
     }
 
     /// Run block `block` of the launch into `dst`: replay it if a
@@ -100,20 +150,27 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
     /// it as a representative while there is room. A hit at a sampled
     /// index (one block in [`SAMPLE_EVERY`], and the launch's last) is
     /// simulated too, and panics unless it reproduces the cached profile.
+    /// An unsampled miss runs lean once the launch's oblivious share is
+    /// known (see the module docs).
     pub(crate) fn execute(
         &self,
         block: usize,
         job: BlockJob,
         src: &[K],
         dst: &mut [K],
-        simulate: impl FnOnce(&mut [K]) -> KernelProfile,
+        mut simulate: impl FnMut(&mut [K], Pricing) -> Simulated,
     ) -> KernelProfile {
         let sampled = block % SAMPLE_EVERY == SAMPLE_EVERY - 1 || block + 1 == self.blocks;
         let cached = self.replay(job, src, dst);
         if let Some(cached) = cached.filter(|_| !sampled) {
             return cached.clone();
         }
-        let profile = simulate(dst);
+        let profile = match self.share.get() {
+            Some(share) if cached.is_none() && !sampled => {
+                self.lean(block, dst, share, &mut simulate)
+            }
+            _ => self.full(block, dst, &mut simulate),
+        };
         match cached {
             Some(cached) if *cached != profile => panic!(
                 "block memo invariant violated: {} block {block} re-simulated to a profile \
@@ -123,6 +180,52 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
             ),
             Some(_) => {}
             None => self.record(job, src, &profile),
+        }
+        profile
+    }
+
+    /// Simulate the block in full; the launch's first such block sets its
+    /// oblivious share, and every later one must report the same share.
+    fn full(
+        &self,
+        block: usize,
+        dst: &mut [K],
+        simulate: &mut impl FnMut(&mut [K], Pricing) -> Simulated,
+    ) -> KernelProfile {
+        let (profile, share) = simulate(dst, Pricing::Full);
+        let cached = self.share.get_or_init(|| share.clone());
+        if *cached != share {
+            panic!(
+                "oblivious share invariant violated: {} block {block} reported an oblivious \
+                 share that differs from the launch's cached one at {}",
+                self.kernel,
+                first_difference(cached, &share)
+            );
+        }
+        profile
+    }
+
+    /// Simulate the block lean and charge it the launch's oblivious share.
+    fn lean(
+        &self,
+        block: usize,
+        dst: &mut [K],
+        share: &KernelProfile,
+        simulate: &mut impl FnMut(&mut [K], Pricing) -> Simulated,
+    ) -> KernelProfile {
+        let (mut profile, _) = simulate(dst, Pricing::Lean);
+        profile.merge(share);
+        if cfg!(debug_assertions) {
+            let mut full_dst = vec![K::default(); dst.len()];
+            let (full, _) = simulate(&mut full_dst, Pricing::Full);
+            assert!(full_dst == dst, "lean {} block {block} wrote other output", self.kernel);
+            assert!(
+                full == profile,
+                "lean block invariant violated: {} block {block} plus the oblivious share \
+                 differs from its full simulation at {}",
+                self.kernel,
+                first_difference(&profile, &full)
+            );
         }
         profile
     }

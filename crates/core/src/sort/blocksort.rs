@@ -16,6 +16,12 @@
 //! The CF variant keeps each pair in the reversed-`B` layout between
 //! rounds *at no extra cost*: the store of round `k` writes directly into
 //! round `k+1`'s layout (the "reorder during transfer" of Section 5).
+//!
+//! Only the searches and the merge or gather read keys to choose
+//! addresses. The tile load, the register-sort load, every inter-round
+//! store and the tile store run as
+//! [`oblivious_phase`](BlockSim::oblivious_phase)s: their addresses are
+//! fixed by `(w, E, u)`.
 
 use super::kernels::{
     clamped_split, gather_merge_from_shared, serial_merge_from_shared, shared_merge_path,
@@ -170,7 +176,7 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
     block.set_counting(count_accesses);
 
     // 1. Coalesced load.
-    block.phase(PhaseClass::LoadTile, |tid, lane| {
+    block.oblivious_phase(PhaseClass::LoadTile, |tid, lane| {
         for r in 0..e {
             let s = r * u + tid;
             let v = lane.ld_global(src_tile, s);
@@ -187,7 +193,7 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
     //    layout (run width E) for CF.
     let cf = strategy == MergeStrategy::Gather;
     let mut regs = vec![K::default(); tile];
-    block.phase(PhaseClass::Sort, |tid, lane| {
+    block.oblivious_phase(PhaseClass::Sort, |tid, lane| {
         let regs = &mut regs[tid * e..(tid + 1) * e];
         for (m, r) in regs.iter_mut().enumerate() {
             *r = lane.ld(tid * e + m);
@@ -196,7 +202,7 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
         debug_assert_eq!(ops, oets_ops(e));
         lane.alu(3 * ops);
     });
-    block.phase(PhaseClass::Sort, |tid, lane| {
+    block.oblivious_phase(PhaseClass::Sort, |tid, lane| {
         store_ranks(lane, tid * e, &regs[tid * e..(tid + 1) * e], cf.then_some(e));
     });
 
@@ -246,14 +252,14 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
         // 3c. store for the next round (or natural if this was the last).
         let next_w = pair;
         let cf_next = (cf && next_w < tile).then_some(next_w);
-        block.phase(PhaseClass::Sort, |tid, lane| {
+        block.oblivious_phase(PhaseClass::Sort, |tid, lane| {
             store_ranks(lane, tid * e, &regs[tid * e..(tid + 1) * e], cf_next);
         });
         run_w = next_w;
     }
 
     // 4. Coalesced store.
-    block.phase(PhaseClass::StoreTile, |tid, lane| {
+    block.oblivious_phase(PhaseClass::StoreTile, |tid, lane| {
         for r in 0..e {
             let s = r * u + tid;
             let v = lane.ld(s);

@@ -9,6 +9,10 @@
 //! permuted layout `ρ(A ∪ π(B))` **during the load** (same traffic), the
 //! searches run through the permuted index maps, and the serial merge is
 //! replaced by the conflict-free gather + register network.
+//!
+//! Both store phases are [`oblivious_phase`](BlockSim::oblivious_phase)s.
+//! The load is not: its CF slots and its global sectors depend on `|A|`
+//! and on the chunk's alignment.
 
 use super::blocksort::MergeStrategy;
 use super::kernels::{
@@ -168,12 +172,12 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
     }
 
     // 4. Stage through shared (rank layout), then coalesced store.
-    block.phase(PhaseClass::StoreTile, |tid, lane| {
+    block.oblivious_phase(PhaseClass::StoreTile, |tid, lane| {
         for m in 0..e {
             lane.st(tid * e + m, regs[tid * e + m]);
         }
     });
-    block.phase(PhaseClass::StoreTile, |tid, lane| {
+    block.oblivious_phase(PhaseClass::StoreTile, |tid, lane| {
         for r in 0..e {
             let s = r * u + tid;
             let v = lane.ld(s);

@@ -21,6 +21,16 @@
 //! negligible against the simulator's deterministic fault plans, and the
 //! same trade every production checksum scheme (ECC included) makes. For
 //! tests, [`verify_sorted_permutation`] provides the exact oracle.
+//!
+//! ## Stripe checksums
+//!
+//! The verifying pass already hashes every output key, so
+//! [`verify_sorted_striped`] also leaves the checksum of each fixed-width
+//! *stripe* of the output. Once every block of a launch has verified, the
+//! driver turns those sums into [`StripeChecksums`] prefix sums. The next
+//! launch reads exactly that buffer, so a merge block's expected checksum
+//! for any input range is a prefix difference plus the partial stripes at
+//! the range's two ends, not a re-hash of the range.
 
 use crate::sort::key::SortKey;
 
@@ -88,11 +98,37 @@ pub fn verify_sorted_checksum<K: SortKey>(
     output: &[K],
     expect_checksum: u64,
 ) -> Result<(), VerifyFailure> {
-    let mut got = output.first().map_or(0, |k| mix64(k.to_fault_bits()));
+    verify_sorted_striped(output, expect_checksum, output.len().max(1), &mut [0])
+}
+
+/// [`verify_sorted_checksum`] that also leaves, in `stripes[i]`, the
+/// checksum of `output[i·stripe..(i+1)·stripe]` (a shorter last stripe if
+/// `stripe` does not divide the length). Every stripe is written, pass or
+/// fail.
+///
+/// # Panics
+/// Panics if `stripes` has fewer than `output.len().div_ceil(stripe)`
+/// entries, or if `stripe` is zero.
+pub fn verify_sorted_striped<K: SortKey>(
+    output: &[K],
+    expect_checksum: u64,
+    stripe: usize,
+    stripes: &mut [u64],
+) -> Result<(), VerifyFailure> {
+    assert!(stripes.len() >= output.len().div_ceil(stripe), "too few stripe sums");
+    let mut got = 0u64;
     let mut sorted = true;
-    for pair in output.windows(2) {
-        sorted &= pair[0] <= pair[1];
-        got = got.wrapping_add(mix64(pair[1].to_fault_bits()));
+    // The first key compares with itself.
+    let mut prev = output.first().copied().unwrap_or_default();
+    for (chunk, sum) in output.chunks(stripe).zip(stripes) {
+        let mut s = 0u64;
+        for &k in chunk {
+            sorted &= prev <= k;
+            prev = k;
+            s = s.wrapping_add(mix64(k.to_fault_bits()));
+        }
+        *sum = s;
+        got = got.wrapping_add(s);
     }
     if !sorted {
         check_sorted(output)?;
@@ -101,6 +137,56 @@ pub fn verify_sorted_checksum<K: SortKey>(
         return Err(VerifyFailure::ChecksumMismatch { expect: expect_checksum, got });
     }
     Ok(())
+}
+
+/// Prefix sums of the stripe checksums [`verify_sorted_striped`] left for
+/// one buffer, answering the [`multiset_checksum`] of any range of it.
+#[derive(Debug)]
+pub struct StripeChecksums<'a> {
+    stripe: usize,
+    /// `prefix[i]`: the wrapping sum of stripes `0..=i`.
+    prefix: &'a [u64],
+}
+
+impl<'a> StripeChecksums<'a> {
+    /// Turn `stripes`, one buffer's checksums of `stripe`-key stripes in
+    /// order, into their prefix sums in place.
+    ///
+    /// # Panics
+    /// Panics if `stripe` is zero.
+    pub fn from_stripes(stripe: usize, stripes: &'a mut [u64]) -> Self {
+        assert!(stripe > 0, "stripes must be non-empty");
+        let mut acc = 0u64;
+        for s in stripes.iter_mut() {
+            acc = acc.wrapping_add(*s);
+            *s = acc;
+        }
+        Self { stripe, prefix: stripes }
+    }
+
+    /// The wrapping sum of stripes `0..i`.
+    fn before(&self, i: usize) -> u64 {
+        i.checked_sub(1).map_or(0, |last| self.prefix[last])
+    }
+
+    /// `multiset_checksum(&keys[lo..hi])`, where `keys` is the buffer the
+    /// stripes were taken of: the whole stripes inside the range by prefix
+    /// difference, the partial stripes at its ends by hashing them.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds of `keys` or of the stripes.
+    #[must_use]
+    pub fn range<K: SortKey>(&self, keys: &[K], lo: usize, hi: usize) -> u64 {
+        let (first, last) = (lo.div_ceil(self.stripe), hi / self.stripe);
+        if first >= last {
+            return multiset_checksum(&keys[lo..hi]);
+        }
+        let (head, tail) = (first * self.stripe, last * self.stripe);
+        self.before(last)
+            .wrapping_sub(self.before(first))
+            .wrapping_add(multiset_checksum(&keys[lo..head]))
+            .wrapping_add(multiset_checksum(&keys[tail..hi]))
+    }
 }
 
 /// `Err` with the first inversion of `output`, if it has one.
@@ -194,6 +280,47 @@ mod tests {
         let empty: [u32; 0] = [];
         assert_eq!(verify_sorted_checksum(&empty, 0), Ok(()));
         assert_eq!(verify_sorted_checksum(&[7u32], multiset_checksum(&[7u32])), Ok(()));
+    }
+
+    #[test]
+    fn stripe_checksums_match_range_hashes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(77);
+        // Tiles of 160 (not a multiple of 64: stripes of 32) and 448.
+        for tile in [160usize, 448] {
+            let stripe = cfmerge_numtheory::gcd(tile as u64, 64) as usize;
+            let mut keys: Vec<u32> = (0..8 * tile).map(|_| rng.gen_range(0..1000)).collect();
+            let mut stripes = vec![0u64; keys.len() / stripe];
+            for (block, sums) in keys.chunks_mut(tile).zip(stripes.chunks_mut(tile / stripe)) {
+                block.sort_unstable();
+                let expect = multiset_checksum(block);
+                assert_eq!(verify_sorted_striped(block, expect, stripe, sums), Ok(()));
+            }
+            let sums = StripeChecksums::from_stripes(stripe, &mut stripes);
+            let mut ranges = vec![(0, keys.len()), (3, 3), (5, 9), (stripe, 2 * stripe)];
+            ranges.extend((1..stripe).map(|len| (stripe + 1, stripe + 1 + len)));
+            ranges.extend((0..200).map(|_| {
+                let lo = rng.gen_range(0..keys.len());
+                (lo, rng.gen_range(lo..=keys.len()))
+            }));
+            for (lo, hi) in ranges {
+                let want = multiset_checksum(&keys[lo..hi]);
+                assert_eq!(sums.range(&keys, lo, hi), want, "tile {tile} range {lo}..{hi}");
+            }
+        }
+    }
+
+    #[test]
+    fn striped_verdicts_match_the_plain_check() {
+        let out = [1u32, 2, 3, 9, 4, 5, 6];
+        let expect = multiset_checksum(&out);
+        let mut stripes = [0u64; 3];
+        assert_eq!(
+            verify_sorted_striped(&out, expect, 3, &mut stripes),
+            verify_sorted_checksum(&out, expect)
+        );
+        let want: Vec<u64> = out.chunks(3).map(multiset_checksum).collect();
+        assert_eq!(stripes[..], want[..], "stripes are left on failure too");
     }
 
     #[test]

@@ -24,6 +24,19 @@
 //!   `E` loads; searches: a fixed iteration count), so index alignment is
 //!   not an approximation for them. Lanes that issue fewer accesses are
 //!   treated as predicated off for the trailing rounds.
+//!
+//! ## Oblivious phases
+//!
+//! A phase whose every shared and global address depends only on the
+//! thread id and block constants — never on a key — costs the same in
+//! every block of a launch. A kernel runs such a phase through
+//! [`BlockSim::oblivious_phase`]. Under an ordinary observer it runs
+//! exactly as [`BlockSim::phase`] and also reports its counters, ALU
+//! included, through [`Observer::oblivious_share`]. Under a
+//! [`LEAN`](Observer::LEAN) observer it runs the same closure with
+//! recording and pricing off and the race detector on, and charges
+//! nothing. So a lean block's profile plus a full block's oblivious share
+//! is the full profile, counter for counter.
 
 use crate::banks::{BankModel, MAX_BANKS};
 use crate::fault::FaultWord;
@@ -259,14 +272,61 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
     /// Run one barrier-delimited phase. `body(tid, lane)` is invoked once
     /// per thread; all its shared/global accesses are recorded and costed
     /// under `class`.
-    pub fn phase<F>(&mut self, class: PhaseClass, mut body: F)
+    pub fn phase<F>(&mut self, class: PhaseClass, body: F)
+    where
+        F: FnMut(usize, &mut LaneCtx<'_, T, O>),
+    {
+        self.run_phase(class, true, body);
+    }
+
+    /// Run one barrier-delimited phase whose every shared and global
+    /// address depends only on `tid` and block constants (see the module
+    /// docs). A [`LEAN`](Observer::LEAN) observer's block runs `body`
+    /// unrecorded and unpriced; any other block runs it as
+    /// [`phase`](Self::phase) does and reports the phase's counters
+    /// through [`Observer::oblivious_share`].
+    ///
+    /// # Panics
+    /// Panics if `class` is `Search`, `Merge` or `Gather`: those phases
+    /// read keys to choose addresses, and the merge-degree histogram of
+    /// the latter two is not part of an oblivious share.
+    pub fn oblivious_phase<F>(&mut self, class: PhaseClass, body: F)
+    where
+        F: FnMut(usize, &mut LaneCtx<'_, T, O>),
+    {
+        assert!(
+            !matches!(class, PhaseClass::Search | PhaseClass::Merge | PhaseClass::Gather),
+            "a {} phase is never oblivious",
+            class.label()
+        );
+        if O::LEAN {
+            self.run_phase(class, false, body);
+            return;
+        }
+        let before = std::mem::take(self.profile.phase_mut(class));
+        self.run_phase(class, true, body);
+        let share = *self.profile.phase(class);
+        self.observer.oblivious_share(class, &share);
+        self.profile.phase_mut(class).add(&before);
+    }
+
+    /// Run one phase; with `priced` off, record no access and charge no
+    /// ALU work. Inlined into each caller so `phase` compiles to the one
+    /// loop it was before `oblivious_phase` shared it: as an outlined
+    /// call, fully simulated merge-pass blocks ran ~20% slower.
+    #[inline(always)]
+    fn run_phase<F>(&mut self, class: PhaseClass, priced: bool, mut body: F)
     where
         F: FnMut(usize, &mut LaneCtx<'_, T, O>),
     {
         self.epoch = self.epoch.wrapping_add(1);
+        // Until some thread stores, no word carries this phase's tag, so
+        // loads skip the race check.
+        let mut stored = false;
         self.observer.phase_begin(class);
         let w = self.warp_width();
         let warps = self.warps();
+        let counting = self.counting && priced;
         let mut alu_total = 0u64;
 
         for warp in 0..warps {
@@ -279,9 +339,10 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
                     shared: &mut self.shared,
                     write_tags: &mut self.write_tags,
                     tag: write_tag(self.epoch, tid as u32),
+                    stored,
                     tid: tid as u32,
                     lane,
-                    counting: self.counting,
+                    counting,
                     shared_rounds: &mut self.shared_rounds,
                     shared_cursor: 0,
                     global_rounds: &mut self.global_rounds,
@@ -291,18 +352,21 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
                 };
                 body(tid, &mut ctx);
                 let (shared_len, global_len, alu) = (ctx.shared_cursor, ctx.global_cursor, ctx.alu);
+                stored = ctx.stored;
                 self.shared_rounds.lens[lane] = shared_len;
                 self.global_rounds.lens[lane] = global_len;
                 alu_total += alu;
             }
             self.observer.warp_end(warp, class);
-            if self.counting {
+            if counting {
                 self.account_warp(class, warp);
             }
         }
-        self.profile.phase_mut(class).alu_ops += alu_total;
-        if alu_total > 0 {
-            self.observer.alu(class, alu_total);
+        if priced {
+            self.profile.phase_mut(class).alu_ops += alu_total;
+            if alu_total > 0 {
+                self.observer.alu(class, alu_total);
+            }
         }
         self.observer.phase_end(class);
     }
@@ -389,6 +453,9 @@ pub struct LaneCtx<'a, T: Copy, O: Observer = Passive> {
     write_tags: &'a mut [u64],
     /// This lane's [`write_tag`] in the current phase.
     tag: u64,
+    /// Whether some thread, this one included, has stored to shared
+    /// memory in the current phase.
+    stored: bool,
     tid: u32,
     /// Lane index within the warp.
     lane: usize,
@@ -452,7 +519,7 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             if !self.observer.shared_access(self.tid, idx, false) {
                 return T::default();
             }
-        } else {
+        } else if self.stored {
             let (ok, t) = self.may_touch(idx);
             assert!(
                 ok,
@@ -491,6 +558,7 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
                 t as u32, self.tid,
             );
             self.write_tags[idx] = self.tag;
+            self.stored = true;
         }
         if self.counting {
             self.shared_rounds.push(self.lane, &mut self.shared_cursor, idx as u32, true);
@@ -563,6 +631,7 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::PhaseCounters;
 
     fn block(u: usize, w: u32, len: usize) -> BlockSim<u32> {
         BlockSim::new(BankModel::new(w), u, len)
@@ -663,6 +732,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "race: lane 5 loads shared[0] written by lane 0 in the same phase")]
+    fn store_in_one_warp_races_a_later_warps_load() {
+        // Warp 0 stores before warp 1 runs; warp 1's lanes have stored
+        // nothing themselves, so only the phase-wide flag arms the check.
+        let mut b = block(8, 4, 32);
+        b.phase(PhaseClass::Other, |tid, lane| {
+            if tid == 0 {
+                lane.st(0, 1);
+            }
+            if tid == 5 {
+                let _ = lane.ld(0);
+            }
+        });
+    }
+
+    #[test]
     fn same_lane_rmw_in_phase_is_fine() {
         let mut b = block(8, 8, 32);
         b.phase(PhaseClass::Other, |tid, lane| {
@@ -743,6 +828,82 @@ mod tests {
         assert_eq!(m.global_ld_requests, 1);
         assert_eq!(m.global_ld_sectors, 1);
         assert_eq!(b.profile.merge_degree_hist.buckets(), &[0, 1, 0, 0, 3]);
+    }
+
+    /// Collects the oblivious shares a full block reports.
+    #[derive(Default)]
+    struct Shares(KernelProfile);
+
+    impl Observer for Shares {
+        fn oblivious_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+            self.0.phase_mut(class).add(counters);
+        }
+    }
+
+    /// Runs oblivious phases lean.
+    struct Lean;
+
+    impl Observer for Lean {
+        const LEAN: bool = true;
+    }
+
+    /// A transpose through shared memory: an oblivious load and store
+    /// around one key-dependent phase, all under `class`.
+    fn transpose<O: Observer>(observer: O, data: &[u32], out: &mut [u32]) -> (KernelProfile, O) {
+        let mut b = BlockSim::with_observer(BankModel::new(4), 8, 32, observer);
+        b.oblivious_phase(PhaseClass::LoadTile, |tid, lane| {
+            for r in 0..4 {
+                let v = lane.ld_global(data, r * 8 + tid);
+                lane.st(tid * 4 + r, v);
+                lane.alu(1);
+            }
+        });
+        b.phase(PhaseClass::LoadTile, |tid, lane| {
+            // Key-dependent: each thread reads the word its first key names.
+            let v = lane.ld(tid * 4);
+            let _ = lane.ld(v as usize % 32);
+        });
+        b.oblivious_phase(PhaseClass::StoreTile, |tid, lane| {
+            for r in 0..4 {
+                let v = lane.ld(r * 8 + tid);
+                lane.st_global(out, r * 8 + tid, v);
+            }
+        });
+        b.finish()
+    }
+
+    #[test]
+    fn lean_oblivious_phases_move_the_same_data_and_charge_nothing() {
+        let data: Vec<u32> = (0..32).map(|i| (i * 7 + 3) % 32).collect();
+        let (mut full_out, mut lean_out) = (vec![0u32; 32], vec![0u32; 32]);
+        let (full, Shares(share)) = transpose(Shares::default(), &data, &mut full_out);
+        let (lean, Lean) = transpose(Lean, &data, &mut lean_out);
+        assert_eq!(lean_out, full_out);
+        let want: Vec<u32> = (0..32).map(|s| data[s % 4 * 8 + s / 4]).collect();
+        assert_eq!(full_out, want);
+        // The store share is the whole StoreTile phase; the load share
+        // excludes the key-dependent phase's loads under the same class.
+        assert_eq!(share.phase(PhaseClass::StoreTile), full.phase(PhaseClass::StoreTile));
+        assert_eq!(share.phase(PhaseClass::LoadTile).alu_ops, 32);
+        assert_eq!(share.phase(PhaseClass::LoadTile).shared_ld_requests, 0);
+        assert_eq!(lean.phase(PhaseClass::LoadTile).shared_ld_requests, 4);
+        assert!(lean.phase(PhaseClass::StoreTile).is_zero());
+        let mut rebuilt = lean;
+        rebuilt.merge(&share);
+        assert_eq!(rebuilt, full);
+    }
+
+    #[test]
+    #[should_panic(expected = "missing barrier")]
+    fn lean_oblivious_phases_keep_the_race_detector() {
+        let mut b = BlockSim::<u32, _>::with_observer(BankModel::new(8), 8, 32, Lean);
+        b.oblivious_phase(PhaseClass::StoreTile, |tid, lane| lane.st(0, tid as u32));
+    }
+
+    #[test]
+    #[should_panic(expected = "a gather phase is never oblivious")]
+    fn key_dependent_classes_are_never_oblivious() {
+        block(8, 8, 32).oblivious_phase(PhaseClass::Gather, |_, _| {});
     }
 
     #[test]

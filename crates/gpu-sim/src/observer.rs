@@ -20,9 +20,13 @@
 //! accesses); then [`alu`](Observer::alu) if the phase charged ALU work,
 //! and [`phase_end`](Observer::phase_end). An
 //! [`alu_phase`](crate::BlockSim::alu_phase) calls `phase_begin`, `alu`
-//! and `phase_end`, with no warp hooks.
+//! and `phase_end`, with no warp hooks. An
+//! [`oblivious_phase`](crate::BlockSim::oblivious_phase) runs like a
+//! `phase` and then, unless the observer is [`LEAN`](Observer::LEAN),
+//! calls [`oblivious_share`](Observer::oblivious_share) with the phase's
+//! counters.
 
-use crate::profiler::PhaseClass;
+use crate::profiler::{PhaseClass, PhaseCounters};
 use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
 
 /// Hooks the block engine calls while executing a kernel.
@@ -43,7 +47,9 @@ use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
 ///
 /// A third const, [`PASSIVE`](Self::PASSIVE), is read by drivers, not by
 /// the engine: it says that nothing watches the block, so the block need
-/// not run at all if its profile is already known.
+/// not run at all if its profile is already known. A fourth,
+/// [`LEAN`](Self::LEAN), lets a driver that already knows a block's
+/// oblivious phases skip recording and pricing them.
 pub trait Observer {
     /// Route accesses through the checking hooks instead of the engine's
     /// race asserts.
@@ -57,6 +63,14 @@ pub trait Observer {
     /// block whose comparisons all come out as an earlier block's instead
     /// of simulating it. Only [`Passive`] sets it.
     const PASSIVE: bool = false;
+
+    /// Run every [`oblivious_phase`](crate::BlockSim::oblivious_phase)
+    /// with recording and pricing off: it moves its data and keeps the
+    /// race detector on, but charges nothing, so the block's profile
+    /// lacks exactly the counters a full run reports through
+    /// [`oblivious_share`](Self::oblivious_share). Set only by a driver
+    /// that adds those counters back from a fully simulated block.
+    const LEAN: bool = false;
 
     /// A block simulation starts: `w` lanes per warp, `u` threads, and a
     /// shared-memory extent of `shared_len` words.
@@ -159,6 +173,14 @@ pub trait Observer {
     #[inline]
     fn phase_end(&mut self, class: PhaseClass) {
         let _ = class;
+    }
+
+    /// A fully run oblivious phase of class `class` charged `counters`
+    /// (its share of the block's profile). Not called when
+    /// [`LEAN`](Self::LEAN).
+    #[inline]
+    fn oblivious_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+        let _ = (class, counters);
     }
 }
 

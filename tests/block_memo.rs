@@ -6,6 +6,11 @@
 //! passive observer, and the traced entry point watches every block with
 //! a `BlockTracer`, so `simulate_sort_traced(x).run` is the memo-off
 //! reference for `simulate_sort(x)` and the robust entry points.
+//!
+//! The same reference pins lean misses: an unwatched block the memo
+//! cannot replay runs its key-oblivious phases unpriced and is charged
+//! the launch's cached oblivious share, while a traced block prices
+//! every phase.
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
@@ -114,6 +119,44 @@ fn memoised_sorts_equal_fully_simulated_sorts() {
                     check(&keys, algo, &rcfg, &format!("u32 {what}"));
                     check(&widen(&keys), algo, &rcfg, &format!("u64 {what}"));
                 }
+            }
+        }
+    }
+}
+
+/// Launch shapes for lean misses: (E, u), including an `E` that is not
+/// coprime with the 32-lane warp.
+const LEAN_SHAPES: [(usize, usize); 3] = [(5, 32), (7, 64), (16, 64)];
+
+#[test]
+fn lean_misses_equal_fully_priced_blocks() {
+    for (e, u) in LEAN_SHAPES {
+        let cfg = SortConfig::with_params(SortParams::new(e, u));
+        // 8 tiles: every launch has 8 blocks, of which the first and the
+        // last run in full and the six between, if misses, run lean.
+        let n = 8 * e * u;
+        let specs = [
+            InputSpec::UniformRandom { seed: 3 },
+            InputSpec::FewDistinct { seed: 4, distinct: 5 },
+            InputSpec::NearlySorted { seed: 5, swaps: n / 50 },
+        ];
+        for spec in specs {
+            let keys = spec.generate(n);
+            for algo in ALGOS {
+                let what = format!("{algo:?} E={e} u={u} {}", spec.label());
+                let reference = simulate_sort_traced(&keys, algo, &cfg).run;
+                assert_same_run(
+                    &simulate_sort(&keys, algo, &cfg),
+                    &reference,
+                    &format!("u32 {what}"),
+                );
+                let wide = widen(&keys);
+                let reference = simulate_sort_traced(&wide, algo, &cfg).run;
+                assert_same_run(
+                    &simulate_sort(&wide, algo, &cfg),
+                    &reference,
+                    &format!("u64 {what}"),
+                );
             }
         }
     }
