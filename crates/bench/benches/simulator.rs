@@ -1,30 +1,47 @@
 //! Simulator-engine micro-benches: the conflict-cost inner loop, phase
 //! dispatch overhead, and global coalescing accounting.
 
-use cfmerge_gpu_sim::banks::BankModel;
+use cfmerge_gpu_sim::banks::{BankModel, RowStamps};
 use cfmerge_gpu_sim::block::BlockSim;
 use cfmerge_gpu_sim::global::sectors_touched;
 use cfmerge_gpu_sim::profiler::PhaseClass;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 
-fn bench_round_cost(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator/round_cost");
+/// One warp round per pattern: the five of `host_bench`'s
+/// `banks.round_cost_ns.*` probes, then the division path of a bank
+/// count that is not a power of two.
+fn round_patterns() -> Vec<(&'static str, BankModel, Vec<u32>)> {
     let nvidia = BankModel::nvidia();
     let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-    // The last two take the other locators: fused 64-bit rows, and the
-    // division path of a bank count that is not a power of two.
-    let patterns: Vec<(&str, BankModel, Vec<u32>)> = vec![
+    vec![
         ("unit_stride", nvidia, (0..32).collect()),
         ("broadcast", nvidia, vec![7; 32]),
         ("random", nvidia, (0..32).map(|_| rng.gen_range(0..4096)).collect()),
         ("same_bank", nvidia, (0..32).map(|i| i * 32).collect()),
         ("row64", BankModel::with_word(32, 2), (0..32).collect()),
         ("w12_stride6", BankModel::new(12), (0..12).map(|i| i * 6).collect()),
-    ];
-    for (label, banks, addrs) in patterns {
+    ]
+}
+
+/// The stateless reference that the prover and the renderers call.
+fn bench_round_cost(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulator/round_cost");
+    for (label, banks, addrs) in round_patterns() {
         g.throughput(Throughput::Elements(addrs.len() as u64));
         g.bench_function(label, |b| b.iter(|| black_box(banks.round_cost(&addrs).transactions)));
+    }
+    g.finish();
+}
+
+/// The engine's pricing: one row-stamp table over 4096 shared words,
+/// reused by every round as a block reuses it.
+fn bench_round_pricing(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulator/round_pricing");
+    for (label, banks, addrs) in round_patterns() {
+        let mut table = RowStamps::new(&banks, 4096);
+        g.throughput(Throughput::Elements(addrs.len() as u64));
+        g.bench_function(label, |b| b.iter(|| black_box(table.price(&banks, &addrs).transactions)));
     }
     g.finish();
 }
@@ -77,6 +94,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_round_cost, bench_phase_dispatch, bench_sectors
+    targets = bench_round_cost, bench_round_pricing, bench_phase_dispatch, bench_sectors
 }
 criterion_main!(benches);

@@ -19,8 +19,11 @@
 //! by one transaction — so conflict structure changes qualitatively with
 //! the width, which is exactly what the certification lattice quantifies.
 //!
-//! [`BankModel::round_cost`] implements this exactly, and is the single
-//! function every conflict number in this repository flows through.
+//! [`BankModel::round_cost`] implements this exactly and statelessly: it
+//! is the reference that the prover, the worst-case builder and the
+//! renderers call. The engine prices its rounds with [`RowStamps`]
+//! instead, a per-block table that gives the same [`RoundCost`] in one
+//! pass over the lanes.
 
 use cfmerge_json::json_struct;
 
@@ -51,9 +54,8 @@ pub struct RoundCost {
     /// Number of transactions the access splits into
     /// (`max_b` distinct-words-in-bank-`b`; 0 if no lane was active).
     pub transactions: u32,
-    /// Extra transactions beyond the first, i.e. `max(0, transactions - 1)`
-    /// summed nowhere — this is the per-access figure nvprof calls a bank
-    /// conflict.
+    /// Extra transactions beyond the first, `max(0, transactions - 1)`:
+    /// the per-access figure nvprof counts as bank conflicts.
     pub conflicts: u32,
     /// Number of lanes that participated.
     pub active_lanes: u32,
@@ -212,6 +214,94 @@ fn count_distinct_rows(
     RoundCost { transactions, conflicts: transactions - 1, active_lanes }
 }
 
+/// One-pass pricing of shared warp rounds: one `u32` stamp per
+/// shared-memory row of a block.
+///
+/// Each priced round takes a fresh stamp. A lane whose row does not yet
+/// carry it stamps the row and adds one to its bank's count; lanes on a
+/// stamped row are broadcast. The round costs the largest count. This is
+/// [`BankModel::round_cost`]'s number without its second pass over a
+/// per-bank lane table, which a conflicting round — most rounds of a
+/// random input's searches and merges — would otherwise take.
+///
+/// Stamp 0 marks a row no round has touched. When the round stamp wraps
+/// past `u32::MAX`, the table is cleared, so an old stamp can never pass
+/// for the current one.
+#[derive(Debug)]
+pub struct RowStamps {
+    /// Per row, the stamp of the last round that touched it.
+    stamps: Vec<u32>,
+    /// The last round's stamp.
+    stamp: u32,
+}
+
+impl RowStamps {
+    /// A table for a shared memory of `words` 32-bit words laid out by
+    /// `model`.
+    #[must_use]
+    pub fn new(model: &BankModel, words: usize) -> Self {
+        Self { stamps: vec![0; words.div_ceil(model.bank_word_u32s as usize)], stamp: 0 }
+    }
+
+    /// Exactly [`BankModel::round_cost`]`(addrs)` under `model`.
+    ///
+    /// # Panics
+    /// Panics if the model or the round exceeds [`MAX_BANKS`], or if an
+    /// address lies beyond the memory the table was made for.
+    #[must_use]
+    pub fn price(&mut self, model: &BankModel, addrs: &[u32]) -> RoundCost {
+        if addrs.is_empty() {
+            return RoundCost::default();
+        }
+        let (w, width) = (model.num_banks, model.bank_word_u32s);
+        assert!(w as usize <= MAX_BANKS, "BankModel supports at most {MAX_BANKS} banks, got {w}");
+        assert!(addrs.len() <= MAX_BANKS, "a round has at most {MAX_BANKS} lanes");
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamps.fill(0);
+            self.stamp = 1;
+        }
+        let cost = if w.is_power_of_two() && width.is_power_of_two() {
+            let (shift, mask) = (width.trailing_zeros(), w - 1);
+            self.count(addrs, |addr| addr >> shift, |row| row & mask)
+        } else {
+            self.count(addrs, |addr| addr / width, |row| row % w)
+        };
+        debug_assert_eq!(cost, model.round_cost(addrs), "row-stamp pricing of {addrs:?}");
+        cost
+    }
+
+    /// The count of [`price`](Self::price) under the current stamp.
+    /// Inlined into each caller so that each locator is compiled into
+    /// its own loop.
+    #[inline(always)]
+    fn count(
+        &mut self,
+        addrs: &[u32],
+        row_of: impl Fn(u32) -> u32,
+        bank_of: impl Fn(u32) -> u32,
+    ) -> RoundCost {
+        let (stamps, stamp) = (&mut self.stamps[..], self.stamp);
+        // A bank holds at most MAX_BANKS = 64 distinct rows of a round.
+        // A bank is below w <= MAX_BANKS, so masking its index only drops
+        // a bounds check.
+        let mut rows_in = [0u8; MAX_BANKS];
+        let mut transactions = 0;
+        for &addr in addrs {
+            let row = row_of(addr);
+            let seen = &mut stamps[row as usize];
+            if *seen != stamp {
+                *seen = stamp;
+                let rows = &mut rows_in[bank_of(row) as usize & (MAX_BANKS - 1)];
+                *rows += 1;
+                transactions = transactions.max(*rows);
+            }
+        }
+        let (transactions, active_lanes) = (u32::from(transactions), addrs.len() as u32);
+        RoundCost { transactions, conflicts: transactions - 1, active_lanes }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,6 +400,36 @@ mod tests {
                 };
                 assert_eq!(m.round_cost(&addrs).transactions, naive, "w={w} {addrs:?}");
             }
+        }
+    }
+
+    #[test]
+    fn row_stamps_clear_when_the_stamp_wraps() {
+        // Start two stamps before u32::MAX and price conflicting and
+        // broadcast rounds across the wrap. The first round after the
+        // wrap hits one bank's rows: the even lanes' rows carry a stale
+        // stamp 1, the odd lanes' rows were never touched (stamp 0). A
+        // wrap that did not clear the table would price that round under
+        // stamp 0 or 1 and hide half of its rows.
+        for model in [BankModel::new(32), BankModel::new(12), BankModel::with_word(32, 2)] {
+            let w = model.num_banks;
+            let mut table = RowStamps::new(&model, 4096);
+            let same_bank: Vec<u32> = (0..w).map(|i| i * w * model.bank_word_u32s).collect();
+            for &addr in same_bank.iter().step_by(2) {
+                table.stamps[model.row_of(addr) as usize] = 1;
+            }
+            table.stamp = u32::MAX - 2;
+            let rounds: [&[u32]; 6] =
+                [&[9; 32], &[1, 65, 129, 1], &same_bank, &same_bank, &[5; 12], &[0, 64, 0, 128]];
+            for (i, round) in rounds.iter().enumerate() {
+                let round = &round[..round.len().min(w as usize)];
+                assert_eq!(
+                    table.price(&model, round),
+                    model.round_cost(round),
+                    "{model:?} round {i}"
+                );
+            }
+            assert_eq!(table.stamp, 4, "{model:?}: the wrap restarts at stamp 1");
         }
     }
 

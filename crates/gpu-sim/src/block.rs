@@ -6,8 +6,9 @@
 //! ordered trace, and traces are aligned *by access index* across the `w`
 //! lanes of each warp: the `r`-th shared access of every lane forms the
 //! warp's round `r`, exactly the lock-step model of the paper (Section 1,
-//! footnote 2: conflict-free warps have no reason to diverge). Rounds are
-//! priced by [`BankModel::round_cost`] and accumulated into a
+//! footnote 2: conflict-free warps have no reason to diverge). Shared
+//! rounds are priced by the block's [`RowStamps`] table, which gives
+//! [`BankModel::round_cost`]'s number in one pass, and accumulated into a
 //! [`KernelProfile`].
 //!
 //! ## Fidelity notes
@@ -38,7 +39,7 @@
 //! nothing. So a lean block's profile plus a full block's oblivious share
 //! is the full profile, counter for counter.
 
-use crate::banks::{BankModel, MAX_BANKS};
+use crate::banks::{BankModel, RowStamps, MAX_BANKS};
 use crate::fault::FaultWord;
 use crate::global::sectors_touched;
 use crate::observer::{Observer, Passive};
@@ -165,6 +166,8 @@ impl<A: Copy + Default> WarpRounds<A> {
 /// panic-on-race asserts in force.
 pub struct BlockSim<T: Copy, O: Observer = Passive> {
     banks: BankModel,
+    /// Prices every shared round; one stamp per shared-memory row.
+    row_stamps: RowStamps,
     /// Threads per block (`u` in the paper; must be a multiple of `w`).
     u: usize,
     shared: Vec<T>,
@@ -208,6 +211,7 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
         observer.begin_block(w, u, shared_len);
         Self {
             banks,
+            row_stamps: RowStamps::new(&banks, shared_len),
             u,
             shared: vec![T::default(); shared_len],
             write_tags: vec![write_tag(0, u32::MAX); shared_len],
@@ -386,11 +390,12 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
     /// a mixed or partial round is split into stack buffers of at most
     /// `w ≤ MAX_BANKS` lanes, so accounting allocates nothing.
     fn account_warp(&mut self, class: PhaseClass, warp: usize) {
-        let (banks, observer, profile) = (&self.banks, &mut self.observer, &mut self.profile);
+        let (banks, stamps) = (&self.banks, &mut self.row_stamps);
+        let (observer, profile) = (&mut self.observer, &mut self.profile);
         let merging = matches!(class, PhaseClass::Merge | PhaseClass::Gather);
         self.shared_rounds.for_each_round(|round, loads, stores| {
-            let ld_cost = banks.round_cost(loads);
-            let st_cost = banks.round_cost(stores);
+            let ld_cost = stamps.price(banks, loads);
+            let st_cost = stamps.price(banks, stores);
             observer.shared_round(&SharedRoundEvent {
                 class,
                 warp,

@@ -27,34 +27,44 @@ pub const SECTOR_WORDS: u64 = SECTOR_BYTES / 4;
 /// coarser than 32 B).
 #[must_use]
 pub fn sectors_touched(indices: &[u64]) -> u64 {
-    if indices.is_empty() {
-        return 0;
+    if indices.len() > MAX_BANKS {
+        // Longer than a warp round: only caller-built inputs get here.
+        let mut sectors: Vec<u64> = indices.iter().map(|&i| i / SECTOR_WORDS).collect();
+        sectors.sort_unstable();
+        sectors.dedup();
+        return sectors.len() as u64;
     }
-    // A tiny sort-based distinct count beats hashing. A warp round has at
-    // most MAX_BANKS lanes, so the engine's calls sort a stack buffer;
-    // only longer caller-built inputs use the heap.
-    let mut stack = [0u64; MAX_BANKS];
-    let mut heap = Vec::new();
-    let sectors = if indices.len() <= MAX_BANKS {
-        &mut stack[..indices.len()]
-    } else {
-        heap.resize(indices.len(), 0);
-        &mut heap[..]
-    };
-    for (s, &i) in sectors.iter_mut().zip(indices) {
-        *s = i / SECTOR_WORDS;
+    // One pass: a lane in the previous lane's sector (most lanes of a
+    // coalesced access) costs one comparison; any other lane is looked
+    // up among the distinct sectors seen so far. A sector is at most
+    // u64::MAX / 8, so the first lane never matches the sentinel.
+    let mut seen = [0u64; MAX_BANKS];
+    let (mut distinct, mut prev) = (0, u64::MAX);
+    for &i in indices {
+        let sector = i / SECTOR_WORDS;
+        if sector != prev {
+            prev = sector;
+            if !seen[..distinct].contains(&sector) {
+                seen[distinct] = sector;
+                distinct += 1;
+            }
+        }
     }
-    sectors.sort_unstable();
-    1 + sectors.windows(2).filter(|p| p[0] != p[1]).count() as u64
+    distinct as u64
 }
 
-/// Coalescing efficiency of an access: useful bytes / fetched bytes.
+/// Coalescing efficiency of an access: useful bytes / fetched bytes. A
+/// word several lanes read is useful once, so a broadcast is as wasteful
+/// as a single lane and the ratio never exceeds 1.
 #[must_use]
 pub fn efficiency(indices: &[u64]) -> f64 {
     if indices.is_empty() {
         return 1.0;
     }
-    let useful = indices.len() as f64 * 4.0;
+    let mut words = indices.to_vec();
+    words.sort_unstable();
+    words.dedup();
+    let useful = words.len() as f64 * 4.0;
     let fetched = sectors_touched(indices) as f64 * SECTOR_BYTES as f64;
     useful / fetched
 }
@@ -87,7 +97,7 @@ mod tests {
     #[test]
     fn unordered_and_long_inputs_count_distinct_sectors() {
         // Descending lanes are counted like ascending ones; more indices
-        // than a warp has lanes take the heap buffer.
+        // than a warp has lanes are copied and sorted.
         let idx: Vec<u64> = (0..32).rev().map(|i| i * 3).collect();
         assert_eq!(sectors_touched(&idx), 12);
         let long: Vec<u64> = (0..100).map(|i| (i * 37) % 800).collect();
@@ -98,6 +108,7 @@ mod tests {
     #[test]
     fn broadcast_is_one_sector() {
         assert_eq!(sectors_touched(&[100; 32]), 1);
+        assert!((efficiency(&[100; 32]) - 0.125).abs() < 1e-12);
         assert_eq!(sectors_touched(&[]), 0);
     }
 }

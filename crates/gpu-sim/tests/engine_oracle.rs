@@ -140,8 +140,11 @@ fn block_accounting_matches_naive_replay() {
     let mut rng = SmallRng::seed_from_u64(0xB10C_0AC1);
     let classes = [PhaseClass::Merge, PhaseClass::Gather, PhaseClass::Search, PhaseClass::Other];
     for case in 0..120 {
+        // 6 and 9 are figure widths of the paper and take the division
+        // path; 64 is MAX_BANKS.
+        let widths = [4u32, 6, 8, 9, 12, 32, 64];
         let model = BankModel::with_word(
-            [4u32, 8, 12, 32][rng.gen_range(0usize..4)],
+            widths[rng.gen_range(0..widths.len())],
             if rng.gen_bool(0.25) { 2 } else { 1 },
         );
         let w = model.num_banks as usize;
@@ -197,5 +200,28 @@ fn block_accounting_matches_naive_replay() {
             );
         }
         assert_eq!(block.profile.merge_degree_hist.buckets(), &expect_degrees[..], "case {case}");
+    }
+}
+
+/// The extremes of a 64-lane round: 64 distinct rows of one bank cost 64
+/// transactions, the most one bank's row count can reach; every lane on
+/// one word costs one.
+#[test]
+fn widest_rounds_cost_their_exact_extremes() {
+    let model = BankModel::new(64);
+    let spread: Vec<u32> = (0..64).map(|lane| lane * 64).collect();
+    let broadcast = vec![4032u32; 64];
+    for (round, expect) in [(spread, 64u32), (broadcast, 1)] {
+        assert_eq!(naive_transactions(model, &round), expect);
+        let mut block = BlockSim::<u32>::new(model, 64, 64 * 64);
+        block.phase(PhaseClass::Merge, |tid, lane| {
+            let _ = lane.ld(round[tid] as usize);
+        });
+        let merge = block.profile.phase(PhaseClass::Merge);
+        assert_eq!(merge.shared_ld_requests, 1);
+        assert_eq!(merge.shared_ld_transactions, u64::from(expect));
+        let mut degrees = vec![0u64; expect as usize + 1];
+        degrees[expect as usize] = 1;
+        assert_eq!(block.profile.merge_degree_hist.buckets(), &degrees[..]);
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the simulator's accounting invariants.
 
-use cfmerge_gpu_sim::banks::BankModel;
+use cfmerge_gpu_sim::banks::{BankModel, RowStamps};
 use cfmerge_gpu_sim::block::BlockSim;
-use cfmerge_gpu_sim::global::{efficiency, sectors_touched};
+use cfmerge_gpu_sim::global::{efficiency, sectors_touched, SECTOR_WORDS};
 use cfmerge_gpu_sim::profiler::PhaseClass;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -56,16 +56,46 @@ proptest! {
         prop_assert_eq!(m.strided_cost(base, stride).transactions, g);
     }
 
-    /// Sector accounting: between ceil(lanes/8) (perfect coalescing) and
-    /// lanes (fully scattered); efficiency in (0, 1].
+    /// Sector accounting is exactly the number of distinct `i / 8`, over
+    /// every warp size, on random, descending, repeated and clustered
+    /// lanes; efficiency stays in (0, 1].
     #[test]
-    fn prop_sector_bounds(idx in proptest::collection::vec(0u64..(1 << 24), 1..32)) {
-        let distinct: BTreeSet<u64> = idx.iter().copied().collect();
-        let s = sectors_touched(&idx);
-        prop_assert!(s >= 1);
-        prop_assert!(s <= distinct.len() as u64);
+    fn prop_sectors_are_distinct_sector_count(
+        idx in proptest::collection::vec(0u64..(1 << 24), 1..=64),
+        shape in 0u8..4,
+    ) {
+        let idx: Vec<u64> = match shape {
+            0 => idx,
+            1 => {
+                let mut desc = idx;
+                desc.sort_unstable_by(|a, b| b.cmp(a));
+                desc
+            }
+            // Every lane repeats one of the first few indices.
+            2 => (0..idx.len()).map(|l| idx[l % 3.min(idx.len())]).collect(),
+            // Lanes scattered within a few sectors of the first index.
+            _ => idx.iter().map(|&i| idx[0] + i % 40).collect(),
+        };
+        let naive: BTreeSet<u64> = idx.iter().map(|&i| i / SECTOR_WORDS).collect();
+        prop_assert_eq!(sectors_touched(&idx), naive.len() as u64);
         let e = efficiency(&idx);
         prop_assert!(e > 0.0 && e <= 1.0 + 1e-12);
+    }
+
+    /// One row-stamp table prices a run of rounds exactly as the
+    /// stateless round_cost does, whatever rounds came before.
+    #[test]
+    fn prop_row_stamps_match_round_cost(
+        w in 1u32..=64,
+        width in 1u32..=4,
+        rounds in proptest::collection::vec(proptest::collection::vec(0u32..512, 0..64), 1..8),
+    ) {
+        let m = BankModel::with_word(w, width);
+        let mut table = RowStamps::new(&m, 512);
+        for round in &rounds {
+            let round = &round[..round.len().min(w as usize)];
+            prop_assert_eq!(table.price(&m, round), m.round_cost(round));
+        }
     }
 
     /// The engine's ledger: a phase of per-lane unit-stride stores then
