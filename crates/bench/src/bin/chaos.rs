@@ -56,7 +56,7 @@ use cfmerge_core::recovery::{aggregate_counters, pipeline_shape, RobustConfig, S
 use cfmerge_core::resilience::{
     AdmissionConfig, BreakerConfig, CheckpointPolicy, ClusterConfig, ClusterReport, ClusterService,
     DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan, HedgeConfig, LoadGenConfig,
-    MigrationConfig, ResilienceConfig, RetryBudgetConfig, ServiceCounters, ShedPolicy,
+    MigrationConfig, ResilienceConfig, RetryBudgetConfig, ServiceCounters, ShedPolicy, SortJob,
     TrafficShape,
 };
 use cfmerge_core::sort::{SortAlgorithm, SortConfig, SortError};
@@ -584,14 +584,10 @@ fn scenario_kill_and_resume(
 
     let mut svc = SortService::new(small_rcfg());
     svc.enable_telemetry();
-    svc.submit_with_policy(
-        "resume/killed",
-        input.clone(),
-        SortAlgorithm::CfMerge,
-        FaultPlan::none(),
-        None,
-        CheckpointPolicy::kill_after(1),
-    );
+    svc.submit_job(SortJob {
+        checkpoint: CheckpointPolicy::kill_after(1),
+        ..SortJob::fresh("resume/killed", input.clone(), SortAlgorithm::CfMerge)
+    });
     let killed = svc.drain().remove(0);
     let cp = match killed.result {
         Err(SortError::Interrupted { after_pass: 1, checkpoint }) => *checkpoint,
@@ -600,7 +596,7 @@ fn scenario_kill_and_resume(
             return MetricsSnapshot::default();
         }
     };
-    svc.submit_resume("resume/resumed", cp, FaultPlan::none(), None);
+    svc.submit_job(SortJob::resume("resume/resumed", cp));
     let resumed = match svc.drain().remove(0).result {
         Ok(run) => run,
         Err(e) => {

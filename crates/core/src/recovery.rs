@@ -23,6 +23,14 @@
 //!    [`SortError::UnrecoverableFault`] — never as silently corrupt
 //!    output.
 //!
+//! A sort starts fresh (an input and a pipeline) or from a
+//! [`SortCheckpoint`]; both enter one driver front, which validates the
+//! start, runs the pipeline, and restarts a run whose block stayed failed
+//! on the Thrust fallback — for a resume, from the checkpoint's state.
+//! [`simulate_sort_robust`], [`simulate_sort_robust_checkpointed`] and
+//! [`resume_sort_robust`] are one-line wrappers over it, and so is the
+//! runner both service front doors hand a [`SortJob`] to.
+//!
 //! The plain entry points ([`crate::sort::pipeline::simulate_sort`] and
 //! its `try_`, `_traced` and `_checked` variants) are this driver under a
 //! fixed policy: an empty [`FaultPlan`], no retries, no fallback, no
@@ -56,6 +64,7 @@
 use crate::params::SortParams;
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::hedge::{HedgeConfig, HedgeCounters};
+use crate::resilience::service::{Payload, SortJob};
 use crate::sort::blocksort::blocksort_block_observed;
 use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
@@ -73,6 +82,7 @@ use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
 use memo::{LaunchMemo, Lean, ObliviousShare, Pricing, Simulated};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 mod memo;
@@ -232,18 +242,10 @@ impl RecoveryReport {
     }
 }
 
-impl ToJson for RecoveryReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("counters", self.counters.to_json()),
-            ("injections", Json::arr(self.injections.iter().map(ToJson::to_json))),
-            ("detections", Json::arr(self.detections.iter().map(ToJson::to_json))),
-            ("degradations", Json::arr(self.degradations.iter().map(ToJson::to_json))),
-            ("backoff_seconds", Json::from(self.backoff_seconds)),
-            ("retry_seconds", Json::from(self.retry_seconds)),
-            ("spike_seconds", Json::from(self.spike_seconds)),
-            ("hedges", self.hedges.to_json()),
-        ])
+json_struct! {
+    write RecoveryReport {
+        counters, injections, detections, degradations, backoff_seconds, retry_seconds,
+        spike_seconds, hedges,
     }
 }
 
@@ -431,18 +433,12 @@ impl BlockFailure {
     }
 }
 
-/// Cross-run accumulator (survives a fallback restart), plus the
-/// checkpoint policy and the checkpoints captured under it.
+/// Cross-run accumulator (survives a fallback restart): the report being
+/// built, plus the checkpoint policy and the checkpoints captured under
+/// it.
 #[derive(Default)]
 struct RunStats {
-    counters: RecoveryCounters,
-    injections: Vec<InjectionRecord>,
-    detections: Vec<DetectionRecord>,
-    degradations: Vec<Degradation>,
-    backoff_seconds: f64,
-    retry_seconds: f64,
-    spike_seconds: f64,
-    hedges: HedgeCounters,
+    report: RecoveryReport,
     checkpoint: CheckpointPolicy,
     checkpoints: Vec<SortCheckpoint>,
 }
@@ -451,25 +447,12 @@ impl RunStats {
     /// Record the switch from `from` to the Thrust fallback pipeline.
     fn fall_back(&mut self, from: SortAlgorithm, reason: String) {
         let to = SortAlgorithm::ThrustMergesort;
-        self.degradations.push(Degradation::Fallback { from, to, reason });
-        self.counters.fallbacks += 1;
-    }
-
-    fn into_report(self) -> RecoveryReport {
-        RecoveryReport {
-            counters: self.counters,
-            injections: self.injections,
-            detections: self.detections,
-            degradations: self.degradations,
-            backoff_seconds: self.backoff_seconds,
-            retry_seconds: self.retry_seconds,
-            spike_seconds: self.spike_seconds,
-            hedges: self.hedges,
-        }
+        self.report.degradations.push(Degradation::Fallback { from, to, reason });
+        self.report.counters.fallbacks += 1;
     }
 }
 
-/// Fold one kernel's per-block outcomes into the stats, price the launch
+/// Fold one kernel's per-block outcomes into the report, price the launch
 /// (main profile as one launch; retries as an extra launch; hedges as an
 /// auxiliary launch; spikes at the device clock; backoff as configured),
 /// and surface the first unrecovered block if any.
@@ -482,7 +465,7 @@ fn settle_kernel<O>(
     name: &str,
     base_profile: KernelProfile,
     execs: Vec<BlockExec<O>>,
-    stats: &mut RunStats,
+    report: &mut RecoveryReport,
 ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
     let cfg = &rcfg.base;
     let blocks = execs.len() as u64;
@@ -499,21 +482,21 @@ fn settle_kernel<O>(
         profile.merge(&ex.profile);
         observers.extend(ex.observer);
         retry_profile.merge(&ex.retry_profile);
-        stats.counters.faults_injected += ex.injections.len() as u64;
-        stats.counters.faults_detected += ex.detections.len() as u64;
-        stats.injections.append(&mut ex.injections);
-        stats.detections.append(&mut ex.detections);
+        report.counters.faults_injected += ex.injections.len() as u64;
+        report.counters.faults_detected += ex.detections.len() as u64;
+        report.injections.append(&mut ex.injections);
+        report.detections.append(&mut ex.detections);
         hedge_profile.merge(&ex.hedge_profile);
         hedged_execs += u64::from(ex.hedges);
-        stats.counters.hedges_launched += u64::from(ex.hedges);
-        stats.counters.hedges_won += u64::from(ex.hedge_wins);
-        stats.hedges.launched += u64::from(ex.hedges);
-        stats.hedges.won += u64::from(ex.hedge_wins);
-        stats.hedges.cycles_saved += ex.hedge_cycles_saved;
+        report.counters.hedges_launched += u64::from(ex.hedges);
+        report.counters.hedges_won += u64::from(ex.hedge_wins);
+        report.hedges.launched += u64::from(ex.hedges);
+        report.hedges.won += u64::from(ex.hedge_wins);
+        report.hedges.cycles_saved += ex.hedge_cycles_saved;
         if ex.executions > 1 {
             let retries = u64::from(ex.executions - 1);
-            stats.counters.blocks_retried += 1;
-            stats.counters.retries += retries;
+            report.counters.blocks_retried += 1;
+            report.counters.retries += retries;
             retried_execs += retries;
             // Σ_{r=1..retries} backoff · 2^(r−1) = backoff · (2^retries − 1).
             backoff += rcfg.retry_backoff_s * (2f64.powi(retries as i32) - 1.0);
@@ -542,7 +525,7 @@ fn settle_kernel<O>(
             .kernel_time(&cfg.device, &retry_profile.total(), &cfg.launch(retried_execs))
             .map_err(unlaunchable)?;
         extra += rt.seconds;
-        stats.retry_seconds += rt.seconds;
+        report.retry_seconds += rt.seconds;
     }
     if hedged_execs > 0 {
         // Hedged duplicates are enqueued device-side while the primary
@@ -552,13 +535,13 @@ fn settle_kernel<O>(
             .auxiliary_launch_time(&cfg.device, &hedge_profile.total(), &cfg.launch(hedged_execs))
             .map_err(unlaunchable)?;
         extra += ht.seconds;
-        stats.hedges.hedge_seconds += ht.seconds;
+        report.hedges.hedge_seconds += ht.seconds;
     }
     let spike_s = spike_cycles as f64 / cfg.device.clock_hz;
     extra += spike_s;
-    stats.spike_seconds += spike_s;
+    report.spike_seconds += spike_s;
     extra += backoff;
-    stats.backoff_seconds += backoff;
+    report.backoff_seconds += backoff;
     Ok((KernelReport { name: name.to_string(), blocks, profile, time }, extra, failure, observers))
 }
 
@@ -705,9 +688,16 @@ where
                 memo: LaunchMemo::new(&name, jobs.len(), tile),
                 expected,
             };
-            let detected = stats.counters.faults_detected;
-            let (report, extra, failed, blocks) =
-                self.launch(&launch, jobs, &src, &mut dst, &mut stripes.0, base_profile, stats)?;
+            let detected = stats.report.counters.faults_detected;
+            let (report, extra, failed, blocks) = self.launch(
+                &launch,
+                jobs,
+                &src,
+                &mut dst,
+                &mut stripes.0,
+                base_profile,
+                &mut stats.report,
+            )?;
             seconds += report.time.seconds + extra;
             kernels.push(report);
             if let Some(f) = failed {
@@ -716,7 +706,7 @@ where
             observers.push(blocks);
             // A retried block's stripes are its verified retry's, but only
             // a launch where no attempt failed carries them on.
-            carried = stats.counters.faults_detected == detected;
+            carried = stats.report.counters.faults_detected == detected;
             std::mem::swap(&mut src, &mut dst);
             if width == 0 {
                 width = tile;
@@ -733,7 +723,7 @@ where
                     width,
                     pass,
                     seconds,
-                    stats.counters,
+                    stats.report.counters,
                     padded_checksum,
                     &src,
                 );
@@ -753,8 +743,8 @@ where
         // fires, the run is treated exactly like a failed block
         // (fallback, then typed error) — never returned as a success.
         if let Err(failure) = verify_sorted_checksum(&src, input_checksum) {
-            stats.counters.faults_detected += 1;
-            stats.detections.push(DetectionRecord {
+            stats.report.counters.faults_detected += 1;
+            stats.report.detections.push(DetectionRecord {
                 kernel: "output-verify".into(),
                 block: 0,
                 attempt: 0,
@@ -788,7 +778,7 @@ where
         dst: &mut [K],
         stripes: &mut [u64],
         base_profile: KernelProfile,
-        stats: &mut RunStats,
+        report: &mut RecoveryReport,
     ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
         let tile = self.rcfg.base.params.tile();
         let mut execs: Vec<BlockExec<O>> = jobs
@@ -812,7 +802,7 @@ where
             let hedge = self.attempt(launch, block, ex.executions, job, src, &mut scratch, None);
             ex.apply_hedge(hedge);
         }
-        settle_kernel(self.rcfg, launch.name, base_profile, execs, stats)
+        settle_kernel(self.rcfg, launch.name, base_profile, execs, report)
     }
 
     /// Execute-verify loop for one block: up to `1 + max_retries`
@@ -966,6 +956,22 @@ where
     }
 }
 
+/// Where a sort starts: a fresh input to sort with a pipeline, or a
+/// checkpoint to resume.
+enum Start<'a, K> {
+    Fresh(&'a [K], SortAlgorithm),
+    Resume(&'a SortCheckpoint),
+}
+
+impl<'a> From<&'a Payload> for Start<'a, u32> {
+    fn from(payload: &'a Payload) -> Self {
+        match payload {
+            Payload::Fresh { input, algo } => Start::Fresh(input, *algo),
+            Payload::Resume { checkpoint } => Start::Resume(checkpoint),
+        }
+    }
+}
+
 /// Sort under fault injection with verified, block-granular recovery.
 ///
 /// Every block's output is verified (sorted + multiset checksum of its
@@ -988,8 +994,7 @@ pub fn simulate_sort_robust<K: SortKey>(
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
     let no_checkpoints = CheckpointPolicy::default();
-    let (run, _, _) = run_robust(input, algo, config.clone(), plan, no_checkpoints, &|| Passive)?;
-    Ok(run)
+    Ok(run_robust(Start::Fresh(input, algo), config, plan, no_checkpoints, &|| Passive)?.0)
 }
 
 /// [`simulate_sort_robust`] with checkpoint capture: returns the run
@@ -1010,8 +1015,57 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
     plan: &FaultPlan,
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>), SortError> {
-    let (run, checkpoints, _) = run_robust(input, algo, config.clone(), plan, policy, &|| Passive)?;
-    Ok((run, checkpoints))
+    run_robust(Start::Fresh(input, algo), config, plan, policy, &|| Passive).map(|(r, c, _)| (r, c))
+}
+
+/// Resume a sort from a [`SortCheckpoint`], skipping the block sort and
+/// every completed merge pass.
+///
+/// The checkpoint is validated first — version, structural shape, every
+/// run sorted, every block checksum matching
+/// ([`SortCheckpoint::validate_as`]) — so work is only skipped when the
+/// saved state is provably the verified state the original run produced.
+/// The checkpoint's pipeline and `(E, u)` must match `config` exactly: a
+/// resume never substitutes parameters. The resumed run's
+/// `simulated_seconds` includes the checkpoint's `seconds_so_far`, and
+/// with the same fault plan the final output is byte-identical to the
+/// uninterrupted run; on a fault-free plan the total modeled seconds and
+/// recovery counters are byte-identical too. (With live faults exact cost
+/// equality is not guaranteed: a corruption that stale scratch data
+/// masked in the original run is detected against the resume's fresh
+/// scratch buffers and priced as an extra retry, and a fallback restart
+/// discards the abandoned pipeline's partial seconds while a resume keeps
+/// the checkpoint's committed seconds.) Kernel reports cover only the
+/// re-executed remainder. The report's counters start from the
+/// checkpoint's.
+///
+/// If a resumed block exhausts its retries and fallback is allowed, the
+/// driver re-sorts the checkpoint state on the Thrust pipeline (the
+/// state is a permutation of the padded input, so sorting it yields the
+/// same output).
+///
+/// # Errors
+/// [`SortError::CheckpointInvalid`] when validation fails, otherwise the
+/// [`simulate_sort_robust`] contract.
+pub fn resume_sort_robust<K: SortKey>(
+    checkpoint: &SortCheckpoint,
+    config: &RobustConfig,
+    plan: &FaultPlan,
+) -> Result<RobustSortRun<K>, SortError> {
+    let no_checkpoints = CheckpointPolicy::default();
+    Ok(run_robust(Start::Resume(checkpoint), config, plan, no_checkpoints, &|| Passive)?.0)
+}
+
+/// Run a service job — its fresh input or its checkpoint, under its fault
+/// plan — on the robust driver, capturing checkpoints of a fresh sort
+/// under `policy`.
+pub(crate) fn run_job(
+    job: &SortJob,
+    config: &RobustConfig,
+    policy: CheckpointPolicy,
+) -> Result<(RobustSortRun<u32>, Vec<SortCheckpoint>), SortError> {
+    let start = Start::from(&job.payload);
+    run_robust(start, config, &job.plan, policy, &|| Passive).map(|(r, c, _)| (r, c))
 }
 
 /// The plain entry points' run (`simulate_sort` and its `try_`,
@@ -1037,21 +1091,46 @@ where
         allow_fallback: false,
         hedge: HedgeConfig::default(),
     };
-    let no_checkpoints = CheckpointPolicy::default();
+    let (start, no_checkpoints) = (Start::Fresh(input, algo), CheckpointPolicy::default());
     let (robust, _, observers) =
-        run_robust(input, algo, plain, &FaultPlan::none(), no_checkpoints, make_observer)?;
+        run_robust(start, &plain, &FaultPlan::none(), no_checkpoints, make_observer)?;
     Ok((robust.run, observers))
 }
 
-/// The robust driver's front: validate (substituting known-good
-/// parameters for an unlaunchable shape when fallback is allowed), run
-/// the pipeline, and on a block that stays failed restart it on the
-/// Thrust fallback when allowed.
+/// The pipeline a checkpoint resumes, once the checkpoint validates and
+/// was captured at `cfg`'s `(E, u)`.
+fn resumed_algorithm<K: SortKey>(
+    checkpoint: &SortCheckpoint,
+    cfg: &SortConfig,
+) -> Result<SortAlgorithm, SortError> {
+    checkpoint.validate_as::<K>()?;
+    let algo = [SortAlgorithm::CfMerge, SortAlgorithm::ThrustMergesort]
+        .into_iter()
+        .find(|algo| algo.label() == checkpoint.algorithm)
+        .ok_or_else(|| SortError::CheckpointInvalid {
+            reason: format!("unknown algorithm {:?}", checkpoint.algorithm),
+        })?;
+    if (cfg.params.e, cfg.params.u) != (checkpoint.e, checkpoint.u) {
+        return Err(SortError::CheckpointInvalid {
+            reason: format!(
+                "checkpoint captured at (E={}, u={}) cannot resume under (E={}, u={})",
+                checkpoint.e, checkpoint.u, cfg.params.e, cfg.params.u
+            ),
+        });
+    }
+    Ok(algo)
+}
+
+/// The one driver front, for fresh and resumed sorts alike: validate the
+/// start (a fresh sort may substitute known-good parameters for an
+/// unlaunchable shape when fallback is allowed; a resume must match its
+/// checkpoint exactly), run the pipeline, and on a block that stays
+/// failed restart on the Thrust fallback when allowed — from the input,
+/// or from the checkpoint's state.
 #[allow(clippy::type_complexity)]
 fn run_robust<K, O, F>(
-    input: &[K],
-    algo: SortAlgorithm,
-    mut rcfg: RobustConfig,
+    start: Start<'_, K>,
+    config: &RobustConfig,
     plan: &FaultPlan,
     checkpoint: CheckpointPolicy,
     make_observer: &F,
@@ -1062,22 +1141,33 @@ where
     F: Fn() -> O + Sync,
 {
     let mut stats = RunStats { checkpoint, ..RunStats::default() };
-    let mut algo_used = algo;
+    let mut rcfg = Cow::Borrowed(config);
+    let (input, resume, mut algo) = match start {
+        Start::Fresh(input, algo) => (input, None, algo),
+        Start::Resume(cp) => {
+            let algo = resumed_algorithm::<K>(cp, &rcfg.base)?;
+            // A resume captures no checkpoints, and counts on from its
+            // checkpoint's counters.
+            stats.checkpoint = CheckpointPolicy::default();
+            stats.report.counters = cp.counters;
+            (&[][..], Some(cp), algo)
+        }
+    };
 
     match validate_sort_config(&rcfg.base) {
         Ok(()) => {}
-        Err(SortError::Unlaunchable { device, why }) if rcfg.allow_fallback => {
+        Err(SortError::Unlaunchable { device, why }) if rcfg.allow_fallback && resume.is_none() => {
             let sub = SortParams::known_good_default();
-            stats.degradations.push(Degradation::ParamsSubstituted {
+            stats.report.degradations.push(Degradation::ParamsSubstituted {
                 from: (rcfg.base.params.e, rcfg.base.params.u),
                 to: (sub.e, sub.u),
             });
             stats.fall_back(
-                algo_used,
+                algo,
                 format!("requested configuration cannot launch on {device}: {why}"),
             );
-            rcfg.base.params = sub;
-            algo_used = SortAlgorithm::ThrustMergesort;
+            rcfg.to_mut().base.params = sub;
+            algo = SortAlgorithm::ThrustMergesort;
             validate_sort_config(&rcfg.base)?;
         }
         Err(e) => return Err(e),
@@ -1092,122 +1182,39 @@ where
         #[cfg(test)]
         simulated: Default::default(),
     };
-    let (run, observers) = match driver(algo_used, false).run(input, None, &mut stats)? {
+    let (run, observers) = match driver(algo, false).run(input, resume, &mut stats)? {
         Ok(done) => done,
         Err(f) if rcfg.allow_fallback => {
             let why = format!(
-                "{} block {} failed verification after {} attempts",
-                f.kernel, f.block, f.attempts
+                "{}{} block {} failed verification after {} attempts",
+                if resume.is_some() { "resumed " } else { "" },
+                f.kernel,
+                f.block,
+                f.attempts
             );
-            stats.fall_back(algo_used, why);
-            algo_used = SortAlgorithm::ThrustMergesort;
+            stats.fall_back(algo, why);
+            algo = SortAlgorithm::ThrustMergesort;
             stats.checkpoints.clear(); // primary checkpoints are void once abandoned
-            driver(algo_used, true)
-                .run(input, None, &mut stats)?
-                .map_err(BlockFailure::into_error)?
-        }
-        Err(f) => return Err(f.into_error()),
-    };
 
-    let checkpoints = std::mem::take(&mut stats.checkpoints);
-    let report = stats.into_report();
-    Ok((RobustSortRun { run, algorithm: algo_used, report }, checkpoints, observers))
-}
-
-/// Resume a sort from a [`SortCheckpoint`], skipping the block sort and
-/// every completed merge pass.
-///
-/// The checkpoint is validated first — version, structural shape, every
-/// run sorted, every block checksum matching
-/// ([`SortCheckpoint::validate_as`]) — so work is only skipped when the
-/// saved state is provably the verified state the original run produced.
-/// The resumed run's `simulated_seconds` includes the checkpoint's
-/// `seconds_so_far`, and with the same fault plan the final output is
-/// byte-identical to the uninterrupted run; on a fault-free plan the
-/// total modeled seconds and recovery counters are byte-identical too.
-/// (With live faults exact cost equality is not guaranteed: a
-/// corruption that stale scratch data masked in the original run is
-/// detected against the resume's fresh scratch buffers and priced as an
-/// extra retry, and a fallback restart discards the abandoned
-/// pipeline's partial seconds while a resume keeps the checkpoint's
-/// committed seconds.) Kernel reports cover only the re-executed
-/// remainder. The checkpoint's counters are folded into the returned
-/// report.
-///
-/// If a resumed block exhausts its retries and fallback is allowed, the
-/// driver re-sorts the checkpoint state on the Thrust pipeline (the
-/// state is a permutation of the padded input, so sorting it yields the
-/// same output).
-///
-/// # Errors
-/// [`SortError::CheckpointInvalid`] when validation fails, otherwise the
-/// [`simulate_sort_robust`] contract.
-pub fn resume_sort_robust<K: SortKey>(
-    checkpoint: &SortCheckpoint,
-    config: &RobustConfig,
-    plan: &FaultPlan,
-) -> Result<RobustSortRun<K>, SortError> {
-    checkpoint.validate_as::<K>()?;
-    let algo = if checkpoint.algorithm == SortAlgorithm::CfMerge.label() {
-        SortAlgorithm::CfMerge
-    } else if checkpoint.algorithm == SortAlgorithm::ThrustMergesort.label() {
-        SortAlgorithm::ThrustMergesort
-    } else {
-        return Err(SortError::CheckpointInvalid {
-            reason: format!("unknown algorithm {:?}", checkpoint.algorithm),
-        });
-    };
-    let cfg = &config.base;
-    if (cfg.params.e, cfg.params.u) != (checkpoint.e, checkpoint.u) {
-        return Err(SortError::CheckpointInvalid {
-            reason: format!(
-                "checkpoint captured at (E={}, u={}) cannot resume under (E={}, u={})",
-                checkpoint.e, checkpoint.u, cfg.params.e, cfg.params.u
-            ),
-        });
-    }
-    validate_sort_config(cfg)?;
-
-    let mut stats = RunStats::default();
-    let mut algo_used = algo;
-    let driver = |algo, fallback| Driver {
-        algo,
-        rcfg: config,
-        plan,
-        fallback,
-        make_observer: &|| Passive,
-        #[cfg(test)]
-        simulated: Default::default(),
-    };
-    let run = match driver(algo, false).run::<K>(&[], Some(checkpoint), &mut stats)? {
-        Ok((run, _)) => run,
-        Err(f) if config.allow_fallback => {
-            let why = format!(
-                "resumed {} block {} failed verification after {} attempts",
-                f.kernel, f.block, f.attempts
-            );
-            stats.fall_back(algo_used, why);
-            algo_used = SortAlgorithm::ThrustMergesort;
-            // Restart from the checkpoint state as input: a permutation
-            // of the padded input, so its sort is the same output (the
-            // sentinels sort to the tail and are truncated off).
-            let keys = checkpoint.state_keys::<K>();
-            let (mut run, _) = driver(algo_used, true)
-                .run(&keys, None, &mut stats)?
+            // A resume restarts from the checkpoint state as input: a
+            // permutation of the padded input, so its sort is the same
+            // output (the sentinels sort to the tail and are truncated off).
+            let state = resume.map(SortCheckpoint::state_keys::<K>);
+            let (mut run, observers) = driver(algo, true)
+                .run(state.as_deref().unwrap_or(input), None, &mut stats)?
                 .map_err(BlockFailure::into_error)?;
-            run.output.truncate(checkpoint.n);
-            run.n = checkpoint.n;
-            run.simulated_seconds += checkpoint.seconds_so_far;
-            run
+            if let Some(cp) = resume {
+                run.output.truncate(cp.n);
+                run.n = cp.n;
+                run.simulated_seconds += cp.seconds_so_far;
+            }
+            (run, observers)
         }
         Err(f) => return Err(f.into_error()),
     };
 
-    let mut report = stats.into_report();
-    let mut counters = checkpoint.counters;
-    counters.merge(&report.counters);
-    report.counters = counters;
-    Ok(RobustSortRun { run, algorithm: algo_used, report })
+    let RunStats { report, checkpoints, .. } = stats;
+    Ok((RobustSortRun { run, algorithm: algo, report }, checkpoints, observers))
 }
 
 #[cfg(test)]
@@ -1692,6 +1699,97 @@ mod tests {
         // merge-pass-0 (completed_passes = 1 covers both).
         assert_eq!(resumed.run.kernels.first().map(|k| k.name.as_str()), Some("merge-pass-1"));
         assert!(resumed.run.kernels.len() < whole.run.kernels.len());
+    }
+
+    /// A checkpoint of a CF-Merge run of `8 · 160 + 3` keys killed after
+    /// merge pass 0, whose block sort retried one transient fault.
+    fn checkpoint_after_pass_1(rcfg: &RobustConfig) -> (Vec<u32>, SortCheckpoint) {
+        let input = InputSpec::UniformRandom { seed: 38 }.generate(8 * 160 + 3);
+        let plan = FaultPlan::from_sites(vec![site(
+            0,
+            2,
+            FaultKind::StuckBank { bank: 2, bit: 5 },
+            Persistence::Transient,
+        )]);
+        match simulate_sort_robust_checkpointed(
+            &input,
+            SortAlgorithm::CfMerge,
+            rcfg,
+            &plan,
+            CheckpointPolicy::kill_after(1),
+        ) {
+            Err(SortError::Interrupted { after_pass: 1, checkpoint }) => (input, *checkpoint),
+            other => panic!("expected Interrupted after pass 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resumed_block_that_exhausts_its_retries_falls_back_on_the_checkpoint_state() {
+        let rcfg = small_rcfg();
+        let (input, cp) = checkpoint_after_pass_1(&rcfg);
+        assert_eq!(cp.counters.retries, 1, "the checkpoint carries the block sort's retry");
+        // Kernel 3 is merge pass 2, the second launch the resume runs.
+        let plan = FaultPlan::from_sites(vec![site(
+            3,
+            1,
+            FaultKind::StuckBank { bank: 1, bit: 2 },
+            Persistence::Sticky,
+        )]);
+        let r = resume_sort_robust::<u32>(&cp, &rcfg, &plan).expect("fallback rescues the resume");
+        verify_sorted_permutation(&input, &r.run.output).expect("output exactly sorted");
+        assert_eq!(r.algorithm, SortAlgorithm::ThrustMergesort);
+        assert_eq!(r.run.n, cp.n);
+        assert_eq!(r.run.output.len(), cp.n);
+        // The fallback re-sorts the checkpoint state from scratch (a sticky
+        // site stops firing on the fallback), and the checkpoint's seconds
+        // stay committed; the abandoned primary's are dropped.
+        let rerun = simulate_sort_robust(
+            &cp.state_keys::<u32>(),
+            SortAlgorithm::ThrustMergesort,
+            &rcfg,
+            &FaultPlan::none(),
+        )
+        .expect("clean Thrust sort of the checkpoint state");
+        assert_eq!(r.run.simulated_seconds, rerun.run.simulated_seconds + cp.seconds_so_far);
+        assert_eq!(r.run.simulated_seconds, 0.000_175_834_244_366_537_95);
+        match &r.report.degradations[..] {
+            [Degradation::Fallback { from, to, reason }] => {
+                assert_eq!((*from, *to), (SortAlgorithm::CfMerge, SortAlgorithm::ThrustMergesort));
+                assert!(reason.starts_with("resumed merge-pass-"), "{reason}");
+            }
+            other => panic!("expected one fallback, got {other:?}"),
+        }
+        // The checkpoint's counters merged with the rerun's: one block
+        // failed on its first try and both retries, then one fallback.
+        let mut expect = cp.counters;
+        expect.merge(&RecoveryCounters {
+            faults_injected: 3,
+            faults_detected: 3,
+            blocks_retried: 1,
+            retries: 2,
+            fallbacks: 1,
+            ..RecoveryCounters::default()
+        });
+        assert_eq!(r.report.counters, expect);
+    }
+
+    #[test]
+    fn resumed_permanent_fault_is_unrecoverable() {
+        let rcfg = small_rcfg();
+        let (_, cp) = checkpoint_after_pass_1(&rcfg);
+        let plan = FaultPlan::from_sites(vec![site(
+            3,
+            1,
+            FaultKind::StuckBank { bank: 1, bit: 2 },
+            Persistence::Permanent,
+        )]);
+        match resume_sort_robust::<u32>(&cp, &rcfg, &plan) {
+            Err(SortError::UnrecoverableFault { kernel, attempts, .. }) => {
+                assert!(kernel.starts_with("merge-pass-"), "{kernel}");
+                assert_eq!(attempts, rcfg.max_retries + 1);
+            }
+            other => panic!("expected UnrecoverableFault, got {other:?}"),
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! door by the same admission core the single-device service calls
 //! ([`crate::resilience::admission`]), shard to a home device by tenant
 //! hash, and are dispatched by `(priority class, per-tenant served
-//! seconds, job id)` — idle devices steal from the longest queue.
+//! seconds, job id)` — idle devices steal from the longest queue. A job is
+//! the single-device service's [`SortJob`] plus a tenant, a priority and
+//! an arrival time; an arrival time that is negative or not finite is
+//! refused with [`SortError::InvalidArrival`] and never enters the queue.
 //!
 //! Device-level fault domains ([`crate::resilience::faultdomain`]) layer
 //! whole-device crashes, crash-with-restart, and degrade windows on top
@@ -36,19 +39,18 @@
 //! `lost_work_s` counts all device-seconds between dispatch and crash,
 //! including progress later salvaged from a checkpoint.
 
-use cfmerge_gpu_sim::fault::FaultPlan;
-use cfmerge_json::{Json, ToJson};
+use cfmerge_json::{json_struct, Json, ToJson};
 
 use crate::params::SortParams;
-use crate::recovery::{
-    resume_sort_robust, simulate_sort_robust_checkpointed, RobustConfig, RobustSortRun,
-};
+use crate::recovery::{run_job, RobustConfig, RobustSortRun};
 use crate::resilience::admission::{self, AdmissionConfig};
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::faultdomain::{DeviceFaultPlan, DeviceTimeline};
 use crate::resilience::loadgen::{ClusterRequest, Priority};
 use crate::resilience::scheduler::EventQueue;
-use crate::resilience::service::{Payload, ResilienceConfig, ServiceCounters, SortService};
+use crate::resilience::service::{
+    Payload, ResilienceConfig, ServiceCounters, SortJob, SortService,
+};
 use crate::sort::pipeline::SortAlgorithm;
 use crate::sort::SortError;
 use crate::telemetry::{MetricsRegistry, MetricsSnapshot};
@@ -134,13 +136,10 @@ impl ClusterConfig {
 #[derive(Debug)]
 struct PendingJob {
     id: ClusterJobId,
-    label: String,
     tenant: String,
     priority: Priority,
     arrival_s: f64,
-    payload: Payload,
-    plan: FaultPlan,
-    deadline_s: Option<f64>,
+    sort: SortJob,
     cancelled: bool,
 }
 
@@ -167,12 +166,8 @@ impl DeviceSlot {
     /// Whether `item` may run on this device. Fresh jobs run anywhere;
     /// a checkpoint is pinned to its `(E, u)` launch configuration.
     fn compatible(&self, item: &WorkItem) -> bool {
-        match &item.job.payload {
-            Payload::Fresh { .. } => true,
-            Payload::Resume { checkpoint } => {
-                self.cfg.base.params.e == checkpoint.e && self.cfg.base.params.u == checkpoint.u
-            }
-        }
+        let params = self.cfg.base.params;
+        item.job.sort.payload.checkpoint().is_none_or(|cp| (params.e, params.u) == (cp.e, cp.u))
     }
 }
 
@@ -243,7 +238,7 @@ impl ClusterOutcome {
     ) -> Self {
         Self {
             id: job.id,
-            label: job.label,
+            label: job.sort.label,
             tenant: job.tenant,
             priority: job.priority,
             device,
@@ -284,17 +279,7 @@ pub struct TenantSlo {
     pub p999_s: f64,
 }
 
-impl ToJson for TenantSlo {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tenant", Json::from(self.tenant.clone())),
-            ("verified", Json::from(self.verified)),
-            ("p50_s", Json::from(self.p50_s)),
-            ("p99_s", Json::from(self.p99_s)),
-            ("p999_s", Json::from(self.p999_s)),
-        ])
-    }
-}
+json_struct! { write TenantSlo { tenant, verified, p50_s, p99_s, p999_s } }
 
 /// Per-device execution summary (from the device's inner service).
 #[derive(Debug, Clone, PartialEq)]
@@ -311,17 +296,7 @@ pub struct DeviceSummary {
     pub clock_s: f64,
 }
 
-impl ToJson for DeviceSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("device", Json::from(self.device)),
-            ("executed", Json::from(self.executed)),
-            ("verified_ok", Json::from(self.verified_ok)),
-            ("failed", Json::from(self.failed)),
-            ("clock_s", Json::from(self.clock_s)),
-        ])
-    }
-}
+json_struct! { write DeviceSummary { device, executed, verified_ok, failed, clock_s } }
 
 /// Everything one [`ClusterService::run`] produced.
 #[derive(Debug)]
@@ -465,43 +440,28 @@ impl ClusterService {
     /// Submit a production job: default tenant, interactive priority,
     /// arrival at `t = 0`, no faults, no deadline.
     pub fn submit(&mut self, label: &str, input: Vec<u32>, algo: SortAlgorithm) -> ClusterJobId {
-        self.submit_at(
-            label,
-            "default",
-            Priority::Interactive,
-            0.0,
-            input,
-            algo,
-            FaultPlan::none(),
-            None,
-        )
+        self.submit_at("default", Priority::Interactive, 0.0, SortJob::fresh(label, input, algo))
     }
 
-    /// Submit a fully specified job.
-    #[allow(clippy::too_many_arguments)]
+    /// Submit `job` for `tenant` at `priority`, arriving at modeled time
+    /// `at_s`. An arrival time that is negative, NaN or infinite never
+    /// enters the event queue: the job's outcome is
+    /// [`SortError::InvalidArrival`], recorded at `t = 0`.
     pub fn submit_at(
         &mut self,
-        label: &str,
         tenant: &str,
         priority: Priority,
         at_s: f64,
-        input: Vec<u32>,
-        algo: SortAlgorithm,
-        plan: FaultPlan,
-        deadline_s: Option<f64>,
+        job: SortJob,
     ) -> ClusterJobId {
-        debug_assert!(at_s.is_finite() && at_s >= 0.0, "arrivals must be at finite modeled times");
         let id = ClusterJobId(self.next_id);
         self.next_id += 1;
         self.arrivals.push(PendingJob {
             id,
-            label: label.to_string(),
             tenant: tenant.to_string(),
             priority,
             arrival_s: at_s,
-            payload: Payload::Fresh { input, algo },
-            plan,
-            deadline_s,
+            sort: job,
             cancelled: false,
         });
         id
@@ -510,16 +470,11 @@ impl ClusterService {
     /// Submit a load-generated request (see
     /// [`crate::resilience::loadgen::LoadGenConfig`]).
     pub fn submit_request(&mut self, req: ClusterRequest) -> ClusterJobId {
-        self.submit_at(
-            &req.label,
-            &req.tenant,
-            req.priority,
-            req.at_s,
-            req.input,
-            req.algo,
-            FaultPlan::none(),
-            req.deadline_s,
-        )
+        let job = SortJob {
+            deadline_s: req.deadline_s,
+            ..SortJob::fresh(&req.label, req.input, req.algo)
+        };
+        self.submit_at(&req.tenant, req.priority, req.at_s, job)
     }
 
     /// Cancel a job that has not run yet. Returns `false` if the id is
@@ -596,7 +551,11 @@ impl ClusterService {
             }
         }
         for job in std::mem::take(&mut self.arrivals) {
-            sim.eq.push(job.arrival_s, ClusterEvent::Arrival(Box::new(job)));
+            if job.arrival_s.is_finite() && job.arrival_s >= 0.0 {
+                sim.eq.push(job.arrival_s, ClusterEvent::Arrival(Box::new(job)));
+            } else {
+                sim.refuse_arrival(job);
+            }
         }
         sim.run()
     }
@@ -675,15 +634,15 @@ impl Sim {
             .slots
             .iter()
             .flat_map(|slot| &slot.queue)
-            .filter(|item| matches!(item.job.payload, Payload::Fresh { .. }))
-            .map(|item| (item.job.id, item.job.payload.n(), item.job.deadline_s))
+            .filter(|item| item.job.sort.payload.checkpoint().is_none())
+            .map(|item| (item.job.id, item.job.sort.payload.n(), item.job.sort.deadline_s))
             .collect();
         queued.sort_by_key(|(id, ..)| id.0);
         let decision = admission::admit(
             &self.admission,
             self.in_flight,
-            job.payload.n(),
-            job.deadline_s,
+            job.sort.payload.n(),
+            job.sort.deadline_s,
             &queued,
             &self.slots[0].cfg.base,
             &mut self.counters,
@@ -727,6 +686,17 @@ impl Sim {
         }
         let home = (fnv1a(&job.tenant) % self.slots.len() as u64) as usize;
         self.slots[home].queue.push(WorkItem { job, migrations: 0 });
+    }
+
+    /// A job whose arrival time is not a usable modeled time: counted as
+    /// submitted and refused at `t = 0`, never queued.
+    fn refuse_arrival(&mut self, mut job: PendingJob) {
+        let at_s = std::mem::replace(&mut job.arrival_s, 0.0);
+        self.counters.submitted += 1;
+        if let Some(reg) = &mut self.telemetry {
+            reg.inc("cluster_jobs_submitted_total", 1);
+        }
+        self.record_unrun(job, 0.0, SortError::InvalidArrival { at_s });
     }
 
     /// Take the queued item of job `id` out of whichever device queue
@@ -843,27 +813,15 @@ impl Sim {
     /// Failed probes price as 0 — a typed error "completes" instantly,
     /// before any crash.
     fn probe(&self, d: usize, item: &WorkItem) -> (f64, Vec<SortCheckpoint>) {
-        let job = &item.job;
-        match &job.payload {
-            Payload::Fresh { input, algo } => match simulate_sort_robust_checkpointed::<u32>(
-                input,
-                *algo,
-                &self.slots[d].cfg,
-                &job.plan,
-                CheckpointPolicy::every_pass(),
-            ) {
-                Ok((run, ckpts)) => (run.run.simulated_seconds, ckpts),
-                Err(_) => (0.0, Vec::new()),
-            },
-            Payload::Resume { checkpoint } => {
-                match resume_sort_robust::<u32>(checkpoint, &self.slots[d].cfg, &job.plan) {
-                    Ok(run) => (
-                        (run.run.simulated_seconds - checkpoint.seconds_so_far).max(0.0),
-                        Vec::new(),
-                    ),
-                    Err(_) => (0.0, Vec::new()),
-                }
+        let job = &item.job.sort;
+        // A fresh job captures a checkpoint per pass to migrate from (a
+        // resume captures none); a resume is priced past its checkpoint.
+        match run_job(job, &self.slots[d].cfg, CheckpointPolicy::every_pass()) {
+            Ok((run, ckpts)) => {
+                let s0 = job.payload.checkpoint().map_or(0.0, |cp| cp.seconds_so_far);
+                ((run.run.simulated_seconds - s0).max(0.0), ckpts)
             }
+            Err(_) => (0.0, Vec::new()),
         }
     }
 
@@ -928,12 +886,13 @@ impl Sim {
         // A resume re-migrates its own checkpoint; a fresh job upgrades
         // to a resume if any checkpoint completed before the crash.
         let mut next = item;
-        if let (Payload::Fresh { .. }, Some(cp)) =
-            (&next.job.payload, usable.into_iter().next_back())
+        if let (None, Some(cp)) =
+            (next.job.sort.payload.checkpoint(), usable.into_iter().next_back())
         {
-            next.job.payload = Payload::Resume { checkpoint: Box::new(cp) };
+            next.job.sort.payload = Payload::Resume { checkpoint: Box::new(cp) };
         }
-        let cost = self.migration.fixed_s + self.migration.per_key_s * next.job.payload.n() as f64;
+        let n = next.job.sort.payload.n();
+        let cost = self.migration.fixed_s + self.migration.per_key_s * n as f64;
         let ready = crash_s + cost;
         // Target: the compatible device that is up soonest after the
         // checkpoint lands; ties to the shortest queue, then the lowest
@@ -997,19 +956,10 @@ impl Sim {
     /// (total minus the checkpointed prefix) scaled by any degrade
     /// multiplier.
     fn execute_on(&mut self, d: usize, item: WorkItem, now: f64, mult: f64) {
-        let WorkItem { job, migrations } = item;
-        let s0 = match &job.payload {
-            Payload::Fresh { .. } => 0.0,
-            Payload::Resume { checkpoint } => checkpoint.seconds_so_far,
-        };
-        let outcome = self.slots[d].svc.run_now(
-            now,
-            job.id.0,
-            job.label,
-            job.payload,
-            job.plan,
-            job.deadline_s,
-        );
+        let WorkItem { job: PendingJob { id, tenant, priority, arrival_s, sort, .. }, migrations } =
+            item;
+        let s0 = sort.payload.checkpoint().map_or(0.0, |cp| cp.seconds_so_far);
+        let outcome = self.slots[d].svc.run_now(now, id.0, sort);
         // The inner clock advanced by the job's execution seconds (a
         // deadline miss still advances by the time it burned); the
         // device itself is only occupied for the un-checkpointed suffix.
@@ -1020,29 +970,29 @@ impl Sim {
         };
         let eff = (elapsed_exec - s0).max(0.0) * mult;
         let completed_s = now + eff;
-        self.add_served(&job.tenant, eff);
+        self.add_served(&tenant, eff);
         self.in_flight -= 1;
         if let Some(reg) = &mut self.telemetry {
             reg.inc("cluster_jobs_executed_total", 1);
             match &outcome.result {
                 Ok(_) => {
                     reg.inc("cluster_jobs_verified_total", 1);
-                    reg.observe_seconds("cluster_job_latency_seconds", completed_s - job.arrival_s);
+                    reg.observe_seconds("cluster_job_latency_seconds", completed_s - arrival_s);
                     let name =
-                        format!("cluster_tenant_{}_latency_seconds", job.tenant.replace('-', "_"));
-                    reg.observe_seconds(&name, completed_s - job.arrival_s);
+                        format!("cluster_tenant_{}_latency_seconds", tenant.replace('-', "_"));
+                    reg.observe_seconds(&name, completed_s - arrival_s);
                 }
                 Err(_) => reg.inc("cluster_jobs_failed_total", 1),
             }
             reg.set_gauge("cluster_inflight", self.in_flight as f64);
         }
         self.outcomes.push(ClusterOutcome {
-            id: job.id,
+            id,
             label: outcome.label,
-            tenant: job.tenant,
-            priority: job.priority,
+            tenant,
+            priority,
             device: Some(d),
-            arrival_s: job.arrival_s,
+            arrival_s,
             completed_s,
             migrations,
             result: outcome.result,
@@ -1164,6 +1114,7 @@ mod tests {
     use crate::resilience::admission::{AdmissionConfig, ShedPolicy};
     use crate::resilience::faultdomain::{DeviceFaultEvent, DeviceFaultKind};
     use crate::sort::pipeline::SortConfig;
+    use cfmerge_gpu_sim::fault::FaultPlan;
 
     fn rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))
@@ -1242,26 +1193,12 @@ mod tests {
             ClusterService::new(ClusterConfig::single(rcfg(), ResilienceConfig::default()));
         cluster.submit("ok", input.clone(), SortAlgorithm::CfMerge);
         let ccancel = cluster.submit("cancel-me", input.clone(), SortAlgorithm::CfMerge);
-        cluster.submit_at(
-            "tight",
-            "default",
-            Priority::Interactive,
-            0.0,
-            input.clone(),
-            SortAlgorithm::CfMerge,
-            FaultPlan::none(),
-            Some(1e-12),
-        );
-        cluster.submit_at(
-            "bad",
-            "default",
-            Priority::Interactive,
-            0.0,
-            input,
-            SortAlgorithm::CfMerge,
-            FaultPlan::none(),
-            Some(-1.0),
-        );
+        let job = |label, deadline_s| SortJob {
+            deadline_s: Some(deadline_s),
+            ..SortJob::fresh(label, input.clone(), SortAlgorithm::CfMerge)
+        };
+        cluster.submit_at("default", Priority::Interactive, 0.0, job("tight", 1e-12));
+        cluster.submit_at("default", Priority::Interactive, 0.0, job("bad", -1.0));
         assert!(cluster.cancel(ccancel));
         let report = cluster.run();
 
@@ -1274,6 +1211,53 @@ mod tests {
         }
         assert_eq!(report.clock_s, svc.clock_s());
         assert_eq!(report.counters, *svc.counters());
+    }
+
+    #[test]
+    fn bad_arrival_times_are_typed_and_never_queued() {
+        let batch = |bad: bool| {
+            let mut cluster = ClusterService::new(ClusterConfig::homogeneous(2, rcfg()));
+            for (i, at_s) in [0.0, 1e-5, 2e-5].into_iter().enumerate() {
+                let input = InputSpec::UniformRandom { seed: 60 + i as u64 }.generate(2 * 160);
+                let job = SortJob::fresh(&format!("ok-{i}"), input, SortAlgorithm::CfMerge);
+                cluster.submit_at(&format!("tenant-{i}"), Priority::Interactive, at_s, job);
+                if bad {
+                    let at_s = [f64::NAN, -1.0, f64::INFINITY][i];
+                    let job =
+                        SortJob::fresh(&format!("bad-{i}"), vec![3, 1, 2], SortAlgorithm::CfMerge);
+                    cluster.submit_at("tenant-0", Priority::Batch, at_s, job);
+                }
+            }
+            cluster.run()
+        };
+        let (clean, mixed) = (batch(false), batch(true));
+        let (ok, bad): (Vec<_>, Vec<_>) =
+            mixed.outcomes.iter().partition(|o| o.label.starts_with("ok-"));
+        assert_eq!(ok.len(), clean.outcomes.len());
+        for (m, c) in ok.iter().zip(&clean.outcomes) {
+            assert_eq!((&m.label, m.device, m.arrival_s), (&c.label, c.device, c.arrival_s));
+            assert_eq!(m.completed_s, c.completed_s, "{}", m.label);
+            let (mr, cr) = (m.result.as_ref().expect("verified"), c.result.as_ref().unwrap());
+            assert_eq!(
+                (&mr.run.output, mr.run.simulated_seconds),
+                (&cr.run.output, cr.run.simulated_seconds)
+            );
+        }
+        for (o, want) in bad.iter().zip([f64::NAN, -1.0, f64::INFINITY]) {
+            match o.result {
+                Err(SortError::InvalidArrival { at_s }) => {
+                    assert!(at_s == want || (at_s.is_nan() && want.is_nan()), "{at_s}");
+                }
+                ref other => panic!("expected InvalidArrival, got {other:?}"),
+            }
+            assert_eq!((o.device, o.arrival_s, o.completed_s), (None, 0.0, 0.0));
+        }
+        assert_eq!(mixed.tenant_slos, clean.tenant_slos);
+        assert_eq!(mixed.clock_s, clean.clock_s);
+        assert_eq!(mixed.counters.submitted, clean.counters.submitted + 3);
+        assert_eq!(mixed.counters.executed, clean.counters.executed);
+        let slos = Json::arr(mixed.tenant_slos.iter().map(ToJson::to_json)).to_string_compact();
+        assert!(!slos.contains("null"), "{slos}");
     }
 
     #[test]

@@ -36,5 +36,6 @@ pub use hedge::{HedgeConfig, HedgeCounters};
 pub use loadgen::{ClusterRequest, LoadGenConfig, Priority, TrafficShape};
 pub use scheduler::{Event, EventQueue};
 pub use service::{
-    aggregate_counters, JobId, JobOutcome, ResilienceConfig, ServiceCounters, SortService,
+    aggregate_counters, JobId, JobOutcome, Payload, ResilienceConfig, ServiceCounters, SortJob,
+    SortService,
 };

@@ -2,6 +2,15 @@
 //! breakers, a service-wide retry budget, and checkpoint/resume layered
 //! over the robust driver.
 //!
+//! A job is a [`SortJob`]: a label, a [`Payload`] (fresh input and
+//! pipeline, or a checkpoint to resume), a fault plan, a deadline and a
+//! checkpoint policy. [`SortService::submit_job`] is the one queueing
+//! path (`submit` and `submit_with_faults` build a fresh job for it), and
+//! every job, fresh or resumed, runs through one runner on the robust
+//! driver. The cluster front door
+//! ([`crate::resilience::cluster::ClusterService`]) queues and migrates
+//! the same `SortJob`.
+//!
 //! Everything here is deterministic. [`SortService::drain`] executes the
 //! batch *sequentially in submission order* (each job is internally
 //! parallel via the robust driver), and the service clock advances by
@@ -14,10 +23,7 @@ use cfmerge_gpu_sim::fault::FaultPlan;
 use cfmerge_json::json_struct;
 
 use crate::params::SortParams;
-use crate::recovery::{
-    resume_sort_robust, simulate_sort_robust, simulate_sort_robust_checkpointed, RecoveryCounters,
-    RobustConfig, RobustSortRun,
-};
+use crate::recovery::{run_job, RecoveryCounters, RobustConfig, RobustSortRun};
 use crate::resilience::admission::{self, AdmissionConfig};
 use crate::resilience::breaker::{BreakerConfig, BreakerState, CircuitBreaker, Route};
 use crate::resilience::budget::{RetryBudget, RetryBudgetConfig};
@@ -51,9 +57,21 @@ pub struct ResilienceConfig {
 
 /// What a job sorts: fresh input, or a checkpoint to resume.
 #[derive(Debug)]
-pub(crate) enum Payload {
-    Fresh { input: Vec<u32>, algo: SortAlgorithm },
-    Resume { checkpoint: Box<SortCheckpoint> },
+pub enum Payload {
+    /// Sort `input` on pipeline `algo`.
+    Fresh {
+        /// The keys to sort.
+        input: Vec<u32>,
+        /// The pipeline to sort them with.
+        algo: SortAlgorithm,
+    },
+    /// Resume an interrupted sort. The checkpoint's integrity is validated
+    /// at execution time; a tampered or mismatched checkpoint fails with
+    /// [`SortError::CheckpointInvalid`].
+    Resume {
+        /// The verified state to continue from.
+        checkpoint: Box<SortCheckpoint>,
+    },
 }
 
 impl Payload {
@@ -64,16 +82,76 @@ impl Payload {
             Payload::Resume { checkpoint } => checkpoint.n,
         }
     }
+
+    /// The checkpoint a resume continues from (`None` for a fresh sort).
+    pub(crate) fn checkpoint(&self) -> Option<&SortCheckpoint> {
+        match self {
+            Payload::Fresh { .. } => None,
+            Payload::Resume { checkpoint } => Some(checkpoint),
+        }
+    }
+
+    /// The pipeline label the job runs under (its breaker and tuning
+    /// ladder key).
+    fn algo_label(&self) -> &str {
+        match self {
+            Payload::Fresh { algo, .. } => algo.label(),
+            Payload::Resume { checkpoint } => &checkpoint.algorithm,
+        }
+    }
+}
+
+/// One sort request, as both front doors ([`SortService`] and
+/// [`ClusterService`](crate::resilience::cluster::ClusterService)) queue,
+/// migrate and execute it.
+#[derive(Debug)]
+pub struct SortJob {
+    /// The label its outcome carries.
+    pub label: String,
+    /// What to sort.
+    pub payload: Payload,
+    /// Faults to inject while it runs.
+    pub plan: FaultPlan,
+    /// Deadline in modeled seconds: a job whose modeled completion time
+    /// (retries, backoff, and spikes included) exceeds it fails with
+    /// [`SortError::DeadlineExceeded`].
+    pub deadline_s: Option<f64>,
+    /// Checkpoints to capture along a fresh run (and, for a kill policy,
+    /// where it dies with [`SortError::Interrupted`] carrying the
+    /// checkpoint to resume from). A resume captures none.
+    pub checkpoint: CheckpointPolicy,
+}
+
+impl SortJob {
+    /// A production sort of `input` on `algo`: no faults, no deadline,
+    /// no checkpoints.
+    #[must_use]
+    pub fn fresh(label: &str, input: Vec<u32>, algo: SortAlgorithm) -> Self {
+        Self::new(label, Payload::Fresh { input, algo })
+    }
+
+    /// A resume of an interrupted sort from `checkpoint`: no faults, no
+    /// deadline, no checkpoints.
+    #[must_use]
+    pub fn resume(label: &str, checkpoint: SortCheckpoint) -> Self {
+        Self::new(label, Payload::Resume { checkpoint: Box::new(checkpoint) })
+    }
+
+    fn new(label: &str, payload: Payload) -> Self {
+        Self {
+            label: label.to_string(),
+            payload,
+            plan: FaultPlan::none(),
+            deadline_s: None,
+            checkpoint: CheckpointPolicy::default(),
+        }
+    }
 }
 
 struct Job {
     id: JobId,
-    label: String,
-    payload: Payload,
-    plan: FaultPlan,
-    deadline_s: Option<f64>,
+    job: SortJob,
     cancelled: bool,
-    checkpoint_policy: CheckpointPolicy,
     /// Set at admission time when the job was refused or shed; such jobs
     /// never execute, not even partially.
     pre_shed: Option<SortError>,
@@ -82,13 +160,6 @@ struct Job {
 impl Job {
     fn admitted(&self) -> bool {
         self.pre_shed.is_none() && !self.cancelled
-    }
-
-    fn algo_label(&self) -> String {
-        match &self.payload {
-            Payload::Fresh { algo, .. } => algo.label().to_string(),
-            Payload::Resume { checkpoint } => checkpoint.algorithm.clone(),
-        }
     }
 }
 
@@ -570,13 +641,11 @@ impl SortService {
 
     /// Submit a production job (no fault injection, no deadline).
     pub fn submit(&mut self, label: &str, input: Vec<u32>, algo: SortAlgorithm) -> JobId {
-        self.submit_with_faults(label, input, algo, FaultPlan::none(), None)
+        self.submit_job(SortJob::fresh(label, input, algo))
     }
 
     /// Submit a job with a fault plan and an optional deadline in modeled
-    /// seconds. A job whose modeled completion time (retries, backoff,
-    /// and spikes included) exceeds the deadline fails with
-    /// [`SortError::DeadlineExceeded`].
+    /// seconds (see [`SortJob::deadline_s`]).
     pub fn submit_with_faults(
         &mut self,
         label: &str,
@@ -585,72 +654,28 @@ impl SortService {
         plan: FaultPlan,
         deadline_s: Option<f64>,
     ) -> JobId {
-        self.submit_with_policy(label, input, algo, plan, deadline_s, CheckpointPolicy::default())
+        self.submit_job(SortJob { plan, deadline_s, ..SortJob::fresh(label, input, algo) })
     }
 
-    /// Submit a job that also captures checkpoints under `policy` (and,
-    /// for a kill policy, dies with [`SortError::Interrupted`] carrying
-    /// the checkpoint to resume from).
-    pub fn submit_with_policy(
-        &mut self,
-        label: &str,
-        input: Vec<u32>,
-        algo: SortAlgorithm,
-        plan: FaultPlan,
-        deadline_s: Option<f64>,
-        policy: CheckpointPolicy,
-    ) -> JobId {
-        self.enqueue(Job {
-            id: JobId(0), // assigned by enqueue
-            label: label.to_string(),
-            payload: Payload::Fresh { input, algo },
-            plan,
-            deadline_s,
-            cancelled: false,
-            checkpoint_policy: policy,
-            pre_shed: None,
-        })
-    }
-
-    /// Submit a resume of an interrupted job from its checkpoint. The
-    /// checkpoint's integrity is validated at execution time; tampered or
-    /// mismatched checkpoints fail with [`SortError::CheckpointInvalid`].
-    pub fn submit_resume(
-        &mut self,
-        label: &str,
-        checkpoint: SortCheckpoint,
-        plan: FaultPlan,
-        deadline_s: Option<f64>,
-    ) -> JobId {
-        self.enqueue(Job {
-            id: JobId(0),
-            label: label.to_string(),
-            payload: Payload::Resume { checkpoint: Box::new(checkpoint) },
-            plan,
-            deadline_s,
-            cancelled: false,
-            checkpoint_policy: CheckpointPolicy::default(),
-            pre_shed: None,
-        })
-    }
-
-    /// Assign an id, run admission control, and queue the job. Ids are
-    /// monotonically increasing for the lifetime of the service — they
-    /// are never reused across batches, so a stale handle from a drained
-    /// batch can never cancel a newer job.
-    fn enqueue(&mut self, mut job: Job) -> JobId {
-        job.id = JobId(self.next_id);
+    /// Submit a job: a fresh sort or a resume, with its fault plan,
+    /// deadline and checkpoint policy. Ids are monotonically increasing
+    /// for the lifetime of the service — they are never reused across
+    /// batches, so a stale handle from a drained batch can never cancel a
+    /// newer job.
+    pub fn submit_job(&mut self, job: SortJob) -> JobId {
+        let id = JobId(self.next_id);
         self.next_id += 1;
-        // Every admitted job in the batch may be evicted, resumes
-        // included; a job's batch position is its id order.
+        // Admission control. Every admitted job in the batch may be
+        // evicted, resumes included; a job's batch position is its id
+        // order.
         let queued: Vec<(usize, usize, Option<f64>)> = self
             .jobs
             .iter()
             .enumerate()
             .filter(|(_, j)| j.admitted())
-            .map(|(i, j)| (i, j.payload.n(), j.deadline_s))
+            .map(|(i, j)| (i, j.job.payload.n(), j.job.deadline_s))
             .collect();
-        match admission::admit(
+        let pre_shed = match admission::admit(
             &self.resilience.admission,
             queued.len(),
             job.payload.n(),
@@ -663,12 +688,12 @@ impl SortService {
                 for (i, err) in evicted {
                     self.jobs[i].pre_shed = Some(err);
                 }
+                None
             }
-            Err(err) => job.pre_shed = Some(err),
-        }
-        let admitted = job.pre_shed.is_none();
-        let id = job.id;
-        self.jobs.push(job);
+            Err(err) => Some(err),
+        };
+        let admitted = pre_shed.is_none();
+        self.jobs.push(Job { id, job, cancelled: false, pre_shed });
         self.record_admission(admitted);
         id
     }
@@ -734,26 +759,9 @@ impl SortService {
     /// dispatch times coincide with the accumulated clock — which is
     /// exactly why N=1 fault-free cluster runs stay bit-identical to a
     /// batch [`SortService`].
-    pub(crate) fn run_now(
-        &mut self,
-        now_s: f64,
-        id: u64,
-        label: String,
-        payload: Payload,
-        plan: FaultPlan,
-        deadline_s: Option<f64>,
-    ) -> JobOutcome {
+    pub(crate) fn run_now(&mut self, now_s: f64, id: u64, job: SortJob) -> JobOutcome {
         self.clock_s = self.clock_s.max(now_s);
-        self.execute(Job {
-            id: JobId(id),
-            label,
-            payload,
-            plan,
-            deadline_s,
-            cancelled: false,
-            checkpoint_policy: CheckpointPolicy::default(),
-            pre_shed: None,
-        })
+        self.execute(Job { id: JobId(id), job, cancelled: false, pre_shed: None })
     }
 
     fn breaker_for(&mut self, key: (String, usize, usize)) -> &mut CircuitBreaker {
@@ -788,19 +796,19 @@ impl SortService {
         }
     }
 
-    fn execute(&mut self, job: Job) -> JobOutcome {
-        if let Some(err) = job.pre_shed {
+    fn execute(&mut self, Job { id, job, cancelled, pre_shed }: Job) -> JobOutcome {
+        if let Some(err) = pre_shed {
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("service_jobs_shed_total", 1);
             }
-            return JobOutcome::unrun(job.id, job.label, err);
+            return JobOutcome::unrun(id, job.label, err);
         }
-        if job.cancelled {
+        if cancelled {
             self.counters.cancelled += 1;
             if let Some(reg) = &mut self.telemetry {
                 reg.inc("service_jobs_cancelled_total", 1);
             }
-            return JobOutcome::unrun(job.id, job.label, SortError::Cancelled);
+            return JobOutcome::unrun(id, job.label, SortError::Cancelled);
         }
 
         // Ladder admission (only when tuning is installed): fresh jobs
@@ -809,17 +817,18 @@ impl SortService {
         // ladder cannot certify fail closed before touching the
         // breakers or the budget. Resumes stay pinned to their
         // checkpoint's launch config.
-        let is_resume = matches!(job.payload, Payload::Resume { .. });
+        let is_resume = job.payload.checkpoint().is_some();
+        let algo = job.payload.algo_label().to_string();
         let mut choice: Option<TuningChoice> = None;
         if self.tuning.is_some() && !is_resume {
-            match self.tuning_select(&job.algo_label()) {
+            match self.tuning_select(&algo) {
                 Ok(c) => choice = Some(c),
                 Err(err) => {
                     self.counters.uncertified_rejected += 1;
                     if let Some(reg) = &mut self.telemetry {
                         reg.inc("service_uncertified_rejected_total", 1);
                     }
-                    return JobOutcome::unrun(job.id, job.label, err);
+                    return JobOutcome::unrun(id, job.label, err);
                 }
             }
         }
@@ -832,7 +841,7 @@ impl SortService {
         // probe of the candidate rung must not perturb breaker state.
         let routed_params = choice.as_ref().map_or(self.config.base.params, |c| c.params);
         let is_canary = choice.as_ref().is_some_and(|c| c.canary);
-        let key = (job.algo_label(), routed_params.e, routed_params.u);
+        let key = (algo.clone(), routed_params.e, routed_params.u);
         let transitions_before =
             self.breakers.iter().find(|(k, _)| *k == key).map_or(0, |(_, b)| b.transitions().len());
         let route = if self.resilience.breaker.enabled && !is_resume && !is_canary {
@@ -858,7 +867,7 @@ impl SortService {
         let mut exec_params = routed_params;
         if quarantined {
             match &choice {
-                Some(c) => match self.tuning_step_down(&job.algo_label(), c.rank) {
+                Some(c) => match self.tuning_step_down(&algo, c.rank) {
                     Ok((sub, steps)) => {
                         self.counters.ladder_steps += steps;
                         exec_params = sub.params;
@@ -883,7 +892,7 @@ impl SortService {
             if !self.resilience.breaker.enabled || is_resume || is_canary || preempted {
                 None
             } else if quarantined {
-                choice.as_ref().map(|_| (job.algo_label(), exec_params.e, exec_params.u))
+                choice.as_ref().map(|_| (algo.clone(), exec_params.e, exec_params.u))
             } else {
                 Some(key.clone())
             };
@@ -907,28 +916,13 @@ impl SortService {
         let mut checkpoints = Vec::new();
         let result = match preempt {
             Some(err) => Err(err),
-            None => match &job.payload {
-                Payload::Resume { checkpoint } => {
-                    self.counters.resumed += 1;
-                    resume_sort_robust::<u32>(checkpoint, &cfg, &job.plan)
-                }
-                Payload::Fresh { input, algo } if !job.checkpoint_policy.is_noop() => {
-                    simulate_sort_robust_checkpointed(
-                        input,
-                        *algo,
-                        &cfg,
-                        &job.plan,
-                        job.checkpoint_policy,
-                    )
-                    .map(|(run, taken)| {
-                        checkpoints = taken;
-                        run
-                    })
-                }
-                Payload::Fresh { input, algo } => {
-                    simulate_sort_robust(input, *algo, &cfg, &job.plan)
-                }
-            },
+            None => {
+                self.counters.resumed += u64::from(is_resume);
+                run_job(&job, &cfg, job.checkpoint).map(|(run, taken)| {
+                    checkpoints = taken;
+                    run
+                })
+            }
         };
         self.counters.checkpoints_taken += checkpoints.len() as u64;
 
@@ -985,7 +979,6 @@ impl SortService {
                 Ok(run) => run.report.counters.fallbacks == 0,
                 Err(_) => false,
             };
-            let algo = job.algo_label();
             let state = self.tuning.as_mut().expect("canary implies tuning");
             if success {
                 state.canary_successes += 1;
@@ -1051,7 +1044,7 @@ impl SortService {
         }
 
         JobOutcome {
-            id: job.id,
+            id,
             label: job.label,
             result,
             quarantined,
@@ -1205,7 +1198,7 @@ mod tests {
             other => panic!("expected Interrupted, got {other:?}"),
         };
         let mut svc = SortService::new(rcfg);
-        let id = svc.submit_resume("resume", cp, FaultPlan::none(), None);
+        let id = svc.submit_job(SortJob::resume("resume", cp));
         assert!(svc.cancel(id));
         let outcomes = svc.drain();
         assert!(matches!(outcomes[0].result, Err(SortError::Cancelled)));
@@ -1659,20 +1652,16 @@ mod tests {
         let whole = svc.drain().remove(0).result.expect("whole run");
 
         let mut svc2 = SortService::new(rcfg);
-        svc2.submit_with_policy(
-            "killed",
-            input,
-            SortAlgorithm::CfMerge,
-            FaultPlan::none(),
-            None,
-            CheckpointPolicy::kill_after(0),
-        );
+        svc2.submit_job(SortJob {
+            checkpoint: CheckpointPolicy::kill_after(0),
+            ..SortJob::fresh("killed", input, SortAlgorithm::CfMerge)
+        });
         let killed = svc2.drain().remove(0);
         let cp = match killed.result {
             Err(SortError::Interrupted { checkpoint, .. }) => *checkpoint,
             other => panic!("expected Interrupted, got {other:?}"),
         };
-        svc2.submit_resume("resumed", cp, FaultPlan::none(), None);
+        svc2.submit_job(SortJob::resume("resumed", cp));
         let resumed = svc2.drain().remove(0).result.expect("resume succeeds");
         assert_eq!(resumed.run.output, whole.run.output);
         assert_eq!(resumed.run.simulated_seconds, whole.run.simulated_seconds);

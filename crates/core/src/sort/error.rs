@@ -77,6 +77,12 @@ pub enum SortError {
         /// The deadline as submitted.
         deadline_s: f64,
     },
+    /// The submitted arrival time is not a usable modeled time (negative,
+    /// NaN, or infinite); the job never enters the event queue.
+    InvalidArrival {
+        /// The arrival time as submitted.
+        at_s: f64,
+    },
     /// The run was interrupted after a completed merge pass (the modeled
     /// kill in a chaos kill-and-resume scenario). The checkpoint carries
     /// everything needed to resume without redoing verified passes.
@@ -151,6 +157,9 @@ impl std::fmt::Display for SortError {
             SortError::InvalidDeadline { deadline_s } => {
                 write!(f, "invalid deadline: {deadline_s} modeled seconds")
             }
+            SortError::InvalidArrival { at_s } => {
+                write!(f, "invalid arrival time: {at_s} modeled seconds")
+            }
             SortError::Interrupted { after_pass, .. } => {
                 write!(f, "run interrupted after merge pass {after_pass}; checkpoint available")
             }
@@ -209,6 +218,9 @@ impl ToJson for SortError {
                 ("kind", Json::from("invalid-deadline")),
                 ("deadline_s", Json::from(*deadline_s)),
             ]),
+            SortError::InvalidArrival { at_s } => {
+                Json::obj([("kind", Json::from("invalid-arrival")), ("at_s", Json::from(*at_s))])
+            }
             SortError::Interrupted { after_pass, checkpoint } => Json::obj([
                 ("kind", Json::from("interrupted")),
                 ("after_pass", Json::from(*after_pass)),

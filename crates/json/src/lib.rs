@@ -27,6 +27,10 @@
 //! - `name ?= default` — written only when the value differs from
 //!   `default`; `default` when absent on read.
 //!
+//! Report structs that are only ever written take the write-only form,
+//! `json_struct! { write Report { ... } }`: the same field list, but only
+//! [`ToJson`] is implemented (so no field needs a [`FromJson`] impl).
+//!
 //! **Compatibility rule:** artifacts in `results/` and `tests/golden/` are
 //! pinned byte for byte, so a field added to a pinned type must be
 //! `= default` (older files still load) or `?= default` (older files
@@ -90,7 +94,9 @@ pub trait FromJson: Sized {
 
 /// Implement [`ToJson`] and [`FromJson`] for a struct from one ordered
 /// field list (see the [crate docs](crate#struct-schemas) for the three
-/// field forms). Keys are the field names, written in list order.
+/// field forms). Keys are the field names, written in list order. The
+/// `write` form, `json_struct! { write Ty { ... } }`, implements
+/// [`ToJson`] alone.
 ///
 /// ```
 /// use cfmerge_json::{json_struct, FromJson, Json, ToJson};
@@ -111,20 +117,23 @@ pub trait FromJson: Sized {
 /// ```
 #[macro_export]
 macro_rules! json_struct {
+    (write $ty:ident { $($fields:tt)* }) => {
+        $crate::json_struct!(@munch write $ty [] $($fields)*);
+    };
     ($ty:ident { $($fields:tt)* }) => {
-        $crate::json_struct!(@munch $ty [] $($fields)*);
+        $crate::json_struct!(@munch both $ty [] $($fields)*);
     };
     // Normalize each field to `(name mode default?)`, one per step.
-    (@munch $ty:ident [$($done:tt)*] $name:ident ?= $default:expr $(, $($rest:tt)*)?) => {
-        $crate::json_struct!(@munch $ty [$($done)* ($name omit $default)] $($($rest)*)?);
+    (@munch $io:ident $ty:ident [$($done:tt)*] $name:ident ?= $default:expr $(, $($rest:tt)*)?) => {
+        $crate::json_struct!(@munch $io $ty [$($done)* ($name omit $default)] $($($rest)*)?);
     };
-    (@munch $ty:ident [$($done:tt)*] $name:ident = $default:expr $(, $($rest:tt)*)?) => {
-        $crate::json_struct!(@munch $ty [$($done)* ($name always $default)] $($($rest)*)?);
+    (@munch $io:ident $ty:ident [$($done:tt)*] $name:ident = $default:expr $(, $($rest:tt)*)?) => {
+        $crate::json_struct!(@munch $io $ty [$($done)* ($name always $default)] $($($rest)*)?);
     };
-    (@munch $ty:ident [$($done:tt)*] $name:ident $(, $($rest:tt)*)?) => {
-        $crate::json_struct!(@munch $ty [$($done)* ($name required)] $($($rest)*)?);
+    (@munch $io:ident $ty:ident [$($done:tt)*] $name:ident $(, $($rest:tt)*)?) => {
+        $crate::json_struct!(@munch $io $ty [$($done)* ($name required)] $($($rest)*)?);
     };
-    (@munch $ty:ident [$(($name:ident $mode:ident $($default:expr)?))*]) => {
+    (@munch $io:ident $ty:ident [$(($name:ident $mode:ident $($default:expr)?))*]) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 let mut pairs = ::std::vec::Vec::new();
@@ -132,6 +141,10 @@ macro_rules! json_struct {
                 $crate::Json::obj(pairs)
             }
         }
+        $crate::json_struct!(@read $io $ty [$(($name $mode $($default)?))*]);
+    };
+    (@read write $ty:ident [$($field:tt)*]) => {};
+    (@read both $ty:ident [$(($name:ident $mode:ident $($default:expr)?))*]) => {
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> ::std::result::Result<Self, $crate::JsonError> {
                 ::std::result::Result::Ok(Self {
@@ -940,5 +953,31 @@ mod tests {
         let keys: Vec<String> =
             s.to_json().as_obj().unwrap().iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, ["id", "name", "added", "width", "extra"]);
+    }
+
+    /// Written only: `Label` has no `FromJson`, so the `write` form must
+    /// not ask for one.
+    struct Label(&'static str);
+
+    impl ToJson for Label {
+        fn to_json(&self) -> Json {
+            Json::from(self.0)
+        }
+    }
+
+    struct Row {
+        label: Label,
+        count: u64,
+        note: Option<String>,
+    }
+
+    json_struct! { write Row { label, count = 0, note ?= None } }
+
+    #[test]
+    fn write_only_schema_writes_in_list_order() {
+        let row = Row { label: Label("a"), count: 0, note: None };
+        assert_eq!(row.to_json().to_string_compact(), r#"{"label":"a","count":0}"#);
+        let row = Row { note: Some("n".into()), ..row };
+        assert_eq!(row.to_json().to_string_compact(), r#"{"label":"a","count":0,"note":"n"}"#);
     }
 }

@@ -52,7 +52,7 @@ pub mod prelude {
     };
     pub use cfmerge_core::resilience::{
         AdmissionConfig, BreakerConfig, CheckpointPolicy, HedgeConfig, ResilienceConfig,
-        RetryBudgetConfig, ServiceCounters, ShedPolicy, SortCheckpoint,
+        RetryBudgetConfig, ServiceCounters, ShedPolicy, SortCheckpoint, SortJob,
     };
     pub use cfmerge_core::sort::{
         simulate_sort, simulate_sort_traced, sort_pairs_stable, try_simulate_sort, Degradation,

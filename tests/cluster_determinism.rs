@@ -23,7 +23,7 @@ use cfmerge::core::recovery::{RobustConfig, SortService};
 use cfmerge::core::resilience::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterService, DeviceFaultPlan,
     DeviceFaultSpec, LoadGenConfig, MigrationConfig, Priority, ResilienceConfig, ShedPolicy,
-    TrafficShape,
+    SortJob, TrafficShape,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig, SortError};
 use cfmerge_gpu_sim::fault::FaultPlan;
@@ -152,16 +152,8 @@ proptest! {
                 (i % 3 == 0).then(|| if (seed >> i) & 1 == 0 { 1e-15 } else { 1.0 });
             let label = format!("job-{i}");
             svc.submit_with_faults(&label, input.clone(), algo, FaultPlan::none(), deadline_s);
-            cluster.submit_at(
-                &label,
-                "default",
-                Priority::Interactive,
-                0.0,
-                input,
-                algo,
-                FaultPlan::none(),
-                deadline_s,
-            );
+            let job = SortJob { deadline_s, ..SortJob::fresh(&label, input, algo) };
+            cluster.submit_at("default", Priority::Interactive, 0.0, job);
         }
         let svc_out = svc.drain();
         let report = cluster.run();
@@ -202,16 +194,8 @@ fn reject_largest_evicts_across_device_queues() {
     let tile = SortParams::new(5, 32).tile();
     let mut submit = |label: &str, tenant: &str, tiles: usize| {
         let input = InputSpec::UniformRandom { seed: tiles as u64 }.generate(tiles * tile);
-        cluster.submit_at(
-            label,
-            tenant,
-            Priority::Interactive,
-            0.0,
-            input,
-            SortAlgorithm::CfMerge,
-            FaultPlan::none(),
-            None,
-        )
+        let job = SortJob::fresh(label, input, SortAlgorithm::CfMerge);
+        cluster.submit_at(tenant, Priority::Interactive, 0.0, job)
     };
     let small = submit("small", near, 1);
     let big = submit("big", far, 8);

@@ -12,7 +12,7 @@ use cfmerge::core::params::SortParams;
 use cfmerge::core::recovery::RobustConfig;
 use cfmerge::core::resilience::{
     ClusterConfig, ClusterService, DeviceFaultEvent, DeviceFaultKind, DeviceFaultPlan,
-    ServiceCounters,
+    ServiceCounters, SortJob,
 };
 use cfmerge::core::sort::{SortAlgorithm, SortConfig};
 use cfmerge::core::verify::verify_sorted_permutation;
@@ -31,16 +31,9 @@ fn submit_batch(cluster: &mut ClusterService) -> Vec<Vec<u32>> {
         let n = tiles * params.tile() + i;
         let input = InputSpec::UniformRandom { seed: 0xC1_0C4A ^ ((i as u64) << 8) }.generate(n);
         let tenant = if i % 2 == 0 { "tenant-a" } else { "tenant-b" };
-        cluster.submit_at(
-            &format!("golden/{tenant}/job-{i}"),
-            tenant,
-            Default::default(),
-            0.0,
-            input.clone(),
-            SortAlgorithm::CfMerge,
-            cfmerge::gpu_sim::fault::FaultPlan::none(),
-            None,
-        );
+        let label = format!("golden/{tenant}/job-{i}");
+        let job = SortJob::fresh(&label, input.clone(), SortAlgorithm::CfMerge);
+        cluster.submit_at(tenant, Default::default(), 0.0, job);
         inputs.push(input);
     }
     inputs
