@@ -1,6 +1,9 @@
 //! Simulator-engine micro-benches: the conflict-cost inner loop, phase
-//! dispatch overhead, and global coalescing accounting.
+//! dispatch overhead, global coalescing accounting, and whole blocks of
+//! the two kernels on random keys.
 
+use cfmerge_core::sort::blocksort::{blocksort_block, MergeStrategy};
+use cfmerge_core::sort::merge_pass::{merge_pass_block, MergeChunkJob};
 use cfmerge_gpu_sim::banks::{BankModel, RowStamps};
 use cfmerge_gpu_sim::block::BlockSim;
 use cfmerge_gpu_sim::global::sectors_touched;
@@ -87,6 +90,55 @@ fn bench_sectors(c: &mut Criterion) {
     g.finish();
 }
 
+/// Sorted uniform-random keys.
+fn sorted_random(rng: &mut rand::rngs::SmallRng, n: usize) -> Vec<u32> {
+    let mut keys: Vec<u32> = (0..n).map(|_| rng.gen()).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// One fully simulated block of each kernel on random keys, the blocks
+/// the launch memo cannot replay: every search, serial-merge and gather
+/// access goes through a lane context.
+fn bench_lane_kernels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simulator/lane_kernels");
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+    let nvidia = BankModel::nvidia();
+
+    // Thrust's shipped E=17, u=256: the first chunk of merging two
+    // sorted random runs of one tile each.
+    let (e, u) = (17, 256);
+    let tile = u * e;
+    let (a, b) = (sorted_random(&mut rng, tile), sorted_random(&mut rng, tile));
+    let a_len = cfmerge_mergepath::diagonal::merge_path(&a, &b, tile);
+    let src = [a, b].concat();
+    let job = MergeChunkJob { a_begin: 0, a_end: a_len, b_begin: tile, b_end: 2 * tile - a_len };
+    let mut dst = vec![0u32; tile];
+    g.throughput(Throughput::Elements(tile as u64));
+    g.bench_function("merge_pass_thrust_e17_u256", |bch| {
+        bch.iter(|| {
+            let strategy = MergeStrategy::DirectSerial;
+            let p = merge_pass_block(nvidia, u, e, strategy, &src, job, &mut dst, true);
+            black_box(p.total().shared_ld_transactions)
+        })
+    });
+
+    // CF-Merge's E=15, u=512: one random tile through the block sort.
+    let (e, u) = (15, 512);
+    let tile = u * e;
+    let src: Vec<u32> = (0..tile).map(|_| rng.gen()).collect();
+    let mut dst = vec![0u32; tile];
+    g.throughput(Throughput::Elements(tile as u64));
+    g.bench_function("blocksort_cf_e15_u512", |bch| {
+        bch.iter(|| {
+            let strategy = MergeStrategy::Gather;
+            let p = blocksort_block(nvidia, u, e, strategy, &src, &mut dst, 0, true);
+            black_box(p.total().shared_ld_transactions)
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     // Short measurement windows: one shared core runs the whole suite.
@@ -94,6 +146,7 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_round_cost, bench_round_pricing, bench_phase_dispatch, bench_sectors
+    targets = bench_round_cost, bench_round_pricing, bench_phase_dispatch, bench_sectors,
+        bench_lane_kernels
 }
 criterion_main!(benches);

@@ -1213,16 +1213,20 @@ mod tests {
         assert_eq!(report.counters, *svc.counters());
     }
 
+    /// Refused arrival times, and how the report's JSON writes each.
+    const BAD_AT_S: [f64; 4] = [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY];
+    const BAD_AT_S_JSON: [&str; 4] = [r#""NaN""#, "-1", r#""inf""#, r#""-inf""#];
+
     #[test]
     fn bad_arrival_times_are_typed_and_never_queued() {
         let batch = |bad: bool| {
             let mut cluster = ClusterService::new(ClusterConfig::homogeneous(2, rcfg()));
-            for (i, at_s) in [0.0, 1e-5, 2e-5].into_iter().enumerate() {
+            for (i, at_s) in [0.0, 1e-5, 2e-5, 3e-5].into_iter().enumerate() {
                 let input = InputSpec::UniformRandom { seed: 60 + i as u64 }.generate(2 * 160);
                 let job = SortJob::fresh(&format!("ok-{i}"), input, SortAlgorithm::CfMerge);
                 cluster.submit_at(&format!("tenant-{i}"), Priority::Interactive, at_s, job);
                 if bad {
-                    let at_s = [f64::NAN, -1.0, f64::INFINITY][i];
+                    let at_s = BAD_AT_S[i];
                     let job =
                         SortJob::fresh(&format!("bad-{i}"), vec![3, 1, 2], SortAlgorithm::CfMerge);
                     cluster.submit_at("tenant-0", Priority::Batch, at_s, job);
@@ -1243,7 +1247,7 @@ mod tests {
                 (&cr.run.output, cr.run.simulated_seconds)
             );
         }
-        for (o, want) in bad.iter().zip([f64::NAN, -1.0, f64::INFINITY]) {
+        for (o, want) in bad.iter().zip(BAD_AT_S) {
             match o.result {
                 Err(SortError::InvalidArrival { at_s }) => {
                     assert!(at_s == want || (at_s.is_nan() && want.is_nan()), "{at_s}");
@@ -1254,10 +1258,20 @@ mod tests {
         }
         assert_eq!(mixed.tenant_slos, clean.tenant_slos);
         assert_eq!(mixed.clock_s, clean.clock_s);
-        assert_eq!(mixed.counters.submitted, clean.counters.submitted + 3);
+        assert_eq!(mixed.counters.submitted, clean.counters.submitted + 4);
         assert_eq!(mixed.counters.executed, clean.counters.executed);
         let slos = Json::arr(mixed.tenant_slos.iter().map(ToJson::to_json)).to_string_compact();
         assert!(!slos.contains("null"), "{slos}");
+        // The report tells NaN, +inf and -inf apart; finite times stay numbers.
+        let report = mixed.to_json();
+        let outcomes = report.req("outcomes").unwrap().as_arr().unwrap();
+        let errors: Vec<String> = outcomes
+            .iter()
+            .filter_map(|o| o.get("error"))
+            .map(|e| e.req("at_s").unwrap().to_string_compact())
+            .collect();
+        assert_eq!(errors, BAD_AT_S_JSON);
+        assert!(!report.to_string_compact().contains("null"));
     }
 
     #[test]

@@ -1153,7 +1153,7 @@ mod tests {
     fn invalid_deadlines_are_typed_not_panics() {
         let mut svc = SortService::new(small_rcfg());
         let input = InputSpec::UniformRandom { seed: 41 }.generate(160);
-        for bad in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+        for bad in [-1.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
             svc.submit_with_faults(
                 "bad",
                 input.clone(),
@@ -1171,15 +1171,19 @@ mod tests {
             Some(0.0),
         );
         let outcomes = svc.drain();
-        for o in &outcomes[..3] {
-            assert!(
-                matches!(o.result, Err(SortError::InvalidDeadline { .. })),
-                "expected InvalidDeadline, got {:?}",
-                o.result
-            );
+        // JSON keeps the refused deadlines apart, NaN and ±inf included.
+        let mut written = Vec::new();
+        for o in &outcomes[..4] {
+            match &o.result {
+                Err(e @ SortError::InvalidDeadline { .. }) => {
+                    written.push(e.to_json().req("deadline_s").unwrap().to_string_compact());
+                }
+                other => panic!("expected InvalidDeadline, got {other:?}"),
+            }
         }
-        assert!(matches!(outcomes[3].result, Err(SortError::DeadlineExceeded { .. })));
-        assert_eq!(svc.counters().invalid_deadline, 3);
+        assert_eq!(written, ["-1", r#""NaN""#, r#""-inf""#, r#""inf""#]);
+        assert!(matches!(outcomes[4].result, Err(SortError::DeadlineExceeded { .. })));
+        assert_eq!(svc.counters().invalid_deadline, 4);
         assert_eq!(svc.counters().executed, 1);
     }
 

@@ -79,6 +79,7 @@ fn cf_rank_slots(first: usize, run_w: usize) -> impl Iterator<Item = usize> {
 /// Store a thread's registers, the ranks `first, first + 1, …`, into
 /// shared memory: at their ranks, or with `cf_run_w = Some(W)` into the
 /// CF layout of run width `W`.
+#[inline(always)]
 fn store_ranks<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
     first: usize,

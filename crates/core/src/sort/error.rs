@@ -216,11 +216,12 @@ impl ToJson for SortError {
             ]),
             SortError::InvalidDeadline { deadline_s } => Json::obj([
                 ("kind", Json::from("invalid-deadline")),
-                ("deadline_s", Json::from(*deadline_s)),
+                ("deadline_s", invalid_time_json(*deadline_s)),
             ]),
-            SortError::InvalidArrival { at_s } => {
-                Json::obj([("kind", Json::from("invalid-arrival")), ("at_s", Json::from(*at_s))])
-            }
+            SortError::InvalidArrival { at_s } => Json::obj([
+                ("kind", Json::from("invalid-arrival")),
+                ("at_s", invalid_time_json(*at_s)),
+            ]),
             SortError::Interrupted { after_pass, checkpoint } => Json::obj([
                 ("kind", Json::from("interrupted")),
                 ("after_pass", Json::from(*after_pass)),
@@ -247,6 +248,19 @@ impl ToJson for SortError {
                 ("why", Json::from(why.as_str())),
             ]),
         }
+    }
+}
+
+/// A refused deadline or arrival time as JSON: a finite time as its
+/// number, a non-finite one as the string `"NaN"`, `"inf"` or `"-inf"`.
+/// The JSON writer turns every non-finite number into `null`, which would
+/// not tell the three apart.
+fn invalid_time_json(s: f64) -> Json {
+    match s {
+        s if s.is_finite() => Json::from(s),
+        s if s.is_nan() => Json::from("NaN"),
+        s if s > 0.0 => Json::from("inf"),
+        _ => Json::from("-inf"),
     }
 }
 

@@ -11,6 +11,10 @@
 //! | partition search | binary search, natural slots  | binary search, permuted slots      |
 //! | move to regs     | serial merge (data-dependent) | dual subsequence gather (oblivious)|
 //! | merge            | done during the move          | odd-even transposition in registers|
+//!
+//! The building blocks that take a [`LaneCtx`] are `#[inline(always)]`:
+//! inlined into their phase closures, the lane's cursors and ALU count
+//! stay in registers instead of being bumped through memory per access.
 
 use crate::gather::layout::CfLayout;
 use crate::gather::schedule::{GatherSchedule, ThreadSplit};
@@ -127,6 +131,7 @@ pub(crate) fn clamped_split(
 /// Merge-path binary search against shared memory: the split of the first
 /// `diag` outputs of the pair under `layout`. Charges two shared loads
 /// and a few ALU ops per iteration, exactly as the device code would.
+#[inline(always)]
 #[must_use]
 pub fn shared_merge_path<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
@@ -150,6 +155,7 @@ pub fn shared_merge_path<K: SortKey, O: Observer>(
 /// head preloads), written to the thread's register array `out`.
 ///
 /// This is the phase the worst-case inputs of Section 4 attack.
+#[inline(always)]
 pub fn serial_merge_from_shared<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
     layout: &PairLayout,
@@ -205,6 +211,7 @@ pub fn serial_merge_from_shared<K: SortKey, O: Observer>(
 /// Panics if the split does not fit the layout (see
 /// [`GatherSchedule::new`]) or `E` exceeds [`MAX_BANKS`], the widest warp
 /// and so the largest `E` a block can run.
+#[inline(always)]
 pub fn gather_merge_from_shared<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
     base: usize,

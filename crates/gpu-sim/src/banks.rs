@@ -22,8 +22,11 @@
 //! [`BankModel::round_cost`] implements this exactly and statelessly: it
 //! is the reference that the prover, the worst-case builder and the
 //! renderers call. The engine prices its rounds with [`RowStamps`]
-//! instead, a per-block table that gives the same [`RoundCost`] in one
-//! pass over the lanes.
+//! instead, a per-block table that gives the same [`RoundCost`]. Both
+//! start with the same bank-mask pass, which prices a round whose lanes
+//! sit in distinct banks at one transaction. Where `round_cost` then
+//! builds a per-bank lane table and searches it, `RowStamps` finishes a
+//! conflicting round in one branch-free pass over the lanes.
 
 use cfmerge_json::json_struct;
 
@@ -214,24 +217,32 @@ fn count_distinct_rows(
     RoundCost { transactions, conflicts: transactions - 1, active_lanes }
 }
 
-/// One-pass pricing of shared warp rounds: one `u32` stamp per
-/// shared-memory row of a block.
+/// Pricing of shared warp rounds with one `u32` stamp per shared-memory
+/// row of a block.
 ///
-/// Each priced round takes a fresh stamp. A lane whose row does not yet
-/// carry it stamps the row and adds one to its bank's count; lanes on a
-/// stamped row are broadcast. The round costs the largest count. This is
-/// [`BankModel::round_cost`]'s number without its second pass over a
-/// per-bank lane table, which a conflicting round — most rounds of a
-/// random input's searches and merges — would otherwise take.
+/// A first pass ORs each lane's bank bit, as
+/// [`BankModel::round_cost`]'s does: a round whose lanes sit in pairwise
+/// distinct banks (every round of a conflict-free phase, such as every
+/// CF-Merge gather round) costs one transaction and stamps nothing.
+///
+/// Any other round takes a fresh stamp. Each lane stamps its row and adds
+/// one to its bank's count if the row did not carry the stamp yet; lanes
+/// on a stamped row are broadcast. The round costs the largest count.
+/// This loop has no key-dependent branch, and it replaces
+/// `round_cost`'s second pass over a per-bank lane table, which a
+/// conflicting round (most rounds of a random input's searches and
+/// merges) would otherwise take.
 ///
 /// Stamp 0 marks a row no round has touched. When the round stamp wraps
 /// past `u32::MAX`, the table is cleared, so an old stamp can never pass
-/// for the current one.
+/// for the current one. A round priced by the first pass alone leaves
+/// the table and the stamp as they were; the next stamped round still
+/// takes a stamp no row carries.
 #[derive(Debug)]
 pub struct RowStamps {
-    /// Per row, the stamp of the last round that touched it.
+    /// Per row, the stamp of the last stamped round that touched it.
     stamps: Vec<u32>,
-    /// The last round's stamp.
+    /// The last stamped round's stamp.
     stamp: u32,
 }
 
@@ -247,7 +258,8 @@ impl RowStamps {
     ///
     /// # Panics
     /// Panics if the model or the round exceeds [`MAX_BANKS`], or if an
-    /// address lies beyond the memory the table was made for.
+    /// address of a round with a shared bank lies beyond the memory the
+    /// table was made for.
     #[must_use]
     pub fn price(&mut self, model: &BankModel, addrs: &[u32]) -> RoundCost {
         if addrs.is_empty() {
@@ -256,11 +268,6 @@ impl RowStamps {
         let (w, width) = (model.num_banks, model.bank_word_u32s);
         assert!(w as usize <= MAX_BANKS, "BankModel supports at most {MAX_BANKS} banks, got {w}");
         assert!(addrs.len() <= MAX_BANKS, "a round has at most {MAX_BANKS} lanes");
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.stamps.fill(0);
-            self.stamp = 1;
-        }
         let cost = if w.is_power_of_two() && width.is_power_of_two() {
             let (shift, mask) = (width.trailing_zeros(), w - 1);
             self.count(addrs, |addr| addr >> shift, |row| row & mask)
@@ -271,9 +278,8 @@ impl RowStamps {
         cost
     }
 
-    /// The count of [`price`](Self::price) under the current stamp.
-    /// Inlined into each caller so that each locator is compiled into
-    /// its own loop.
+    /// The count of [`price`](Self::price). Inlined into each caller so
+    /// that each locator is compiled into its own loops.
     #[inline(always)]
     fn count(
         &mut self,
@@ -281,6 +287,16 @@ impl RowStamps {
         row_of: impl Fn(u32) -> u32,
         bank_of: impl Fn(u32) -> u32,
     ) -> RoundCost {
+        let active_lanes = addrs.len() as u32;
+        let banks_hit = addrs.iter().fold(0u64, |hit, &addr| hit | 1 << bank_of(row_of(addr)));
+        if banks_hit.count_ones() == active_lanes {
+            return RoundCost { transactions: 1, conflicts: 0, active_lanes };
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.stamps.fill(0);
+            self.stamp = 1;
+        }
         let (stamps, stamp) = (&mut self.stamps[..], self.stamp);
         // A bank holds at most MAX_BANKS = 64 distinct rows of a round.
         // A bank is below w <= MAX_BANKS, so masking its index only drops
@@ -290,14 +306,13 @@ impl RowStamps {
         for &addr in addrs {
             let row = row_of(addr);
             let seen = &mut stamps[row as usize];
-            if *seen != stamp {
-                *seen = stamp;
-                let rows = &mut rows_in[bank_of(row) as usize & (MAX_BANKS - 1)];
-                *rows += 1;
-                transactions = transactions.max(*rows);
-            }
+            let fresh = u8::from(*seen != stamp);
+            *seen = stamp;
+            let rows = &mut rows_in[bank_of(row) as usize & (MAX_BANKS - 1)];
+            *rows += fresh;
+            transactions = transactions.max(*rows);
         }
-        let (transactions, active_lanes) = (u32::from(transactions), addrs.len() as u32);
+        let transactions = u32::from(transactions);
         RoundCost { transactions, conflicts: transactions - 1, active_lanes }
     }
 }
@@ -430,6 +445,60 @@ mod tests {
                 );
             }
             assert_eq!(table.stamp, 4, "{model:?}: the wrap restarts at stamp 1");
+        }
+    }
+
+    #[test]
+    fn row_stamps_price_alternating_fast_and_stamped_rounds_exactly() {
+        // One table prices, on the same rows, rounds in distinct banks
+        // (priced by the bank mask alone, nothing stamped) between rounds
+        // that share banks or broadcast (stamped). A stamped round after
+        // a run of unstamped ones must still see only its own rows.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(24);
+        for model in [
+            BankModel::new(12),
+            BankModel::new(32),
+            BankModel::new(64),
+            BankModel::with_word(32, 2),
+        ] {
+            let (w, width, rows) = (model.num_banks, model.bank_word_u32s, 4);
+            let mut table = RowStamps::new(&model, (rows * w * width) as usize);
+            let word = |rng: &mut rand::rngs::SmallRng, bank: u32| {
+                (rng.gen_range(0..rows) * w + bank) * width + rng.gen_range(0..width)
+            };
+            for i in 0..600 {
+                let lanes = rng.gen_range(1..=w);
+                let round: Vec<u32> = match i % 4 {
+                    // Distinct banks: a rotation of the banks.
+                    0 | 2 => {
+                        let first = rng.gen_range(0..w);
+                        (0..lanes).map(|l| word(&mut rng, (first + l) % w)).collect()
+                    }
+                    // Shared banks: every lane in one of three banks.
+                    1 => (0..lanes)
+                        .map(|_| {
+                            let bank = rng.gen_range(0..3);
+                            word(&mut rng, bank)
+                        })
+                        .collect(),
+                    // Broadcast: a few words, each read by several lanes.
+                    _ => {
+                        let words: Vec<u32> = (0..3)
+                            .map(|_| {
+                                let bank = rng.gen_range(0..w);
+                                word(&mut rng, bank)
+                            })
+                            .collect();
+                        (0..lanes).map(|_| words[rng.gen_range(0..3usize)]).collect()
+                    }
+                };
+                let want = model.round_cost(&round);
+                assert_eq!(table.price(&model, &round), want, "{model:?} round {i}: {round:?}");
+                if i % 2 == 0 {
+                    assert_eq!(want.transactions, 1, "{model:?} round {i} is conflict-free");
+                }
+            }
         }
     }
 

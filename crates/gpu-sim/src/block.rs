@@ -8,8 +8,8 @@
 //! warp's round `r`, exactly the lock-step model of the paper (Section 1,
 //! footnote 2: conflict-free warps have no reason to diverge). Shared
 //! rounds are priced by the block's [`RowStamps`] table, which gives
-//! [`BankModel::round_cost`]'s number in one pass, and accumulated into a
-//! [`KernelProfile`].
+//! [`BankModel::round_cost`]'s number without its per-bank lane table,
+//! and accumulated into a [`KernelProfile`].
 //!
 //! ## Fidelity notes
 //!
@@ -89,10 +89,12 @@ impl<A: Copy + Default> WarpRounds<A> {
         self.lens.fill(0);
     }
 
-    /// Record `lane`'s access number `*cursor` and advance the cursor.
-    #[inline]
-    fn push(&mut self, lane: usize, cursor: &mut usize, acc: A, store: bool) {
-        let (w, r) = (self.lens.len(), *cursor);
+    /// Record `lane`'s access number `r` and return the lane's next
+    /// access number. The cursor goes in and out by value, so a lane's
+    /// context never lends out the address of one of its fields.
+    #[inline(always)]
+    fn push(&mut self, lane: usize, r: usize, acc: A, store: bool) -> usize {
+        let w = self.lens.len();
         if r == self.stores.len() {
             self.add_round();
         }
@@ -100,7 +102,7 @@ impl<A: Copy + Default> WarpRounds<A> {
         if store {
             self.stores[r] |= 1 << lane;
         }
-        *cursor = r + 1;
+        r + 1
     }
 
     /// Make room for one more round: taken only while the buffers grow
@@ -493,6 +495,30 @@ impl<T: Copy, O: Observer> LaneCtx<'_, T, O> {
     }
 }
 
+/// The built-in race check's panic for a load by lane `tid` of shared
+/// word `idx`, last written by lane `writer` in the same phase. Cold and
+/// by value, so the check's hot path formats nothing and takes no
+/// address of a [`LaneCtx`] field.
+#[cold]
+#[inline(never)]
+fn load_race(tid: u32, idx: usize, writer: u32) -> ! {
+    panic!(
+        "race: lane {tid} loads shared[{idx}] written by lane {writer} in the same phase \
+         (missing barrier)"
+    )
+}
+
+/// The built-in race check's panic for a store by lane `tid` to shared
+/// word `idx`, already written by lane `writer` in the same phase.
+#[cold]
+#[inline(never)]
+fn store_race(writer: u32, tid: u32, idx: usize) -> ! {
+    panic!(
+        "race: lanes {writer} and {tid} both store shared[{idx}] in the same phase \
+         (missing barrier)"
+    )
+}
+
 /// `v` with the bits of `mask` flipped.
 #[inline]
 fn flip<T: FaultWord>(v: T, mask: u64) -> T {
@@ -505,6 +531,7 @@ fn flip<T: FaultWord>(v: T, mask: u64) -> T {
 
 impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
     /// This thread's id within the block.
+    #[inline(always)]
     #[must_use]
     pub fn tid(&self) -> usize {
         self.tid as usize
@@ -526,15 +553,13 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             }
         } else if self.stored {
             let (ok, t) = self.may_touch(idx);
-            assert!(
-                ok,
-                "race: lane {} loads shared[{idx}] written by lane {} in the same phase \
-                 (missing barrier)",
-                self.tid, t as u32,
-            );
+            if !ok {
+                load_race(self.tid, idx, t as u32);
+            }
         }
         if self.counting {
-            self.shared_rounds.push(self.lane, &mut self.shared_cursor, idx as u32, false);
+            self.shared_cursor =
+                self.shared_rounds.push(self.lane, self.shared_cursor, idx as u32, false);
         }
         if O::INJECTS {
             let mask = self.observer.shared_ld_mask(self.tid, idx);
@@ -556,17 +581,15 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             }
         } else {
             let (ok, t) = self.may_touch(idx);
-            assert!(
-                ok,
-                "race: lanes {} and {} both store shared[{idx}] in the same phase \
-                 (missing barrier)",
-                t as u32, self.tid,
-            );
+            if !ok {
+                store_race(t as u32, self.tid, idx);
+            }
             self.write_tags[idx] = self.tag;
             self.stored = true;
         }
         if self.counting {
-            self.shared_rounds.push(self.lane, &mut self.shared_cursor, idx as u32, true);
+            self.shared_cursor =
+                self.shared_rounds.push(self.lane, self.shared_cursor, idx as u32, true);
         }
         if O::INJECTS {
             if self.observer.drops_store(self.tid) {
@@ -588,7 +611,8 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             return T::default();
         }
         if self.counting {
-            self.global_rounds.push(self.lane, &mut self.global_cursor, idx as u64, false);
+            self.global_cursor =
+                self.global_rounds.push(self.lane, self.global_cursor, idx as u64, false);
         }
         data[idx]
     }
@@ -600,7 +624,8 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             return;
         }
         if self.counting {
-            self.global_rounds.push(self.lane, &mut self.global_cursor, idx as u64, true);
+            self.global_cursor =
+                self.global_rounds.push(self.lane, self.global_cursor, idx as u64, true);
         }
         if O::INJECTS {
             if self.observer.drops_store(self.tid) {
@@ -623,11 +648,13 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
             let _ = self.observer.global_access(self.tid, idx, usize::MAX, true);
         }
         if self.counting {
-            self.global_rounds.push(self.lane, &mut self.global_cursor, idx as u64, true);
+            self.global_cursor =
+                self.global_rounds.push(self.lane, self.global_cursor, idx as u64, true);
         }
     }
 
     /// Charge `n` scalar ALU operations to this lane.
+    #[inline(always)]
     pub fn alu(&mut self, n: u64) {
         self.alu += n;
     }
@@ -728,7 +755,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing barrier")]
+    #[should_panic(
+        expected = "race: lanes 0 and 1 both store shared[5] in the same phase (missing barrier)"
+    )]
     fn same_phase_write_write_race_detected() {
         let mut b = block(8, 8, 32);
         b.phase(PhaseClass::Other, |tid, lane| {

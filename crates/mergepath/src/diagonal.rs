@@ -36,6 +36,12 @@ pub fn merge_path<T: Ord>(a: &[T], b: &[T], diag: usize) -> usize {
 ///
 /// Returns `x ∈ [max(0, diag-b_len), min(diag, a_len)]`, the count taken
 /// from `a`.
+///
+/// The comparison's outcome is a coin flip on random keys, so the bounds
+/// move by [`select_unpredictable`](std::hint::select_unpredictable)
+/// rather than a branch. Inlined into each caller so that a simulator
+/// kernel's lane context stays in registers through the search.
+#[inline(always)]
 #[must_use]
 pub fn merge_path_by<F: FnMut(usize, usize) -> bool>(
     diag: usize,
@@ -49,11 +55,9 @@ pub fn merge_path_by<F: FnMut(usize, usize) -> bool>(
         let mid = lo + (hi - lo) / 2;
         // Take a[mid] into the prefix iff a[mid] <= b[diag-1-mid]
         // (strictly: iff NOT b[diag-1-mid] < a[mid]).
-        if a_le_b(mid, diag - 1 - mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+        let take_a = a_le_b(mid, diag - 1 - mid);
+        lo = std::hint::select_unpredictable(take_a, mid + 1, lo);
+        hi = std::hint::select_unpredictable(take_a, hi, mid);
     }
     lo
 }
@@ -123,6 +127,46 @@ mod tests {
             b.sort_unstable();
             for diag in 0..=la + lb {
                 assert_eq!(merge_path(&a, &b, diag), oracle(&a, &b, diag));
+            }
+        }
+    }
+
+    /// Every sorted sequence of length `len` over the keys `{0, 1, 2}`.
+    fn sorted_ternary(len: usize) -> impl Iterator<Item = Vec<u32>> {
+        (0..=len).flat_map(move |zeros| {
+            (0..=len - zeros).map(move |ones| {
+                let mut v = vec![0; zeros];
+                v.resize(zeros + ones, 1);
+                v.resize(len, 2);
+                v
+            })
+        })
+    }
+
+    #[test]
+    fn every_diagonal_of_every_small_ternary_pair_matches_a_stable_merge() {
+        // The reference walks the stable merge once (ties to A) and
+        // records, after each output, how many outputs came from A.
+        for a_len in 0..=12 {
+            for b_len in 0..=12 {
+                for a in sorted_ternary(a_len) {
+                    for b in sorted_ternary(b_len) {
+                        let mut from_a = vec![0];
+                        let (mut i, mut j) = (0, 0);
+                        while i + j < a_len + b_len {
+                            if j == b_len || (i < a_len && a[i] <= b[j]) {
+                                i += 1;
+                            } else {
+                                j += 1;
+                            }
+                            from_a.push(i);
+                        }
+                        for (diag, &want) in from_a.iter().enumerate() {
+                            let got = merge_path_by(diag, a_len, b_len, |i, j| a[i] <= b[j]);
+                            assert_eq!(got, want, "a={a:?} b={b:?} diag={diag}");
+                        }
+                    }
+                }
             }
         }
     }
