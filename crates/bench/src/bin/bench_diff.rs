@@ -7,6 +7,7 @@
 //! bench_diff BASELINE.json IMPROVED.json   # speedup table (base/improved)
 //! bench_diff ARTIFACT.json                 # one-artifact summary
 //! bench_diff --gate BASELINE.json CURRENT.json [--tol KIND=REL]...
+//! bench_diff --host BENCH_host.json        # host-time trajectory check
 //! ```
 //!
 //! Series are paired by exact label first (the same tool re-run across
@@ -18,12 +19,20 @@
 //! (the simulator is deterministic), except metrics granted a relative
 //! tolerance via `--tol` (e.g. `--tol seconds=0.02`). Exits nonzero on
 //! any drift or coverage loss.
+//!
+//! `--host` reads the host-time trajectory and prints each entry's
+//! change/parent `keys_per_host_s` ratio per workload, flagging (and
+//! exiting nonzero on) any ratio below `1 − bound`. The bound and the
+//! workloads come from the `BENCHMARK.json` next to the trajectory (see
+//! `cfmerge_bench::trajectory`).
 
 use cfmerge_bench::artifact::{
     certificates_table, diff_table, dropped_conflicts_table, recovery_table, service_table,
     summary_table, tuning_table, RunArtifact,
 };
 use cfmerge_bench::gate::{gate_artifacts, GateConfig};
+use cfmerge_bench::trajectory::HostTrajectory;
+use cfmerge_json::Json;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -93,10 +102,45 @@ fn run_gate(args: &[String]) -> ExitCode {
     }
 }
 
+fn run_host(args: &[String]) -> ExitCode {
+    let [trajectory] = args else {
+        eprintln!("usage: bench_diff --host BENCH_host.json");
+        return ExitCode::FAILURE;
+    };
+    let trajectory = Path::new(trajectory);
+    let benchmark = trajectory.with_file_name("BENCHMARK.json");
+    let parse = |path: &Path| {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    let host = match (parse(trajectory), parse(&benchmark)) {
+        (Ok(t), Ok(b)) => HostTrajectory::read(&t, &b),
+        (Err(e), _) | (_, Err(e)) => Err(e),
+    };
+    let host = match host {
+        Ok(host) => host,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("=== host keys_per_host_s, change / parent (! below {:.2}) ===\n", 1.0 - host.bound);
+    println!("{}", host.render());
+    match host.flagged() {
+        0 => ExitCode::SUCCESS,
+        n => {
+            eprintln!("{n} ratio(s) below 1 - {} ({})", host.bound, benchmark.display());
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--gate") {
-        return run_gate(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("--gate") => return run_gate(&args[1..]),
+        Some("--host") => return run_host(&args[1..]),
+        _ => {}
     }
     match args.as_slice() {
         [one] => {
@@ -148,7 +192,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: bench_diff BASELINE.json [IMPROVED.json]\n       bench_diff --gate BASELINE.json CURRENT.json [--tol KIND=REL]..."
+                "usage: bench_diff BASELINE.json [IMPROVED.json]\n       bench_diff --gate BASELINE.json CURRENT.json [--tol KIND=REL]...\n       bench_diff --host BENCH_host.json"
             );
             ExitCode::FAILURE
         }

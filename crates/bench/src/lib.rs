@@ -16,6 +16,9 @@
 //!   `bench_diff --gate` (pinned artifact vs fresh regeneration).
 //! * [`telemetry_report`] — the deterministic telemetry-showcase run
 //!   behind the `metrics_report` binary and its golden test.
+//! * [`trajectory`] — the host-time trajectory check behind
+//!   `bench_diff --host` (`BENCH_host.json` against the benchmark's
+//!   bounds).
 //!
 //! Binaries: `fig5`, `fig6`, `figures` (1/2/3/4/7/8), `theorem8`,
 //! `random_conflicts`, `noncoprime_penalty`, `occupancy_table`,
@@ -32,6 +35,7 @@ pub mod gate;
 pub mod render;
 pub mod sweep;
 pub mod telemetry_report;
+pub mod trajectory;
 
 /// Table-formatting helpers (re-exported from the core crate so binaries
 /// have one import).

@@ -51,7 +51,10 @@
 //! simulated, so `simulate_sort_traced(x).run` equals `simulate_sort(x)`
 //! bit for bit. A `Passive` block the memo cannot replay may run *lean*:
 //! its key-oblivious phases go unrecorded and unpriced, and the launch's
-//! cached oblivious share is charged instead (same file).
+//! cached oblivious share is charged instead (same file). A launch no
+//! fault site targets hands its replaying representatives and its share
+//! to the next launch of its kind on the same thread, keyed by the
+//! `KernelArgs` every block hands its kernel.
 //!
 //! A merge block's expected checksum comes from stripe checksums the
 //! previous launch's verification left (see [`crate::verify`]), as long as
@@ -65,7 +68,7 @@ use crate::params::SortParams;
 use crate::resilience::checkpoint::{CheckpointPolicy, SortCheckpoint};
 use crate::resilience::hedge::{HedgeConfig, HedgeCounters};
 use crate::resilience::service::{Payload, SortJob};
-use crate::sort::blocksort::blocksort_block_observed;
+use crate::sort::blocksort::{blocksort_block_observed, MergeStrategy};
 use crate::sort::error::{validate_sort_config, Degradation, SortError};
 use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_observed, MergeChunkJob};
@@ -74,13 +77,14 @@ use crate::verify::{
     multiset_checksum, verify_sorted_checksum, verify_sorted_striped, StripeChecksums,
     VerifyFailure,
 };
+use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::fault::{BlockFaults, FaultPlan, InjectionRecord};
 use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
-use memo::{LaunchMemo, Lean, ObliviousShare, Pricing, Simulated};
+use memo::{LaunchKind, LaunchMemo, Lean, ObliviousShare, Pricing, Simulated};
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -582,6 +586,19 @@ fn partition_pass<K: SortKey>(
     (jobs, search_cost)
 }
 
+/// What every block of a run hands its kernel besides its own slices.
+/// With the key type and the block kind these are all a block's profile
+/// depends on beyond its order type, so they key the memo's carried
+/// entries (see `recovery/memo.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KernelArgs {
+    banks: BankModel,
+    u: usize,
+    e: usize,
+    strategy: MergeStrategy,
+    count_accesses: bool,
+}
+
 /// What one pipeline execution holds fixed: the pipeline, the
 /// configuration and recovery policy, the fault plan, and the factory
 /// that hands every unarmed block attempt a fresh observer.
@@ -682,10 +699,16 @@ where
                 carried.then(|| StripeChecksums::from_stripes(stripe_width(tile), &mut stripes.0));
             let expected =
                 jobs.iter().map(|j| j.expected_checksum(&src, tile, sums.as_ref())).collect();
+            // Only a launch whose blocks all run under the memo's gate
+            // (no site of the plan targets it) reads and writes its kind's
+            // carried entry.
+            let armed = self.plan.sites.iter().any(|site| site.kernel == kernel);
+            let carries = O::PASSIVE && !armed;
+            let kind = carries.then(|| LaunchKind::of::<K>(width == 0, self.kernel_args()));
             let launch = Launch {
                 kernel,
                 name: &name,
-                memo: LaunchMemo::new(&name, jobs.len(), tile),
+                memo: LaunchMemo::new(&name, jobs.len(), tile, kind),
                 expected,
             };
             let detected = stats.report.counters.faults_detected;
@@ -698,6 +721,7 @@ where
                 base_profile,
                 &mut stats.report,
             )?;
+            launch.memo.finish();
             seconds += report.time.seconds + extra;
             kernels.push(report);
             if let Some(f) = failed {
@@ -918,6 +942,18 @@ where
         }
     }
 
+    /// The arguments [`execute`](Self::execute) hands every kernel.
+    fn kernel_args(&self) -> KernelArgs {
+        let cfg = &self.rcfg.base;
+        KernelArgs {
+            banks: cfg.device.bank_model(),
+            u: cfg.params.u,
+            e: cfg.params.e,
+            strategy: self.algo.strategy(),
+            count_accesses: cfg.count_accesses,
+        }
+    }
+
     /// Run the block's kernel once under `observer`.
     fn execute<K: SortKey, P: Observer>(
         &self,
@@ -926,9 +962,7 @@ where
         dst: &mut [K],
         observer: P,
     ) -> (KernelProfile, P) {
-        let cfg = &self.rcfg.base;
-        let (banks, e, u) = (cfg.device.bank_model(), cfg.params.e, cfg.params.u);
-        let strategy = self.algo.strategy();
+        let KernelArgs { banks, u, e, strategy, count_accesses } = self.kernel_args();
         match job {
             BlockJob::Tile(lo) => blocksort_block_observed(
                 banks,
@@ -938,7 +972,7 @@ where
                 &src[lo..lo + dst.len()],
                 dst,
                 lo,
-                cfg.count_accesses,
+                count_accesses,
                 observer,
             ),
             BlockJob::Merge(job) => merge_pass_block_observed(
@@ -949,7 +983,7 @@ where
                 src,
                 job,
                 dst,
-                cfg.count_accesses,
+                count_accesses,
                 observer,
             ),
         }
@@ -1221,10 +1255,8 @@ where
 mod tests {
     use super::*;
     use crate::inputs::InputSpec;
-    use crate::sort::blocksort::MergeStrategy;
-    use crate::sort::pipeline::simulate_sort;
+    use crate::sort::pipeline::{simulate_sort, simulate_sort_traced};
     use crate::verify::verify_sorted_permutation;
-    use cfmerge_gpu_sim::banks::BankModel;
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
     use cfmerge_gpu_sim::trace::{BlockTracer, GlobalRoundEvent, SharedRoundEvent};
     use cfmerge_json::FromJson;
@@ -1882,7 +1914,7 @@ mod tests {
         let chunk = |a: usize| {
             BlockJob::Merge(MergeChunkJob { a_begin: a, a_end: a + 80, b_begin: 1000, b_end: 1080 })
         };
-        let memo = LaunchMemo::new("merge-pass-0", 4, 160);
+        let memo = LaunchMemo::new("merge-pass-0", 4, 160, None);
         let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
         let mut calls = Vec::new();
         let mut profiles = Vec::new();
@@ -1925,7 +1957,7 @@ mod tests {
         let src = three_tiles();
         let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
-        let memo = LaunchMemo::new("blocksort", 128, 160);
+        let memo = LaunchMemo::new("blocksort", 128, 160, None);
         let first =
             memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, p| simulate(0, dst, p));
         let mut pricings = Vec::new();
@@ -1953,7 +1985,7 @@ mod tests {
         let src = three_tiles();
         let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
-        let memo = LaunchMemo::new("blocksort", 128, 160);
+        let memo = LaunchMemo::new("blocksort", 128, 160, None);
         let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
             let (mut profile, share) = simulate(0, dst, pricing);
             profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
@@ -1976,7 +2008,7 @@ mod tests {
         let src = three_tiles();
         let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
-        let memo = LaunchMemo::new("blocksort", 128, 160);
+        let memo = LaunchMemo::new("blocksort", 128, 160, None);
         let _ = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
             let (profile, mut share) = simulate(0, dst, pricing);
             share.phase_mut(PhaseClass::Sort).alu_ops += 1;
@@ -2005,6 +2037,193 @@ mod tests {
                 crate::sort::pipeline::simulate_sort_traced(&input, algo, &rcfg.base).run
             );
         }
+    }
+
+    /// Run `f` on a new thread, which starts with no carried memo
+    /// entries, and re-raise its panic.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join()).unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
+
+    /// Sort `input` unwatched on this thread; the run and the blocks the
+    /// memo had simulated.
+    fn unwatched_sort<K: SortKey>(
+        algo: SortAlgorithm,
+        rcfg: &RobustConfig,
+        input: &[K],
+    ) -> (SortRun<K>, usize) {
+        let plan = FaultPlan::none();
+        let driver = passive_driver(algo, rcfg, &plan);
+        let Ok(Ok((run, _))) = driver.run(input, None, &mut RunStats::default()) else {
+            panic!("clean run of {algo:?} failed");
+        };
+        (run, driver.simulated.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
+    /// Blocks of a launch of `blocks` that the sampling rule re-simulates.
+    fn sampled(blocks: u64) -> usize {
+        (0..blocks).filter(|b| b % 64 == 63 || b + 1 == blocks).count()
+    }
+
+    #[test]
+    fn second_worst_case_sort_simulates_only_sampled_blocks() {
+        let rcfg = small_rcfg();
+        for tiles in [16, 128] {
+            let input = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(tiles * 160);
+            for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+                let (first, second) = on_fresh_thread(|| {
+                    (unwatched_sort(algo, &rcfg, &input), unwatched_sort(algo, &rcfg, &input))
+                });
+                let ((run, simulated), (_, first_simulated)) = (second, first);
+                let sampled: usize = run.kernels.iter().map(|k| sampled(k.blocks)).sum();
+                assert_eq!(simulated, sampled, "{algo:?}, {tiles} tiles");
+                assert!(first_simulated > sampled, "{algo:?}, {tiles} tiles: {first_simulated}");
+                assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
+            }
+        }
+    }
+
+    #[test]
+    fn carried_entries_never_cross_launch_kinds() {
+        let thrust = SortAlgorithm::ThrustMergesort;
+        let keys = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(8 * 160);
+        let wide: Vec<u64> = keys.iter().map(|&k| u64::from(k) << 32).collect();
+        let rcfg = small_rcfg();
+        // (5, 64) and (10, 32) both have 320-key tiles, so the same keys
+        // give both the same blocks.
+        let e5_u64 = RobustConfig::new(SortConfig::with_params(SortParams::new(5, 64)));
+        let e10_u32 = RobustConfig::new(SortConfig::with_params(SortParams::new(10, 32)));
+        let mut kepler = small_rcfg();
+        kepler.base.device = cfmerge_gpu_sim::device::Device::kepler_64bit_like();
+        assert_ne!(kepler.base.device.bank_model(), rcfg.base.device.bank_model());
+        type Sort<'a> = dyn Fn() -> usize + Sync + 'a;
+        // The second sort of each pair on a fresh thread, alone, after its
+        // twin, and after itself. Its twin's blocks share its order types,
+        // so only the launch kind keeps the twin's representatives out.
+        let pair = |first: &Sort, second: &Sort, what: &str| {
+            let alone = on_fresh_thread(second);
+            let after_twin = on_fresh_thread(|| (first(), second()).1);
+            let after_itself = on_fresh_thread(|| (second(), second()).1);
+            assert_eq!(after_twin, alone, "{what}");
+            assert!(after_itself < alone, "{what}: {after_itself} of {alone}");
+        };
+        let sort = |algo, rcfg: &RobustConfig| unwatched_sort(algo, rcfg, &keys).1;
+        pair(&|| sort(thrust, &rcfg), &|| unwatched_sort(thrust, &rcfg, &wide).1, "u32, u64");
+        pair(&|| sort(thrust, &rcfg), &|| sort(SortAlgorithm::CfMerge, &rcfg), "Thrust, CF");
+        pair(&|| sort(thrust, &e5_u64), &|| sort(thrust, &e10_u32), "(5, 64), (10, 32)");
+        pair(&|| sort(thrust, &rcfg), &|| sort(thrust, &kepler), "bank models");
+    }
+
+    /// The launch kind of a block-sort launch of `driver`.
+    fn tile_kind(driver: &Driver<'_, fn() -> Passive>) -> LaunchKind {
+        LaunchKind::of::<u32>(true, driver.kernel_args())
+    }
+
+    #[test]
+    #[should_panic(expected = "block memo invariant violated: blocksort block 63 re-simulated")]
+    fn doctored_carried_representative_fails_the_next_launch() {
+        let (rcfg, plan) = (small_rcfg(), FaultPlan::none());
+        let kind = tile_kind(&passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan));
+        let src = three_tiles();
+        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
+        on_fresh_thread(|| {
+            let mut dst = vec![0u32; 160];
+            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
+            let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
+                let (mut profile, share) = simulate(0, dst, pricing);
+                profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
+                (profile, share)
+            });
+            let _ = memo.execute(1, BlockJob::Tile(160), &src, &mut dst, |_, _| unreachable!());
+            memo.finish();
+            // The next launch of the kind replays the carried representative
+            // at block 0, and its sampled block 63 catches it.
+            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
+            let replayed =
+                memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |_, _| unreachable!("a hit"));
+            assert_eq!(replayed, doctored);
+            let _ = memo
+                .execute(63, BlockJob::Tile(160), &src, &mut dst, |dst, p| simulate(160, dst, p));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "oblivious share invariant violated: blocksort block 63 reported \
+                               an oblivious share that differs from the launch's cached one")]
+    fn doctored_carried_share_fails_the_next_launch() {
+        let (rcfg, plan) = (small_rcfg(), FaultPlan::none());
+        let kind = tile_kind(&passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan));
+        let src = three_tiles();
+        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
+        on_fresh_thread(|| {
+            let mut dst = vec![0u32; 160];
+            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
+            let _ = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
+                let (profile, mut share) = simulate(0, dst, pricing);
+                share.phase_mut(PhaseClass::Sort).alu_ops += 1;
+                (profile, share)
+            });
+            memo.finish();
+            // The next launch's sampled block 63 checks its share against
+            // the carried one.
+            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
+            let _ = memo
+                .execute(63, BlockJob::Tile(320), &src, &mut dst, |dst, p| simulate(320, dst, p));
+        });
+    }
+
+    #[test]
+    fn random_inputs_carry_only_the_share() {
+        let rcfg = small_rcfg();
+        let input = InputSpec::UniformRandom { seed: 42 }.generate(8 * 160);
+        for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+            let carried = on_fresh_thread(|| {
+                let _ = unwatched_sort(algo, &rcfg, &input);
+                memo::carried_here::<u32>()
+            });
+            // One block-sort kind and one merge kind.
+            assert_eq!(carried.len(), 2, "{algo:?}");
+            for (_, reps, share) in carried {
+                assert!(reps.is_empty() && share.is_some(), "{algo:?}: {} reps", reps.len());
+            }
+        }
+    }
+
+    #[test]
+    fn traced_and_fault_armed_launches_leave_carried_entries_alone() {
+        let (rcfg, none) = (small_rcfg(), FaultPlan::none());
+        let algo = SortAlgorithm::ThrustMergesort;
+        let kind = tile_kind(&passive_driver(algo, &rcfg, &none));
+        let input = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(8 * 160);
+        // A latency spike in block 7 of every launch: no corruption, but
+        // every launch is armed.
+        let spike = FaultKind::LatencySpike { cycles: 5000 };
+        let armed = FaultPlan::from_sites(
+            (0..4).map(|k| site(k, 7, spike, Persistence::Transient)).collect(),
+        );
+        let traced = || simulate_sort_traced(&input, algo, &rcfg.base).run;
+        let robust = || simulate_sort_robust(&input, algo, &rcfg, &armed).expect("recovers").run;
+        let fresh = on_fresh_thread(|| (traced(), robust()));
+        let (before, after, runs) = on_fresh_thread(|| {
+            // Carry a doctored representative of block 0's order type.
+            let mut dst = vec![0u32; 160];
+            let memo = LaunchMemo::new("blocksort", 8, 160, Some(kind));
+            for (block, lo) in [(0, 0), (1, 0)] {
+                let _ = memo.execute(block, BlockJob::Tile(lo), &input, &mut dst, |dst, p| {
+                    let (mut profile, share) = simulate_tile(&input, lo, dst, p);
+                    profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
+                    (profile, share)
+                });
+            }
+            memo.finish();
+            let before = memo::carried_here::<u32>();
+            let runs = (traced(), robust());
+            (before, memo::carried_here::<u32>(), runs)
+        });
+        assert_eq!(before.len(), 1);
+        assert_eq!(before[0].1.len(), 1, "the doctored representative is carried");
+        assert_eq!(after, before);
+        assert_eq!(runs, fresh);
     }
 
     #[test]

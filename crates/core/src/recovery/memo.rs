@@ -32,10 +32,29 @@
 //! integers, whose `Ord` equality is identity).
 //!
 //! A launch keeps at most [`MAX_REPS`] representatives, first come, first
-//! kept, and the memo is dropped with the launch. Hits at sampled block
-//! indices (see [`LaunchMemo::execute`]) are re-simulated and must
-//! reproduce the cached profile exactly; a mismatch is an invariant
-//! violation and panics.
+//! kept. Hits at sampled block indices (see [`LaunchMemo::execute`]) are
+//! re-simulated and must reproduce the cached profile exactly; a mismatch
+//! is an invariant violation and panics.
+//!
+//! ## Carried entries
+//!
+//! A block's profile depends on its order type and on what its launch
+//! hands every block alike: whether it is a tile or a merge chunk, the
+//! key type, and the kernel arguments (`(E, u)`, strategy, bank model,
+//! `count_accesses`). Together those are the launch's [`LaunchKind`].
+//! Each thread keeps one carried entry per kind. A launch of that kind
+//! starts from it: its representatives fill the first slots, so first
+//! come, first kept starts from them, and its oblivious share is the
+//! launch's from the start. When the launch ends it leaves its own entry:
+//! the representatives that replayed at least one of its blocks, shared
+//! by [`Arc`] and never cloned, and its oblivious share. A representative
+//! that replays nothing in a launch is dropped with it. The sampling
+//! rule does not change: sampled blocks check carried profiles and a
+//! carried share exactly as they check the launch's own. The driver hands
+//! a kind only to launches whose every block runs under the memo's gate,
+//! so traced, checked and fault-armed launches neither read nor write an
+//! entry. A thread's entries live as long as the thread: at most one per
+//! kind it has launched, each of at most [`MAX_REPS`] blocks' keys.
 //!
 //! ## Lean misses
 //!
@@ -43,23 +62,26 @@
 //! pricing. The kernels run the phases whose addresses never depend on a
 //! key as oblivious phases (see `BlockSim::oblivious_phase`), and their
 //! counters, the block's *oblivious share*, are equal in every block of a
-//! launch. The memo keeps the share of the launch's first fully
-//! simulated block. Every later miss the sampling rule does not pick
-//! runs [`Pricing::Lean`]: its oblivious phases move data and keep the
-//! race detector on but record and charge nothing, and the cached share
-//! is added to its profile. Every sampled block, hit or miss, runs
-//! [`Pricing::Full`] and panics unless its share equals the cached one.
-//! Debug builds also re-simulate every lean block in full and panic
-//! unless the two profiles agree.
+//! launch kind. The memo keeps the share its launch carried in, or else
+//! that of the launch's first fully simulated block. Every later miss
+//! the sampling rule does not pick runs [`Pricing::Lean`]: its oblivious
+//! phases move data and keep the race detector on but record and charge
+//! nothing, and the cached share is added to its profile. Every sampled
+//! block, hit or miss, runs [`Pricing::Full`] and panics unless its share
+//! equals the cached one. Debug builds also re-simulate every lean block
+//! in full and panic unless the two profiles agree.
 
-use super::BlockJob;
+use super::{BlockJob, KernelArgs};
 use crate::sort::key::SortKey;
 use cfmerge_gpu_sim::global::SECTOR_WORDS;
 use cfmerge_gpu_sim::observer::Observer;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use cfmerge_json::ToJson;
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
+use std::sync::atomic::{self, AtomicBool};
+use std::sync::{Arc, OnceLock};
 
 /// Representatives one launch keeps.
 const MAX_REPS: usize = 4;
@@ -100,6 +122,54 @@ impl Observer for Lean {
     const LEAN: bool = true;
 }
 
+/// Everything a block's profile depends on besides its order type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaunchKind {
+    /// Tiles of the block sort, or merge chunks.
+    tiles: bool,
+    key: TypeId,
+    args: KernelArgs,
+}
+
+impl LaunchKind {
+    pub(crate) fn of<K: SortKey>(tiles: bool, args: KernelArgs) -> Self {
+        Self { tiles, key: TypeId::of::<K>(), args }
+    }
+}
+
+/// What a launch leaves the next launch of its kind on its thread.
+#[derive(Default)]
+struct Carried<K> {
+    /// The representatives that replayed at least one block.
+    reps: [Option<Arc<Rep<K>>>; MAX_REPS],
+    share: Option<KernelProfile>,
+}
+
+thread_local! {
+    /// Each launch kind's carried entry on this thread; a `Carried<K>`
+    /// for the kind's key type `K`. An entry is allocated once, by the
+    /// kind's first launch, and every later launch takes from and writes
+    /// back into it: an allocation that outlived each sort's last launch
+    /// raised `host_bench`'s `fig5_worst` peak RSS by 12%.
+    static CARRIED: RefCell<Vec<(LaunchKind, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on `kind`'s carried entry, made empty if the thread has none.
+fn with_carried<K: SortKey, T>(kind: LaunchKind, f: impl FnOnce(&mut Carried<K>) -> T) -> T {
+    CARRIED.with(|entries| {
+        let mut entries = entries.borrow_mut();
+        let at = match entries.iter().position(|(k, _)| *k == kind) {
+            Some(at) => at,
+            None => {
+                entries.push((kind, Box::new(Carried::<K>::default())));
+                entries.len() - 1
+            }
+        };
+        let carried = entries[at].1.downcast_mut().expect("a kind fixes its key type");
+        f(carried)
+    })
+}
+
 /// One launch's representatives, and its oblivious share.
 pub(crate) struct LaunchMemo<'a, K> {
     /// Kernel launch name, for the sample-mismatch panic.
@@ -108,9 +178,20 @@ pub(crate) struct LaunchMemo<'a, K> {
     blocks: usize,
     /// Keys per block.
     tile: usize,
-    reps: [OnceLock<Rep<K>>; MAX_REPS],
-    /// The oblivious share of the launch's first fully simulated block.
+    /// The kind whose carried entry the launch starts from and leaves;
+    /// `None` for a launch that neither reads nor writes one.
+    kind: Option<LaunchKind>,
+    reps: [OnceLock<Slot<K>>; MAX_REPS],
+    /// The carried oblivious share, or else that of the launch's first
+    /// fully simulated block.
     share: OnceLock<KernelProfile>,
+}
+
+/// A representative in one launch.
+struct Slot<K> {
+    rep: Arc<Rep<K>>,
+    /// Whether it replayed a block of this launch.
+    replayed: AtomicBool,
 }
 
 /// What a block must share with a representative before its keys are
@@ -141,8 +222,37 @@ struct WeakOrder {
 }
 
 impl<'a, K: SortKey> LaunchMemo<'a, K> {
-    pub(crate) fn new(kernel: &'a str, blocks: usize, tile: usize) -> Self {
-        Self { kernel, blocks, tile, reps: Default::default(), share: OnceLock::new() }
+    /// The memo of a launch of `blocks` blocks of `tile` keys, starting
+    /// from the carried entry of `kind`, if given.
+    pub(crate) fn new(
+        kernel: &'a str,
+        blocks: usize,
+        tile: usize,
+        kind: Option<LaunchKind>,
+    ) -> Self {
+        let Carried { reps, share } =
+            kind.map(|kind| with_carried(kind, std::mem::take)).unwrap_or_default();
+        let slots: [OnceLock<Slot<K>>; MAX_REPS] = Default::default();
+        for (slot, rep) in slots.iter().zip(reps.into_iter().flatten()) {
+            let _ = slot.set(Slot { rep, replayed: AtomicBool::new(false) });
+        }
+        let share = share.map_or_else(OnceLock::new, OnceLock::from);
+        Self { kernel, blocks, tile, kind, reps: slots, share }
+    }
+
+    /// End the launch: leave its kind's carried entry, if it has a kind.
+    pub(crate) fn finish(self) {
+        let Some(kind) = self.kind else {
+            return;
+        };
+        let mut reps: [Option<Arc<Rep<K>>>; MAX_REPS] = Default::default();
+        let replayed = (self.reps.into_iter().filter_map(OnceLock::into_inner))
+            .filter_map(|slot| slot.replayed.into_inner().then_some(slot.rep));
+        for (carried, rep) in reps.iter_mut().zip(replayed) {
+            *carried = Some(rep);
+        }
+        let share = self.share.into_inner();
+        with_carried(kind, |c| *c = Carried { reps, share });
     }
 
     /// Run block `block` of the launch into `dst`: replay it if a
@@ -235,11 +345,10 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
     /// (`dst` then holds partial junk the simulation overwrites).
     fn replay(&self, job: BlockJob, src: &[K], dst: &mut [K]) -> Option<&KernelProfile> {
         let (shape, a, b) = block_input(job, src, self.tile);
-        self.reps
-            .iter()
-            .map_while(OnceLock::get)
-            .find(|rep| rep.replays(shape, a, b, dst))
-            .map(|rep| &rep.profile)
+        let slot =
+            self.reps.iter().map_while(OnceLock::get).find(|s| s.rep.replays(shape, a, b, dst))?;
+        slot.replayed.store(true, atomic::Ordering::Relaxed);
+        Some(&slot.rep.profile)
     }
 
     /// Keep a simulated block as a representative while there is room.
@@ -250,9 +359,26 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
             let rep = Rep { shape, keys, order: OnceLock::new(), profile: profile.clone() };
             // A concurrent block may have taken the slot: first come,
             // first kept.
-            let _ = slot.set(rep);
+            let _ = slot.set(Slot { rep: Arc::new(rep), replayed: AtomicBool::new(false) });
         }
     }
+}
+
+/// This thread's carried entries for key type `K`: each kind, the
+/// addresses of its representatives, and its share.
+#[cfg(test)]
+pub(crate) fn carried_here<K: SortKey>() -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>)> {
+    CARRIED.with(|entries| {
+        let entries = entries.borrow();
+        let carried =
+            entries.iter().filter_map(|(kind, c)| Some((kind, c.downcast_ref::<Carried<K>>()?)));
+        carried
+            .map(|(kind, c)| {
+                let reps = c.reps.iter().flatten().map(|rep| Arc::as_ptr(rep) as usize).collect();
+                (*kind, reps, c.share.clone())
+            })
+            .collect()
+    })
 }
 
 /// A block's shape and its input as one or two slices.

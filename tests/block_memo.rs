@@ -11,6 +11,10 @@
 //! cannot replay runs its key-oblivious phases unpriced and is charged
 //! the launch's cached oblivious share, while a traced block prices
 //! every phase.
+//!
+//! And it pins carried entries: each launch hands its replaying
+//! representatives and its oblivious share to the next launch of its kind
+//! on the same thread, within a sort and from sort to sort.
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
@@ -159,5 +163,38 @@ fn lean_misses_equal_fully_priced_blocks() {
                 );
             }
         }
+    }
+}
+
+/// Sorts of growing and shrinking sizes on one thread, worst-case and
+/// random inputs and both key widths interleaved: every launch starts from
+/// what the last launch of its kind carried.
+#[test]
+fn carried_memos_equal_fully_simulated_sorts() {
+    for (e, u) in SHAPES {
+        let cfg = SortConfig::with_params(SortParams::new(e, u));
+        // 64 tiles give a launch a sampled block 63 before its last.
+        let sizes: &[usize] = if e * u == 160 { &[1, 2, 8, 64, 4, 1] } else { &[1, 2, 8, 4, 1] };
+        let specs = [InputSpec::WorstCase { w: 32, e, u }, InputSpec::UniformRandom { seed: 9 }];
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for &tiles in sizes {
+                    for spec in &specs {
+                        let keys = spec.generate(tiles * e * u);
+                        for algo in ALGOS {
+                            let what =
+                                format!("{algo:?} E={e} u={u} {tiles} tiles {}", spec.label());
+                            let traced = simulate_sort_traced(&keys, algo, &cfg).run;
+                            let plain = simulate_sort(&keys, algo, &cfg);
+                            assert_same_run(&plain, &traced, &format!("u32 {what}"));
+                            let wide = widen(&keys);
+                            let traced = simulate_sort_traced(&wide, algo, &cfg).run;
+                            let plain = simulate_sort(&wide, algo, &cfg);
+                            assert_same_run(&plain, &traced, &format!("u64 {what}"));
+                        }
+                    }
+                }
+            });
+        });
     }
 }
