@@ -42,19 +42,21 @@
 //! block runs under the caller's observer (`Passive` for every entry point
 //! but the traced and checked ones), at the plain kernels' speed.
 //!
-//! A block under `Passive` may not run at all. Each launch keeps a small
-//! memo of simulated blocks keyed by their comparison order type (see
-//! `recovery/memo.rs`); a block whose comparisons all come out as a
-//! representative's gets its sorted output written natively and the
-//! representative's profile charged. Sampled hits are re-simulated and
-//! must match exactly. Traced, checked and fault-armed blocks are always
-//! simulated, so `simulate_sort_traced(x).run` equals `simulate_sort(x)`
-//! bit for bit. A `Passive` block the memo cannot replay may run *lean*:
-//! its key-oblivious phases go unrecorded and unpriced, and the launch's
-//! cached oblivious share is charged instead (same file). A launch no
-//! fault site targets hands its replaying representatives and its share
-//! to the next launch of its kind on the same thread, keyed by the
-//! `KernelArgs` every block hands its kernel.
+//! Each kernel launch is one `Launch` (see `recovery/memo.rs`): its
+//! index and name, each block's job and expected checksum, and a small
+//! memo of simulated blocks keyed by their comparison order type. Its one
+//! `execute` decides how a block runs. Traced, checked and fault-armed
+//! blocks are always simulated, so `simulate_sort_traced(x).run` equals
+//! `simulate_sort(x)` bit for bit. A block under `Passive` may not run at
+//! all: one whose comparisons all come out as a representative's gets its
+//! sorted output written natively and the representative's profile
+//! charged, and sampled hits are re-simulated and must match exactly. A
+//! `Passive` block the memo cannot replay may run *lean*: its
+//! key-oblivious phases go unrecorded and unpriced, and the launch's
+//! cached oblivious share is charged instead. A launch no fault site
+//! targets hands its replaying representatives and its share to the next
+//! launch of its kind on the same thread, keyed by the `KernelArgs` every
+//! block hands its kernel.
 //!
 //! A merge block's expected checksum comes from stripe checksums the
 //! previous launch's verification left (see [`crate::verify`]), as long as
@@ -84,10 +86,9 @@ use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
-use memo::{LaunchKind, LaunchMemo, Lean, ObliviousShare, Pricing, Simulated};
+use memo::{Launch, StripeBuf};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::cell::RefCell;
 
 mod memo;
 
@@ -317,43 +318,6 @@ impl BlockJob {
 /// tile, so no stripe straddles two blocks.
 fn stripe_width(tile: usize) -> usize {
     cfmerge_numtheory::gcd(tile as u64, 64) as usize
-}
-
-thread_local! {
-    /// The stripe buffer of the last sort run on this thread, kept for the
-    /// next. A buffer allocated and freed per sort, among the key buffers,
-    /// raised `host_bench`'s `fig5_worst` peak RSS by 12% within seconds
-    /// of repeated sorts.
-    static STRIPES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A run's stripe buffer, taken from [`STRIPES`] and given back on drop.
-struct StripeBuf(Vec<u64>);
-
-impl StripeBuf {
-    fn take(len: usize) -> Self {
-        let mut buf = STRIPES.with(RefCell::take);
-        buf.clear();
-        buf.resize(len, 0);
-        StripeBuf(buf)
-    }
-}
-
-impl Drop for StripeBuf {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.0);
-        STRIPES.with(|cell| *cell.borrow_mut() = buf);
-    }
-}
-
-/// What every block of one launch shares.
-struct Launch<'a, K> {
-    /// Launch index in the fault plan's numbering.
-    kernel: u32,
-    name: &'a str,
-    memo: LaunchMemo<'a, K>,
-    /// Each block's expected output checksum.
-    expected: Vec<u64>,
 }
 
 /// One execution of one block.
@@ -599,6 +563,59 @@ struct KernelArgs {
     count_accesses: bool,
 }
 
+impl KernelArgs {
+    /// The arguments of a run of `algo` at `cfg`.
+    fn of(cfg: &SortConfig, algo: SortAlgorithm) -> Self {
+        KernelArgs {
+            banks: cfg.device.bank_model(),
+            u: cfg.params.u,
+            e: cfg.params.e,
+            strategy: algo.strategy(),
+            count_accesses: cfg.count_accesses,
+        }
+    }
+
+    /// Keys per block.
+    fn tile(self) -> usize {
+        self.e * self.u
+    }
+
+    /// Run `job`'s kernel once into `dst` under `observer`.
+    fn execute<K: SortKey, P: Observer>(
+        self,
+        job: BlockJob,
+        src: &[K],
+        dst: &mut [K],
+        observer: P,
+    ) -> (KernelProfile, P) {
+        let KernelArgs { banks, u, e, strategy, count_accesses } = self;
+        match job {
+            BlockJob::Tile(lo) => blocksort_block_observed(
+                banks,
+                u,
+                e,
+                strategy,
+                &src[lo..lo + dst.len()],
+                dst,
+                lo,
+                count_accesses,
+                observer,
+            ),
+            BlockJob::Merge(job) => merge_pass_block_observed(
+                banks,
+                u,
+                e,
+                strategy,
+                src,
+                job,
+                dst,
+                count_accesses,
+                observer,
+            ),
+        }
+    }
+}
+
 /// What one pipeline execution holds fixed: the pipeline, the
 /// configuration and recovery policy, the fault plan, and the factory
 /// that hands every unarmed block attempt a fresh observer.
@@ -611,10 +628,8 @@ struct Driver<'a, F> {
     /// Marks the degraded alternate pipeline (sticky faults stop firing).
     fallback: bool,
     make_observer: &'a F,
-    /// Simulations the memo asked for (a debug build simulates each lean
-    /// block twice).
-    #[cfg(test)]
-    simulated: std::sync::atomic::AtomicUsize,
+    /// What every block of the run hands its kernel.
+    args: KernelArgs,
 }
 
 impl<F, O> Driver<'_, F>
@@ -686,42 +701,29 @@ where
         let mut carried = false;
 
         loop {
-            let (kernel, name, jobs, base_profile) = if width == 0 {
-                let tiles = (0..n_pad).step_by(tile).map(BlockJob::Tile).collect();
-                (0, "blocksort".to_string(), tiles, KernelProfile::new())
+            let (kernel, jobs, base_profile) = if width == 0 {
+                (0, (0..n_pad).step_by(tile).map(BlockJob::Tile).collect(), KernelProfile::new())
             } else if width < n_pad {
                 let (jobs, search_cost) = partition_pass(&src, width, tile, cfg.count_accesses);
-                (1 + pass as u32, format!("merge-pass-{pass}"), jobs, search_cost)
+                (1 + pass as u32, jobs, search_cost)
             } else {
                 break;
             };
-            let sums =
-                carried.then(|| StripeChecksums::from_stripes(stripe_width(tile), &mut stripes.0));
-            let expected =
-                jobs.iter().map(|j| j.expected_checksum(&src, tile, sums.as_ref())).collect();
-            // Only a launch whose blocks all run under the memo's gate
-            // (no site of the plan targets it) reads and writes its kind's
-            // carried entry.
-            let armed = self.plan.sites.iter().any(|site| site.kernel == kernel);
-            let carries = O::PASSIVE && !armed;
-            let kind = carries.then(|| LaunchKind::of::<K>(width == 0, self.kernel_args()));
-            let launch = Launch {
-                kernel,
-                name: &name,
-                memo: LaunchMemo::new(&name, jobs.len(), tile, kind),
-                expected,
-            };
+            // Only a launch whose blocks all run unwatched (no site of the
+            // plan targets it) reads and writes its kind's carried entry.
+            let carries = O::PASSIVE && !self.plan.sites.iter().any(|site| site.kernel == kernel);
+            let sums = carried.then_some(&mut stripes.0[..]);
+            let launch = Launch::new(kernel, self.args, jobs, &src, sums, carries);
             let detected = stats.report.counters.faults_detected;
             let (report, extra, failed, blocks) = self.launch(
                 &launch,
-                jobs,
                 &src,
                 &mut dst,
                 &mut stripes.0,
                 base_profile,
                 &mut stats.report,
             )?;
-            launch.memo.finish();
+            launch.finish();
             seconds += report.time.seconds + extra;
             kernels.push(report);
             if let Some(f) = failed {
@@ -793,11 +795,10 @@ where
     /// One launch: every block's execute-verify-retry loop into its
     /// `tile`-sized window of `dst` (and its stripes of `stripes`), then
     /// straggler hedging, then [`settle_kernel`].
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    #[allow(clippy::type_complexity)]
     fn launch<K: SortKey>(
         &self,
-        launch: &Launch<'_, K>,
-        jobs: Vec<BlockJob>,
+        launch: &Launch<K>,
         src: &[K],
         dst: &mut [K],
         stripes: &mut [u64],
@@ -805,14 +806,11 @@ where
         report: &mut RecoveryReport,
     ) -> Result<(KernelReport, f64, Option<BlockFailure>, Vec<O>), SortError> {
         let tile = self.rcfg.base.params.tile();
-        let mut execs: Vec<BlockExec<O>> = jobs
-            .par_iter()
-            .zip(dst.par_chunks_mut(tile))
+        let mut execs: Vec<BlockExec<O>> = dst
+            .par_chunks_mut(tile)
             .zip(stripes.par_chunks_mut(tile / stripe_width(tile)))
             .enumerate()
-            .map(|(block, ((&job, out), sums))| {
-                self.recover_block(launch, block, job, src, out, sums)
-            })
+            .map(|(block, (out, sums))| self.recover_block(launch, block, src, out, sums))
             .collect();
         let latencies: Vec<u64> = execs.iter().map(|ex| ex.spike_cycles).collect();
         for block in self.rcfg.hedge.stragglers(&latencies) {
@@ -820,22 +818,20 @@ where
             if ex.failure.is_some() {
                 continue; // about to trigger fallback; duplicating it is pointless
             }
-            let job = jobs[block];
             let mut scratch = vec![K::default(); tile];
             // A hedge's scratch output leaves no stripes.
-            let hedge = self.attempt(launch, block, ex.executions, job, src, &mut scratch, None);
+            let hedge = self.attempt(launch, block, ex.executions, src, &mut scratch, None);
             ex.apply_hedge(hedge);
         }
-        settle_kernel(self.rcfg, launch.name, base_profile, execs, report)
+        settle_kernel(self.rcfg, &launch.name, base_profile, execs, report)
     }
 
     /// Execute-verify loop for one block: up to `1 + max_retries`
     /// attempts, stopping at the first whose output verifies.
     fn recover_block<K: SortKey>(
         &self,
-        launch: &Launch<'_, K>,
+        launch: &Launch<K>,
         block: usize,
-        job: BlockJob,
         src: &[K],
         dst: &mut [K],
         stripes: &mut [u64],
@@ -855,7 +851,7 @@ where
             hedge_profile: KernelProfile::new(),
         };
         for attempt in 0..=self.rcfg.max_retries {
-            let a = self.attempt(launch, block, attempt, job, src, dst, Some(&mut *stripes));
+            let a = self.attempt(launch, block, attempt, src, dst, Some(&mut *stripes));
             out.executions = attempt + 1;
             out.spike_cycles += a.faults.spike_cycles();
             out.injections.extend(a.faults.into_records());
@@ -881,18 +877,15 @@ where
         out
     }
 
-    /// Run `job` once into `dst` — under the plan's injector for this
-    /// attempt if it arms a site, else under a fresh observer, through the
-    /// launch's memo when that observer is passive — and verify what it
-    /// wrote, replayed or simulated, leaving its stripe checksums in
-    /// `stripes` if given.
-    #[allow(clippy::too_many_arguments)]
+    /// Run the block once into `dst` — under the plan's injector for this
+    /// attempt if it arms a site, else under a fresh observer (see
+    /// [`Launch::execute`]) — and verify what it wrote, replayed or
+    /// simulated, leaving its stripe checksums in `stripes` if given.
     fn attempt<K: SortKey>(
         &self,
-        launch: &Launch<'_, K>,
+        launch: &Launch<K>,
         block: usize,
         attempt: u32,
-        job: BlockJob,
         src: &[K],
         dst: &mut [K],
         stripes: Option<&mut [u64]>,
@@ -901,19 +894,12 @@ where
         // An unarmed injector changes nothing, but it would still route
         // every access through its hooks: run the block under the
         // caller's observer instead.
-        let (profile, observer, faults) = if !faults.is_unarmed() {
-            let (profile, faults) = self.execute(job, src, dst, faults);
-            (profile, None, faults)
-        } else if O::PASSIVE {
-            let profile = launch.memo.execute(block, job, src, dst, |dst, pricing| {
-                #[cfg(test)]
-                self.simulated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.simulate(job, src, dst, pricing)
-            });
-            (profile, Some((self.make_observer)()), faults)
-        } else {
-            let (profile, observer) = self.execute(job, src, dst, (self.make_observer)());
+        let (profile, observer, faults) = if faults.is_unarmed() {
+            let (profile, observer) = launch.execute(block, src, dst, (self.make_observer)());
             (profile, Some(observer), faults)
+        } else {
+            let (profile, faults) = launch.execute(block, src, dst, faults);
+            (profile, None, faults)
         };
         let expect = launch.expected[block];
         let verdict = match stripes {
@@ -921,72 +907,6 @@ where
             None => verify_sorted_checksum(dst, expect),
         };
         Attempt { profile, observer, faults, verdict }
-    }
-
-    /// Run the block's kernel unwatched: in full, collecting its oblivious
-    /// share, or lean.
-    fn simulate<K: SortKey>(
-        &self,
-        job: BlockJob,
-        src: &[K],
-        dst: &mut [K],
-        pricing: Pricing,
-    ) -> Simulated {
-        match pricing {
-            Pricing::Full => {
-                let (profile, ObliviousShare(share)) =
-                    self.execute(job, src, dst, ObliviousShare::default());
-                (profile, share)
-            }
-            Pricing::Lean => (self.execute(job, src, dst, Lean).0, KernelProfile::new()),
-        }
-    }
-
-    /// The arguments [`execute`](Self::execute) hands every kernel.
-    fn kernel_args(&self) -> KernelArgs {
-        let cfg = &self.rcfg.base;
-        KernelArgs {
-            banks: cfg.device.bank_model(),
-            u: cfg.params.u,
-            e: cfg.params.e,
-            strategy: self.algo.strategy(),
-            count_accesses: cfg.count_accesses,
-        }
-    }
-
-    /// Run the block's kernel once under `observer`.
-    fn execute<K: SortKey, P: Observer>(
-        &self,
-        job: BlockJob,
-        src: &[K],
-        dst: &mut [K],
-        observer: P,
-    ) -> (KernelProfile, P) {
-        let KernelArgs { banks, u, e, strategy, count_accesses } = self.kernel_args();
-        match job {
-            BlockJob::Tile(lo) => blocksort_block_observed(
-                banks,
-                u,
-                e,
-                strategy,
-                &src[lo..lo + dst.len()],
-                dst,
-                lo,
-                count_accesses,
-                observer,
-            ),
-            BlockJob::Merge(job) => merge_pass_block_observed(
-                banks,
-                u,
-                e,
-                strategy,
-                src,
-                job,
-                dst,
-                count_accesses,
-                observer,
-            ),
-        }
     }
 }
 
@@ -1213,8 +1133,7 @@ where
         plan,
         fallback,
         make_observer,
-        #[cfg(test)]
-        simulated: Default::default(),
+        args: KernelArgs::of(&rcfg.base, algo),
     };
     let (run, observers) = match driver(algo, false).run(input, resume, &mut stats)? {
         Ok(done) => done,
@@ -1260,6 +1179,7 @@ mod tests {
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
     use cfmerge_gpu_sim::trace::{BlockTracer, GlobalRoundEvent, SharedRoundEvent};
     use cfmerge_json::FromJson;
+    use memo::{ObliviousShare, Pricing};
 
     fn small_rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))
@@ -1898,7 +1818,7 @@ mod tests {
             plan,
             fallback: false,
             make_observer: &((|| Passive) as fn() -> Passive),
-            simulated: Default::default(),
+            args: KernelArgs::of(&rcfg.base, algo),
         }
     }
 
@@ -1907,28 +1827,25 @@ mod tests {
         // Every A key is below every B key, so chunks at any offset share
         // one interleaving (80 from A, then 80 from B); only the sector
         // alignment of `a_begin` tells them apart.
-        let rcfg = small_rcfg();
-        let plan = FaultPlan::none();
-        let driver = passive_driver(SortAlgorithm::CfMerge, &rcfg, &plan);
+        let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::CfMerge);
         let src: Vec<u32> = (0..2000).map(|k| if k < 1000 { k } else { 5000 + k }).collect();
         let chunk = |a: usize| {
             BlockJob::Merge(MergeChunkJob { a_begin: a, a_end: a + 80, b_begin: 1000, b_end: 1080 })
         };
-        let memo = LaunchMemo::new("merge-pass-0", 4, 160, None);
+        let jobs = [0, 3, 8, 0].map(chunk).to_vec();
+        let launch = Launch::new(1, args, jobs, &src, None, false);
         let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
-        let mut calls = Vec::new();
         let mut profiles = Vec::new();
+        let _ = memo::take_simulated();
         // Block indices 0..3 of a 4-block launch: none is sampled.
         for (block, a) in [0, 3, 8].into_iter().enumerate() {
-            let profile = memo.execute(block, chunk(a), &src, &mut dst, |dst, pricing| {
-                calls.push((block, pricing));
-                driver.simulate(chunk(a), &src, dst, pricing)
-            });
-            let (simulated, Passive) = driver.execute(chunk(a), &src, &mut fresh, Passive);
+            let (profile, Passive) = launch.execute(block, &src, &mut dst, Passive);
+            let (simulated, Passive) = args.execute(chunk(a), &src, &mut fresh, Passive);
             assert_eq!(dst, fresh, "a_begin {a}");
             assert_eq!(profile, simulated, "a_begin {a}");
             profiles.push(profile);
         }
+        let calls = memo::take_simulated();
         let load = |p: &KernelProfile| *p.phase(PhaseClass::LoadTile);
         assert_ne!(load(&profiles[0]), load(&profiles[1]), "misaligned A loads more sectors");
         // a_begin 8 shares a_begin 0's residue: a hit, not a simulation.
@@ -1945,29 +1862,45 @@ mod tests {
         [tile.clone(), tile, other].concat()
     }
 
-    /// Block-sort the tile of `src` at `lo` unwatched.
-    fn simulate_tile(src: &[u32], lo: usize, dst: &mut [u32], pricing: Pricing) -> Simulated {
-        let (rcfg, plan) = (small_rcfg(), FaultPlan::none());
-        let driver = passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan);
-        driver.simulate(BlockJob::Tile(lo), src, dst, pricing)
+    /// Block-sort the tile of `src` at `lo` unwatched and in full: its
+    /// profile and its oblivious share.
+    fn simulate_tile(src: &[u32], lo: usize, dst: &mut [u32]) -> (KernelProfile, KernelProfile) {
+        let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::ThrustMergesort);
+        let (profile, ObliviousShare(share)) =
+            args.execute(BlockJob::Tile(lo), src, dst, ObliviousShare::default());
+        (profile, share)
+    }
+
+    /// An unwatched Thrust block-sort launch of `blocks` blocks over `src`
+    /// whose block `b` sorts the tile at `lo` for each `(b, lo)` in
+    /// `tiles`, and the tile at 0 otherwise. It carries its kind's entry
+    /// if `carries`.
+    fn tile_launch(
+        src: &[u32],
+        blocks: usize,
+        tiles: &[(usize, usize)],
+        carries: bool,
+    ) -> Launch<u32> {
+        let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::ThrustMergesort);
+        let mut jobs = vec![BlockJob::Tile(0); blocks];
+        for &(block, lo) in tiles {
+            jobs[block] = BlockJob::Tile(lo);
+        }
+        Launch::new(0, args, jobs, src, None, carries)
     }
 
     #[test]
     fn lean_miss_is_charged_the_launchs_oblivious_share() {
         let src = three_tiles();
-        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
-        let memo = LaunchMemo::new("blocksort", 128, 160, None);
-        let first =
-            memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, p| simulate(0, dst, p));
-        let mut pricings = Vec::new();
-        let lean = memo.execute(2, BlockJob::Tile(320), &src, &mut dst, |dst, p| {
-            pricings.push(p);
-            simulate(320, dst, p)
-        });
+        let launch = tile_launch(&src, 128, &[(2, 320)], false);
+        let (first, Passive) = launch.execute(0, &src, &mut dst, Passive);
+        let _ = memo::take_simulated();
+        let (lean, Passive) = launch.execute(2, &src, &mut dst, Passive);
+        let pricings: Vec<Pricing> = memo::take_simulated().into_iter().map(|(_, p)| p).collect();
         assert_eq!(pricings[0], Pricing::Lean);
         let mut full_dst = vec![0u32; 160];
-        let (full, share) = simulate(320, &mut full_dst, Pricing::Full);
+        let (full, share) = simulate_tile(&src, 320, &mut full_dst);
         assert_eq!((&lean, &dst), (&full, &full_dst));
         // The share is the block's oblivious phases: no search or merge.
         assert!(
@@ -1983,21 +1916,18 @@ mod tests {
     #[should_panic(expected = "blocksort block 63 re-simulated to a profile that differs")]
     fn doctored_representative_fails_its_sampled_resimulation() {
         let src = three_tiles();
-        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
-        let memo = LaunchMemo::new("blocksort", 128, 160, None);
-        let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
-            let (mut profile, share) = simulate(0, dst, pricing);
-            profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
-            (profile, share)
-        });
+        let mut launch = tile_launch(&src, 128, &[(1, 160), (63, 160)], false);
+        let _ = launch.execute(0, &src, &mut dst, Passive);
+        launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
+        let doctored = launch.rep_profile_mut(0).clone();
         // An unsampled hit charges the cached profile as it is...
-        let replayed =
-            memo.execute(1, BlockJob::Tile(160), &src, &mut dst, |_, _| unreachable!("a hit"));
+        let _ = memo::take_simulated();
+        let (replayed, Passive) = launch.execute(1, &src, &mut dst, Passive);
+        assert!(memo::take_simulated().is_empty(), "a hit");
         assert_eq!(replayed, doctored);
         // ...and a sampled one re-simulates and catches the difference.
-        let _ =
-            memo.execute(63, BlockJob::Tile(160), &src, &mut dst, |dst, p| simulate(160, dst, p));
+        let _ = launch.execute(63, &src, &mut dst, Passive);
     }
 
     #[test]
@@ -2006,16 +1936,11 @@ mod tests {
                                phase sort counter alu_ops")]
     fn doctored_oblivious_share_fails_a_sampled_block() {
         let src = three_tiles();
-        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         let mut dst = vec![0u32; 160];
-        let memo = LaunchMemo::new("blocksort", 128, 160, None);
-        let _ = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
-            let (profile, mut share) = simulate(0, dst, pricing);
-            share.phase_mut(PhaseClass::Sort).alu_ops += 1;
-            (profile, share)
-        });
-        let _ =
-            memo.execute(63, BlockJob::Tile(160), &src, &mut dst, |dst, p| simulate(160, dst, p));
+        let mut launch = tile_launch(&src, 128, &[(63, 160)], false);
+        let _ = launch.execute(0, &src, &mut dst, Passive);
+        launch.share_mut().phase_mut(PhaseClass::Sort).alu_ops += 1;
+        let _ = launch.execute(63, &src, &mut dst, Passive);
     }
 
     #[test]
@@ -2026,11 +1951,12 @@ mod tests {
         let input = tile.repeat(16);
         for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
             let driver = passive_driver(algo, &rcfg, &plan);
+            let _ = memo::take_simulated();
             let Ok(Ok((run, _))) = driver.run(&input, None, &mut RunStats::default()) else {
                 panic!("clean run of {algo:?} failed");
             };
             let blocks: u64 = run.kernels.iter().map(|k| k.blocks).sum();
-            let simulated = driver.simulated.load(std::sync::atomic::Ordering::Relaxed) as u64;
+            let simulated = memo::take_simulated().len() as u64;
             assert!(simulated < blocks / 2, "{algo:?}: simulated {simulated} of {blocks} blocks");
             assert_eq!(
                 run,
@@ -2054,10 +1980,11 @@ mod tests {
     ) -> (SortRun<K>, usize) {
         let plan = FaultPlan::none();
         let driver = passive_driver(algo, rcfg, &plan);
+        let _ = memo::take_simulated();
         let Ok(Ok((run, _))) = driver.run(input, None, &mut RunStats::default()) else {
             panic!("clean run of {algo:?} failed");
         };
-        (run, driver.simulated.load(std::sync::atomic::Ordering::Relaxed))
+        (run, memo::take_simulated().len())
     }
 
     /// Blocks of a launch of `blocks` that the sampling rule re-simulates.
@@ -2114,36 +2041,26 @@ mod tests {
         pair(&|| sort(thrust, &rcfg), &|| sort(thrust, &kepler), "bank models");
     }
 
-    /// The launch kind of a block-sort launch of `driver`.
-    fn tile_kind(driver: &Driver<'_, fn() -> Passive>) -> LaunchKind {
-        LaunchKind::of::<u32>(true, driver.kernel_args())
-    }
-
     #[test]
     #[should_panic(expected = "block memo invariant violated: blocksort block 63 re-simulated")]
     fn doctored_carried_representative_fails_the_next_launch() {
-        let (rcfg, plan) = (small_rcfg(), FaultPlan::none());
-        let kind = tile_kind(&passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan));
         let src = three_tiles();
-        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         on_fresh_thread(|| {
             let mut dst = vec![0u32; 160];
-            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
-            let doctored = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
-                let (mut profile, share) = simulate(0, dst, pricing);
-                profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
-                (profile, share)
-            });
-            let _ = memo.execute(1, BlockJob::Tile(160), &src, &mut dst, |_, _| unreachable!());
-            memo.finish();
+            let mut launch = tile_launch(&src, 128, &[(1, 160)], true);
+            let _ = launch.execute(0, &src, &mut dst, Passive);
+            launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
+            let doctored = launch.rep_profile_mut(0).clone();
+            let _ = launch.execute(1, &src, &mut dst, Passive);
+            launch.finish();
             // The next launch of the kind replays the carried representative
             // at block 0, and its sampled block 63 catches it.
-            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
-            let replayed =
-                memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |_, _| unreachable!("a hit"));
+            let launch = tile_launch(&src, 128, &[(63, 160)], true);
+            let _ = memo::take_simulated();
+            let (replayed, Passive) = launch.execute(0, &src, &mut dst, Passive);
+            assert!(memo::take_simulated().is_empty(), "a hit");
             assert_eq!(replayed, doctored);
-            let _ = memo
-                .execute(63, BlockJob::Tile(160), &src, &mut dst, |dst, p| simulate(160, dst, p));
+            let _ = launch.execute(63, &src, &mut dst, Passive);
         });
     }
 
@@ -2151,24 +2068,17 @@ mod tests {
     #[should_panic(expected = "oblivious share invariant violated: blocksort block 63 reported \
                                an oblivious share that differs from the launch's cached one")]
     fn doctored_carried_share_fails_the_next_launch() {
-        let (rcfg, plan) = (small_rcfg(), FaultPlan::none());
-        let kind = tile_kind(&passive_driver(SortAlgorithm::ThrustMergesort, &rcfg, &plan));
         let src = three_tiles();
-        let simulate = |lo, dst: &mut [u32], pricing| simulate_tile(&src, lo, dst, pricing);
         on_fresh_thread(|| {
             let mut dst = vec![0u32; 160];
-            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
-            let _ = memo.execute(0, BlockJob::Tile(0), &src, &mut dst, |dst, pricing| {
-                let (profile, mut share) = simulate(0, dst, pricing);
-                share.phase_mut(PhaseClass::Sort).alu_ops += 1;
-                (profile, share)
-            });
-            memo.finish();
+            let mut launch = tile_launch(&src, 128, &[], true);
+            let _ = launch.execute(0, &src, &mut dst, Passive);
+            launch.share_mut().phase_mut(PhaseClass::Sort).alu_ops += 1;
+            launch.finish();
             // The next launch's sampled block 63 checks its share against
             // the carried one.
-            let memo = LaunchMemo::new("blocksort", 128, 160, Some(kind));
-            let _ = memo
-                .execute(63, BlockJob::Tile(320), &src, &mut dst, |dst, p| simulate(320, dst, p));
+            let launch = tile_launch(&src, 128, &[(63, 320)], true);
+            let _ = launch.execute(63, &src, &mut dst, Passive);
         });
     }
 
@@ -2191,9 +2101,8 @@ mod tests {
 
     #[test]
     fn traced_and_fault_armed_launches_leave_carried_entries_alone() {
-        let (rcfg, none) = (small_rcfg(), FaultPlan::none());
+        let rcfg = small_rcfg();
         let algo = SortAlgorithm::ThrustMergesort;
-        let kind = tile_kind(&passive_driver(algo, &rcfg, &none));
         let input = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(8 * 160);
         // A latency spike in block 7 of every launch: no corruption, but
         // every launch is armed.
@@ -2207,15 +2116,11 @@ mod tests {
         let (before, after, runs) = on_fresh_thread(|| {
             // Carry a doctored representative of block 0's order type.
             let mut dst = vec![0u32; 160];
-            let memo = LaunchMemo::new("blocksort", 8, 160, Some(kind));
-            for (block, lo) in [(0, 0), (1, 0)] {
-                let _ = memo.execute(block, BlockJob::Tile(lo), &input, &mut dst, |dst, p| {
-                    let (mut profile, share) = simulate_tile(&input, lo, dst, p);
-                    profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
-                    (profile, share)
-                });
-            }
-            memo.finish();
+            let mut launch = tile_launch(&input, 8, &[], true);
+            let _ = launch.execute(0, &input, &mut dst, Passive);
+            launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
+            let _ = launch.execute(1, &input, &mut dst, Passive);
+            launch.finish();
             let before = memo::carried_here::<u32>();
             let runs = (traced(), robust());
             (before, memo::carried_here::<u32>(), runs)

@@ -1,4 +1,12 @@
-//! Exact per-launch block memoisation.
+//! One kernel launch, and its exact block memoisation.
+//!
+//! A [`Launch`] holds everything the blocks of one kernel launch share:
+//! its index and name, each block's job and expected checksum, its
+//! launch kind, and its memo (representatives and oblivious share). Its
+//! one [`execute`](Launch::execute) decides how a block runs. A watched
+//! block (traced, checked or fault-armed) is simulated under its
+//! observer. An unwatched one is replayed, simulated lean or simulated in
+//! full, and a sampled one is checked against what the memo holds.
 //!
 //! Both kernels are comparison-based: every shared and global address a
 //! block issues, and so its whole [`KernelProfile`], is fixed by the
@@ -32,7 +40,7 @@
 //! integers, whose `Ord` equality is identity).
 //!
 //! A launch keeps at most [`MAX_REPS`] representatives, first come, first
-//! kept. Hits at sampled block indices (see [`LaunchMemo::execute`]) are
+//! kept. Hits at sampled block indices (see [`Launch::execute`]) are
 //! re-simulated and must reproduce the cached profile exactly; a mismatch
 //! is an invariant violation and panics.
 //!
@@ -40,21 +48,23 @@
 //!
 //! A block's profile depends on its order type and on what its launch
 //! hands every block alike: whether it is a tile or a merge chunk, the
-//! key type, and the kernel arguments (`(E, u)`, strategy, bank model,
+//! key type, and the [`KernelArgs`] (`(E, u)`, strategy, bank model,
 //! `count_accesses`). Together those are the launch's [`LaunchKind`].
-//! Each thread keeps one carried entry per kind. A launch of that kind
-//! starts from it: its representatives fill the first slots, so first
-//! come, first kept starts from them, and its oblivious share is the
-//! launch's from the start. When the launch ends it leaves its own entry:
-//! the representatives that replayed at least one of its blocks, shared
-//! by [`Arc`] and never cloned, and its oblivious share. A representative
-//! that replays nothing in a launch is dropped with it. The sampling
-//! rule does not change: sampled blocks check carried profiles and a
-//! carried share exactly as they check the launch's own. The driver hands
-//! a kind only to launches whose every block runs under the memo's gate,
-//! so traced, checked and fault-armed launches neither read nor write an
-//! entry. A thread's entries live as long as the thread: at most one per
-//! kind it has launched, each of at most [`MAX_REPS`] blocks' keys.
+//! Each thread keeps one carried entry per kind, in the same per-thread
+//! cache that keeps the driver's stripe buffer. A launch that carries
+//! starts from its kind's entry: its representatives fill the first
+//! slots, so first come, first kept starts from them, and its oblivious
+//! share is the launch's from the start. [`Launch::finish`] leaves the
+//! launch's own entry: the representatives that replayed at least one of
+//! its blocks, shared by [`Arc`] and never cloned, and its oblivious
+//! share. A representative that replays nothing in a launch is dropped
+//! with it. The sampling rule does not change: sampled blocks check
+//! carried profiles and a carried share exactly as they check the
+//! launch's own. The driver lets a launch carry only if its every block
+//! runs unwatched, so traced, checked and fault-armed launches neither
+//! read nor write an entry. A thread's entries live as long as the
+//! thread: at most one per kind it has launched, each of at most
+//! [`MAX_REPS`] blocks' keys.
 //!
 //! ## Lean misses
 //!
@@ -62,17 +72,18 @@
 //! pricing. The kernels run the phases whose addresses never depend on a
 //! key as oblivious phases (see `BlockSim::oblivious_phase`), and their
 //! counters, the block's *oblivious share*, are equal in every block of a
-//! launch kind. The memo keeps the share its launch carried in, or else
-//! that of the launch's first fully simulated block. Every later miss
-//! the sampling rule does not pick runs [`Pricing::Lean`]: its oblivious
-//! phases move data and keep the race detector on but record and charge
-//! nothing, and the cached share is added to its profile. Every sampled
-//! block, hit or miss, runs [`Pricing::Full`] and panics unless its share
-//! equals the cached one. Debug builds also re-simulate every lean block
-//! in full and panic unless the two profiles agree.
+//! launch kind. The launch keeps the share it carried in, or else that of
+//! its first fully simulated block. Every later miss the sampling rule
+//! does not pick runs under the [`Lean`] observer: its oblivious phases
+//! move data and keep the race detector on but record and charge nothing,
+//! and the cached share is added to its profile. Every sampled block, hit
+//! or miss, runs in full under [`ObliviousShare`] and panics unless its
+//! share equals the cached one. Debug builds also re-simulate every lean
+//! block in full and panic unless the two profiles agree.
 
-use super::{BlockJob, KernelArgs};
+use super::{stripe_width, BlockJob, KernelArgs};
 use crate::sort::key::SortKey;
+use crate::verify::StripeChecksums;
 use cfmerge_gpu_sim::global::SECTOR_WORDS;
 use cfmerge_gpu_sim::observer::Observer;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
@@ -90,22 +101,8 @@ const MAX_REPS: usize = 4;
 /// re-simulated.
 const SAMPLE_EVERY: usize = 64;
 
-/// How a missed block is simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pricing {
-    /// Record and price every phase, and report the oblivious share.
-    Full,
-    /// Run the oblivious phases unrecorded and unpriced.
-    Lean,
-}
-
-/// What simulating a block yields: its profile, and its oblivious share
-/// (empty for a [`Pricing::Lean`] run, which charges its oblivious phases
-/// nothing).
-pub(crate) type Simulated = (KernelProfile, KernelProfile);
-
-/// The observer of a [`Pricing::Full`] block: passive, but collecting the
-/// block's oblivious share.
+/// The observer of a fully simulated unwatched block: passive, but
+/// collecting the block's oblivious share.
 #[derive(Default)]
 pub(crate) struct ObliviousShare(pub(crate) KernelProfile);
 
@@ -115,8 +112,8 @@ impl Observer for ObliviousShare {
     }
 }
 
-/// The observer of a [`Pricing::Lean`] block.
-pub(crate) struct Lean;
+/// The observer of a lean block.
+struct Lean;
 
 impl Observer for Lean {
     const LEAN: bool = true;
@@ -131,12 +128,6 @@ pub(crate) struct LaunchKind {
     args: KernelArgs,
 }
 
-impl LaunchKind {
-    pub(crate) fn of<K: SortKey>(tiles: bool, args: KernelArgs) -> Self {
-        Self { tiles, key: TypeId::of::<K>(), args }
-    }
-}
-
 /// What a launch leaves the next launch of its kind on its thread.
 #[derive(Default)]
 struct Carried<K> {
@@ -145,19 +136,31 @@ struct Carried<K> {
     share: Option<KernelProfile>,
 }
 
+/// What a thread keeps from one sort to the next. Each part is allocated
+/// once per thread and written in place: a stripe buffer freed per sort,
+/// or a carried entry boxed anew at each launch's end, outlived the sort
+/// among its key buffers and raised `host_bench`'s `fig5_worst` peak RSS
+/// by 12%.
+#[derive(Default)]
+struct Cache {
+    /// The stripe buffer of the last sort run on this thread.
+    stripes: Vec<u64>,
+    /// Each launch kind's carried entry: a `Carried<K>` for the kind's key
+    /// type `K`.
+    carried: Vec<(LaunchKind, Box<dyn Any>)>,
+    /// Every block simulation since the last [`take_simulated`].
+    #[cfg(test)]
+    simulated: Vec<(usize, Pricing)>,
+}
+
 thread_local! {
-    /// Each launch kind's carried entry on this thread; a `Carried<K>`
-    /// for the kind's key type `K`. An entry is allocated once, by the
-    /// kind's first launch, and every later launch takes from and writes
-    /// back into it: an allocation that outlived each sort's last launch
-    /// raised `host_bench`'s `fig5_worst` peak RSS by 12%.
-    static CARRIED: RefCell<Vec<(LaunchKind, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
+    static CACHE: RefCell<Cache> = RefCell::default();
 }
 
 /// Run `f` on `kind`'s carried entry, made empty if the thread has none.
 fn with_carried<K: SortKey, T>(kind: LaunchKind, f: impl FnOnce(&mut Carried<K>) -> T) -> T {
-    CARRIED.with(|entries| {
-        let mut entries = entries.borrow_mut();
+    CACHE.with(|cache| {
+        let entries = &mut cache.borrow_mut().carried;
         let at = match entries.iter().position(|(k, _)| *k == kind) {
             Some(at) => at,
             None => {
@@ -170,14 +173,37 @@ fn with_carried<K: SortKey, T>(kind: LaunchKind, f: impl FnOnce(&mut Carried<K>)
     })
 }
 
-/// One launch's representatives, and its oblivious share.
-pub(crate) struct LaunchMemo<'a, K> {
-    /// Kernel launch name, for the sample-mismatch panic.
-    kernel: &'a str,
-    /// Blocks in the launch (the last one is always sampled).
-    blocks: usize,
-    /// Keys per block.
-    tile: usize,
+/// A run's stripe buffer, taken from the thread's cache and given back on
+/// drop.
+pub(crate) struct StripeBuf(pub(crate) Vec<u64>);
+
+impl StripeBuf {
+    pub(crate) fn take(len: usize) -> Self {
+        let mut buf = CACHE.with(|cache| std::mem::take(&mut cache.borrow_mut().stripes));
+        buf.clear();
+        buf.resize(len, 0);
+        StripeBuf(buf)
+    }
+}
+
+impl Drop for StripeBuf {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.0);
+        CACHE.with(|cache| cache.borrow_mut().stripes = buf);
+    }
+}
+
+/// One kernel launch: what its blocks share, and its memo.
+pub(crate) struct Launch<K> {
+    /// Launch index in the fault plan's numbering: 0 is the block sort,
+    /// `1 + p` merge pass `p`.
+    pub(crate) kernel: u32,
+    pub(crate) name: String,
+    args: KernelArgs,
+    /// Each block's job.
+    jobs: Vec<BlockJob>,
+    /// Each block's expected output checksum.
+    pub(crate) expected: Vec<u64>,
     /// The kind whose carried entry the launch starts from and leaves;
     /// `None` for a launch that neither reads nor writes one.
     kind: Option<LaunchKind>,
@@ -221,23 +247,32 @@ struct WeakOrder {
     ties: Vec<bool>,
 }
 
-impl<'a, K: SortKey> LaunchMemo<'a, K> {
-    /// The memo of a launch of `blocks` blocks of `tile` keys, starting
-    /// from the carried entry of `kind`, if given.
+impl<K: SortKey> Launch<K> {
+    /// Launch `kernel` of `jobs` over `src`. Each block's expected
+    /// checksum is read off `stripes`, the previous launch's stripe
+    /// checksums of `src`, if given, and hashed from `src` if not. A launch
+    /// that `carries` starts from its kind's carried entry, and
+    /// [`finish`](Self::finish) leaves it.
     pub(crate) fn new(
-        kernel: &'a str,
-        blocks: usize,
-        tile: usize,
-        kind: Option<LaunchKind>,
+        kernel: u32,
+        args: KernelArgs,
+        jobs: Vec<BlockJob>,
+        src: &[K],
+        stripes: Option<&mut [u64]>,
+        carries: bool,
     ) -> Self {
+        let tile = args.tile();
+        let sums =
+            stripes.map(|stripes| StripeChecksums::from_stripes(stripe_width(tile), stripes));
+        let expected = jobs.iter().map(|j| j.expected_checksum(src, tile, sums.as_ref())).collect();
+        let kind = carries.then(|| LaunchKind { tiles: kernel == 0, key: TypeId::of::<K>(), args });
         let Carried { reps, share } =
             kind.map(|kind| with_carried(kind, std::mem::take)).unwrap_or_default();
-        let slots: [OnceLock<Slot<K>>; MAX_REPS] = Default::default();
-        for (slot, rep) in slots.iter().zip(reps.into_iter().flatten()) {
-            let _ = slot.set(Slot { rep, replayed: AtomicBool::new(false) });
-        }
+        let slot = |rep| Slot { rep, replayed: AtomicBool::new(false) };
+        let reps = reps.map(|rep| rep.map(slot).map_or_else(OnceLock::new, OnceLock::from));
+        let name = kernel.checked_sub(1).map_or("blocksort".into(), |p| format!("merge-pass-{p}"));
         let share = share.map_or_else(OnceLock::new, OnceLock::from);
-        Self { kernel, blocks, tile, kind, reps: slots, share }
+        Self { kernel, name, args, jobs, expected, kind, reps, share }
     }
 
     /// End the launch: leave its kind's carried entry, if it has a kind.
@@ -245,70 +280,65 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
         let Some(kind) = self.kind else {
             return;
         };
-        let mut reps: [Option<Arc<Rep<K>>>; MAX_REPS] = Default::default();
-        let replayed = (self.reps.into_iter().filter_map(OnceLock::into_inner))
+        let mut replayed = (self.reps.into_iter().filter_map(OnceLock::into_inner))
             .filter_map(|slot| slot.replayed.into_inner().then_some(slot.rep));
-        for (carried, rep) in reps.iter_mut().zip(replayed) {
-            *carried = Some(rep);
-        }
+        let reps = std::array::from_fn(|_| replayed.next());
         let share = self.share.into_inner();
         with_carried(kind, |c| *c = Carried { reps, share });
     }
 
-    /// Run block `block` of the launch into `dst`: replay it if a
-    /// representative shares its order type, else `simulate` it and keep
-    /// it as a representative while there is room. A hit at a sampled
-    /// index (one block in [`SAMPLE_EVERY`], and the launch's last) is
-    /// simulated too, and panics unless it reproduces the cached profile.
-    /// An unsampled miss runs lean once the launch's oblivious share is
-    /// known (see the module docs).
-    pub(crate) fn execute(
+    /// Run block `block` of the launch into `dst` under `observer`. A
+    /// watched block (any observer but `Passive`) is simulated. An
+    /// unwatched one is replayed if a representative shares its order
+    /// type, else simulated and kept as a representative while there is
+    /// room. A hit at a sampled index (one block in [`SAMPLE_EVERY`], and
+    /// the launch's last) is simulated too, and panics unless it
+    /// reproduces the cached profile. An unsampled miss runs lean once the
+    /// launch's oblivious share is known (see the module docs).
+    pub(crate) fn execute<O: Observer>(
         &self,
         block: usize,
-        job: BlockJob,
         src: &[K],
         dst: &mut [K],
-        mut simulate: impl FnMut(&mut [K], Pricing) -> Simulated,
-    ) -> KernelProfile {
-        let sampled = block % SAMPLE_EVERY == SAMPLE_EVERY - 1 || block + 1 == self.blocks;
+        observer: O,
+    ) -> (KernelProfile, O) {
+        let job = self.jobs[block];
+        if !O::PASSIVE {
+            return self.args.execute(job, src, dst, observer);
+        }
+        let sampled = block % SAMPLE_EVERY == SAMPLE_EVERY - 1 || block + 1 == self.jobs.len();
         let cached = self.replay(job, src, dst);
         if let Some(cached) = cached.filter(|_| !sampled) {
-            return cached.clone();
+            return (cached.clone(), observer);
         }
         let profile = match self.share.get() {
-            Some(share) if cached.is_none() && !sampled => {
-                self.lean(block, dst, share, &mut simulate)
-            }
-            _ => self.full(block, dst, &mut simulate),
+            Some(share) if cached.is_none() && !sampled => self.lean(block, src, dst, share),
+            _ => self.full(block, src, dst),
         };
         match cached {
             Some(cached) if *cached != profile => panic!(
                 "block memo invariant violated: {} block {block} re-simulated to a profile \
                  that differs from its order type's cached one at {}",
-                self.kernel,
+                self.name,
                 first_difference(cached, &profile)
             ),
             Some(_) => {}
             None => self.record(job, src, &profile),
         }
-        profile
+        (profile, observer)
     }
 
     /// Simulate the block in full; the launch's first such block sets its
     /// oblivious share, and every later one must report the same share.
-    fn full(
-        &self,
-        block: usize,
-        dst: &mut [K],
-        simulate: &mut impl FnMut(&mut [K], Pricing) -> Simulated,
-    ) -> KernelProfile {
-        let (profile, share) = simulate(dst, Pricing::Full);
+    fn full(&self, block: usize, src: &[K], dst: &mut [K]) -> KernelProfile {
+        let (profile, ObliviousShare(share)) =
+            self.simulate(block, src, dst, ObliviousShare::default());
         let cached = self.share.get_or_init(|| share.clone());
         if *cached != share {
             panic!(
                 "oblivious share invariant violated: {} block {block} reported an oblivious \
                  share that differs from the launch's cached one at {}",
-                self.kernel,
+                self.name,
                 first_difference(cached, &share)
             );
         }
@@ -316,35 +346,43 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
     }
 
     /// Simulate the block lean and charge it the launch's oblivious share.
-    fn lean(
-        &self,
-        block: usize,
-        dst: &mut [K],
-        share: &KernelProfile,
-        simulate: &mut impl FnMut(&mut [K], Pricing) -> Simulated,
-    ) -> KernelProfile {
-        let (mut profile, _) = simulate(dst, Pricing::Lean);
+    fn lean(&self, block: usize, src: &[K], dst: &mut [K], share: &KernelProfile) -> KernelProfile {
+        let (mut profile, Lean) = self.simulate(block, src, dst, Lean);
         profile.merge(share);
         if cfg!(debug_assertions) {
             let mut full_dst = vec![K::default(); dst.len()];
-            let (full, _) = simulate(&mut full_dst, Pricing::Full);
-            assert!(full_dst == dst, "lean {} block {block} wrote other output", self.kernel);
+            let (full, _) = self.simulate(block, src, &mut full_dst, ObliviousShare::default());
+            assert!(full_dst == dst, "lean {} block {block} wrote other output", self.name);
             assert!(
                 full == profile,
                 "lean block invariant violated: {} block {block} plus the oblivious share \
                  differs from its full simulation at {}",
-                self.kernel,
+                self.name,
                 first_difference(&profile, &full)
             );
         }
         profile
     }
 
+    /// Simulate the unwatched block under `observer`, [`ObliviousShare`]
+    /// or [`Lean`].
+    fn simulate<P: Observer>(
+        &self,
+        block: usize,
+        src: &[K],
+        dst: &mut [K],
+        observer: P,
+    ) -> (KernelProfile, P) {
+        #[cfg(test)]
+        CACHE.with(|c| c.borrow_mut().simulated.push((block, Pricing::of::<P>())));
+        self.args.execute(self.jobs[block], src, dst, observer)
+    }
+
     /// The profile of a representative `job` shares an order type with,
     /// having written `job`'s sorted output to `dst`; `None` on a miss
     /// (`dst` then holds partial junk the simulation overwrites).
     fn replay(&self, job: BlockJob, src: &[K], dst: &mut [K]) -> Option<&KernelProfile> {
-        let (shape, a, b) = block_input(job, src, self.tile);
+        let (shape, a, b) = block_input(job, src, self.args.tile());
         let slot =
             self.reps.iter().map_while(OnceLock::get).find(|s| s.rep.replays(shape, a, b, dst))?;
         slot.replayed.store(true, atomic::Ordering::Relaxed);
@@ -354,7 +392,7 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
     /// Keep a simulated block as a representative while there is room.
     fn record(&self, job: BlockJob, src: &[K], profile: &KernelProfile) {
         if let Some(slot) = self.reps.iter().find(|slot| slot.get().is_none()) {
-            let (shape, a, b) = block_input(job, src, self.tile);
+            let (shape, a, b) = block_input(job, src, self.args.tile());
             let keys = [a, b].concat();
             let rep = Rep { shape, keys, order: OnceLock::new(), profile: profile.clone() };
             // A concurrent block may have taken the slot: first come,
@@ -362,23 +400,6 @@ impl<'a, K: SortKey> LaunchMemo<'a, K> {
             let _ = slot.set(Slot { rep: Arc::new(rep), replayed: AtomicBool::new(false) });
         }
     }
-}
-
-/// This thread's carried entries for key type `K`: each kind, the
-/// addresses of its representatives, and its share.
-#[cfg(test)]
-pub(crate) fn carried_here<K: SortKey>() -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>)> {
-    CARRIED.with(|entries| {
-        let entries = entries.borrow();
-        let carried =
-            entries.iter().filter_map(|(kind, c)| Some((kind, c.downcast_ref::<Carried<K>>()?)));
-        carried
-            .map(|(kind, c)| {
-                let reps = c.reps.iter().flatten().map(|rep| Arc::as_ptr(rep) as usize).collect();
-                (*kind, reps, c.share.clone())
-            })
-            .collect()
-    })
 }
 
 /// A block's shape and its input as one or two slices.
@@ -466,4 +487,66 @@ fn first_difference(cached: &KernelProfile, simulated: &KernelProfile) -> String
         }
     }
     "the merge degree histogram".to_string()
+}
+
+/// How a block was simulated, as a test build logs it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pricing {
+    /// Every phase recorded and priced.
+    Full,
+    /// The oblivious phases unrecorded and unpriced.
+    Lean,
+}
+
+#[cfg(test)]
+impl Pricing {
+    fn of<P: Observer>() -> Self {
+        if P::LEAN {
+            Pricing::Lean
+        } else {
+            Pricing::Full
+        }
+    }
+}
+
+/// Every block simulation on this thread since the last call, in order:
+/// the block's index in its launch and how it was priced (a debug build
+/// simulates each lean block twice).
+#[cfg(test)]
+pub(crate) fn take_simulated() -> Vec<(usize, Pricing)> {
+    CACHE.with(|cache| std::mem::take(&mut cache.borrow_mut().simulated))
+}
+
+/// This thread's carried entries for key type `K`: each kind, the
+/// addresses of its representatives, and its share.
+#[cfg(test)]
+pub(crate) fn carried_here<K: SortKey>() -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>)> {
+    CACHE.with(|cache| {
+        let cache = cache.borrow();
+        let carried = (cache.carried.iter())
+            .filter_map(|(kind, c)| Some((kind, c.downcast_ref::<Carried<K>>()?)));
+        carried
+            .map(|(kind, c)| {
+                let reps = c.reps.iter().flatten().map(|rep| Arc::as_ptr(rep) as usize).collect();
+                (*kind, reps, c.share.clone())
+            })
+            .collect()
+    })
+}
+
+/// Hooks that doctor what a launch has cached.
+#[cfg(test)]
+impl<K> Launch<K> {
+    /// The profile of the representative in `slot`, which no other launch
+    /// shares yet.
+    pub(crate) fn rep_profile_mut(&mut self, slot: usize) -> &mut KernelProfile {
+        let slot = self.reps[slot].get_mut().expect("a representative in the slot");
+        &mut Arc::get_mut(&mut slot.rep).expect("held by this launch alone").profile
+    }
+
+    /// The launch's cached oblivious share.
+    pub(crate) fn share_mut(&mut self) -> &mut KernelProfile {
+        self.share.get_mut().expect("a cached share")
+    }
 }

@@ -323,10 +323,10 @@ impl ToJson for Degradation {
     }
 }
 
-/// The one configuration check of every sort and merge entry point: the
-/// model's standing `(E, u, w)` assumptions, the simulator's warp-width
-/// limit, and device launchability. The `try_*` entry points return its
-/// error; `simulate_sort`/`simulate_merge` panic with it.
+/// The one configuration check of every sort entry point: the model's
+/// standing `(E, u, w)` assumptions, the simulator's warp-width limit,
+/// and device launchability. The `try_*` entry points return its error;
+/// `simulate_sort` panics with it.
 pub fn validate_sort_config(config: &SortConfig) -> Result<(), SortError> {
     let w = config.device.warp_width as usize;
     let (e, u) = (config.params.e, config.params.u);

@@ -21,14 +21,12 @@ pub mod blocksort;
 pub mod error;
 pub mod kernels;
 pub mod key;
-pub mod merge_api;
 pub mod merge_pass;
 pub mod pairs;
 pub mod pipeline;
 
 pub use error::{validate_sort_config, Degradation, SortError};
 pub use key::{simulate_sort_f32, SortKey};
-pub use merge_api::{simulate_merge, try_simulate_merge, MergeRun};
 pub use pairs::{sort_pairs_stable, PairSortRun};
 pub use pipeline::{
     simulate_sort, simulate_sort_checked, simulate_sort_traced, try_simulate_sort, CheckedSortRun,

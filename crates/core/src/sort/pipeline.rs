@@ -10,8 +10,9 @@
 //! [`SortError::UnrecoverableFault`]. The driver pads inputs of any size
 //! to a power-of-two number of tiles with `K::MAX_SENTINEL` keys (the
 //! paper's sweep sizes `n = 2^i·E` are already tile-aligned for its `u`;
-//! padding keeps the driver total). Blocks are independent, so each pass
-//! fans out with rayon and merges the per-block profiles.
+//! padding keeps the driver total). Blocks are independent; the vendored
+//! rayon shim runs each pass's blocks in order on the calling thread, and
+//! the driver merges the per-block profiles.
 
 use super::blocksort::MergeStrategy;
 use super::error::SortError;
@@ -145,14 +146,20 @@ pub struct SortRun<K = u32> {
 }
 
 impl<K> SortRun<K> {
-    /// Throughput in elements/µs — the y-axis of Figures 5 and 6.
+    /// Throughput in elements/µs — the y-axis of Figures 5 and 6. An
+    /// empty run launches nothing and takes 0 modeled seconds; its
+    /// throughput is `0.0`.
     ///
     /// # Panics
-    /// Panics if the modeled runtime is non-positive — impossible for a
-    /// real run (every launch pays fixed overhead), so a failure here
-    /// means the run was constructed by hand with a bogus duration.
+    /// Panics if a non-empty run's modeled runtime is non-positive —
+    /// impossible for a real run (every launch pays fixed overhead), so a
+    /// failure here means the run was constructed by hand with a bogus
+    /// duration.
     #[must_use]
     pub fn throughput(&self) -> f64 {
+        if self.n == 0 {
+            return 0.0;
+        }
         crate::metrics::elements_per_us(self.n, self.simulated_seconds)
             .expect("a simulated run always has positive modeled runtime")
     }

@@ -130,6 +130,35 @@ fn claim_theorem8_headline_numbers() {
     }
 }
 
+/// §4 / Theorem 8 as an oracle over every `2 ≤ E ≤ w ≤ 64` (2 016 pairs),
+/// four warps each. Write `w = qE + r` with `0 ≤ r < E`. When `q > 1` or
+/// `r = 0`, the lock-step measurement is the closed form minus exactly `E`
+/// per warp: it counts `transactions − 1` per round, and each of the `E`
+/// aligned column scans has one transaction free. When `q = 1` and
+/// `r > 0`, the gap is at least `E`.
+#[test]
+fn claim_theorem8_closed_form_is_exact_up_to_the_counting_convention() {
+    let (mut exact, mut bounded) = (0, 0);
+    for w in 2..=64usize {
+        for e in 2..=w {
+            let measured = lockstep_baseline_conflicts(w, e, 4);
+            let predicted = 4 * predicted_warp_conflicts(w, e);
+            let free = 4 * e as u64;
+            if w / e > 1 || w % e == 0 {
+                assert_eq!(measured + free, predicted, "(w={w}, E={e})");
+                exact += 1;
+            } else {
+                assert!(
+                    measured + free <= predicted,
+                    "(w={w}, E={e}): measured {measured}, predicted {predicted}"
+                );
+                bounded += 1;
+            }
+        }
+    }
+    assert_eq!((exact, bounded), (1024, 992));
+}
+
 /// §5: E=15,u=512 outperforms Thrust's default E=17,u=256 (the occupancy
 /// effect), for both pipelines on random inputs.
 #[test]
