@@ -40,18 +40,6 @@ fn bench_round_cost(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine's pricing: one row-stamp table over 4096 shared words,
-/// reused by every round as a block reuses it.
-fn bench_round_pricing(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simulator/round_pricing");
-    for (label, banks, addrs) in round_patterns() {
-        let mut table = RowStamps::new(&banks, 4096);
-        g.throughput(Throughput::Elements(addrs.len() as u64));
-        g.bench_function(label, |b| b.iter(|| black_box(table.price(&banks, &addrs).transactions)));
-    }
-    g.finish();
-}
-
 fn bench_phase_dispatch(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator/phase");
     let rounds = 16usize;
@@ -65,19 +53,6 @@ fn bench_phase_dispatch(c: &mut Criterion) {
                 }
             });
             black_box(block.profile.total().shared_st_transactions)
-        })
-    });
-    // Serial-merge-like loads on one reused block: stride-16 conflicts,
-    // lanes of unequal length, so accounting dominates.
-    let mut block = BlockSim::<u32>::new(BankModel::nvidia(), 512, 512 * rounds);
-    g.bench_function("512_threads_conflicted_loads", |b| {
-        b.iter(|| {
-            block.phase(PhaseClass::Merge, |tid, lane| {
-                for r in 0..rounds - tid % 2 {
-                    let _ = lane.ld((tid * 16 + r) % (512 * rounds));
-                }
-            });
-            black_box(block.profile.total().shared_ld_transactions)
         })
     });
     g.finish();
@@ -220,7 +195,7 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_round_cost, bench_round_pricing, bench_phase_dispatch, bench_sectors,
-        bench_lane_kernels, bench_round_replay
+    targets = bench_round_cost, bench_phase_dispatch, bench_sectors, bench_lane_kernels,
+        bench_round_replay
 }
 criterion_main!(benches);

@@ -8,12 +8,9 @@
 
 use cfmerge_bench::artifact::{emit, RunArtifact};
 use cfmerge_bench::report::speedup_summary;
-use cfmerge_bench::sweep::{
-    default_exponents, full_exponents, full_flag, run_series, series_table,
-};
+use cfmerge_bench::sweep::{default_exponents, full_exponents, full_flag, run_panel, series_table};
 use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::params::SortParams;
-use cfmerge_core::sort::SortAlgorithm;
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_json::ToJson;
 
@@ -24,8 +21,7 @@ fn main() {
         let exps = if full { full_exponents(params.u) } else { default_exponents(params.u) };
         let input = InputSpec::worst_case(params);
         eprintln!("running E={}, u={} (i = {:?}) …", params.e, params.u, exps);
-        let thrust = run_series(params, SortAlgorithm::ThrustMergesort, input, exps.clone());
-        let cf = run_series(params, SortAlgorithm::CfMerge, input, exps);
+        let [thrust, cf] = run_panel(params, input, exps);
 
         println!(
             "\n=== Figure 5 panel: E = {}, u = {} (worst-case inputs) ===",

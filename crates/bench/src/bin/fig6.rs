@@ -7,12 +7,9 @@
 //! independent.
 
 use cfmerge_bench::artifact::{emit, RunArtifact};
-use cfmerge_bench::sweep::{
-    default_exponents, full_exponents, full_flag, run_series, series_table,
-};
+use cfmerge_bench::sweep::{default_exponents, full_exponents, full_flag, run_panel, series_table};
 use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::params::SortParams;
-use cfmerge_core::sort::SortAlgorithm;
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_json::Json;
 
@@ -24,12 +21,9 @@ fn main() {
         let worst = InputSpec::worst_case(params);
         let random = InputSpec::UniformRandom { seed: 0xF16 };
         eprintln!("running E={}, u={} (i = {:?}) …", params.e, params.u, exps);
-        let series = vec![
-            run_series(params, SortAlgorithm::ThrustMergesort, worst, exps.clone()),
-            run_series(params, SortAlgorithm::ThrustMergesort, random, exps.clone()),
-            run_series(params, SortAlgorithm::CfMerge, worst, exps.clone()),
-            run_series(params, SortAlgorithm::CfMerge, random, exps),
-        ];
+        let [thrust_worst, cf_worst] = run_panel(params, worst, exps.clone());
+        let [thrust_random, cf_random] = run_panel(params, random, exps);
+        let series = vec![thrust_worst, thrust_random, cf_worst, cf_random];
         println!(
             "\n=== Figure 6 panel: E = {}, u = {} (worst-case and random inputs) ===",
             params.e, params.u

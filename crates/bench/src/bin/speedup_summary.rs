@@ -5,11 +5,10 @@
 
 use cfmerge_bench::artifact::{emit, RunArtifact};
 use cfmerge_bench::report::speedup_summary;
-use cfmerge_bench::sweep::{default_exponents, full_exponents, full_flag, run_series};
+use cfmerge_bench::sweep::{default_exponents, full_exponents, full_flag, run_panel};
 use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::metrics::format_table;
 use cfmerge_core::params::SortParams;
-use cfmerge_core::sort::SortAlgorithm;
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_json::{Json, ToJson};
 
@@ -23,10 +22,8 @@ fn main() {
         let worst = InputSpec::worst_case(params);
         let random = InputSpec::UniformRandom { seed: 0x5eed };
 
-        let tw = run_series(params, SortAlgorithm::ThrustMergesort, worst, exps.clone());
-        let cw = run_series(params, SortAlgorithm::CfMerge, worst, exps.clone());
-        let tr = run_series(params, SortAlgorithm::ThrustMergesort, random, exps.clone());
-        let cr = run_series(params, SortAlgorithm::CfMerge, random, exps);
+        let [tw, cw] = run_panel(params, worst, exps.clone());
+        let [tr, cr] = run_panel(params, random, exps);
 
         let sw = speedup_summary(
             &tw.points.iter().map(|p| p.seconds).collect::<Vec<_>>(),

@@ -60,28 +60,30 @@ pub fn full_exponents(u: usize) -> std::ops::RangeInclusive<u32> {
     lo..=18
 }
 
-/// Run one series.
+/// Run one panel: Thrust, then CF-Merge, over the same inputs, one
+/// series each. Each size's input is generated once and sorted by both
+/// pipelines.
 #[must_use]
-pub fn run_series(
+pub fn run_panel(
     params: SortParams,
-    algo: SortAlgorithm,
     input: InputSpec,
     exponents: std::ops::RangeInclusive<u32>,
-) -> Series {
+) -> [Series; 2] {
+    let algos = [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge];
     let cfg = SortConfig::with_params(params);
-    let points = exponents
-        .map(|i| {
-            let n = (1usize << i) * params.e;
-            let data = input.generate(n);
+    let mut series = algos.map(|algo| Series {
+        label: format!("{}/{}/E={},u={}", algo.label(), input.label(), params.e, params.u),
+        points: Vec::new(),
+    });
+    for i in exponents {
+        let data = input.generate((1usize << i) * params.e);
+        for (algo, s) in algos.into_iter().zip(&mut series) {
             let run = simulate_sort(&data, algo, &cfg);
             assert!(run.output.is_sorted(), "pipeline produced unsorted output");
-            point_of(i, &run)
-        })
-        .collect();
-    Series {
-        label: format!("{}/{}/E={},u={}", algo.label(), input.label(), params.e, params.u),
-        points,
+            s.points.push(point_of(i, &run));
+        }
     }
+    series
 }
 
 fn point_of(i: u32, run: &SortRun) -> SweepPoint {
@@ -131,8 +133,7 @@ mod tests {
     #[test]
     fn tiny_sweep_runs() {
         let params = SortParams::new(5, 32);
-        let s =
-            run_series(params, SortAlgorithm::CfMerge, InputSpec::UniformRandom { seed: 1 }, 5..=7);
+        let [_, s] = run_panel(params, InputSpec::UniformRandom { seed: 1 }, 5..=7);
         assert_eq!(s.points.len(), 3);
         assert!(s.points.iter().all(|p| p.throughput > 0.0));
         assert_eq!(s.points[0].n, 32 * 5);
@@ -148,9 +149,7 @@ mod tests {
     #[test]
     fn table_has_all_columns() {
         let params = SortParams::new(5, 32);
-        let a = run_series(params, SortAlgorithm::ThrustMergesort, InputSpec::Sorted, 5..=6);
-        let b = run_series(params, SortAlgorithm::CfMerge, InputSpec::Sorted, 5..=6);
-        let t = series_table(&[a, b]);
+        let t = series_table(&run_panel(params, InputSpec::Sorted, 5..=6));
         assert!(t.contains("thrust"));
         assert!(t.contains("cf-merge"));
         assert_eq!(t.lines().count(), 4);

@@ -11,19 +11,31 @@
 //!   alternating warp orientation so both runs are consumed equally.
 //! * [`WorstCaseBuilder::merge_pair`] produces one `(A, B)` pair — the
 //!   unit experiment validated against Theorem 8.
-//! * [`WorstCaseBuilder::build`] *unmerges* recursively down the whole
-//!   merge tree of the sort (global passes and the qualifying block-sort
-//!   rounds), producing an input permutation that attacks every merge
-//!   pass, like the full-sort inputs of the paper's Section 5.
+//! * [`WorstCaseBuilder::build`] *unmerges* the whole merge tree of the
+//!   sort (global passes and the qualifying block-sort rounds), producing
+//!   an input permutation that attacks every merge pass, like the
+//!   full-sort inputs of the paper's Section 5.
+//!
+//! `build` walks the tree level by level, not node by node. Every run at
+//! one level has the same length, so one rank → side pattern serves the
+//! whole level, and it is periodic: [`assign_sides`] repeats every `2d`
+//! subproblems. The walk stores that period as run lengths — each tuple
+//! `(a, b)` is an `a`-long copy to the left child and a `b`-long copy to
+//! the right, with consecutive copies to one side fused — and splits
+//! every run of the level by slice copies from one `n`-word buffer into
+//! another; the two buffers swap roles at each level. The levels too
+//! small for the construction interleave their runs, and all of them,
+//! with the reversal of each leaf, are one strided pass at the end. The
+//! peak is the two buffers plus the `O(wE)` pattern.
 
-use super::tuples::WcParams;
+use super::tuples::{Tuple, WcParams};
 
 /// Rank-to-side assignment for one merge producing `out_len` outputs:
 /// `true` = the rank comes from `A` (the left run).
 ///
 /// Requires `out_len` to be an even number of subproblems
-/// (`out_len = 2k·wE/d`); the caller falls back to an interleaved
-/// assignment otherwise (see [`WorstCaseBuilder::build`]).
+/// (`out_len = 2k·wE/d`); [`WorstCaseBuilder::build`] interleaves the
+/// runs of smaller merges instead.
 ///
 /// # Panics
 /// Panics if `out_len` is not an even multiple of the subproblem size.
@@ -36,30 +48,28 @@ pub fn assign_sides(p: &WcParams, out_len: usize) -> Vec<bool> {
     );
     let t = super::tuples::sequence_t(p);
     let mut sides = Vec::with_capacity(out_len);
-    // Work at subproblem granularity: global subproblem g belongs to warp
-    // g/d with local index g%d; orientation alternates per local index
-    // (Section 4's symmetric case) and flips per warp (balancing
-    // consecutive warps) — exactly `warp_tuples(p, warp%2==1)` laid flat.
-    let total_subs = out_len / sub;
-    for g in 0..total_subs {
-        let warp = g / p.d;
-        let local = g % p.d;
-        let swap = (local % 2 == 1) ^ (warp % 2 == 1);
-        for &(a, b) in &t {
-            let (a, b) = if swap { (b, a) } else { (a, b) };
-            sides.extend(std::iter::repeat_n(true, a));
-            sides.extend(std::iter::repeat_n(false, b));
-        }
+    for (a, b) in oriented_tuples(p, &t, out_len / sub) {
+        sides.extend(std::iter::repeat_n(true, a));
+        sides.extend(std::iter::repeat_n(false, b));
     }
     debug_assert_eq!(sides.len(), out_len);
     sides
 }
 
-/// Balanced fallback assignment for merges too small for the tuple
-/// construction: alternate ranks A, B, A, B (perfectly interleaved runs).
-#[must_use]
-pub fn interleaved_sides(out_len: usize) -> Vec<bool> {
-    (0..out_len).map(|r| r % 2 == 0).collect()
+/// The tuples of the first `subs` subproblems of a merge, each oriented
+/// as it consumes. Global subproblem `g` belongs to warp `g/d` with local
+/// index `g%d`; orientation alternates per local index (Section 4's
+/// symmetric case) and flips per warp (balancing consecutive warps) —
+/// exactly `warp_tuples(p, warp%2==1)` laid flat.
+fn oriented_tuples<'a>(
+    p: &'a WcParams,
+    t: &'a [Tuple],
+    subs: usize,
+) -> impl Iterator<Item = Tuple> + 'a {
+    (0..subs).flat_map(move |g| {
+        let swap = (g % p.d % 2 == 1) ^ (g / p.d % 2 == 1);
+        t.iter().map(move |&(a, b)| if swap { (b, a) } else { (a, b) })
+    })
 }
 
 /// Builder for worst-case inputs targeting a Thrust-style mergesort with
@@ -125,10 +135,13 @@ impl WorstCaseBuilder {
 
     /// Build a full worst-case input permutation of `0..n`.
     ///
-    /// Recursively unmerges from the final pass down: every merge in the
-    /// sort's merge tree (global passes and block-sort rounds large
-    /// enough for the construction) consumes per the worst-case tuples;
-    /// smaller block-sort rounds get perfectly interleaved runs.
+    /// Unmerges from the final pass down: every merge in the sort's merge
+    /// tree (global passes and block-sort rounds large enough for the
+    /// construction) consumes per the worst-case tuples; smaller
+    /// block-sort rounds get perfectly interleaved runs, and each leaf
+    /// (one thread's `E` keys) is reversed. The walk goes level by level
+    /// (see the module docs): it allocates two `n`-word buffers and an
+    /// `O(wE)` pattern, and nothing per node.
     ///
     /// # Panics
     /// Panics unless `n` is `tile·2^k` for some `k ≥ 0` (the shape of
@@ -155,45 +168,80 @@ impl WorstCaseBuilder {
                 "worst-case build needs n = E·2^k below one tile, got n={n}"
             );
         }
-        let mut input = vec![0u32; n];
+        let p = self.params();
+        let t = super::tuples::sequence_t(&p);
         // The run of the whole array is the sorted values 0..n.
-        let values: Vec<u32> = (0..n as u32).collect();
-        self.unmerge(&values, 0, &mut input);
-        input
+        let mut src: Vec<u32> = (0..n as u32).collect();
+        let mut dst = vec![0u32; n];
+        let mut pattern = Vec::new();
+        let mut len = n;
+        // Once a merge is too small for the construction, so is every
+        // merge below it: a length the subproblem pair does not divide
+        // has no half it divides.
+        while self.qualifies(len) {
+            level_pattern(&p, &t, len, &mut pattern);
+            split_runs(&src, &mut dst, len, &pattern);
+            std::mem::swap(&mut src, &mut dst);
+            len /= 2;
+        }
+        interleave_leaves(&src, &mut dst, len, self.e);
+        dst
     }
+}
 
-    /// Recursively split `values` (the sorted content of the run at input
-    /// positions `[base, base + len)`) into its two child runs and
-    /// recurse; below one per-thread run (`E` elements), write out.
-    fn unmerge(&self, values: &[u32], base: usize, input: &mut [u32]) {
-        let len = values.len();
-        if len <= self.e {
-            // Leaf: one thread's pre-sorted run; any within-leaf order
-            // works (the per-thread network sorts it) — reversed keeps
-            // the block sort honest.
-            for (i, &v) in values.iter().rev().enumerate() {
-                input[base + i] = v;
-            }
-            return;
+/// One period of the rank → side pattern of a merge with `len` outputs,
+/// as run lengths: `(a, b)` sends the next `a` ranks to the left run,
+/// then the next `b` to the right one. The orientation of
+/// [`oriented_tuples`] repeats every `2d` subproblems, and so does the
+/// pattern; a merge of fewer is its own period.
+fn level_pattern(p: &WcParams, t: &[Tuple], len: usize, pattern: &mut Vec<Tuple>) {
+    let subs = len / (p.w * p.e / p.d);
+    let period = if subs.is_multiple_of(2 * p.d) { 2 * p.d } else { subs };
+    pattern.clear();
+    for (a, b) in oriented_tuples(p, t, period) {
+        match pattern.last_mut() {
+            // The last copy to the left continues, or the last copy to
+            // the right does.
+            Some(last) if last.1 == 0 => *last = (last.0 + a, b),
+            Some(last) if a == 0 => last.1 += b,
+            _ => pattern.push((a, b)),
         }
-        let half = len / 2;
-        let sides = if self.qualifies(len) {
-            assign_sides(&self.params(), len)
-        } else {
-            interleaved_sides(len)
-        };
-        let mut left = Vec::with_capacity(half);
-        let mut right = Vec::with_capacity(len - half);
-        for (rank, &is_a) in sides.iter().enumerate() {
-            if is_a {
-                left.push(values[rank]);
-            } else {
-                right.push(values[rank]);
+    }
+}
+
+/// Split every `len`-long run of `src` into its two child runs in `dst`,
+/// repeating the run-length `pattern` over each run.
+fn split_runs(src: &[u32], dst: &mut [u32], len: usize, pattern: &[Tuple]) {
+    for (run, out) in src.chunks_exact(len).zip(dst.chunks_exact_mut(len)) {
+        let (left, right) = out.split_at_mut(len / 2);
+        let (mut r, mut l, mut rr) = (0, 0, 0);
+        while r < len {
+            for &(a, b) in pattern {
+                left[l..l + a].copy_from_slice(&run[r..r + a]);
+                right[rr..rr + b].copy_from_slice(&run[r + a..r + a + b]);
+                (r, l, rr) = (r + a + b, l + a, rr + b);
             }
         }
-        debug_assert_eq!(left.len(), half, "assignment must split runs evenly (len={len})");
-        self.unmerge(&left, base, input);
-        self.unmerge(&right, base + half, input);
+    }
+}
+
+/// Every level below the construction in one pass: each `len`-long run
+/// of `src` splits into interleaved halves, level after level, down to
+/// leaves of `e` keys, which land in `dst` reversed. After `k` such
+/// levels, rank `r` of a run sits in leaf `reverse_k(r mod 2^k)` at
+/// position `r >> k`, so leaf `i` holds every `2^k`-th key from rank
+/// `reverse_k(i)`.
+fn interleave_leaves(src: &[u32], dst: &mut [u32], len: usize, e: usize) {
+    let leaves = len / e;
+    debug_assert!(leaves.is_power_of_two() && leaves * e == len, "len={len} E={e}");
+    let k = leaves.trailing_zeros();
+    for (run, out) in src.chunks_exact(len).zip(dst.chunks_exact_mut(len)) {
+        for (i, leaf) in out.chunks_exact_mut(e).enumerate() {
+            let first = i.reverse_bits().checked_shr(usize::BITS - k).unwrap_or(0);
+            for (slot, &v) in leaf.iter_mut().rev().zip(run[first..].iter().step_by(leaves)) {
+                *slot = v;
+            }
+        }
     }
 }
 
@@ -259,6 +307,57 @@ mod tests {
     use super::super::tuples::warp_tuples;
     use super::*;
     use cfmerge_mergepath::serial::{serial_merge_traced, Took};
+
+    /// The recursive builder the level walk replaced, node by node with a
+    /// side per rank and a `left`/`right` vector per node: `build` must
+    /// equal it byte for byte.
+    fn recursive_build(b: &WorstCaseBuilder, n: usize) -> Vec<u32> {
+        fn unmerge(b: &WorstCaseBuilder, values: &[u32], base: usize, input: &mut [u32]) {
+            let len = values.len();
+            if len <= b.e {
+                for (i, &v) in values.iter().rev().enumerate() {
+                    input[base + i] = v;
+                }
+                return;
+            }
+            let half = len / 2;
+            let sides = if b.qualifies(len) {
+                assign_sides(&b.params(), len)
+            } else {
+                (0..len).map(|r| r % 2 == 0).collect()
+            };
+            let mut left = Vec::with_capacity(half);
+            let mut right = Vec::with_capacity(len - half);
+            for (rank, &is_a) in sides.iter().enumerate() {
+                if is_a {
+                    left.push(values[rank]);
+                } else {
+                    right.push(values[rank]);
+                }
+            }
+            assert_eq!(left.len(), half, "assignment must split runs evenly (len={len})");
+            unmerge(b, &left, base, input);
+            unmerge(b, &right, base + half, input);
+        }
+        let mut input = vec![0u32; n];
+        let values: Vec<u32> = (0..n as u32).collect();
+        unmerge(b, &values, 0, &mut input);
+        input
+    }
+
+    #[test]
+    fn level_walk_equals_the_recursive_unmerge() {
+        let shapes =
+            [(32, 15, 512), (32, 17, 256), (32, 16, 64), (32, 24, 64), (16, 12, 32), (8, 5, 16)];
+        for (w, e, u) in shapes {
+            let b = WorstCaseBuilder::new(w, e, u);
+            let tile = u * e;
+            let sub_tile = (0..).map(|j| e << j).take_while(|&n| n < tile);
+            for n in sub_tile.chain((0..=5).map(|k| tile << k)) {
+                assert!(b.build(n) == recursive_build(&b, n), "w={w} E={e} u={u} n={n}");
+            }
+        }
+    }
 
     #[test]
     fn assign_sides_is_balanced() {

@@ -16,9 +16,9 @@
 //! * [`theorem8`] gives the closed-form conflict count those tuples
 //!   produce.
 //! * [`builder`] realizes the tuples as actual sortable inputs: a single
-//!   merge pair for unit experiments, and — via recursive *unmerging*
-//!   down the merge tree — a full input permutation that attacks **every**
-//!   merge pass of the sort.
+//!   merge pair for unit experiments, and — by *unmerging* the merge
+//!   tree level by level — a full input permutation that attacks
+//!   **every** merge pass of the sort.
 
 pub mod builder;
 pub mod theorem8;

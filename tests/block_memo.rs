@@ -5,7 +5,11 @@
 //! No switch is needed to turn the memo off. It applies only under the
 //! passive observer, and the traced entry point watches every block with
 //! a `BlockTracer`, so `simulate_sort_traced(x).run` is the memo-off
-//! reference for `simulate_sort(x)` and the robust entry points.
+//! reference for `simulate_sort(x)` and the robust entry points. The
+//! reference proves it simulated: its trace holds one block recording per
+//! grid block of every launch, and the shared requests those recordings
+//! saw add up to the launch's profile, which a replayed block (whose
+//! tracer sees nothing) would break.
 //!
 //! The same reference pins lean misses: an unwatched block the memo
 //! cannot replay runs its key-oblivious phases unpriced and is charged
@@ -26,6 +30,7 @@ use cfmerge::core::sort::{
     simulate_sort, simulate_sort_traced, SortAlgorithm, SortConfig, SortError, SortKey, SortRun,
 };
 use cfmerge::gpu_sim::fault::FaultPlan;
+use cfmerge::gpu_sim::profiler::PhaseClass;
 
 const ALGOS: [SortAlgorithm; 2] = [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge];
 
@@ -72,6 +77,34 @@ fn assert_same_run<K: SortKey + std::fmt::Debug>(got: &SortRun<K>, want: &SortRu
     assert_eq!(got.n, want.n, "n, {what}");
 }
 
+/// The memo-off reference: the traced sort of `keys`, after checking that
+/// its tracers watched every block of every launch.
+fn traced_reference<K: SortKey>(
+    keys: &[K],
+    algo: SortAlgorithm,
+    cfg: &SortConfig,
+    what: &str,
+) -> SortRun<K> {
+    let traced = simulate_sort_traced(keys, algo, cfg);
+    let (run, trace) = (traced.run, traced.trace);
+    assert_eq!(trace.kernels.len(), run.kernels.len(), "traced launches, {what}");
+    for (kernel, report) in trace.kernels.iter().zip(&run.kernels) {
+        let name = &report.name;
+        assert_eq!(kernel.blocks.len() as u64, report.blocks, "{name} block traces, {what}");
+        for class in PhaseClass::all() {
+            let recorded: u64 =
+                kernel.blocks.iter().flat_map(|b| &b.degree_rounds[class.index()]).sum();
+            let c = report.profile.phase(class);
+            assert_eq!(
+                recorded,
+                c.shared_ld_requests + c.shared_st_requests,
+                "{name} {class:?} shared requests the tracers saw, {what}"
+            );
+        }
+    }
+    run
+}
+
 /// The plain, robust and resumed sorts of `keys` against the traced one.
 fn check<K: SortKey + std::fmt::Debug>(
     keys: &[K],
@@ -80,7 +113,7 @@ fn check<K: SortKey + std::fmt::Debug>(
     what: &str,
 ) {
     let cfg = &rcfg.base;
-    let reference = simulate_sort_traced(keys, algo, cfg).run;
+    let reference = traced_reference(keys, algo, cfg, what);
     assert_same_run(&simulate_sort(keys, algo, cfg), &reference, &format!("plain, {what}"));
     let robust = simulate_sort_robust(keys, algo, rcfg, &FaultPlan::none()).expect("clean run");
     assert!(robust.report.is_clean(), "{what}");
@@ -148,19 +181,13 @@ fn lean_misses_equal_fully_priced_blocks() {
             let keys = spec.generate(n);
             for algo in ALGOS {
                 let what = format!("{algo:?} E={e} u={u} {}", spec.label());
-                let reference = simulate_sort_traced(&keys, algo, &cfg).run;
-                assert_same_run(
-                    &simulate_sort(&keys, algo, &cfg),
-                    &reference,
-                    &format!("u32 {what}"),
-                );
+                let u32_what = format!("u32 {what}");
+                let reference = traced_reference(&keys, algo, &cfg, &u32_what);
+                assert_same_run(&simulate_sort(&keys, algo, &cfg), &reference, &u32_what);
                 let wide = widen(&keys);
-                let reference = simulate_sort_traced(&wide, algo, &cfg).run;
-                assert_same_run(
-                    &simulate_sort(&wide, algo, &cfg),
-                    &reference,
-                    &format!("u64 {what}"),
-                );
+                let u64_what = format!("u64 {what}");
+                let reference = traced_reference(&wide, algo, &cfg, &u64_what);
+                assert_same_run(&simulate_sort(&wide, algo, &cfg), &reference, &u64_what);
             }
         }
     }
@@ -184,13 +211,15 @@ fn carried_memos_equal_fully_simulated_sorts() {
                         for algo in ALGOS {
                             let what =
                                 format!("{algo:?} E={e} u={u} {tiles} tiles {}", spec.label());
-                            let traced = simulate_sort_traced(&keys, algo, &cfg).run;
+                            let u32_what = format!("u32 {what}");
+                            let traced = traced_reference(&keys, algo, &cfg, &u32_what);
                             let plain = simulate_sort(&keys, algo, &cfg);
-                            assert_same_run(&plain, &traced, &format!("u32 {what}"));
+                            assert_same_run(&plain, &traced, &u32_what);
                             let wide = widen(&keys);
-                            let traced = simulate_sort_traced(&wide, algo, &cfg).run;
+                            let u64_what = format!("u64 {what}");
+                            let traced = traced_reference(&wide, algo, &cfg, &u64_what);
                             let plain = simulate_sort(&wide, algo, &cfg);
-                            assert_same_run(&plain, &traced, &format!("u64 {what}"));
+                            assert_same_run(&plain, &traced, &u64_what);
                         }
                     }
                 }
