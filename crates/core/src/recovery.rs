@@ -58,11 +58,13 @@
 //! launch of its kind on the same thread, keyed by the `KernelArgs` every
 //! block hands its kernel.
 //!
-//! A merge block's expected checksum comes from stripe checksums the
-//! previous launch's verification left (see [`crate::verify`]), as long as
-//! every block of that launch verified on its first attempt; the block
-//! sort, the first launch after a resume and a launch after a failed
-//! attempt hash their input ranges.
+//! Every block's expected checksum is read off stripe checksums of the
+//! launch's input (see [`crate::verify`]). The block sort's come from the
+//! one hashing pass over the padded input, which also gives the input's
+//! checksum for the final whole-output check. A merge pass's are those the
+//! previous launch's verification left, as long as every block of that
+//! launch verified on its first attempt; after a failed attempt, and for
+//! the first launch after a resume, the driver hashes its input anew.
 //!
 //! See `docs/ROBUSTNESS.md` for the full design.
 
@@ -76,8 +78,8 @@ use crate::sort::key::SortKey;
 use crate::sort::merge_pass::{merge_pass_block_observed, MergeChunkJob};
 use crate::sort::pipeline::{KernelReport, SortAlgorithm, SortConfig, SortRun};
 use crate::verify::{
-    multiset_checksum, verify_sorted_checksum, verify_sorted_striped, StripeChecksums,
-    VerifyFailure,
+    stripe_checksums, verify_sorted_checksum, verify_sorted_striped, without_sentinels,
+    StripeChecksums, VerifyFailure,
 };
 use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::fault::{BlockFaults, FaultPlan, InjectionRecord};
@@ -86,7 +88,7 @@ use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
-use memo::{Launch, StripeBuf};
+use memo::{Launch, SpareKeys, StripeBuf};
 use rayon::prelude::*;
 use std::borrow::Cow;
 
@@ -296,20 +298,13 @@ enum BlockJob {
 impl BlockJob {
     /// Multiset checksum the block's output must carry: its tile's, or —
     /// by checksum additivity — the sum of its two input ranges', read off
-    /// `src`'s stripe checksums when they are `carried`.
-    fn expected_checksum<K: SortKey>(
-        self,
-        src: &[K],
-        tile: usize,
-        carried: Option<&StripeChecksums>,
-    ) -> u64 {
-        match (self, carried) {
-            (BlockJob::Tile(lo), _) => multiset_checksum(&src[lo..lo + tile]),
-            (BlockJob::Merge(job), Some(sums)) => sums
+    /// `src`'s stripe checksums `sums`.
+    fn expected_checksum<K: SortKey>(self, src: &[K], tile: usize, sums: &StripeChecksums) -> u64 {
+        match self {
+            BlockJob::Tile(lo) => sums.range(src, lo, lo + tile),
+            BlockJob::Merge(job) => sums
                 .range(src, job.a_begin, job.a_end)
                 .wrapping_add(sums.range(src, job.b_begin, job.b_end)),
-            (BlockJob::Merge(job), None) => multiset_checksum(&src[job.a_begin..job.a_end])
-                .wrapping_add(multiset_checksum(&src[job.b_begin..job.b_end])),
         }
     }
 }
@@ -645,6 +640,15 @@ where
     /// `resume`, the block sort and completed merge passes are skipped
     /// and execution continues from the checkpoint's verified state (the
     /// caller has already validated it).
+    ///
+    /// The keys move between two `n_pad`-key buffers, one launch at a
+    /// time. One is allocated here and becomes the returned output; the
+    /// other is the thread's spare for `K` (see `recovery/memo.rs`), which
+    /// goes back to the thread when the run ends and never leaves it. The
+    /// padded input goes into the output buffer if the run has an even
+    /// number of launches left and into the spare if odd, so that the
+    /// last launch writes the output buffer. A thread thus keeps one spare
+    /// per key type for its lifetime, as large as its largest sort.
     #[allow(clippy::type_complexity)]
     fn run<K: SortKey>(
         &self,
@@ -670,41 +674,59 @@ where
 
         // `width` is the length of the sorted runs in `src` (0 before the
         // block sort); `pass` counts completed merge passes.
-        let (mut src, input_checksum, padded_checksum, mut width, mut pass, mut seconds) =
-            if let Some(cp) = resume {
-                let state = cp.state_keys::<K>();
-                let unpadded = cp.unpadded_input_checksum::<K>();
-                (
-                    state,
-                    unpadded,
-                    cp.input_checksum,
-                    cp.width,
-                    cp.completed_passes,
-                    cp.seconds_so_far,
-                )
-            } else {
-                // Pad to a power-of-two number of tiles, in one allocation.
-                let n_pad = n.div_ceil(tile).next_power_of_two() * tile;
-                let mut src = Vec::with_capacity(n_pad);
+        let (n_pad, mut width, mut pass, mut seconds) = match resume {
+            Some(cp) => (cp.n_pad, cp.width, cp.completed_passes, cp.seconds_so_far),
+            // A power-of-two number of tiles.
+            None => (n.div_ceil(tile).next_power_of_two() * tile, 0, 0, 0.0),
+        };
+        // The block sort unless it has run, then a merge pass per doubling
+        // of the run width up to `n_pad`.
+        let launches = (n_pad / width.max(tile)).trailing_zeros() + u32::from(width == 0);
+        // Each launch moves the keys to the other buffer, so they end
+        // where the input starts iff `launches` is even. Start the input
+        // in whichever buffer makes them end in `fresh`, the one the
+        // caller gets back, and the spare stays on the thread.
+        let mut spare = SpareKeys::take(n_pad);
+        let mut fresh;
+        let (mut src, mut dst) = if launches % 2 == 0 {
+            fresh = Vec::with_capacity(n_pad);
+            (&mut fresh, &mut spare.0)
+        } else {
+            fresh = vec![K::default(); n_pad];
+            (&mut spare.0, &mut fresh)
+        };
+        src.clear();
+        match resume {
+            Some(cp) => src.extend(cp.state.iter().map(|&bits| K::from_fault_bits(bits))),
+            None => {
                 src.extend_from_slice(input);
                 src.resize(n_pad, K::MAX_SENTINEL);
-                let padded = if track { multiset_checksum(&src) } else { 0 };
-                (src, multiset_checksum(input), padded, 0, 0, 0.0)
-            };
-        let n_pad = src.len();
-        let mut dst = vec![K::default(); n_pad];
+            }
+        }
+        // Every block writes its whole window of `dst` unless a fault
+        // drops a store. Such a fault must meet the zeros of a new buffer,
+        // not a stale key that may pass verification.
+        if !self.plan.sites.is_empty() {
+            dst.clear();
+        }
+        dst.resize(n_pad, K::default());
+
+        // The stripe checksums of `src`, which each launch reads its
+        // blocks' expected checksums off; its verification leaves those of
+        // `dst`. Hashing the padded input is the sort's only pass over it
+        // besides the copy.
+        let stripe = stripe_width(tile);
+        let mut stripes = StripeBuf::take(n_pad / stripe);
+        let padded_checksum = stripe_checksums(src, stripe, &mut stripes.0);
+        let input_checksum = without_sentinels::<K>(padded_checksum, n_pad - n);
         let mut kernels: Vec<KernelReport> = Vec::new();
         let mut observers: BlockObservers<O> = Vec::new();
-        // Each launch's verification leaves the stripe checksums of `dst`
-        // here; they describe `src` after the swap, if `carried`.
-        let mut stripes = StripeBuf::take(n_pad / stripe_width(tile));
-        let mut carried = false;
 
         loop {
             let (kernel, jobs, base_profile) = if width == 0 {
                 (0, (0..n_pad).step_by(tile).map(BlockJob::Tile).collect(), KernelProfile::new())
             } else if width < n_pad {
-                let (jobs, search_cost) = partition_pass(&src, width, tile, cfg.count_accesses);
+                let (jobs, search_cost) = partition_pass(src, width, tile, cfg.count_accesses);
                 (1 + pass as u32, jobs, search_cost)
             } else {
                 break;
@@ -712,17 +734,10 @@ where
             // Only a launch whose blocks all run unwatched (no site of the
             // plan targets it) reads and writes its kind's carried entry.
             let carries = O::PASSIVE && !self.plan.sites.iter().any(|site| site.kernel == kernel);
-            let sums = carried.then_some(&mut stripes.0[..]);
-            let launch = Launch::new(kernel, self.args, jobs, &src, sums, carries);
+            let launch = Launch::new(kernel, self.args, jobs, src, &mut stripes.0, carries);
             let detected = stats.report.counters.faults_detected;
-            let (report, extra, failed, blocks) = self.launch(
-                &launch,
-                &src,
-                &mut dst,
-                &mut stripes.0,
-                base_profile,
-                &mut stats.report,
-            )?;
+            let (report, extra, failed, blocks) =
+                self.launch(&launch, src, dst, &mut stripes.0, base_profile, &mut stats.report)?;
             launch.finish();
             seconds += report.time.seconds + extra;
             kernels.push(report);
@@ -730,10 +745,13 @@ where
                 return Ok(Err(f));
             }
             observers.push(blocks);
-            // A retried block's stripes are its verified retry's, but only
-            // a launch where no attempt failed carries them on.
-            carried = stats.report.counters.faults_detected == detected;
             std::mem::swap(&mut src, &mut dst);
+            // A retried block's stripes are its verified retry's, but only
+            // a launch where no attempt failed carries them on: after a
+            // failed attempt, the next launch's input is hashed anew.
+            if stats.report.counters.faults_detected != detected {
+                stripe_checksums(src, stripe, &mut stripes.0);
+            }
             if width == 0 {
                 width = tile;
             } else {
@@ -751,7 +769,7 @@ where
                     seconds,
                     stats.report.counters,
                     padded_checksum,
-                    &src,
+                    src,
                 );
                 if policy.kill_after_pass == Some(pass) {
                     return Err(SortError::Interrupted {
@@ -763,12 +781,14 @@ where
             }
         }
 
-        src.truncate(n);
+        let mut output = std::mem::take(src);
+        debug_assert!(fresh.capacity() == 0, "the sorted keys end in the fresh buffer");
+        output.truncate(n);
         // Defense in depth: the whole output against the whole input.
         // Block verification should make this unreachable; if it ever
         // fires, the run is treated exactly like a failed block
         // (fallback, then typed error) — never returned as a success.
-        if let Err(failure) = verify_sorted_checksum(&src, input_checksum) {
+        if let Err(failure) = verify_sorted_checksum(&output, input_checksum) {
             stats.report.counters.faults_detected += 1;
             stats.report.detections.push(DetectionRecord {
                 kernel: "output-verify".into(),
@@ -788,7 +808,7 @@ where
         for k in &kernels {
             profile.merge(&k.profile);
         }
-        let run = SortRun { output: src, profile, simulated_seconds: seconds, kernels, n };
+        let run = SortRun { output, profile, simulated_seconds: seconds, kernels, n };
         Ok(Ok((run, observers)))
     }
 
@@ -1175,7 +1195,7 @@ mod tests {
     use super::*;
     use crate::inputs::InputSpec;
     use crate::sort::pipeline::{simulate_sort, simulate_sort_traced};
-    use crate::verify::verify_sorted_permutation;
+    use crate::verify::{multiset_checksum, verify_sorted_permutation};
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
     use cfmerge_gpu_sim::trace::{BlockTracer, GlobalRoundEvent, SharedRoundEvent};
     use cfmerge_json::FromJson;
@@ -1822,6 +1842,21 @@ mod tests {
         }
     }
 
+    /// Launch `kernel` of `jobs` over `src`, its stripe checksums hashed
+    /// anew.
+    fn launch_over(
+        kernel: u32,
+        args: KernelArgs,
+        jobs: Vec<BlockJob>,
+        src: &[u32],
+        carries: bool,
+    ) -> Launch<u32> {
+        let stripe = stripe_width(args.tile());
+        let mut stripes = vec![0; src.len().div_ceil(stripe)];
+        stripe_checksums(src, stripe, &mut stripes);
+        Launch::new(kernel, args, jobs, src, &mut stripes, carries)
+    }
+
     #[test]
     fn merge_memo_key_keeps_sector_alignment() {
         // Every A key is below every B key, so chunks at any offset share
@@ -1833,7 +1868,7 @@ mod tests {
             BlockJob::Merge(MergeChunkJob { a_begin: a, a_end: a + 80, b_begin: 1000, b_end: 1080 })
         };
         let jobs = [0, 3, 8, 0].map(chunk).to_vec();
-        let launch = Launch::new(1, args, jobs, &src, None, false);
+        let launch = launch_over(1, args, jobs, &src, false);
         let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
         let mut profiles = Vec::new();
         let _ = memo::take_simulated();
@@ -1886,7 +1921,7 @@ mod tests {
         for &(block, lo) in tiles {
             jobs[block] = BlockJob::Tile(lo);
         }
-        Launch::new(0, args, jobs, src, None, carries)
+        launch_over(0, args, jobs, src, carries)
     }
 
     #[test]
@@ -2129,6 +2164,52 @@ mod tests {
         assert_eq!(before[0].1.len(), 1, "the doctored representative is carried");
         assert_eq!(after, before);
         assert_eq!(runs, fresh);
+    }
+
+    #[test]
+    fn stripe_derived_input_checksum_is_exact() {
+        let tile = small_rcfg().base.params.tile();
+        let stripe = stripe_width(tile);
+        for n in [1, tile - 1, tile + 1, 3 * tile + 5, tile * 8] {
+            let input = InputSpec::UniformRandom { seed: n as u64 }.generate(n);
+            let n_pad = n.div_ceil(tile).next_power_of_two() * tile;
+            let mut src = input.clone();
+            src.resize(n_pad, u32::MAX);
+            let mut stripes = vec![0; n_pad / stripe];
+            let padded = stripe_checksums(&src, stripe, &mut stripes);
+            assert_eq!(padded, multiset_checksum(&src), "n = {n}");
+            assert_eq!(without_sentinels::<u32>(padded, n_pad - n), multiset_checksum(&input));
+        }
+    }
+
+    #[test]
+    fn buffer_reuse_is_invisible() {
+        let rcfg = small_rcfg();
+        let cf = SortAlgorithm::CfMerge;
+        let large = InputSpec::UniformRandom { seed: 50 }.generate(16 * 160 + 9);
+        let wide: Vec<u64> = (InputSpec::UniformRandom { seed: 51 }.generate(5 * 160).into_iter())
+            .map(|k| u64::from(k) << 32 | 7)
+            .collect();
+        let (_, cp) = checkpoint_after_pass_1(&rcfg);
+        // Two launches: a plain sort of `small` leaves its block-sorted
+        // tiles in the spare, where the next sort's block sort writes. A
+        // dropped lane there must meet zeros, as on a fresh thread.
+        let small = InputSpec::UniformRandom { seed: 52 }.generate(2 * 160);
+        let dropout = FaultKind::LaneDropout { lane: 3 };
+        let plan = FaultPlan::from_sites(vec![site(0, 1, dropout, Persistence::Sticky)]);
+        let robust = |r: RobustSortRun| format!("{:?}", (r.run, r.algorithm, r.report));
+        let calls: [&(dyn Fn() -> String + Sync); 5] = [
+            &|| format!("{:?}", simulate_sort(&large, cf, &rcfg.base)),
+            &|| format!("{:?}", simulate_sort(&wide, cf, &rcfg.base)),
+            &|| robust(resume_sort_robust(&cp, &rcfg, &FaultPlan::none()).expect("resumes")),
+            &|| format!("{:?}", simulate_sort(&small, cf, &rcfg.base)),
+            &|| robust(simulate_sort_robust(&small, cf, &rcfg, &plan).expect("falls back")),
+        ];
+        let reused = on_fresh_thread(|| calls.map(|call| call()));
+        assert!(reused[4].contains("ThrustMergesort"), "the armed sort falls back");
+        for (i, (call, reused)) in calls.iter().zip(reused).enumerate() {
+            assert!(on_fresh_thread(call) == reused, "call {i} differs on a reused thread");
+        }
     }
 
     #[test]

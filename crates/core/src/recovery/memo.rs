@@ -141,10 +141,19 @@ struct Carried<K> {
 /// or a carried entry boxed anew at each launch's end, outlived the sort
 /// among its key buffers and raised `host_bench`'s `fig5_worst` peak RSS
 /// by 12%.
+///
+/// A sort holds two `n_pad`-key buffers: the one it returns, allocated
+/// anew, and the thread's spare for its key type (see `Driver::run` for
+/// which holds the input). The spare never leaves the thread: it keeps
+/// the capacity of the largest sort of its key type the thread has run,
+/// for the thread's lifetime, so a sort of that size or less neither
+/// allocates nor faults in a second buffer.
 #[derive(Default)]
 struct Cache {
     /// The stripe buffer of the last sort run on this thread.
     stripes: Vec<u64>,
+    /// One spare key buffer per key type `K`: a `Vec<K>`.
+    spares: Vec<(TypeId, Box<dyn Any>)>,
     /// Each launch kind's carried entry: a `Carried<K>` for the kind's key
     /// type `K`.
     carried: Vec<(LaunchKind, Box<dyn Any>)>,
@@ -157,20 +166,25 @@ thread_local! {
     static CACHE: RefCell<Cache> = RefCell::default();
 }
 
+/// The entry under `key`, a `T`, made with `T::default()` if there is
+/// none.
+fn entry<Key: PartialEq, T: Default + 'static>(
+    entries: &mut Vec<(Key, Box<dyn Any>)>,
+    key: Key,
+) -> &mut T {
+    let at = match entries.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            entries.push((key, Box::new(T::default())));
+            entries.len() - 1
+        }
+    };
+    entries[at].1.downcast_mut().expect("a key fixes its entry's type")
+}
+
 /// Run `f` on `kind`'s carried entry, made empty if the thread has none.
 fn with_carried<K: SortKey, T>(kind: LaunchKind, f: impl FnOnce(&mut Carried<K>) -> T) -> T {
-    CACHE.with(|cache| {
-        let entries = &mut cache.borrow_mut().carried;
-        let at = match entries.iter().position(|(k, _)| *k == kind) {
-            Some(at) => at,
-            None => {
-                entries.push((kind, Box::new(Carried::<K>::default())));
-                entries.len() - 1
-            }
-        };
-        let carried = entries[at].1.downcast_mut().expect("a kind fixes its key type");
-        f(carried)
-    })
+    CACHE.with(|cache| f(entry(&mut cache.borrow_mut().carried, kind)))
 }
 
 /// A run's stripe buffer, taken from the thread's cache and given back on
@@ -191,6 +205,36 @@ impl Drop for StripeBuf {
         let buf = std::mem::take(&mut self.0);
         CACHE.with(|cache| cache.borrow_mut().stripes = buf);
     }
+}
+
+/// A run's spare key buffer, taken from the thread's cache with room for
+/// at least `len` keys and given back on drop. Its keys are stale: what
+/// the last sort of its key type on the thread left.
+pub(crate) struct SpareKeys<K: SortKey>(pub(crate) Vec<K>);
+
+impl<K: SortKey> SpareKeys<K> {
+    pub(crate) fn take(len: usize) -> Self {
+        let mut buf = with_spare(std::mem::take);
+        if buf.capacity() < len {
+            // Free the smaller buffer before allocating its successor.
+            buf = Vec::new();
+            buf.reserve_exact(len);
+        }
+        SpareKeys(buf)
+    }
+}
+
+impl<K: SortKey> Drop for SpareKeys<K> {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.0);
+        with_spare(|spare| *spare = buf);
+    }
+}
+
+/// Run `f` on the thread's spare buffer of key type `K`, made empty if
+/// the thread has none.
+fn with_spare<K: SortKey, T>(f: impl FnOnce(&mut Vec<K>) -> T) -> T {
+    CACHE.with(|cache| f(entry(&mut cache.borrow_mut().spares, TypeId::of::<K>())))
 }
 
 /// One kernel launch: what its blocks share, and its memo.
@@ -249,22 +293,21 @@ struct WeakOrder {
 
 impl<K: SortKey> Launch<K> {
     /// Launch `kernel` of `jobs` over `src`. Each block's expected
-    /// checksum is read off `stripes`, the previous launch's stripe
-    /// checksums of `src`, if given, and hashed from `src` if not. A launch
-    /// that `carries` starts from its kind's carried entry, and
-    /// [`finish`](Self::finish) leaves it.
+    /// checksum is read off `stripes`, the stripe checksums of `src`,
+    /// which this turns into their prefix sums. A launch that `carries`
+    /// starts from its kind's carried entry, and [`finish`](Self::finish)
+    /// leaves it.
     pub(crate) fn new(
         kernel: u32,
         args: KernelArgs,
         jobs: Vec<BlockJob>,
         src: &[K],
-        stripes: Option<&mut [u64]>,
+        stripes: &mut [u64],
         carries: bool,
     ) -> Self {
         let tile = args.tile();
-        let sums =
-            stripes.map(|stripes| StripeChecksums::from_stripes(stripe_width(tile), stripes));
-        let expected = jobs.iter().map(|j| j.expected_checksum(src, tile, sums.as_ref())).collect();
+        let sums = StripeChecksums::from_stripes(stripe_width(tile), stripes);
+        let expected = jobs.iter().map(|j| j.expected_checksum(src, tile, &sums)).collect();
         let kind = carries.then(|| LaunchKind { tiles: kernel == 0, key: TypeId::of::<K>(), args });
         let Carried { reps, share } =
             kind.map(|kind| with_carried(kind, std::mem::take)).unwrap_or_default();

@@ -15,7 +15,7 @@
 
 use crate::sort::error::SortError;
 use crate::sort::key::SortKey;
-use crate::verify::{mix64, multiset_checksum};
+use crate::verify::{multiset_checksum, without_sentinels};
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::recovery::RecoveryCounters;
@@ -142,8 +142,7 @@ impl SortCheckpoint {
     /// padded checksum by additivity (`padded = input + pad·mix(sentinel)`).
     #[must_use]
     pub fn unpadded_input_checksum<K: SortKey>(&self) -> u64 {
-        let pad = (self.n_pad - self.n) as u64;
-        self.input_checksum.wrapping_sub(pad.wrapping_mul(mix64(K::MAX_SENTINEL.to_fault_bits())))
+        without_sentinels::<K>(self.input_checksum, self.n_pad - self.n)
     }
 
     /// Validate the checkpoint for resuming as key type `K`: version,

@@ -51,6 +51,29 @@ pub fn multiset_checksum<K: SortKey>(keys: &[K]) -> u64 {
     keys.iter().fold(0u64, |acc, k| acc.wrapping_add(mix64(k.to_fault_bits())))
 }
 
+/// `checksum`, the [`multiset_checksum`] of keys padded with `pad` copies
+/// of `K::MAX_SENTINEL`, less the padding: the checksum of the keys alone.
+#[must_use]
+pub(crate) fn without_sentinels<K: SortKey>(checksum: u64, pad: usize) -> u64 {
+    checksum.wrapping_sub((pad as u64).wrapping_mul(mix64(K::MAX_SENTINEL.to_fault_bits())))
+}
+
+/// Leave in `stripes[i]` the [`multiset_checksum`] of
+/// `keys[i·stripe..(i+1)·stripe]` (a shorter last stripe if `stripe` does
+/// not divide the length), as [`verify_sorted_striped`] does for a sorted
+/// output, and return the checksum of all of `keys`.
+///
+/// # Panics
+/// Panics if `stripes` has fewer than `keys.len().div_ceil(stripe)`
+/// entries, or if `stripe` is zero.
+pub(crate) fn stripe_checksums<K: SortKey>(keys: &[K], stripe: usize, stripes: &mut [u64]) -> u64 {
+    assert!(stripes.len() >= keys.len().div_ceil(stripe), "too few stripe sums");
+    keys.chunks(stripe).zip(stripes).fold(0u64, |total, (chunk, sum)| {
+        *sum = multiset_checksum(chunk);
+        total.wrapping_add(*sum)
+    })
+}
+
 /// Why a block's output failed verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyFailure {
