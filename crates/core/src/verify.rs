@@ -346,6 +346,49 @@ mod tests {
         assert_eq!(stripes[..], want[..], "stripes are left on failure too");
     }
 
+    /// Fold every total and stripe the three hashing passes give for sorted
+    /// `key(0..len)`, stripes of 64 (the driver's stripe for 64 | tile), at
+    /// every length 0–65 and one E=15/u=512 tile of 7680 keys. The passes
+    /// must agree with each other; the digest pins what they agree on.
+    fn checksum_digest<K: SortKey>(key: impl Fn(u64) -> K) -> u64 {
+        const STRIPE: usize = 64;
+        let mut digest = 0u64;
+        for len in (0..=65).chain([7680]) {
+            let keys: Vec<K> = (0..len).map(&key).collect();
+            let total = multiset_checksum(&keys);
+            let mut stripes = vec![0u64; keys.len().div_ceil(STRIPE)];
+            assert_eq!(stripe_checksums(&keys, STRIPE, &mut stripes), total, "length {len}");
+            let mut verified = vec![0u64; stripes.len()];
+            assert_eq!(verify_sorted_striped(&keys, total, STRIPE, &mut verified), Ok(()));
+            assert_eq!(verified, stripes, "length {len}");
+            for x in std::iter::once(total).chain(stripes) {
+                digest = mix64(digest ^ x);
+            }
+        }
+        digest
+    }
+
+    /// Absolute values, computed once with a baseline x86-64 build: the
+    /// hash loops are what the compiler vectorizes for wider targets, and
+    /// their remainder loops run at these lengths.
+    #[test]
+    fn checksums_match_known_answers() {
+        let mixed = [0, 1, u64::from(u32::MAX), u64::MAX].map(mix64);
+        assert_eq!(
+            mixed,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x910a_2dec_8902_5cc1,
+                0x73b1_3ba2_aff1_81c0,
+                0xe4d9_7177_1b65_2c20
+            ]
+        );
+        assert_eq!(multiset_checksum(&[3u32, 1, 4, 1, 5]), 0x1096_8f3d_72c3_9793);
+        assert_eq!(multiset_checksum(&[u64::MAX, 0, 1 << 63]), 0x0f18_da52_a92c_edaa);
+        assert_eq!(checksum_digest(|i| (i * 0x8_0001) as u32), 0x619b_690f_a7ca_2fee);
+        assert_eq!(checksum_digest(|i| i / 2 * 0x8000_0001_0001), 0x8384_3c69_84c7_ad7a);
+    }
+
     #[test]
     fn permutation_oracle_verdicts() {
         let input = [3u32, 1, 2];
