@@ -13,7 +13,6 @@
 //! mergesort beyond small `n` despite their beautiful regularity (the
 //! asymptotic `log n` extra factor being the other).
 
-use crate::parallel::*;
 use cfmerge_core::sort::key::SortKey;
 use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::block::BlockSim;
@@ -21,6 +20,7 @@ use cfmerge_gpu_sim::device::Device;
 use cfmerge_gpu_sim::occupancy::BlockResources;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_gpu_sim::timing::{LaunchConfig, TimingModel};
+use rayon::prelude::*;
 
 /// Result of a simulated bitonic sort.
 #[derive(Debug, Clone)]

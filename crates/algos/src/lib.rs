@@ -28,40 +28,3 @@
 pub mod bitonic;
 pub mod radix;
 pub mod scan;
-
-/// Per-block parallelism seam: with the default `rayon` feature the
-/// companion sorts fan blocks out via `rayon::prelude`; without it the
-/// same call sites resolve to these sequential equivalents, so the crate
-/// builds (and produces identical results) with no dependencies at all.
-pub(crate) mod parallel {
-    #[cfg(feature = "rayon")]
-    pub(crate) use rayon::prelude::*;
-
-    #[cfg(not(feature = "rayon"))]
-    pub(crate) trait IntoParallelIterator {
-        type Iter: Iterator<Item = Self::Item>;
-        type Item;
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    #[cfg(not(feature = "rayon"))]
-    impl<I: IntoIterator> IntoParallelIterator for I {
-        type Iter = I::IntoIter;
-        type Item = I::Item;
-        fn into_par_iter(self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-
-    #[cfg(not(feature = "rayon"))]
-    pub(crate) trait ParallelSliceMut<T> {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
-    }
-
-    #[cfg(not(feature = "rayon"))]
-    impl<T> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-            self.chunks_mut(chunk_size)
-        }
-    }
-}

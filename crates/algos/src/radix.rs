@@ -13,13 +13,13 @@
 //!   the fundamental tax radix pays per pass, measured exactly by the
 //!   32-byte-sector model.
 
-use crate::parallel::*;
 use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::block::BlockSim;
 use cfmerge_gpu_sim::device::Device;
 use cfmerge_gpu_sim::occupancy::BlockResources;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_gpu_sim::timing::{LaunchConfig, TimingModel};
+use rayon::prelude::*;
 
 /// Bits sorted per pass.
 pub const RADIX_BITS: u32 = 4;

@@ -150,21 +150,6 @@ impl CfLayout {
     pub fn round_of_logical(&self, c: usize) -> usize {
         c % self.e
     }
-
-    /// The natural (unpermuted) layout used by the Thrust baseline:
-    /// `A` at `[0, |A|)`, `B` at `[|A|, total)`.
-    #[must_use]
-    pub fn natural_a_slot(&self, x: usize) -> usize {
-        debug_assert!(x < self.a_total);
-        x
-    }
-
-    /// Natural slot of the `B` element at B-offset `y` (baseline layout).
-    #[must_use]
-    pub fn natural_b_slot(&self, y: usize) -> usize {
-        debug_assert!(y < self.b_total());
-        self.a_total + y
-    }
 }
 
 #[cfg(test)]

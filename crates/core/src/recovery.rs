@@ -55,8 +55,8 @@
 //! key-oblivious phases go unrecorded and unpriced, and the launch's
 //! cached oblivious share is charged instead. A launch no fault site
 //! targets hands its replaying representatives and its share to the next
-//! launch of its kind on the same thread, keyed by the `KernelArgs` every
-//! block hands its kernel.
+//! launch of its kind in the same session, keyed by the `KernelArgs`
+//! every block hands its kernel.
 //!
 //! Every block's expected checksum is read off stripe checksums of the
 //! launch's input (see [`crate::verify`]). The block sort's come from the
@@ -88,11 +88,14 @@ use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
-use memo::{Launch, SpareKeys, StripeBuf};
+use memo::Launch;
 use rayon::prelude::*;
+use session::Session;
+use std::any::TypeId;
 use std::borrow::Cow;
 
 mod memo;
+mod session;
 
 // The batch service moved to `crate::resilience::service` when it grew
 // admission control, retry budgets, and circuit breakers; re-exported
@@ -643,18 +646,19 @@ where
     ///
     /// The keys move between two `n_pad`-key buffers, one launch at a
     /// time. One is allocated here and becomes the returned output; the
-    /// other is the thread's spare for `K` (see `recovery/memo.rs`), which
-    /// goes back to the thread when the run ends and never leaves it. The
-    /// padded input goes into the output buffer if the run has an even
-    /// number of launches left and into the spare if odd, so that the
-    /// last launch writes the output buffer. A thread thus keeps one spare
-    /// per key type for its lifetime, as large as its largest sort.
+    /// other is `session`'s spare for `K`, which never leaves the session.
+    /// The padded input goes into the output buffer if the run has an even
+    /// number of launches left and into the spare if odd, so that the last
+    /// launch writes the output buffer. A session thus keeps one spare per
+    /// key type, as large as its largest sort: a sort of that size or less
+    /// neither allocates nor faults in a second buffer.
     #[allow(clippy::type_complexity)]
     fn run<K: SortKey>(
         &self,
         input: &[K],
         resume: Option<&SortCheckpoint>,
         stats: &mut RunStats,
+        session: &mut Session,
     ) -> Result<Result<(SortRun<K>, BlockObservers<O>), BlockFailure>, SortError> {
         let cfg = &self.rcfg.base;
         let tile = cfg.params.tile();
@@ -685,15 +689,20 @@ where
         // Each launch moves the keys to the other buffer, so they end
         // where the input starts iff `launches` is even. Start the input
         // in whichever buffer makes them end in `fresh`, the one the
-        // caller gets back, and the spare stays on the thread.
-        let mut spare = SpareKeys::take(n_pad);
+        // caller gets back, and the spare stays in the session.
+        let spare: &mut Vec<K> = session::entry(&mut session.spares, TypeId::of::<K>());
+        if spare.capacity() < n_pad {
+            // Free the smaller spare before allocating its successor.
+            *spare = Vec::new();
+            spare.reserve_exact(n_pad);
+        }
         let mut fresh;
         let (mut src, mut dst) = if launches % 2 == 0 {
             fresh = Vec::with_capacity(n_pad);
-            (&mut fresh, &mut spare.0)
+            (&mut fresh, spare)
         } else {
             fresh = vec![K::default(); n_pad];
-            (&mut spare.0, &mut fresh)
+            (spare, &mut fresh)
         };
         src.clear();
         match resume {
@@ -716,8 +725,10 @@ where
         // `dst`. Hashing the padded input is the sort's only pass over it
         // besides the copy.
         let stripe = stripe_width(tile);
-        let mut stripes = StripeBuf::take(n_pad / stripe);
-        let padded_checksum = stripe_checksums(src, stripe, &mut stripes.0);
+        let stripes = &mut session.stripes;
+        stripes.clear();
+        stripes.resize(n_pad / stripe, 0);
+        let padded_checksum = stripe_checksums(src, stripe, stripes);
         let input_checksum = without_sentinels::<K>(padded_checksum, n_pad - n);
         let mut kernels: Vec<KernelReport> = Vec::new();
         let mut observers: BlockObservers<O> = Vec::new();
@@ -734,11 +745,12 @@ where
             // Only a launch whose blocks all run unwatched (no site of the
             // plan targets it) reads and writes its kind's carried entry.
             let carries = O::PASSIVE && !self.plan.sites.iter().any(|site| site.kernel == kernel);
-            let launch = Launch::new(kernel, self.args, jobs, src, &mut stripes.0, carries);
+            let carried = carries.then_some(&mut session.carried);
+            let launch = Launch::new(kernel, self.args, jobs, src, stripes, carried);
             let detected = stats.report.counters.faults_detected;
             let (report, extra, failed, blocks) =
-                self.launch(&launch, src, dst, &mut stripes.0, base_profile, &mut stats.report)?;
-            launch.finish();
+                self.launch(&launch, src, dst, stripes, base_profile, &mut stats.report)?;
+            launch.finish(&mut session.carried);
             seconds += report.time.seconds + extra;
             kernels.push(report);
             if let Some(f) = failed {
@@ -750,7 +762,7 @@ where
             // a launch where no attempt failed carries them on: after a
             // failed attempt, the next launch's input is hashed anew.
             if stats.report.counters.faults_detected != detected {
-                stripe_checksums(src, stripe, &mut stripes.0);
+                stripe_checksums(src, stripe, stripes);
             }
             if width == 0 {
                 width = tile;
@@ -967,8 +979,8 @@ pub fn simulate_sort_robust<K: SortKey>(
     config: &RobustConfig,
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
-    let no_checkpoints = CheckpointPolicy::default();
-    Ok(run_robust(Start::Fresh(input, algo), config, plan, no_checkpoints, &|| Passive)?.0)
+    simulate_sort_robust_checkpointed(input, algo, config, plan, CheckpointPolicy::default())
+        .map(|(run, _)| run)
 }
 
 /// [`simulate_sort_robust`] with checkpoint capture: returns the run
@@ -989,7 +1001,9 @@ pub fn simulate_sort_robust_checkpointed<K: SortKey>(
     plan: &FaultPlan,
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>), SortError> {
-    run_robust(Start::Fresh(input, algo), config, plan, policy, &|| Passive).map(|(r, c, _)| (r, c))
+    let start = Start::Fresh(input, algo);
+    Session::with_default(|s| run_robust(start, config, plan, policy, &|| Passive, s))
+        .map(|(r, c, _)| (r, c))
 }
 
 /// Resume a sort from a [`SortCheckpoint`], skipping the block sort and
@@ -1026,8 +1040,8 @@ pub fn resume_sort_robust<K: SortKey>(
     config: &RobustConfig,
     plan: &FaultPlan,
 ) -> Result<RobustSortRun<K>, SortError> {
-    let no_checkpoints = CheckpointPolicy::default();
-    Ok(run_robust(Start::Resume(checkpoint), config, plan, no_checkpoints, &|| Passive)?.0)
+    let (start, none) = (Start::Resume(checkpoint), CheckpointPolicy::default());
+    Session::with_default(|s| run_robust(start, config, plan, none, &|| Passive, s)).map(|r| r.0)
 }
 
 /// Run a service job — its fresh input or its checkpoint, under its fault
@@ -1039,7 +1053,8 @@ pub(crate) fn run_job(
     policy: CheckpointPolicy,
 ) -> Result<(RobustSortRun<u32>, Vec<SortCheckpoint>), SortError> {
     let start = Start::from(&job.payload);
-    run_robust(start, config, &job.plan, policy, &|| Passive).map(|(r, c, _)| (r, c))
+    Session::with_default(|s| run_robust(start, config, &job.plan, policy, &|| Passive, s))
+        .map(|(r, c, _)| (r, c))
 }
 
 /// The plain entry points' run (`simulate_sort` and its `try_`,
@@ -1066,8 +1081,9 @@ where
         hedge: HedgeConfig::default(),
     };
     let (start, no_checkpoints) = (Start::Fresh(input, algo), CheckpointPolicy::default());
-    let (robust, _, observers) =
-        run_robust(start, &plain, &FaultPlan::none(), no_checkpoints, make_observer)?;
+    let (robust, _, observers) = Session::with_default(|s| {
+        run_robust(start, &plain, &FaultPlan::none(), no_checkpoints, make_observer, s)
+    })?;
     Ok((robust.run, observers))
 }
 
@@ -1100,7 +1116,7 @@ fn resumed_algorithm<K: SortKey>(
 /// unlaunchable shape when fallback is allowed; a resume must match its
 /// checkpoint exactly), run the pipeline, and on a block that stays
 /// failed restart on the Thrust fallback when allowed — from the input,
-/// or from the checkpoint's state.
+/// or from the checkpoint's state. Every run borrows `session`.
 #[allow(clippy::type_complexity)]
 fn run_robust<K, O, F>(
     start: Start<'_, K>,
@@ -1108,6 +1124,7 @@ fn run_robust<K, O, F>(
     plan: &FaultPlan,
     checkpoint: CheckpointPolicy,
     make_observer: &F,
+    session: &mut Session,
 ) -> Result<(RobustSortRun<K>, Vec<SortCheckpoint>, BlockObservers<O>), SortError>
 where
     K: SortKey,
@@ -1155,7 +1172,7 @@ where
         make_observer,
         args: KernelArgs::of(&rcfg.base, algo),
     };
-    let (run, observers) = match driver(algo, false).run(input, resume, &mut stats)? {
+    let (run, observers) = match driver(algo, false).run(input, resume, &mut stats, session)? {
         Ok(done) => done,
         Err(f) if rcfg.allow_fallback => {
             let why = format!(
@@ -1174,7 +1191,7 @@ where
             // output (the sentinels sort to the tail and are truncated off).
             let state = resume.map(SortCheckpoint::state_keys::<K>);
             let (mut run, observers) = driver(algo, true)
-                .run(state.as_deref().unwrap_or(input), None, &mut stats)?
+                .run(state.as_deref().unwrap_or(input), None, &mut stats, session)?
                 .map_err(BlockFailure::into_error)?;
             if let Some(cp) = resume {
                 run.output.truncate(cp.n);
@@ -1199,7 +1216,7 @@ mod tests {
     use cfmerge_gpu_sim::fault::{FaultKind, FaultSite, Persistence};
     use cfmerge_gpu_sim::trace::{BlockTracer, GlobalRoundEvent, SharedRoundEvent};
     use cfmerge_json::FromJson;
-    use memo::{ObliviousShare, Pricing};
+    use memo::{CarriedEntries, ObliviousShare, Pricing};
 
     fn small_rcfg() -> RobustConfig {
         RobustConfig::new(SortConfig::with_params(SortParams::new(5, 32)))
@@ -1843,18 +1860,18 @@ mod tests {
     }
 
     /// Launch `kernel` of `jobs` over `src`, its stripe checksums hashed
-    /// anew.
+    /// anew, starting from its kind's entry in `carried` if given.
     fn launch_over(
         kernel: u32,
         args: KernelArgs,
         jobs: Vec<BlockJob>,
         src: &[u32],
-        carries: bool,
+        carried: Option<&mut CarriedEntries>,
     ) -> Launch<u32> {
         let stripe = stripe_width(args.tile());
         let mut stripes = vec![0; src.len().div_ceil(stripe)];
         stripe_checksums(src, stripe, &mut stripes);
-        Launch::new(kernel, args, jobs, src, &mut stripes, carries)
+        Launch::new(kernel, args, jobs, src, &mut stripes, carried)
     }
 
     #[test]
@@ -1868,10 +1885,9 @@ mod tests {
             BlockJob::Merge(MergeChunkJob { a_begin: a, a_end: a + 80, b_begin: 1000, b_end: 1080 })
         };
         let jobs = [0, 3, 8, 0].map(chunk).to_vec();
-        let launch = launch_over(1, args, jobs, &src, false);
+        let launch = launch_over(1, args, jobs, &src, None);
         let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
         let mut profiles = Vec::new();
-        let _ = memo::take_simulated();
         // Block indices 0..3 of a 4-block launch: none is sampled.
         for (block, a) in [0, 3, 8].into_iter().enumerate() {
             let (profile, Passive) = launch.execute(block, &src, &mut dst, Passive);
@@ -1880,7 +1896,7 @@ mod tests {
             assert_eq!(profile, simulated, "a_begin {a}");
             profiles.push(profile);
         }
-        let calls = memo::take_simulated();
+        let calls = launch.take_simulated();
         let load = |p: &KernelProfile| *p.phase(PhaseClass::LoadTile);
         assert_ne!(load(&profiles[0]), load(&profiles[1]), "misaligned A loads more sectors");
         // a_begin 8 shares a_begin 0's residue: a hit, not a simulation.
@@ -1909,30 +1925,30 @@ mod tests {
     /// An unwatched Thrust block-sort launch of `blocks` blocks over `src`
     /// whose block `b` sorts the tile at `lo` for each `(b, lo)` in
     /// `tiles`, and the tile at 0 otherwise. It carries its kind's entry
-    /// if `carries`.
+    /// in `carried` if given.
     fn tile_launch(
         src: &[u32],
         blocks: usize,
         tiles: &[(usize, usize)],
-        carries: bool,
+        carried: Option<&mut CarriedEntries>,
     ) -> Launch<u32> {
         let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::ThrustMergesort);
         let mut jobs = vec![BlockJob::Tile(0); blocks];
         for &(block, lo) in tiles {
             jobs[block] = BlockJob::Tile(lo);
         }
-        launch_over(0, args, jobs, src, carries)
+        launch_over(0, args, jobs, src, carried)
     }
 
     #[test]
     fn lean_miss_is_charged_the_launchs_oblivious_share() {
         let src = three_tiles();
         let mut dst = vec![0u32; 160];
-        let launch = tile_launch(&src, 128, &[(2, 320)], false);
+        let launch = tile_launch(&src, 128, &[(2, 320)], None);
         let (first, Passive) = launch.execute(0, &src, &mut dst, Passive);
-        let _ = memo::take_simulated();
+        let _ = launch.take_simulated();
         let (lean, Passive) = launch.execute(2, &src, &mut dst, Passive);
-        let pricings: Vec<Pricing> = memo::take_simulated().into_iter().map(|(_, p)| p).collect();
+        let pricings: Vec<Pricing> = launch.take_simulated().into_iter().map(|(_, p)| p).collect();
         assert_eq!(pricings[0], Pricing::Lean);
         let mut full_dst = vec![0u32; 160];
         let (full, share) = simulate_tile(&src, 320, &mut full_dst);
@@ -1952,14 +1968,14 @@ mod tests {
     fn doctored_representative_fails_its_sampled_resimulation() {
         let src = three_tiles();
         let mut dst = vec![0u32; 160];
-        let mut launch = tile_launch(&src, 128, &[(1, 160), (63, 160)], false);
+        let mut launch = tile_launch(&src, 128, &[(1, 160), (63, 160)], None);
         let _ = launch.execute(0, &src, &mut dst, Passive);
         launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
         let doctored = launch.rep_profile_mut(0).clone();
         // An unsampled hit charges the cached profile as it is...
-        let _ = memo::take_simulated();
+        let _ = launch.take_simulated();
         let (replayed, Passive) = launch.execute(1, &src, &mut dst, Passive);
-        assert!(memo::take_simulated().is_empty(), "a hit");
+        assert!(launch.take_simulated().is_empty(), "a hit");
         assert_eq!(replayed, doctored);
         // ...and a sampled one re-simulates and catches the difference.
         let _ = launch.execute(63, &src, &mut dst, Passive);
@@ -1972,7 +1988,7 @@ mod tests {
     fn doctored_oblivious_share_fails_a_sampled_block() {
         let src = three_tiles();
         let mut dst = vec![0u32; 160];
-        let mut launch = tile_launch(&src, 128, &[(63, 160)], false);
+        let mut launch = tile_launch(&src, 128, &[(63, 160)], None);
         let _ = launch.execute(0, &src, &mut dst, Passive);
         launch.share_mut().phase_mut(PhaseClass::Sort).alu_ops += 1;
         let _ = launch.execute(63, &src, &mut dst, Passive);
@@ -1986,12 +2002,13 @@ mod tests {
         let input = tile.repeat(16);
         for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
             let driver = passive_driver(algo, &rcfg, &plan);
-            let _ = memo::take_simulated();
-            let Ok(Ok((run, _))) = driver.run(&input, None, &mut RunStats::default()) else {
+            let mut session = Session::default();
+            let Ok(Ok((run, _))) = driver.run(&input, None, &mut RunStats::default(), &mut session)
+            else {
                 panic!("clean run of {algo:?} failed");
             };
             let blocks: u64 = run.kernels.iter().map(|k| k.blocks).sum();
-            let simulated = memo::take_simulated().len() as u64;
+            let simulated = session.carried.take_simulated().len() as u64;
             assert!(simulated < blocks / 2, "{algo:?}: simulated {simulated} of {blocks} blocks");
             assert_eq!(
                 run,
@@ -2000,26 +2017,34 @@ mod tests {
         }
     }
 
-    /// Run `f` on a new thread, which starts with no carried memo
-    /// entries, and re-raise its panic.
-    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-        std::thread::scope(|s| s.spawn(f).join()).unwrap_or_else(|p| std::panic::resume_unwind(p))
-    }
-
-    /// Sort `input` unwatched on this thread; the run and the blocks the
+    /// Sort `input` unwatched in `session`; the run and the blocks the
     /// memo had simulated.
     fn unwatched_sort<K: SortKey>(
+        session: &mut Session,
         algo: SortAlgorithm,
         rcfg: &RobustConfig,
         input: &[K],
     ) -> (SortRun<K>, usize) {
         let plan = FaultPlan::none();
         let driver = passive_driver(algo, rcfg, &plan);
-        let _ = memo::take_simulated();
-        let Ok(Ok((run, _))) = driver.run(input, None, &mut RunStats::default()) else {
+        let _ = session.carried.take_simulated();
+        let Ok(Ok((run, _))) = driver.run(input, None, &mut RunStats::default(), session) else {
             panic!("clean run of {algo:?} failed");
         };
-        (run, memo::take_simulated().len())
+        (run, session.carried.take_simulated().len())
+    }
+
+    /// A sort from `start` in `session` under `make_observer`, capturing
+    /// no checkpoints.
+    fn sort_in<K: SortKey, O: Observer + Send>(
+        session: &mut Session,
+        start: Start<'_, K>,
+        rcfg: &RobustConfig,
+        plan: &FaultPlan,
+        make_observer: &(impl Fn() -> O + Sync),
+    ) -> Result<RobustSortRun<K>, SortError> {
+        let no_checkpoints = CheckpointPolicy::default();
+        Ok(run_robust(start, rcfg, plan, no_checkpoints, make_observer, session)?.0)
     }
 
     /// Blocks of a launch of `blocks` that the sampling rule re-simulates.
@@ -2033,9 +2058,9 @@ mod tests {
         for tiles in [16, 128] {
             let input = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(tiles * 160);
             for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
-                let (first, second) = on_fresh_thread(|| {
-                    (unwatched_sort(algo, &rcfg, &input), unwatched_sort(algo, &rcfg, &input))
-                });
+                let mut session = Session::default();
+                let first = unwatched_sort(&mut session, algo, &rcfg, &input);
+                let second = unwatched_sort(&mut session, algo, &rcfg, &input);
                 let ((run, simulated), (_, first_simulated)) = (second, first);
                 let sampled: usize = run.kernels.iter().map(|k| sampled(k.blocks)).sum();
                 assert_eq!(simulated, sampled, "{algo:?}, {tiles} tiles");
@@ -2043,6 +2068,30 @@ mod tests {
                 assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
             }
         }
+    }
+
+    #[test]
+    fn sessions_share_no_carried_entries() {
+        let rcfg = small_rcfg();
+        let algo = SortAlgorithm::CfMerge;
+        let input = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(16 * 160);
+        let (mut first, mut second) = (Session::default(), Session::default());
+        let (run, alone) = unwatched_sort(&mut first, algo, &rcfg, &input);
+        let sampled: usize = run.kernels.iter().map(|k| sampled(k.blocks)).sum();
+        assert!(alone > sampled, "{alone} of {sampled}");
+        // A fresh session on the same thread starts from nothing that
+        // `first` carries...
+        assert_eq!(unwatched_sort(&mut second, algo, &rcfg, &input).1, alone);
+        // ...and `first` still carries its own.
+        assert_eq!(unwatched_sort(&mut first, algo, &rcfg, &input).1, sampled);
+        // The public entry points share the thread's default session, so
+        // a second call carries from the first.
+        let public = || {
+            assert_eq!(simulate_sort(&input, algo, &rcfg.base), run);
+            Session::with_default(|s| s.carried.take_simulated().len())
+        };
+        let _ = public();
+        assert_eq!(public(), sampled);
     }
 
     #[test]
@@ -2058,45 +2107,54 @@ mod tests {
         let mut kepler = small_rcfg();
         kepler.base.device = cfmerge_gpu_sim::device::Device::kepler_64bit_like();
         assert_ne!(kepler.base.device.bank_model(), rcfg.base.device.bank_model());
-        type Sort<'a> = dyn Fn() -> usize + Sync + 'a;
-        // The second sort of each pair on a fresh thread, alone, after its
-        // twin, and after itself. Its twin's blocks share its order types,
-        // so only the launch kind keeps the twin's representatives out.
+        type Sort<'a> = dyn Fn(&mut Session) -> usize + 'a;
+        // The second sort of each pair in a fresh session, alone, after
+        // its twin, and after itself. Its twin's blocks share its order
+        // types, so only the launch kind keeps the twin's representatives
+        // out.
         let pair = |first: &Sort, second: &Sort, what: &str| {
-            let alone = on_fresh_thread(second);
-            let after_twin = on_fresh_thread(|| (first(), second()).1);
-            let after_itself = on_fresh_thread(|| (second(), second()).1);
+            let alone = second(&mut Session::default());
+            let after = |before: &Sort| {
+                let mut session = Session::default();
+                before(&mut session);
+                second(&mut session)
+            };
+            let (after_twin, after_itself) = (after(first), after(second));
             assert_eq!(after_twin, alone, "{what}");
             assert!(after_itself < alone, "{what}: {after_itself} of {alone}");
         };
-        let sort = |algo, rcfg: &RobustConfig| unwatched_sort(algo, rcfg, &keys).1;
-        pair(&|| sort(thrust, &rcfg), &|| unwatched_sort(thrust, &rcfg, &wide).1, "u32, u64");
-        pair(&|| sort(thrust, &rcfg), &|| sort(SortAlgorithm::CfMerge, &rcfg), "Thrust, CF");
-        pair(&|| sort(thrust, &e5_u64), &|| sort(thrust, &e10_u32), "(5, 64), (10, 32)");
-        pair(&|| sort(thrust, &rcfg), &|| sort(thrust, &kepler), "bank models");
+        let sort =
+            |algo, rcfg: &RobustConfig, s: &mut Session| unwatched_sort(s, algo, rcfg, &keys).1;
+        let sort_wide = |s: &mut Session| unwatched_sort(s, thrust, &rcfg, &wide).1;
+        pair(&|s| sort(thrust, &rcfg, s), &sort_wide, "u32, u64");
+        pair(
+            &|s| sort(thrust, &rcfg, s),
+            &|s| sort(SortAlgorithm::CfMerge, &rcfg, s),
+            "Thrust, CF",
+        );
+        pair(&|s| sort(thrust, &e5_u64, s), &|s| sort(thrust, &e10_u32, s), "(5, 64), (10, 32)");
+        pair(&|s| sort(thrust, &rcfg, s), &|s| sort(thrust, &kepler, s), "bank models");
     }
 
     #[test]
     #[should_panic(expected = "block memo invariant violated: blocksort block 63 re-simulated")]
     fn doctored_carried_representative_fails_the_next_launch() {
         let src = three_tiles();
-        on_fresh_thread(|| {
-            let mut dst = vec![0u32; 160];
-            let mut launch = tile_launch(&src, 128, &[(1, 160)], true);
-            let _ = launch.execute(0, &src, &mut dst, Passive);
-            launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
-            let doctored = launch.rep_profile_mut(0).clone();
-            let _ = launch.execute(1, &src, &mut dst, Passive);
-            launch.finish();
-            // The next launch of the kind replays the carried representative
-            // at block 0, and its sampled block 63 catches it.
-            let launch = tile_launch(&src, 128, &[(63, 160)], true);
-            let _ = memo::take_simulated();
-            let (replayed, Passive) = launch.execute(0, &src, &mut dst, Passive);
-            assert!(memo::take_simulated().is_empty(), "a hit");
-            assert_eq!(replayed, doctored);
-            let _ = launch.execute(63, &src, &mut dst, Passive);
-        });
+        let mut carried = CarriedEntries::default();
+        let mut dst = vec![0u32; 160];
+        let mut launch = tile_launch(&src, 128, &[(1, 160)], Some(&mut carried));
+        let _ = launch.execute(0, &src, &mut dst, Passive);
+        launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
+        let doctored = launch.rep_profile_mut(0).clone();
+        let _ = launch.execute(1, &src, &mut dst, Passive);
+        launch.finish(&mut carried);
+        // The next launch of the kind replays the carried representative
+        // at block 0, and its sampled block 63 catches it.
+        let launch = tile_launch(&src, 128, &[(63, 160)], Some(&mut carried));
+        let (replayed, Passive) = launch.execute(0, &src, &mut dst, Passive);
+        assert!(launch.take_simulated().is_empty(), "a hit");
+        assert_eq!(replayed, doctored);
+        let _ = launch.execute(63, &src, &mut dst, Passive);
     }
 
     #[test]
@@ -2104,17 +2162,16 @@ mod tests {
                                an oblivious share that differs from the launch's cached one")]
     fn doctored_carried_share_fails_the_next_launch() {
         let src = three_tiles();
-        on_fresh_thread(|| {
-            let mut dst = vec![0u32; 160];
-            let mut launch = tile_launch(&src, 128, &[], true);
-            let _ = launch.execute(0, &src, &mut dst, Passive);
-            launch.share_mut().phase_mut(PhaseClass::Sort).alu_ops += 1;
-            launch.finish();
-            // The next launch's sampled block 63 checks its share against
-            // the carried one.
-            let launch = tile_launch(&src, 128, &[(63, 320)], true);
-            let _ = launch.execute(63, &src, &mut dst, Passive);
-        });
+        let mut carried = CarriedEntries::default();
+        let mut dst = vec![0u32; 160];
+        let mut launch = tile_launch(&src, 128, &[], Some(&mut carried));
+        let _ = launch.execute(0, &src, &mut dst, Passive);
+        launch.share_mut().phase_mut(PhaseClass::Sort).alu_ops += 1;
+        launch.finish(&mut carried);
+        // The next launch's sampled block 63 checks its share against the
+        // carried one.
+        let launch = tile_launch(&src, 128, &[(63, 320)], Some(&mut carried));
+        let _ = launch.execute(63, &src, &mut dst, Passive);
     }
 
     #[test]
@@ -2122,10 +2179,9 @@ mod tests {
         let rcfg = small_rcfg();
         let input = InputSpec::UniformRandom { seed: 42 }.generate(8 * 160);
         for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
-            let carried = on_fresh_thread(|| {
-                let _ = unwatched_sort(algo, &rcfg, &input);
-                memo::carried_here::<u32>()
-            });
+            let mut session = Session::default();
+            let _ = unwatched_sort(&mut session, algo, &rcfg, &input);
+            let carried = session.carried.of_key::<u32>();
             // One block-sort kind and one merge kind.
             assert_eq!(carried.len(), 2, "{algo:?}");
             for (_, reps, share) in carried {
@@ -2145,21 +2201,25 @@ mod tests {
         let armed = FaultPlan::from_sites(
             (0..4).map(|k| site(k, 7, spike, Persistence::Transient)).collect(),
         );
-        let traced = || simulate_sort_traced(&input, algo, &rcfg.base).run;
-        let robust = || simulate_sort_robust(&input, algo, &rcfg, &armed).expect("recovers").run;
-        let fresh = on_fresh_thread(|| (traced(), robust()));
-        let (before, after, runs) = on_fresh_thread(|| {
-            // Carry a doctored representative of block 0's order type.
-            let mut dst = vec![0u32; 160];
-            let mut launch = tile_launch(&input, 8, &[], true);
-            let _ = launch.execute(0, &input, &mut dst, Passive);
-            launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
-            let _ = launch.execute(1, &input, &mut dst, Passive);
-            launch.finish();
-            let before = memo::carried_here::<u32>();
-            let runs = (traced(), robust());
-            (before, memo::carried_here::<u32>(), runs)
-        });
+        let banks = rcfg.base.device.bank_model();
+        let (start, none) = (|| Start::Fresh(&input, algo), FaultPlan::none());
+        let runs = |s: &mut Session| {
+            let traced = sort_in(s, start(), &rcfg, &none, &|| BlockTracer::new(banks));
+            let robust = sort_in(s, start(), &rcfg, &armed, &|| Passive);
+            (traced.expect("sorts").run, robust.expect("recovers").run)
+        };
+        let fresh = runs(&mut Session::default());
+        // Carry a doctored representative of block 0's order type.
+        let mut session = Session::default();
+        let mut dst = vec![0u32; 160];
+        let mut launch = tile_launch(&input, 8, &[], Some(&mut session.carried));
+        let _ = launch.execute(0, &input, &mut dst, Passive);
+        launch.rep_profile_mut(0).phase_mut(PhaseClass::Sort).alu_ops += 1;
+        let _ = launch.execute(1, &input, &mut dst, Passive);
+        launch.finish(&mut session.carried);
+        let before = session.carried.of_key::<u32>();
+        let runs = runs(&mut session);
+        let after = session.carried.of_key::<u32>();
         assert_eq!(before.len(), 1);
         assert_eq!(before[0].1.len(), 1, "the doctored representative is carried");
         assert_eq!(after, before);
@@ -2191,24 +2251,32 @@ mod tests {
             .map(|k| u64::from(k) << 32 | 7)
             .collect();
         let (_, cp) = checkpoint_after_pass_1(&rcfg);
-        // Two launches: a plain sort of `small` leaves its block-sorted
+        // Two launches: a clean sort of `small` leaves its block-sorted
         // tiles in the spare, where the next sort's block sort writes. A
-        // dropped lane there must meet zeros, as on a fresh thread.
+        // dropped lane there must meet zeros, as in a fresh session.
         let small = InputSpec::UniformRandom { seed: 52 }.generate(2 * 160);
         let dropout = FaultKind::LaneDropout { lane: 3 };
         let plan = FaultPlan::from_sites(vec![site(0, 1, dropout, Persistence::Sticky)]);
-        let robust = |r: RobustSortRun| format!("{:?}", (r.run, r.algorithm, r.report));
-        let calls: [&(dyn Fn() -> String + Sync); 5] = [
-            &|| format!("{:?}", simulate_sort(&large, cf, &rcfg.base)),
-            &|| format!("{:?}", simulate_sort(&wide, cf, &rcfg.base)),
-            &|| robust(resume_sort_robust(&cp, &rcfg, &FaultPlan::none()).expect("resumes")),
-            &|| format!("{:?}", simulate_sort(&small, cf, &rcfg.base)),
-            &|| robust(simulate_sort_robust(&small, cf, &rcfg, &plan).expect("falls back")),
+        let none = FaultPlan::none();
+        let sort = |s: &mut Session, start, plan| {
+            let r = sort_in(s, start, &rcfg, plan, &|| Passive).expect("sorts or falls back");
+            format!("{:?}", (r.run, r.algorithm, r.report))
+        };
+        let calls: [&dyn Fn(&mut Session) -> String; 5] = [
+            &|s| sort(s, Start::Fresh(&large, cf), &none),
+            &|s| format!("{:?}", sort_in(s, Start::Fresh(&wide, cf), &rcfg, &none, &|| Passive)),
+            &|s| sort(s, Start::Resume(&cp), &none),
+            &|s| sort(s, Start::Fresh(&small, cf), &none),
+            &|s| sort(s, Start::Fresh(&small, cf), &plan),
         ];
-        let reused = on_fresh_thread(|| calls.map(|call| call()));
+        let mut session = Session::default();
+        let reused = calls.map(|call| call(&mut session));
         assert!(reused[4].contains("ThrustMergesort"), "the armed sort falls back");
         for (i, (call, reused)) in calls.iter().zip(reused).enumerate() {
-            assert!(on_fresh_thread(call) == reused, "call {i} differs on a reused thread");
+            assert!(
+                call(&mut Session::default()) == reused,
+                "call {i} differs in a reused session"
+            );
         }
     }
 

@@ -50,8 +50,9 @@
 //! hands every block alike: whether it is a tile or a merge chunk, the
 //! key type, and the [`KernelArgs`] (`(E, u)`, strategy, bank model,
 //! `count_accesses`). Together those are the launch's [`LaunchKind`].
-//! Each thread keeps one carried entry per kind, in the same per-thread
-//! cache that keeps the driver's stripe buffer. A launch that carries
+//! The driver's [`Session`](super::session::Session) keeps one carried
+//! entry per kind beside its stripe and spare key buffers, and hands a
+//! launch that carries the session's [`CarriedEntries`]. The launch
 //! starts from its kind's entry: its representatives fill the first
 //! slots, so first come, first kept starts from them, and its oblivious
 //! share is the launch's from the start. [`Launch::finish`] leaves the
@@ -62,8 +63,8 @@
 //! carried profiles and a carried share exactly as they check the
 //! launch's own. The driver lets a launch carry only if its every block
 //! runs unwatched, so traced, checked and fault-armed launches neither
-//! read nor write an entry. A thread's entries live as long as the
-//! thread: at most one per kind it has launched, each of at most
+//! read nor write an entry. A session's entries live as long as the
+//! session: at most one per kind it has launched, each of at most
 //! [`MAX_REPS`] blocks' keys.
 //!
 //! ## Lean misses
@@ -81,6 +82,7 @@
 //! share equals the cached one. Debug builds also re-simulate every lean
 //! block in full and panic unless the two profiles agree.
 
+use super::session::entry;
 use super::{stripe_width, BlockJob, KernelArgs};
 use crate::sort::key::SortKey;
 use crate::verify::StripeChecksums;
@@ -89,7 +91,6 @@ use cfmerge_gpu_sim::observer::Observer;
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use cfmerge_json::ToJson;
 use std::any::{Any, TypeId};
-use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::sync::atomic::{self, AtomicBool};
 use std::sync::{Arc, OnceLock};
@@ -128,7 +129,7 @@ pub(crate) struct LaunchKind {
     args: KernelArgs,
 }
 
-/// What a launch leaves the next launch of its kind on its thread.
+/// What a launch leaves the next launch of its kind.
 #[derive(Default)]
 struct Carried<K> {
     /// The representatives that replayed at least one block.
@@ -136,105 +137,15 @@ struct Carried<K> {
     share: Option<KernelProfile>,
 }
 
-/// What a thread keeps from one sort to the next. Each part is allocated
-/// once per thread and written in place: a stripe buffer freed per sort,
-/// or a carried entry boxed anew at each launch's end, outlived the sort
-/// among its key buffers and raised `host_bench`'s `fig5_worst` peak RSS
-/// by 12%.
-///
-/// A sort holds two `n_pad`-key buffers: the one it returns, allocated
-/// anew, and the thread's spare for its key type (see `Driver::run` for
-/// which holds the input). The spare never leaves the thread: it keeps
-/// the capacity of the largest sort of its key type the thread has run,
-/// for the thread's lifetime, so a sort of that size or less neither
-/// allocates nor faults in a second buffer.
+/// Each launch kind's carried entry: a `Carried<K>` for the kind's key
+/// type `K`.
 #[derive(Default)]
-struct Cache {
-    /// The stripe buffer of the last sort run on this thread.
-    stripes: Vec<u64>,
-    /// One spare key buffer per key type `K`: a `Vec<K>`.
-    spares: Vec<(TypeId, Box<dyn Any>)>,
-    /// Each launch kind's carried entry: a `Carried<K>` for the kind's key
-    /// type `K`.
-    carried: Vec<(LaunchKind, Box<dyn Any>)>,
-    /// Every block simulation since the last [`take_simulated`].
+pub(crate) struct CarriedEntries {
+    kinds: Vec<(LaunchKind, Box<dyn Any>)>,
+    /// Every block simulation of the launches finished since the last
+    /// [`take_simulated`](Self::take_simulated).
     #[cfg(test)]
     simulated: Vec<(usize, Pricing)>,
-}
-
-thread_local! {
-    static CACHE: RefCell<Cache> = RefCell::default();
-}
-
-/// The entry under `key`, a `T`, made with `T::default()` if there is
-/// none.
-fn entry<Key: PartialEq, T: Default + 'static>(
-    entries: &mut Vec<(Key, Box<dyn Any>)>,
-    key: Key,
-) -> &mut T {
-    let at = match entries.iter().position(|(k, _)| *k == key) {
-        Some(at) => at,
-        None => {
-            entries.push((key, Box::new(T::default())));
-            entries.len() - 1
-        }
-    };
-    entries[at].1.downcast_mut().expect("a key fixes its entry's type")
-}
-
-/// Run `f` on `kind`'s carried entry, made empty if the thread has none.
-fn with_carried<K: SortKey, T>(kind: LaunchKind, f: impl FnOnce(&mut Carried<K>) -> T) -> T {
-    CACHE.with(|cache| f(entry(&mut cache.borrow_mut().carried, kind)))
-}
-
-/// A run's stripe buffer, taken from the thread's cache and given back on
-/// drop.
-pub(crate) struct StripeBuf(pub(crate) Vec<u64>);
-
-impl StripeBuf {
-    pub(crate) fn take(len: usize) -> Self {
-        let mut buf = CACHE.with(|cache| std::mem::take(&mut cache.borrow_mut().stripes));
-        buf.clear();
-        buf.resize(len, 0);
-        StripeBuf(buf)
-    }
-}
-
-impl Drop for StripeBuf {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.0);
-        CACHE.with(|cache| cache.borrow_mut().stripes = buf);
-    }
-}
-
-/// A run's spare key buffer, taken from the thread's cache with room for
-/// at least `len` keys and given back on drop. Its keys are stale: what
-/// the last sort of its key type on the thread left.
-pub(crate) struct SpareKeys<K: SortKey>(pub(crate) Vec<K>);
-
-impl<K: SortKey> SpareKeys<K> {
-    pub(crate) fn take(len: usize) -> Self {
-        let mut buf = with_spare(std::mem::take);
-        if buf.capacity() < len {
-            // Free the smaller buffer before allocating its successor.
-            buf = Vec::new();
-            buf.reserve_exact(len);
-        }
-        SpareKeys(buf)
-    }
-}
-
-impl<K: SortKey> Drop for SpareKeys<K> {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.0);
-        with_spare(|spare| *spare = buf);
-    }
-}
-
-/// Run `f` on the thread's spare buffer of key type `K`, made empty if
-/// the thread has none.
-fn with_spare<K: SortKey, T>(f: impl FnOnce(&mut Vec<K>) -> T) -> T {
-    CACHE.with(|cache| f(entry(&mut cache.borrow_mut().spares, TypeId::of::<K>())))
 }
 
 /// One kernel launch: what its blocks share, and its memo.
@@ -255,6 +166,9 @@ pub(crate) struct Launch<K> {
     /// The carried oblivious share, or else that of the launch's first
     /// fully simulated block.
     share: OnceLock<KernelProfile>,
+    /// Every block simulation of the launch, in order.
+    #[cfg(test)]
+    simulated: std::sync::Mutex<Vec<(usize, Pricing)>>,
 }
 
 /// A representative in one launch.
@@ -294,8 +208,8 @@ struct WeakOrder {
 impl<K: SortKey> Launch<K> {
     /// Launch `kernel` of `jobs` over `src`. Each block's expected
     /// checksum is read off `stripes`, the stripe checksums of `src`,
-    /// which this turns into their prefix sums. A launch that `carries`
-    /// starts from its kind's carried entry, and [`finish`](Self::finish)
+    /// which this turns into their prefix sums. A launch given `carried`
+    /// starts from its kind's entry there, and [`finish`](Self::finish)
     /// leaves it.
     pub(crate) fn new(
         kernel: u32,
@@ -303,23 +217,39 @@ impl<K: SortKey> Launch<K> {
         jobs: Vec<BlockJob>,
         src: &[K],
         stripes: &mut [u64],
-        carries: bool,
+        carried: Option<&mut CarriedEntries>,
     ) -> Self {
         let tile = args.tile();
         let sums = StripeChecksums::from_stripes(stripe_width(tile), stripes);
         let expected = jobs.iter().map(|j| j.expected_checksum(src, tile, &sums)).collect();
-        let kind = carries.then(|| LaunchKind { tiles: kernel == 0, key: TypeId::of::<K>(), args });
-        let Carried { reps, share } =
-            kind.map(|kind| with_carried(kind, std::mem::take)).unwrap_or_default();
+        let kind = LaunchKind { tiles: kernel == 0, key: TypeId::of::<K>(), args };
+        let (kind, Carried { reps, share }) = match carried {
+            Some(c) => (Some(kind), std::mem::take(entry(&mut c.kinds, kind))),
+            None => (None, Carried::default()),
+        };
         let slot = |rep| Slot { rep, replayed: AtomicBool::new(false) };
         let reps = reps.map(|rep| rep.map(slot).map_or_else(OnceLock::new, OnceLock::from));
         let name = kernel.checked_sub(1).map_or("blocksort".into(), |p| format!("merge-pass-{p}"));
         let share = share.map_or_else(OnceLock::new, OnceLock::from);
-        Self { kernel, name, args, jobs, expected, kind, reps, share }
+        Self {
+            kernel,
+            name,
+            args,
+            jobs,
+            expected,
+            kind,
+            reps,
+            share,
+            #[cfg(test)]
+            simulated: Default::default(),
+        }
     }
 
-    /// End the launch: leave its kind's carried entry, if it has a kind.
-    pub(crate) fn finish(self) {
+    /// End the launch: leave its kind's entry in `carried`, if it has a
+    /// kind.
+    pub(crate) fn finish(self, carried: &mut CarriedEntries) {
+        #[cfg(test)]
+        carried.simulated.extend(self.simulated.into_inner().expect("no block panicked"));
         let Some(kind) = self.kind else {
             return;
         };
@@ -327,7 +257,7 @@ impl<K: SortKey> Launch<K> {
             .filter_map(|slot| slot.replayed.into_inner().then_some(slot.rep));
         let reps = std::array::from_fn(|_| replayed.next());
         let share = self.share.into_inner();
-        with_carried(kind, |c| *c = Carried { reps, share });
+        *entry(&mut carried.kinds, kind) = Carried { reps, share };
     }
 
     /// Run block `block` of the launch into `dst` under `observer`. A
@@ -417,7 +347,7 @@ impl<K: SortKey> Launch<K> {
         observer: P,
     ) -> (KernelProfile, P) {
         #[cfg(test)]
-        CACHE.with(|c| c.borrow_mut().simulated.push((block, Pricing::of::<P>())));
+        self.simulated.lock().expect("no block panicked").push((block, Pricing::of::<P>()));
         self.args.execute(self.jobs[block], src, dst, observer)
     }
 
@@ -553,21 +483,21 @@ impl Pricing {
     }
 }
 
-/// Every block simulation on this thread since the last call, in order:
-/// the block's index in its launch and how it was priced (a debug build
-/// simulates each lean block twice).
 #[cfg(test)]
-pub(crate) fn take_simulated() -> Vec<(usize, Pricing)> {
-    CACHE.with(|cache| std::mem::take(&mut cache.borrow_mut().simulated))
-}
+impl CarriedEntries {
+    /// Every block simulation of the launches finished since the last
+    /// call, in order: the block's index in its launch and how it was
+    /// priced (a debug build simulates each lean block twice).
+    pub(crate) fn take_simulated(&mut self) -> Vec<(usize, Pricing)> {
+        std::mem::take(&mut self.simulated)
+    }
 
-/// This thread's carried entries for key type `K`: each kind, the
-/// addresses of its representatives, and its share.
-#[cfg(test)]
-pub(crate) fn carried_here<K: SortKey>() -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>)> {
-    CACHE.with(|cache| {
-        let cache = cache.borrow();
-        let carried = (cache.carried.iter())
+    /// The entries for key type `K`: each kind, the addresses of its
+    /// representatives, and its share.
+    pub(crate) fn of_key<K: SortKey>(
+        &self,
+    ) -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>)> {
+        let carried = (self.kinds.iter())
             .filter_map(|(kind, c)| Some((kind, c.downcast_ref::<Carried<K>>()?)));
         carried
             .map(|(kind, c)| {
@@ -575,7 +505,7 @@ pub(crate) fn carried_here<K: SortKey>() -> Vec<(LaunchKind, Vec<usize>, Option<
                 (*kind, reps, c.share.clone())
             })
             .collect()
-    })
+    }
 }
 
 /// Hooks that doctor what a launch has cached.
@@ -591,5 +521,10 @@ impl<K> Launch<K> {
     /// The launch's cached oblivious share.
     pub(crate) fn share_mut(&mut self) -> &mut KernelProfile {
         self.share.get_mut().expect("a cached share")
+    }
+
+    /// Every block simulation of the launch since the last call.
+    pub(crate) fn take_simulated(&self) -> Vec<(usize, Pricing)> {
+        std::mem::take(&mut self.simulated.lock().expect("no block panicked"))
     }
 }

@@ -23,7 +23,7 @@
 //!   (`shared_ld_transactions`, bank conflicts, sectors, …).
 //! * [`device`] — device presets (RTX 2080 Ti-like; tiny teaching devices
 //!   for the paper's `w = 12`/`w = 9`/`w = 6` figures).
-//! * [`stats`] — running summaries and conflict-degree histograms.
+//! * [`stats`] — conflict-degree histograms.
 //! * [`trace`] — structured tracing: the [`trace::BlockTracer`] observer,
 //!   a Chrome-trace-event/Perfetto exporter, and conflict forensics (see
 //!   docs/OBSERVABILITY.md).

@@ -1,110 +1,6 @@
-//! Small statistics helpers used by the experiment harness: running
-//! summaries and conflict-degree histograms.
+//! Conflict-degree histograms for the experiment harness.
 
 use cfmerge_json::{FromJson, Json, JsonError, ToJson};
-
-/// Incremental min/max/mean/variance (Welford) over `f64` samples.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean (0 if empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample standard deviation (0 for < 2 samples).
-    #[must_use]
-    pub fn stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-
-    /// Smallest sample (`None` if empty).
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` if empty).
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
-impl ToJson for RunningStats {
-    /// `min`/`max` are emitted only when at least one sample was pushed:
-    /// the empty summary's internal `+∞`/`−∞` sentinels have no JSON
-    /// representation.
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("n".to_owned(), Json::from(self.n)),
-            ("mean".to_owned(), Json::from(self.mean())),
-            ("stddev".to_owned(), Json::from(self.stddev())),
-            ("m2".to_owned(), Json::from(self.m2)),
-        ];
-        if let (Some(min), Some(max)) = (self.min(), self.max()) {
-            pairs.push(("min".to_owned(), Json::from(min)));
-            pairs.push(("max".to_owned(), Json::from(max)));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-impl FromJson for RunningStats {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let n: u64 = v.field("n")?;
-        let min: Option<f64> = v.field_opt("min")?;
-        let max: Option<f64> = v.field_opt("max")?;
-        if (n == 0) != (min.is_none() && max.is_none()) {
-            return Err(JsonError::new("RunningStats: min/max must be present exactly when n > 0"));
-        }
-        Ok(Self {
-            n,
-            mean: v.field("mean")?,
-            m2: v.field("m2")?,
-            min: min.unwrap_or(f64::INFINITY),
-            max: max.unwrap_or(f64::NEG_INFINITY),
-        })
-    }
-}
 
 /// Histogram of per-round transaction degrees (1 = conflict-free round,
 /// `w` = fully serialized). Used to reproduce Karsin et al.'s "2–3 bank
@@ -211,22 +107,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn running_stats_basics() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.stddev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
     fn histogram_conflict_math() {
         let mut h = DegreeHistogram::new(32);
         // 10 conflict-free rounds, 5 rounds of degree 3, 1 round of 32.
@@ -266,48 +146,6 @@ mod tests {
         assert_eq!(h.mean_conflicts_per_round(), 0.0);
         assert_eq!(h.conflict_free_fraction(), 1.0);
         assert_eq!(h.max_degree(), None);
-    }
-
-    #[test]
-    fn running_stats_json_roundtrip() {
-        let mut s = RunningStats::new();
-        for x in [3.5, -1.0, 8.25, 0.0] {
-            s.push(x);
-        }
-        let text = s.to_json().to_string_pretty();
-        let back = RunningStats::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.min(), Some(-1.0));
-        assert_eq!(back.max(), Some(8.25));
-    }
-
-    #[test]
-    fn empty_running_stats_json_roundtrip() {
-        // The empty summary's ±∞ sentinels must not leak into JSON (they
-        // have no representation there); min/max are simply omitted.
-        let s = RunningStats::new();
-        let j = s.to_json();
-        assert!(j.get("min").is_none());
-        assert!(j.get("max").is_none());
-        let text = j.to_string_compact();
-        assert!(!text.contains("inf") && !text.contains("null"), "{text}");
-        let back = RunningStats::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.min(), None);
-        assert_eq!(back.max(), None);
-        // Pushing into the deserialized copy behaves like a fresh one.
-        let mut back = back;
-        back.push(2.0);
-        assert_eq!(back.min(), Some(2.0));
-        assert_eq!(back.max(), Some(2.0));
-    }
-
-    #[test]
-    fn inconsistent_running_stats_json_rejected() {
-        let bad = Json::parse(r#"{"n": 0, "mean": 0, "m2": 0, "min": 1, "max": 2}"#).unwrap();
-        assert!(RunningStats::from_json(&bad).is_err());
-        let bad = Json::parse(r#"{"n": 3, "mean": 1, "m2": 0}"#).unwrap();
-        assert!(RunningStats::from_json(&bad).is_err());
     }
 
     #[test]

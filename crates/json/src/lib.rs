@@ -217,12 +217,6 @@ impl Json {
         }
     }
 
-    /// The value as a usize, if it is a non-negative integral number in
-    /// range.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
