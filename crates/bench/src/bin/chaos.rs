@@ -199,7 +199,6 @@ fn run_sweep(only: Option<&str>) -> bool {
     let permanent_spec = FaultSpec { permanent_permille: 1000, ..recoverable_spec };
 
     let mut svc = SortService::new(cfg);
-    svc.enable_telemetry();
     let mut jobs = Vec::new();
     for algo in pipelines {
         if only.is_some_and(|o| o != algo.label()) {
@@ -275,7 +274,7 @@ fn run_sweep(only: Option<&str>) -> bool {
     art.add_summary("unrecoverable_typed", Json::from(unrecoverable_typed));
     art.add_summary("violations", Json::from(violations.len()));
     art.add_summary("service", svc.counters().to_json());
-    let snap = svc.telemetry_snapshot().expect("telemetry enabled above").with_prefix("sweep_");
+    let snap = svc.telemetry_snapshot().with_prefix("sweep_");
     add_latency_summary(&mut art, "sweep", &snap);
     art.telemetry = Some(snap);
     if only.is_none() {
@@ -416,7 +415,6 @@ fn scenario_fault_storm(
             ..ResilienceConfig::default()
         },
     );
-    svc.enable_telemetry();
     let mut inputs = Vec::new();
     for i in 0..3u64 {
         let seed = BASE_SEED ^ 0x5101 ^ (i << 8);
@@ -479,7 +477,7 @@ fn scenario_fault_storm(
     );
     art.add_summary("fault_storm", svc.counters().to_json());
     totals.merge(&sc);
-    let snap = svc.telemetry_snapshot().expect("telemetry enabled").with_prefix("storm_");
+    let snap = svc.telemetry_snapshot().with_prefix("storm_");
     add_latency_summary(art, "storm", &snap);
     snap
 }
@@ -501,7 +499,6 @@ fn scenario_queue_overflow(
             ..ResilienceConfig::default()
         },
     );
-    svc.enable_telemetry();
     let mut inputs = Vec::new();
     for i in 0..24u64 {
         let seed = BASE_SEED ^ 0x0F10 ^ (i << 8);
@@ -555,7 +552,7 @@ fn scenario_queue_overflow(
     );
     art.add_summary("queue_overflow", svc.counters().to_json());
     totals.merge(&sc);
-    let snap = svc.telemetry_snapshot().expect("telemetry enabled").with_prefix("overflow_");
+    let snap = svc.telemetry_snapshot().with_prefix("overflow_");
     add_latency_summary(art, "overflow", &snap);
     snap
 }
@@ -583,7 +580,6 @@ fn scenario_kill_and_resume(
     };
 
     let mut svc = SortService::new(small_rcfg());
-    svc.enable_telemetry();
     svc.submit_job(SortJob {
         checkpoint: CheckpointPolicy::kill_after(1),
         ..SortJob::fresh("resume/killed", input.clone(), SortAlgorithm::CfMerge)
@@ -626,7 +622,7 @@ fn scenario_kill_and_resume(
     art.runs.push(RunRecord::compact_from_robust_run("resume/resumed", &resumed));
     art.add_summary("kill_and_resume", svc.counters().to_json());
     totals.merge(&sc);
-    let snap = svc.telemetry_snapshot().expect("telemetry enabled").with_prefix("resume_");
+    let snap = svc.telemetry_snapshot().with_prefix("resume_");
     add_latency_summary(art, "resume", &snap);
     snap
 }
@@ -647,7 +643,6 @@ fn scenario_straggler_storm(
         let mut cfg = small_rcfg();
         cfg.hedge = hedge;
         let mut svc = SortService::new(cfg);
-        svc.enable_telemetry();
         let mut inputs = Vec::new();
         for i in 0..jobs {
             let seed = BASE_SEED ^ 0x57A6 ^ (i << 8);
@@ -714,8 +709,7 @@ fn scenario_straggler_storm(
     );
     art.add_summary("straggler_storm", hedged_svc.counters().to_json());
     totals.merge(&sc);
-    let snap =
-        hedged_svc.telemetry_snapshot().expect("telemetry enabled").with_prefix("straggler_");
+    let snap = hedged_svc.telemetry_snapshot().with_prefix("straggler_");
     add_latency_summary(art, "straggler", &snap);
     snap
 }
@@ -896,7 +890,6 @@ fn build_cluster(
         if s.migration_enabled { MigrationConfig::default() } else { MigrationConfig::disabled() };
     cfg.faults = faults;
     let mut cluster = ClusterService::new(cfg);
-    cluster.enable_telemetry();
     let gen = LoadGenConfig {
         shape: s.shape,
         jobs: s.jobs,
@@ -1085,10 +1078,8 @@ fn run_cluster(only: Option<&str>) -> bool {
         check_cluster_scenario(s, &inputs, &report, &mut violations);
         add_cluster_summaries(&mut art, s.name, &report);
         totals.merge(&report.counters);
-        if let Some(snap) = &report.telemetry {
-            telemetry =
-                telemetry.merged(&snap.with_prefix(&format!("{}_", s.name.replace('-', "_"))));
-        }
+        let prefix = format!("{}_", s.name.replace('-', "_"));
+        telemetry = telemetry.merged(&report.telemetry.with_prefix(&prefix));
         let all = report.tenant_slos.last().expect("`all` row is always appended");
         rows.push(vec![
             s.name.to_string(),

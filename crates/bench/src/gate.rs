@@ -255,79 +255,61 @@ pub fn gate_artifacts(
         (None, _) => {}
     }
 
-    match (baseline.summaries.get("certificates"), current.summaries.get("certificates")) {
-        (Some(base), Some(cur)) => gate_certificates(&mut gate, base, cur),
-        (Some(_), None) => gate.report.missing.push("certificates summary".into()),
-        (None, _) => {}
-    }
-
-    match (baseline.summaries.get("tuning"), current.summaries.get("tuning")) {
-        (Some(base), Some(cur)) => gate_tuning(&mut gate, base, cur),
-        (Some(_), None) => gate.report.missing.push("tuning summary".into()),
-        (None, _) => {}
+    for cov in [&CERTIFICATES, &TUNING] {
+        match (baseline.summaries.get(cov.summary), current.summaries.get(cov.summary)) {
+            (Some(base), Some(cur)) => cov.gate(&mut gate, base, cur),
+            (Some(_), None) => gate.report.missing.push(format!("{} summary", cov.summary)),
+            (None, _) => {}
+        }
     }
 
     gate.report
 }
 
-/// Gate the certification coverage block (`summaries.certificates`): the
-/// scalar totals and every profile's verdict counts must match exactly. A
-/// profile whose `not_certifiable` count *rose* is flagged as coverage
-/// loss — lattice points that used to carry a decided verdict became
-/// `Unknown`, which is precisely the regression the fail-closed design
-/// turns into a gate failure instead of a silent optimistic answer.
-fn gate_certificates(gate: &mut Gate<'_>, base: &Json, cur: &Json) {
-    for key in ["schema", "records", "lint_findings", "failures"] {
-        match (base.get(key).and_then(Json::as_f64), cur.get(key).and_then(Json::as_f64)) {
-            (Some(b), Some(c)) => gate.check(format!("certificates/{key}"), "certificates", b, c),
-            (Some(_), None) => gate.report.missing.push(format!("certificates field `{key}`")),
-            (None, _) => {}
-        }
-    }
-    let profiles = |v: &Json| -> Vec<Json> {
-        v.get("profiles").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-    };
-    let cur_rows = profiles(cur);
-    for brow in profiles(base) {
-        let Some(name) = brow.get("profile").and_then(Json::as_str) else { continue };
-        let Some(crow) =
-            cur_rows.iter().find(|r| r.get("profile").and_then(Json::as_str) == Some(name))
-        else {
-            gate.report.missing.push(format!("certificates profile `{name}`"));
-            continue;
-        };
-        for field in ["records", "conflict_free", "conflicting", "not_certifiable"] {
-            let (Some(b), Some(c)) =
-                (brow.get(field).and_then(Json::as_f64), crow.get(field).and_then(Json::as_f64))
-            else {
-                continue;
-            };
-            let metric = if field == "not_certifiable" && c > b {
-                format!("certificates/{name}/{field} [COVERAGE LOSS: newly-unknown shapes]")
-            } else {
-                format!("certificates/{name}/{field}")
-            };
-            gate.check(metric, "certificates", b, c);
-        }
-    }
+/// A coverage block under `summaries` that must match exactly: scalar
+/// totals, then rows keyed by name whose counts must match. A row count
+/// that moved the way that loses coverage carries a `[COVERAGE LOSS: …]`
+/// label in its metric name.
+struct Coverage {
+    /// Key under `summaries`, and the prefix and kind of every metric.
+    summary: &'static str,
+    /// A string field that must match exactly (a checksum), if any.
+    digest: Option<&'static str>,
+    /// Scalar totals.
+    scalars: &'static [&'static str],
+    /// Key of the row array, and the field naming each row.
+    rows: (&'static str, &'static str),
+    /// Per-row counts.
+    fields: &'static [&'static str],
+    /// The coverage-loss label for a row field moving `baseline → current`.
+    loss: fn(field: &str, baseline: f64, current: f64) -> Option<&'static str>,
 }
 
-/// Gate the auto-tuner coverage block (`summaries.tuning`): the ladder
-/// checksum, the scalar totals, and every ladder's rung/tier counts must
-/// match exactly. A ladder whose `certified` or `rungs` count *fell* is
-/// flagged as coverage loss — launch configs the degradation ladder used
-/// to be able to run were silently pushed off it, which shrinks the
-/// space the service can degrade into before failing closed.
-fn gate_tuning(gate: &mut Gate<'_>, base: &Json, cur: &Json) {
-    match (base.get("checksum").and_then(Json::as_str), cur.get("checksum").and_then(Json::as_str))
-    {
-        (Some(b), Some(c)) if b != c => {
-            gate.report.missing.push(format!("tuning checksum match (ladders drifted: {b} -> {c})"))
-        }
-        (Some(_), None) => gate.report.missing.push("tuning field `checksum`".into()),
-        _ => {}
-    }
-    for key in [
+/// The certification coverage block: the scalar totals and every
+/// profile's verdict counts. A profile whose `not_certifiable` count
+/// *rose* lost coverage — lattice points that used to carry a decided
+/// verdict became `Unknown`, which is precisely the regression the
+/// fail-closed design turns into a gate failure instead of a silent
+/// optimistic answer.
+const CERTIFICATES: Coverage = Coverage {
+    summary: "certificates",
+    digest: None,
+    scalars: &["schema", "records", "lint_findings", "failures"],
+    rows: ("profiles", "profile"),
+    fields: &["records", "conflict_free", "conflicting", "not_certifiable"],
+    loss: |field, b, c| (field == "not_certifiable" && c > b).then_some("newly-unknown shapes"),
+};
+
+/// The auto-tuner coverage block: the ladder checksum, the scalar
+/// totals, and every ladder's rung/tier counts. A ladder whose
+/// `certified` or `rungs` count *fell* lost coverage — launch configs
+/// the degradation ladder used to be able to run were silently pushed
+/// off it, which shrinks the space the service can degrade into before
+/// failing closed.
+const TUNING: Coverage = Coverage {
+    summary: "tuning",
+    digest: Some("checksum"),
+    scalars: &[
         "schema",
         "cert_schema",
         "ladder_count",
@@ -337,37 +319,60 @@ fn gate_tuning(gate: &mut Gate<'_>, base: &Json, cur: &Json) {
         "excluded",
         "validation_scenarios",
         "validation_failures",
-    ] {
-        match (base.get(key).and_then(Json::as_f64), cur.get(key).and_then(Json::as_f64)) {
-            (Some(b), Some(c)) => gate.check(format!("tuning/{key}"), "tuning", b, c),
-            (Some(_), None) => gate.report.missing.push(format!("tuning field `{key}`")),
-            (None, _) => {}
+    ],
+    rows: ("ladders", "ladder"),
+    fields: &["rungs", "certified", "degraded", "excluded"],
+    loss: |field, b, c| {
+        (matches!(field, "rungs" | "certified") && c < b).then_some("the degradation ladder shrank")
+    },
+};
+
+impl Coverage {
+    fn gate(&self, gate: &mut Gate<'_>, base: &Json, cur: &Json) {
+        let name = self.summary;
+        if let Some(key) = self.digest {
+            match (base.get(key).and_then(Json::as_str), cur.get(key).and_then(Json::as_str)) {
+                (Some(b), Some(c)) if b != c => gate
+                    .report
+                    .missing
+                    .push(format!("{name} {key} match (ladders drifted: {b} -> {c})")),
+                (Some(_), None) => gate.report.missing.push(format!("{name} field `{key}`")),
+                _ => {}
+            }
         }
-    }
-    let ladders = |v: &Json| -> Vec<Json> {
-        v.get("ladders").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-    };
-    let cur_rows = ladders(cur);
-    for brow in ladders(base) {
-        let Some(name) = brow.get("ladder").and_then(Json::as_str) else { continue };
-        let Some(crow) =
-            cur_rows.iter().find(|r| r.get("ladder").and_then(Json::as_str) == Some(name))
-        else {
-            gate.report.missing.push(format!("tuning ladder `{name}`"));
-            continue;
+        for key in self.scalars {
+            match (base.get(key).and_then(Json::as_f64), cur.get(key).and_then(Json::as_f64)) {
+                (Some(b), Some(c)) => gate.check(format!("{name}/{key}"), name, b, c),
+                (Some(_), None) => gate.report.missing.push(format!("{name} field `{key}`")),
+                (None, _) => {}
+            }
+        }
+        let (array, row_key) = self.rows;
+        let rows = |v: &Json| -> Vec<Json> {
+            v.get(array).and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
         };
-        for field in ["rungs", "certified", "degraded", "excluded"] {
-            let (Some(b), Some(c)) =
-                (brow.get(field).and_then(Json::as_f64), crow.get(field).and_then(Json::as_f64))
+        let cur_rows = rows(cur);
+        for brow in rows(base) {
+            let Some(row) = brow.get(row_key).and_then(Json::as_str) else { continue };
+            let Some(crow) =
+                cur_rows.iter().find(|r| r.get(row_key).and_then(Json::as_str) == Some(row))
             else {
+                gate.report.missing.push(format!("{name} {row_key} `{row}`"));
                 continue;
             };
-            let metric = if matches!(field, "rungs" | "certified") && c < b {
-                format!("tuning/{name}/{field} [COVERAGE LOSS: the degradation ladder shrank]")
-            } else {
-                format!("tuning/{name}/{field}")
-            };
-            gate.check(metric, "tuning", b, c);
+            for field in self.fields {
+                let (Some(b), Some(c)) = (
+                    brow.get(field).and_then(Json::as_f64),
+                    crow.get(field).and_then(Json::as_f64),
+                ) else {
+                    continue;
+                };
+                let metric = match (self.loss)(field, b, c) {
+                    Some(why) => format!("{name}/{row}/{field} [COVERAGE LOSS: {why}]"),
+                    None => format!("{name}/{row}/{field}"),
+                };
+                gate.check(metric, name, b, c);
+            }
         }
     }
 }

@@ -99,7 +99,6 @@ fn run_service_batch() -> MetricsSnapshot {
             breaker: BreakerConfig { enabled: true, failure_threshold: 1, cooldown_s: 1e-6 },
         },
     );
-    svc.enable_telemetry();
 
     let site = |kind, persistence| FaultSite { kernel: 0, block: 0, phase: 1, kind, persistence };
     for (i, blocks) in [1usize, 2, 4].iter().enumerate() {
@@ -133,7 +132,7 @@ fn run_service_batch() -> MetricsSnapshot {
 
     let outcomes = svc.drain();
     assert_eq!(outcomes.len(), 7);
-    svc.telemetry_snapshot().expect("telemetry enabled")
+    svc.telemetry_snapshot()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!    up to [`RobustConfig::max_retries`] times. Each retry is priced in
 //!    the timing model (the failed execution's profile becomes an extra
 //!    launch) plus exponential backoff
-//!    (`retry_backoff_s · 2^(r−1)` for retry `r`).
+//!    (`1 µs · 2^(r−1)` for retry `r`).
 //! 2. **Fallback**: a block that keeps failing — or a configuration that
 //!    cannot launch at all — degrades to the Thrust-style pipeline
 //!    (substituting Thrust's shipped `(E, u)` when the requested shape is
@@ -102,6 +102,9 @@ mod session;
 // here so existing `recovery::SortService` paths keep working.
 pub use crate::resilience::service::{aggregate_counters, JobId, JobOutcome, SortService};
 
+/// Base backoff of the robust driver's block retries, in modeled seconds.
+const RETRY_BACKOFF_S: f64 = 1e-6;
+
 /// Configuration of the robust driver: the underlying sort configuration
 /// plus the recovery policy.
 #[derive(Debug, Clone)]
@@ -109,11 +112,9 @@ pub struct RobustConfig {
     /// The sort configuration (parameters, device, timing model).
     pub base: SortConfig,
     /// Re-executions permitted per block before the driver gives up on
-    /// retrying (0 = verify once, never retry).
+    /// retrying (0 = verify once, never retry). Retry `r` (1-based) is
+    /// charged `1 µs · 2^(r−1)` of modeled backoff.
     pub max_retries: u32,
-    /// Backoff charged before retry `r` (1-based): `retry_backoff_s ·
-    /// 2^(r−1)` modeled seconds.
-    pub retry_backoff_s: f64,
     /// Whether the driver may degrade to the fallback pipeline when
     /// retries are exhausted or the requested configuration cannot
     /// launch. With `false`, those cases are typed errors.
@@ -125,17 +126,11 @@ pub struct RobustConfig {
 }
 
 impl RobustConfig {
-    /// Default policy around a sort configuration: 2 retries, 1 µs base
-    /// backoff, fallback permitted, hedging off.
+    /// Default policy around a sort configuration: 2 retries, fallback
+    /// permitted, hedging off.
     #[must_use]
     pub fn new(base: SortConfig) -> Self {
-        Self {
-            base,
-            max_retries: 2,
-            retry_backoff_s: 1e-6,
-            allow_fallback: true,
-            hedge: HedgeConfig::default(),
-        }
+        Self { base, max_retries: 2, allow_fallback: true, hedge: HedgeConfig::default() }
     }
 }
 
@@ -420,7 +415,7 @@ impl RunStats {
 
 /// Fold one kernel's per-block outcomes into the report, price the launch
 /// (main profile as one launch; retries as an extra launch; hedges as an
-/// auxiliary launch; spikes at the device clock; backoff as configured),
+/// auxiliary launch; spikes at the device clock; backoff per `RETRY_BACKOFF_S`),
 /// and surface the first unrecovered block if any.
 ///
 /// Returns the kernel report, the extra modeled seconds beyond the main
@@ -465,7 +460,7 @@ fn settle_kernel<O>(
             report.counters.retries += retries;
             retried_execs += retries;
             // Σ_{r=1..retries} backoff · 2^(r−1) = backoff · (2^retries − 1).
-            backoff += rcfg.retry_backoff_s * (2f64.powi(retries as i32) - 1.0);
+            backoff += RETRY_BACKOFF_S * (2f64.powi(retries as i32) - 1.0);
         }
         spike_cycles += ex.spike_cycles;
         if failure.is_none() {
@@ -1076,7 +1071,6 @@ where
     let plain = RobustConfig {
         base: config.clone(),
         max_retries: 0,
-        retry_backoff_s: 0.0,
         allow_fallback: false,
         hedge: HedgeConfig::default(),
     };

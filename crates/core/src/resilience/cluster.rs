@@ -24,6 +24,10 @@
 //! fails with a typed [`SortError::DeviceLost`] /
 //! [`SortError::MigrationFailed`] — never silent corruption.
 //!
+//! The cluster always records its own decisions (admissions, sheds,
+//! crashes, migrations, steals, latency) in [`ClusterReport::telemetry`]:
+//! ~1 µs of host time per job, never fed back into modeled time.
+//!
 //! **Parity invariant** (asserted by unit tests and
 //! `tests/cluster_determinism.rs`): with device faults off, one device,
 //! all arrivals at `t = 0`, and one tenant/priority class, the cluster
@@ -54,6 +58,7 @@ use crate::resilience::service::{
 use crate::sort::pipeline::SortAlgorithm;
 use crate::sort::SortError;
 use crate::telemetry::{MetricsRegistry, MetricsSnapshot};
+use crate::tuning::table::fnv1a64;
 use crate::tuning::{TuningPolicy, TuningTable};
 
 /// Handle to a job submitted to a [`ClusterService`].
@@ -66,25 +71,27 @@ impl std::fmt::Display for ClusterJobId {
     }
 }
 
-/// Checkpoint-migration failover policy.
+/// Migrations permitted per job before it fails with
+/// [`SortError::MigrationFailed`] (a crash-looping job must not bounce
+/// forever).
+const MAX_MIGRATIONS: u32 = 4;
+/// Fixed modeled cost of one migration (checkpoint transfer setup).
+const MIGRATION_FIXED_S: f64 = 5e-6;
+/// Per-key modeled cost of one migration (checkpoint payload).
+const MIGRATION_PER_KEY_S: f64 = 1e-9;
+
+/// Checkpoint-migration failover policy. A job migrates at most 4 times,
+/// and each migration costs 5 µs plus 1 ns per key of modeled time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationConfig {
     /// Whether interrupted jobs migrate at all; off, a whole-device
     /// crash turns the running job into [`SortError::DeviceLost`].
     pub enabled: bool,
-    /// Migrations permitted per job before it fails with
-    /// [`SortError::MigrationFailed`] (a crash-looping job must not
-    /// bounce forever).
-    pub max_migrations: u32,
-    /// Fixed modeled cost of one migration (checkpoint transfer setup).
-    pub fixed_s: f64,
-    /// Per-key modeled cost of one migration (checkpoint payload).
-    pub per_key_s: f64,
 }
 
 impl Default for MigrationConfig {
     fn default() -> Self {
-        Self { enabled: true, max_migrations: 4, fixed_s: 5e-6, per_key_s: 1e-9 }
+        Self { enabled: true }
     }
 }
 
@@ -92,7 +99,7 @@ impl MigrationConfig {
     /// Failover off: crashed devices take their running job with them.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { enabled: false, ..Self::default() }
+        Self { enabled: false }
     }
 }
 
@@ -208,21 +215,12 @@ pub struct ClusterOutcome {
     pub migrations: u32,
     /// The verified run — or the typed reason there isn't one.
     pub result: Result<RobustSortRun<u32>, SortError>,
-    /// The job ran on the quarantine config because its breaker was open.
-    pub quarantined: bool,
-    /// The job was a half-open breaker probe.
-    pub probe: bool,
     /// The job ran on a `degraded`-tier rung of the device's tuning
     /// ladder (always `false` without tuning).
     pub degraded: bool,
-    /// The job was a deterministic canary probe of the tuning policy's
-    /// candidate rung.
-    pub canary: bool,
     /// The launch parameters the device's tuning ladder ran the job on
     /// (`None` without tuning and for jobs that never executed).
     pub tuned: Option<SortParams>,
-    /// The per-block retry cap the budget granted this job.
-    pub retries_granted: u32,
 }
 
 impl ClusterOutcome {
@@ -246,12 +244,8 @@ impl ClusterOutcome {
             completed_s,
             migrations,
             result: Err(err),
-            quarantined: false,
-            probe: false,
             degraded: false,
-            canary: false,
             tuned: None,
-            retries_granted: 0,
         }
     }
 
@@ -318,9 +312,8 @@ pub struct ClusterReport {
     pub tenant_slos: Vec<TenantSlo>,
     /// Per-device execution summaries.
     pub per_device: Vec<DeviceSummary>,
-    /// Frozen cluster telemetry (`None` unless
-    /// [`ClusterService::enable_telemetry`] was called).
-    pub telemetry: Option<MetricsSnapshot>,
+    /// Frozen cluster telemetry.
+    pub telemetry: MetricsSnapshot,
 }
 
 impl ToJson for ClusterReport {
@@ -366,16 +359,6 @@ impl ToJson for ClusterReport {
     }
 }
 
-/// FNV-1a, for the deterministic tenant → home-device shard.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// Nearest-rank percentile of an ascending sample.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -394,7 +377,8 @@ pub struct ClusterService {
     config: ClusterConfig,
     arrivals: Vec<PendingJob>,
     next_id: u64,
-    telemetry: bool,
+    /// A table that passed [`TuningTable::verify`], installed on every
+    /// device at each run.
     tuning: Option<(TuningTable, TuningPolicy)>,
 }
 
@@ -406,13 +390,7 @@ impl ClusterService {
     #[must_use]
     pub fn new(config: ClusterConfig) -> Self {
         assert!(!config.devices.is_empty(), "a cluster needs at least one device");
-        Self { config, arrivals: Vec::new(), next_id: 0, telemetry: false, tuning: None }
-    }
-
-    /// Switch cluster telemetry on (the zero-cost-observer pattern:
-    /// purely observational, never feeds back into modeled time).
-    pub fn enable_telemetry(&mut self) {
-        self.telemetry = true;
+        Self { config, arrivals: Vec::new(), next_id: 0, tuning: None }
     }
 
     /// Install a tuning ladder on every device's inner [`SortService`]
@@ -426,14 +404,7 @@ impl ClusterService {
         table: TuningTable,
         policy: TuningPolicy,
     ) -> Result<(), SortError> {
-        if let Err(why) = table.verify() {
-            return Err(SortError::Uncertified {
-                algo: "*".to_string(),
-                device: "cluster".to_string(),
-                why,
-            });
-        }
-        self.tuning = Some((table, policy));
+        self.tuning = Some((table.verified_for("cluster")?, policy));
         Ok(())
     }
 
@@ -510,8 +481,7 @@ impl ClusterService {
                 // its own breakers and budget.
                 let mut svc = SortService::with_resilience(cfg.clone(), self.config.resilience);
                 if let Some((table, policy)) = &self.tuning {
-                    svc.enable_tuning(table.clone(), *policy)
-                        .expect("table was verified at ClusterService::enable_tuning");
+                    svc.install_tuning(table.clone(), *policy);
                 }
                 DeviceSlot {
                     cfg: cfg.clone(),
@@ -535,7 +505,7 @@ impl ClusterService {
             in_flight: 0,
             lost_work_s: 0.0,
             migration_s: 0.0,
-            telemetry: if self.telemetry { Some(MetricsRegistry::new()) } else { None },
+            telemetry: MetricsRegistry::new(),
         };
 
         // Fault-domain events first (at equal timestamps a crash beats
@@ -578,7 +548,7 @@ struct Sim {
     in_flight: usize,
     lost_work_s: f64,
     migration_s: f64,
-    telemetry: Option<MetricsRegistry>,
+    telemetry: MetricsRegistry,
 }
 
 impl Sim {
@@ -607,16 +577,12 @@ impl Sim {
                 self.slots[d].up = false;
                 self.slots[d].busy = false;
                 self.counters.device_crashes += 1;
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_device_crashes_total", 1);
-                }
+                self.telemetry.inc("cluster_device_crashes_total", 1);
             }
             ClusterEvent::Restart(d) => {
                 self.slots[d].up = true;
                 self.counters.device_restarts += 1;
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_device_restarts_total", 1);
-                }
+                self.telemetry.inc("cluster_device_restarts_total", 1);
             }
             ClusterEvent::Completion(d) => self.slots[d].busy = false,
             ClusterEvent::MigrationReady { device, item } => self.slots[device].queue.push(*item),
@@ -627,9 +593,7 @@ impl Sim {
     /// doors call: the depth is the cluster-wide in-flight count, and any
     /// queued fresh job on any device may be evicted.
     fn admit(&mut self, job: PendingJob, now: f64) {
-        if let Some(reg) = &mut self.telemetry {
-            reg.inc("cluster_jobs_submitted_total", 1);
-        }
+        self.telemetry.inc("cluster_jobs_submitted_total", 1);
         let mut queued: Vec<(ClusterJobId, usize, Option<f64>)> = self
             .slots
             .iter()
@@ -654,9 +618,7 @@ impl Sim {
                     SortError::InvalidDeadline { .. } => "cluster_invalid_deadline_total",
                     _ => "cluster_jobs_shed_total",
                 };
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc(name, 1);
-                }
+                self.telemetry.inc(name, 1);
                 self.record_unrun(job, now, err);
                 return;
             }
@@ -664,27 +626,19 @@ impl Sim {
         for (id, err) in evicted {
             let item = self.remove_queued(id);
             self.in_flight -= 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_shed_total", 1);
-            }
+            self.telemetry.inc("cluster_jobs_shed_total", 1);
             self.record_unrun(item.job, now, err);
         }
-        if let Some(reg) = &mut self.telemetry {
-            reg.inc("cluster_jobs_admitted_total", 1);
-        }
+        self.telemetry.inc("cluster_jobs_admitted_total", 1);
         if job.cancelled {
             self.counters.cancelled += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_cancelled_total", 1);
-            }
+            self.telemetry.inc("cluster_jobs_cancelled_total", 1);
             self.record_unrun(job, now, SortError::Cancelled);
             return;
         }
         self.in_flight += 1;
-        if let Some(reg) = &mut self.telemetry {
-            reg.set_gauge("cluster_inflight", self.in_flight as f64);
-        }
-        let home = (fnv1a(&job.tenant) % self.slots.len() as u64) as usize;
+        self.telemetry.set_gauge("cluster_inflight", self.in_flight as f64);
+        let home = (fnv1a64(&job.tenant) % self.slots.len() as u64) as usize;
         self.slots[home].queue.push(WorkItem { job, migrations: 0 });
     }
 
@@ -693,9 +647,7 @@ impl Sim {
     fn refuse_arrival(&mut self, mut job: PendingJob) {
         let at_s = std::mem::replace(&mut job.arrival_s, 0.0);
         self.counters.submitted += 1;
-        if let Some(reg) = &mut self.telemetry {
-            reg.inc("cluster_jobs_submitted_total", 1);
-        }
+        self.telemetry.inc("cluster_jobs_submitted_total", 1);
         self.record_unrun(job, 0.0, SortError::InvalidArrival { at_s });
     }
 
@@ -727,9 +679,7 @@ impl Sim {
                 if let Some((item, stolen)) = self.take_item_for(d) {
                     if stolen {
                         self.counters.steals += 1;
-                        if let Some(reg) = &mut self.telemetry {
-                            reg.inc("cluster_steals_total", 1);
-                        }
+                        self.telemetry.inc("cluster_steals_total", 1);
                     }
                     self.dispatch_one(d, item, now);
                     progressed = true;
@@ -838,9 +788,7 @@ impl Sim {
         ckpts: Vec<SortCheckpoint>,
     ) {
         self.lost_work_s += crash_s - now;
-        if let Some(reg) = &mut self.telemetry {
-            reg.observe_seconds("cluster_lost_work_seconds", crash_s - now);
-        }
+        self.telemetry.observe_seconds("cluster_lost_work_seconds", crash_s - now);
         // Checkpoints the run captured before the crash are real work
         // the cluster performed, even though the probe ran them.
         let usable = ckpts
@@ -853,9 +801,6 @@ impl Sim {
 
         if !self.migration.enabled {
             self.counters.device_lost += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_failed_total", 1);
-            }
             self.finish_failed(
                 item,
                 d,
@@ -867,18 +812,15 @@ impl Sim {
             );
             return;
         }
-        if item.migrations >= self.migration.max_migrations {
+        if item.migrations >= MAX_MIGRATIONS {
             self.counters.migrations_failed += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_failed_total", 1);
-            }
             self.finish_failed(
                 item,
                 d,
                 crash_s,
                 SortError::MigrationFailed {
                     from_device: d,
-                    reason: format!("migration cap {} exhausted", self.migration.max_migrations),
+                    reason: format!("migration cap {MAX_MIGRATIONS} exhausted"),
                 },
             );
             return;
@@ -892,7 +834,7 @@ impl Sim {
             next.job.sort.payload = Payload::Resume { checkpoint: Box::new(cp) };
         }
         let n = next.job.sort.payload.n();
-        let cost = self.migration.fixed_s + self.migration.per_key_s * n as f64;
+        let cost = MIGRATION_FIXED_S + MIGRATION_PER_KEY_S * n as f64;
         let ready = crash_s + cost;
         // Target: the compatible device that is up soonest after the
         // checkpoint lands; ties to the shortest queue, then the lowest
@@ -916,18 +858,13 @@ impl Sim {
                 next.migrations += 1;
                 self.counters.migrations += 1;
                 self.migration_s += cost;
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_migrations_total", 1);
-                    reg.observe_seconds("cluster_migration_seconds", cost);
-                }
+                self.telemetry.inc("cluster_migrations_total", 1);
+                self.telemetry.observe_seconds("cluster_migration_seconds", cost);
                 self.eq
                     .push(ready, ClusterEvent::MigrationReady { device: t, item: Box::new(next) });
             }
             None => {
                 self.counters.migrations_failed += 1;
-                if let Some(reg) = &mut self.telemetry {
-                    reg.inc("cluster_jobs_failed_total", 1);
-                }
                 self.finish_failed(
                     next,
                     d,
@@ -944,10 +881,9 @@ impl Sim {
     /// Outcome for a job killed by the fault domain (typed, counted,
     /// removed from flight).
     fn finish_failed(&mut self, item: WorkItem, d: usize, at_s: f64, err: SortError) {
+        self.telemetry.inc("cluster_jobs_failed_total", 1);
         self.in_flight -= 1;
-        if let Some(reg) = &mut self.telemetry {
-            reg.set_gauge("cluster_inflight", self.in_flight as f64);
-        }
+        self.telemetry.set_gauge("cluster_inflight", self.in_flight as f64);
         self.outcomes.push(ClusterOutcome::unrun(item.job, Some(d), at_s, item.migrations, err));
     }
 
@@ -972,20 +908,18 @@ impl Sim {
         let completed_s = now + eff;
         self.add_served(&tenant, eff);
         self.in_flight -= 1;
-        if let Some(reg) = &mut self.telemetry {
-            reg.inc("cluster_jobs_executed_total", 1);
-            match &outcome.result {
-                Ok(_) => {
-                    reg.inc("cluster_jobs_verified_total", 1);
-                    reg.observe_seconds("cluster_job_latency_seconds", completed_s - arrival_s);
-                    let name =
-                        format!("cluster_tenant_{}_latency_seconds", tenant.replace('-', "_"));
-                    reg.observe_seconds(&name, completed_s - arrival_s);
-                }
-                Err(_) => reg.inc("cluster_jobs_failed_total", 1),
+        let reg = &mut self.telemetry;
+        reg.inc("cluster_jobs_executed_total", 1);
+        match &outcome.result {
+            Ok(_) => {
+                reg.inc("cluster_jobs_verified_total", 1);
+                reg.observe_seconds("cluster_job_latency_seconds", completed_s - arrival_s);
+                let name = format!("cluster_tenant_{}_latency_seconds", tenant.replace('-', "_"));
+                reg.observe_seconds(&name, completed_s - arrival_s);
             }
-            reg.set_gauge("cluster_inflight", self.in_flight as f64);
+            Err(_) => reg.inc("cluster_jobs_failed_total", 1),
         }
+        reg.set_gauge("cluster_inflight", self.in_flight as f64);
         self.outcomes.push(ClusterOutcome {
             id,
             label: outcome.label,
@@ -996,12 +930,8 @@ impl Sim {
             completed_s,
             migrations,
             result: outcome.result,
-            quarantined: outcome.quarantined,
-            probe: outcome.probe,
             degraded: outcome.degraded,
-            canary: outcome.canary,
             tuned: outcome.tuned,
-            retries_granted: outcome.retries_granted,
         });
         if eff > 0.0 {
             self.slots[d].busy = true;
@@ -1022,9 +952,6 @@ impl Sim {
         stranded.sort_by_key(|(_, item)| item.job.id.0);
         for (d, item) in stranded {
             self.counters.device_lost += 1;
-            if let Some(reg) = &mut self.telemetry {
-                reg.inc("cluster_jobs_failed_total", 1);
-            }
             self.finish_failed(
                 item,
                 d,
@@ -1035,8 +962,6 @@ impl Sim {
                         .to_string(),
                 },
             );
-            // finish_failed already counted the flight; device_lost was
-            // counted above.
         }
     }
 
@@ -1057,11 +982,9 @@ impl Sim {
             counters.merge(inner);
         }
         let tenant_slos = Self::compute_slos(&self.outcomes);
-        if let Some(reg) = &mut self.telemetry {
-            reg.set_gauge("cluster_clock_seconds", clock_s);
-        }
+        self.telemetry.set_gauge("cluster_clock_seconds", clock_s);
         ClusterReport {
-            telemetry: self.telemetry.as_ref().map(MetricsRegistry::snapshot),
+            telemetry: self.telemetry.snapshot(),
             outcomes: self.outcomes,
             counters,
             clock_s,
@@ -1073,8 +996,7 @@ impl Sim {
     }
 
     /// Per-tenant (sorted by name) plus cluster-wide latency SLOs over
-    /// verified outcomes. Computed from the outcomes directly — the SLO
-    /// rows exist whether or not telemetry was enabled.
+    /// verified outcomes, computed from the outcomes directly.
     fn compute_slos(outcomes: &[ClusterOutcome]) -> Vec<TenantSlo> {
         let slo = |tenant: &str, mut lats: Vec<f64>| {
             lats.sort_by(|a, b| a.total_cmp(b));
@@ -1122,7 +1044,7 @@ mod tests {
 
     /// Where the default tenant homes in an `n`-device fleet.
     fn home_of(n: usize) -> usize {
-        (fnv1a("default") % n as u64) as usize
+        (fnv1a64("default") % n as u64) as usize
     }
 
     #[test]
@@ -1430,7 +1352,6 @@ mod tests {
                 kind: DeviceFaultKind::CrashWithRestart { cooldown_s: 2e-5 },
             }]);
             let mut cluster = ClusterService::new(cfg);
-            cluster.enable_telemetry();
             let stream = crate::resilience::loadgen::LoadGenConfig::steady(7, 12, 5e4);
             for req in stream.generate() {
                 cluster.submit_request(req);
@@ -1445,9 +1366,10 @@ mod tests {
             "cluster reports must be bit-stable"
         );
         assert_eq!(a.counters, b.counters);
-        let ta = a.telemetry.expect("telemetry on").to_json().to_string_pretty();
-        let tb = b.telemetry.expect("telemetry on").to_json().to_string_pretty();
-        assert_eq!(ta, tb);
+        assert_eq!(
+            a.telemetry.to_json().to_string_pretty(),
+            b.telemetry.to_json().to_string_pretty()
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! Crash events that land while the device is already down are ignored
 //! when the plan is compiled into a [`DeviceTimeline`].
 
+use cfmerge_gpu_sim::fault::splitmix64;
 use cfmerge_json::{Json, ToJson};
 
 /// What happens to the device.
@@ -109,14 +110,6 @@ impl Default for DeviceFaultSpec {
             degrade_duration_s: 5e-5,
         }
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl DeviceFaultPlan {

@@ -12,32 +12,28 @@
 
 use cfmerge_json::json_struct;
 
-/// When the robust driver hedges a straggling block.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A block is a straggler when its spike cycles exceed this percentile
+/// of the launch's per-block spike cycles (exclusive — a launch whose
+/// blocks are all equally slow has no stragglers).
+const STRAGGLER_PERCENTILE: usize = 95;
+/// Stragglers below this absolute spike size are ignored; keeps the
+/// policy from hedging noise.
+const MIN_SPIKE_CYCLES: u64 = 1_000;
+
+/// When the robust driver hedges a straggling block: one whose spike
+/// cycles exceed the launch's 95th percentile and 1000 cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HedgeConfig {
     /// Master switch; `false` (the default) disables all hedging
     /// bookkeeping.
     pub enabled: bool,
-    /// A block is a straggler when its spike cycles exceed this
-    /// percentile of the launch's per-block spike cycles (exclusive —
-    /// a launch whose blocks are all equally slow has no stragglers).
-    pub percentile: u32,
-    /// Ignore stragglers below this absolute spike size; keeps the
-    /// policy from hedging noise.
-    pub min_spike_cycles: u64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        Self { enabled: false, percentile: 95, min_spike_cycles: 1_000 }
-    }
 }
 
 impl HedgeConfig {
-    /// The default policy, switched on (p95 threshold, 1000-cycle floor).
+    /// Hedging switched on.
     #[must_use]
     pub fn on() -> Self {
-        Self { enabled: true, ..Self::default() }
+        Self { enabled: true }
     }
 
     /// Indices of the blocks to hedge, given each block's accumulated
@@ -50,12 +46,12 @@ impl HedgeConfig {
         }
         let mut sorted = spike_cycles.to_vec();
         sorted.sort_unstable();
-        let idx = (self.percentile.min(100) as usize * (sorted.len() - 1)) / 100;
+        let idx = (STRAGGLER_PERCENTILE * (sorted.len() - 1)) / 100;
         let threshold = sorted[idx];
         spike_cycles
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| c > threshold && c >= self.min_spike_cycles)
+            .filter(|&(_, &c)| c > threshold && c >= MIN_SPIKE_CYCLES)
             .map(|(i, _)| i)
             .collect()
     }
@@ -107,13 +103,19 @@ mod tests {
 
     #[test]
     fn outlier_above_percentile_and_floor_is_hedged() {
-        let cfg = HedgeConfig { enabled: true, percentile: 90, min_spike_cycles: 1_000 };
-        let mut lat = vec![0u64; 15];
+        let cfg = HedgeConfig::on();
+        // One outlier among 21 blocks: the p95 threshold is the 20th
+        // smallest value (index 95·20/100 = 19), a quiet block.
+        let mut lat = vec![0u64; 20];
         lat.push(500_000);
-        assert_eq!(cfg.stragglers(&lat), vec![15]);
+        assert_eq!(cfg.stragglers(&lat), vec![20]);
+        // Two outliers: the threshold lands on the smaller one, and
+        // only the larger is above it.
+        lat[0] = 400_000;
+        assert_eq!(cfg.stragglers(&lat), vec![20]);
         // Below the absolute floor: ignored even though it's the p100.
-        let mut small = vec![0u64; 15];
-        small.push(999);
+        let mut small = vec![0u64; 20];
+        small.push(MIN_SPIKE_CYCLES - 1);
         assert!(cfg.stragglers(&small).is_empty());
     }
 

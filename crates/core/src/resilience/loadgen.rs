@@ -11,6 +11,8 @@
 //! ([`InputSpec::worst_case`]) — the paper's own adversarial workload
 //! turned into an overload scenario.
 
+use cfmerge_gpu_sim::fault::splitmix64;
+
 use crate::inputs::InputSpec;
 use crate::params::SortParams;
 use crate::sort::pipeline::SortAlgorithm;
@@ -253,14 +255,6 @@ impl LoadGenConfig {
 fn jittered_gap(state: &mut u64, rate_hz: f64) -> f64 {
     let u = (splitmix64(state) % (1 << 20)) as f64 / (1u64 << 20) as f64;
     (0.5 + u) / rate_hz
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -17,14 +17,15 @@
 //!   the value, snapshots sort metrics by name, and every number
 //!   round-trips JSON exactly — two runs with the same seed/config
 //!   serialize byte-identically on any platform.
-//! * **Zero-cost when off.** Like the simulator's [`Passive`] block
-//!   observer, telemetry is opt-in: the service holds an
-//!   `Option<MetricsRegistry>` defaulting to `None`, simulator metrics
-//!   derive from the always-on [`KernelProfile`] after the run, and
-//!   recording never feeds back into modeled time — enabling telemetry
-//!   changes no output, kernel sequence, or modeled second.
+//! * **Per job, not per access.** Nothing records inside the simulated
+//!   kernels: simulator metrics derive from the always-on
+//!   [`KernelProfile`] after the run, and the resilience services record
+//!   a fixed handful of operations per job (about 1 µs of host time
+//!   against milliseconds of simulated sort). So the services record
+//!   always, with no opt-in switch, and recording never feeds back into
+//!   modeled time — it changes no output, kernel sequence, or modeled
+//!   second.
 //!
-//! [`Passive`]: cfmerge_gpu_sim::observer::Passive
 //! [`KernelProfile`]: cfmerge_gpu_sim::profiler::KernelProfile
 
 pub mod histogram;

@@ -3,6 +3,7 @@
 use cfmerge_json::{json_struct, FromJson, Json, JsonError, ToJson};
 
 use crate::params::SortParams;
+use crate::sort::SortError;
 
 /// Version of the `results/tuning.json` schema. Bump on any change to
 /// the record layout — the service fails closed on a mismatch.
@@ -164,9 +165,9 @@ pub struct TuningTable {
     pub validation: Vec<ValidationScenario>,
 }
 
-/// FNV-1a 64-bit over a string (same constants as the cluster shard
-/// hash; offline, dependency-free).
-fn fnv1a64(s: &str) -> u64 {
+/// FNV-1a 64-bit over a string: the table checksum and the cluster's
+/// tenant → home-device shard (offline, dependency-free).
+pub(crate) fn fnv1a64(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= u64::from(b);
@@ -204,6 +205,21 @@ impl TuningTable {
             ));
         }
         Ok(())
+    }
+
+    /// [`TuningTable::verify`] as the services' one fail-closed install
+    /// check: a table that fails it is refused with
+    /// [`SortError::Uncertified`] for every pipeline (`algo` `"*"`),
+    /// reported against `device`.
+    pub(crate) fn verified_for(self, device: &str) -> Result<Self, SortError> {
+        match self.verify() {
+            Ok(()) => Ok(self),
+            Err(why) => Err(SortError::Uncertified {
+                algo: "*".to_string(),
+                device: device.to_string(),
+                why,
+            }),
+        }
     }
 
     /// The ladder for a device (by marketing name) and pipeline label.

@@ -178,9 +178,11 @@ pub struct FaultSite {
     pub persistence: Persistence,
 }
 
-/// SplitMix64 — the plan generator's deterministic stream (no external
-/// RNG dependency; the same constants as `rand`'s seed expansion).
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64 — the deterministic stream behind every seeded plan
+/// generator (fault plans here, device-fault plans and load generation in
+/// the resilience layer): no external RNG dependency, and the same
+/// constants as `rand`'s seed expansion.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

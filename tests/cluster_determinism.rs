@@ -73,7 +73,6 @@ fn build(
         &DeviceFaultSpec { events: 2, ..DeviceFaultSpec::default() },
     );
     let mut cluster = ClusterService::new(cfg);
-    cluster.enable_telemetry();
     let gen = LoadGenConfig { shape, ..LoadGenConfig::steady(seed, 12, 1e5) };
     for req in gen.generate() {
         cluster.submit_request(req);
@@ -112,9 +111,10 @@ proptest! {
         prop_assert_eq!(&a.tenant_slos, &b.tenant_slos);
         prop_assert_eq!(a.clock_s, b.clock_s);
         prop_assert_eq!(a.to_json().to_string_pretty(), b.to_json().to_string_pretty());
-        let ta = a.telemetry.expect("telemetry enabled").to_json().to_string_pretty();
-        let tb = b.telemetry.expect("telemetry enabled").to_json().to_string_pretty();
-        prop_assert_eq!(ta, tb);
+        prop_assert_eq!(
+            a.telemetry.to_json().to_string_pretty(),
+            b.telemetry.to_json().to_string_pretty()
+        );
     }
 }
 

@@ -36,6 +36,16 @@ fn rcfg() -> RobustConfig {
     RobustConfig::new(SortConfig::with_params(params()))
 }
 
+/// What a breaker call that began with `logged` log entries must report:
+/// the `to` of the one entry it added, or `None` when it added none.
+fn reported_entry(b: &CircuitBreaker, logged: usize) -> Option<BreakerState> {
+    match b.transitions()[logged..] {
+        [] => None,
+        [t] => Some(t.to),
+        ref more => panic!("one breaker call logged {} transitions", more.len()),
+    }
+}
+
 fn shed_policy_strategy() -> impl Strategy<Value = ShedPolicy> {
     (0u8..3).prop_map(|i| match i {
         0 => ShedPolicy::RejectNewest,
@@ -120,7 +130,9 @@ proptest! {
     }
 
     /// Family 2: for any outcome/time sequence, the breaker's transition
-    /// log is a path in the legal state machine.
+    /// log is a path in the legal state machine, and every `route` and
+    /// `on_outcome` reports exactly the transition it logged: the `to` of
+    /// the new entry, or `None` when the log did not grow.
     #[test]
     fn prop_breaker_transitions_are_legal(
         threshold in 1u32..4,
@@ -131,10 +143,14 @@ proptest! {
         let mut b = CircuitBreaker::new();
         let mut now = 0.0f64;
         for (success, dt) in steps {
-            let route = b.route(now);
+            let logged = b.transitions().len();
+            let (route, entered) = b.route(now);
+            prop_assert_eq!(entered, reported_entry(&b, logged), "route misreported");
             // Quarantined runs are not fed back; normal and probe runs are.
             if route != cfmerge::core::resilience::Route::Quarantine {
-                b.on_outcome(success, now, &cfg);
+                let logged = b.transitions().len();
+                let entered = b.on_outcome(success, now, &cfg);
+                prop_assert_eq!(entered, reported_entry(&b, logged), "on_outcome misreported");
             }
             now += dt;
         }

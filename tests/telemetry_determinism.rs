@@ -1,14 +1,13 @@
-//! Property tests for the telemetry subsystem's two load-bearing
-//! guarantees:
+//! Property tests for the telemetry subsystem's load-bearing guarantee,
+//! **determinism**:
 //!
-//! 1. **Determinism** — a [`MetricsSnapshot`] is a pure function of the
-//!    recorded operations: replaying any operation sequence into a fresh
-//!    registry yields byte-identical snapshot JSON, and the JSON
-//!    round-trips losslessly (the perf gate and the golden test both
-//!    lean on this).
-//! 2. **Zero-cost observation** — enabling telemetry on a
-//!    [`SortService`] changes nothing about the modeled execution: same
-//!    outcomes, same modeled clock, same recovery counters, bit for bit.
+//! 1. A [`MetricsSnapshot`] is a pure function of the recorded
+//!    operations: replaying any operation sequence into a fresh registry
+//!    yields byte-identical snapshot JSON, and the JSON round-trips
+//!    losslessly (the perf gate and the golden test both lean on this).
+//! 2. A [`SortService`], which always records telemetry, replays a
+//!    fault-seasoned job mix to the same outcomes, modeled clock,
+//!    counters and snapshot, bit for bit.
 //!
 //! Plus the histogram's structural invariant: every observation lands in
 //! a bucket whose bounds bracket it, and quantiles are monotone.
@@ -106,12 +105,10 @@ proptest! {
         prop_assert!(h.min() <= p50 && p50 <= p99 && p99 <= p999 && p999 <= h.max());
     }
 
-    /// Telemetry is purely observational: the same fault-seasoned job
-    /// mix produces identical outcomes, clock, and counters with
-    /// telemetry on or off — and two telemetry-on runs produce
-    /// byte-identical snapshots.
+    /// The same fault-seasoned job mix, run twice, produces identical
+    /// outcomes, clock, and counters, and byte-identical snapshots.
     #[test]
-    fn prop_service_telemetry_is_observational_and_deterministic(
+    fn prop_service_telemetry_is_deterministic(
         seed in any::<u64>(),
         sizes in proptest::collection::vec(1usize..4, 1..6),
         faulty in proptest::collection::vec(any::<bool>(), 6),
@@ -124,7 +121,7 @@ proptest! {
             permanent_permille: 0,
             spikes: true,
         };
-        let run = |telemetry: bool| {
+        let run = || {
             let mut svc = SortService::with_resilience(
                 RobustConfig::new(SortConfig::with_params(params)),
                 ResilienceConfig {
@@ -137,9 +134,6 @@ proptest! {
                     },
                 },
             );
-            if telemetry {
-                svc.enable_telemetry();
-            }
             for (i, tiles) in sizes.iter().enumerate() {
                 let job_seed = seed ^ ((i as u64) << 16);
                 let input =
@@ -163,18 +157,16 @@ proptest! {
                     Err(e) => format!("{}: err {e}", o.label),
                 })
                 .collect();
-            let snap = svc.telemetry_snapshot().map(|s| s.to_json().to_string_pretty());
+            let snap = svc.telemetry_snapshot().to_json().to_string_pretty();
             (digest, svc.clock_s(), *svc.counters(), snap)
         };
 
-        let (d_off, clock_off, counters_off, snap_off) = run(false);
-        let (d_on, clock_on, counters_on, snap_on) = run(true);
-        let (_, _, _, snap_on2) = run(true);
+        let (d_a, clock_a, counters_a, snap_a) = run();
+        let (d_b, clock_b, counters_b, snap_b) = run();
 
-        prop_assert!(snap_off.is_none(), "telemetry off means no snapshot");
-        prop_assert_eq!(d_off, d_on, "outcomes must not depend on telemetry");
-        prop_assert_eq!(clock_off, clock_on, "modeled clock must not depend on telemetry");
-        prop_assert_eq!(counters_off, counters_on);
-        prop_assert_eq!(snap_on, snap_on2, "telemetry snapshots are byte-identical across runs");
+        prop_assert_eq!(d_a, d_b, "outcomes replay identically");
+        prop_assert_eq!(clock_a, clock_b, "the modeled clock replays identically");
+        prop_assert_eq!(counters_a, counters_b);
+        prop_assert_eq!(snap_a, snap_b, "telemetry snapshots are byte-identical across runs");
     }
 }
