@@ -1,7 +1,7 @@
 //! Seeded mutation fuzzing of every document the system reads back in.
 //!
-//! A checkpoint captured from a small sort, the pinned tuning table and
-//! two pinned run artifacts are mutated (bytes deleted, inserted or
+//! A checkpoint captured from a small sort, the pinned tuning table, the
+//! pinned certificate table and two pinned run artifacts are mutated (bytes deleted, inserted or
 //! flipped, JSON tokens spliced in, the text truncated) and each mutant is
 //! fed through `Json::parse` and the type's `from_json`, and a checkpoint
 //! through `validate_as` as well. Every call must return `Ok` or `Err`:
@@ -9,6 +9,7 @@
 //! names a mutant (its index under its document's seed) that reproduces.
 
 use cfmerge_bench::artifact::RunArtifact;
+use cfmerge_core::cert::CertificateTable;
 use cfmerge_core::inputs::InputSpec;
 use cfmerge_core::params::SortParams;
 use cfmerge_core::recovery::{simulate_sort_robust_checkpointed, RobustConfig};
@@ -138,6 +139,18 @@ fn mutated_checkpoints_are_rejected_without_panicking() {
 fn mutated_tuning_tables_are_rejected_without_panicking() {
     let (parses, accepted) = fuzz("tuning.json", &pinned("tuning.json"), 2, |json| {
         TuningTable::from_json(json).is_ok_and(|table| table.verify().is_ok())
+    });
+    assert!(parses > 0 && accepted < parses, "{parses} parsed, {accepted} accepted");
+}
+
+#[test]
+fn mutated_certificate_tables_are_rejected_without_panicking() {
+    let (parses, accepted) = fuzz("certificates.json", &pinned("certificates.json"), 5, |json| {
+        CertificateTable::from_json(json).is_ok_and(|table| {
+            // What the gate reads off a table it loaded.
+            let _ = (table.failures(), table.verdict_counts(), table.strategy_counts());
+            true
+        })
     });
     assert!(parses > 0 && accepted < parses, "{parses} parsed, {accepted} accepted");
 }

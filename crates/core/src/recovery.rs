@@ -84,7 +84,7 @@ use crate::verify::{
 use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::fault::{BlockFaults, FaultPlan, InjectionRecord};
 use cfmerge_gpu_sim::observer::{Observer, Passive};
-use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
+use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use cfmerge_json::{json_struct, Json, ToJson};
 use cfmerge_mergepath::diagonal::merge_path_steps;
 use cfmerge_mergepath::partition::partition_merge;
@@ -330,8 +330,9 @@ struct BlockExec<O> {
     /// Observer of the successful attempt (`None` if every attempt
     /// failed; failed attempts and hedged duplicates drop theirs).
     observer: Option<O>,
-    /// Merged profiles of every failed attempt that was re-run.
-    retry_profile: KernelProfile,
+    /// Summed counters of every failed attempt that was re-run: the
+    /// launch prices only their total.
+    retry_counters: PhaseCounters,
     /// Total executions (1 = verified first try).
     executions: u32,
     /// Latency-spike cycles accumulated across all attempts.
@@ -346,9 +347,9 @@ struct BlockExec<O> {
     hedge_wins: u32,
     /// Straggler spike cycles avoided by winning hedges.
     hedge_cycles_saved: u64,
-    /// Merged profiles of every hedged duplicate (priced as an auxiliary
+    /// Summed counters of every hedged duplicate (priced as an auxiliary
     /// launch in `settle_kernel`).
-    hedge_profile: KernelProfile,
+    hedge_counters: PhaseCounters,
 }
 
 impl<O> BlockExec<O> {
@@ -364,7 +365,7 @@ impl<O> BlockExec<O> {
     fn apply_hedge(&mut self, hedge: Attempt<O>) {
         let hedge_spikes = hedge.faults.spike_cycles();
         self.hedges += 1;
-        self.hedge_profile.merge(&hedge.profile);
+        self.hedge_counters.add(&hedge.profile.total());
         self.injections.extend(hedge.faults.into_records());
         if hedge.verdict.is_ok() && hedge_spikes < self.spike_cycles {
             self.hedge_wins += 1;
@@ -431,23 +432,23 @@ fn settle_kernel<O>(
     let cfg = &rcfg.base;
     let blocks = execs.len() as u64;
     let mut profile = base_profile;
-    let mut retry_profile = KernelProfile::new();
+    let mut retry_counters = PhaseCounters::default();
     let mut retried_execs = 0u64;
     let mut spike_cycles = 0u64;
     let mut backoff = 0.0f64;
     let mut failure: Option<BlockFailure> = None;
-    let mut hedge_profile = KernelProfile::new();
+    let mut hedge_counters = PhaseCounters::default();
     let mut hedged_execs = 0u64;
     let mut observers = Vec::with_capacity(execs.len());
     for (block, mut ex) in execs.into_iter().enumerate() {
         profile.merge(&ex.profile);
         observers.extend(ex.observer);
-        retry_profile.merge(&ex.retry_profile);
+        retry_counters.add(&ex.retry_counters);
         report.counters.faults_injected += ex.injections.len() as u64;
         report.counters.faults_detected += ex.detections.len() as u64;
         report.injections.append(&mut ex.injections);
         report.detections.append(&mut ex.detections);
-        hedge_profile.merge(&ex.hedge_profile);
+        hedge_counters.add(&ex.hedge_counters);
         hedged_execs += u64::from(ex.hedges);
         report.counters.hedges_launched += u64::from(ex.hedges);
         report.counters.hedges_won += u64::from(ex.hedge_wins);
@@ -483,7 +484,7 @@ fn settle_kernel<O>(
     if retried_execs > 0 {
         let rt = cfg
             .timing
-            .kernel_time(&cfg.device, &retry_profile.total(), &cfg.launch(retried_execs))
+            .kernel_time(&cfg.device, &retry_counters, &cfg.launch(retried_execs))
             .map_err(unlaunchable)?;
         extra += rt.seconds;
         report.retry_seconds += rt.seconds;
@@ -493,7 +494,7 @@ fn settle_kernel<O>(
         // launch drains — priced in full minus the host launch overhead.
         let ht = cfg
             .timing
-            .auxiliary_launch_time(&cfg.device, &hedge_profile.total(), &cfg.launch(hedged_execs))
+            .auxiliary_launch_time(&cfg.device, &hedge_counters, &cfg.launch(hedged_execs))
             .map_err(unlaunchable)?;
         extra += ht.seconds;
         report.hedges.hedge_seconds += ht.seconds;
@@ -866,7 +867,7 @@ where
         let mut out = BlockExec {
             profile: KernelProfile::new(),
             observer: None,
-            retry_profile: KernelProfile::new(),
+            retry_counters: PhaseCounters::default(),
             executions: 0,
             spike_cycles: 0,
             injections: Vec::new(),
@@ -875,7 +876,7 @@ where
             hedges: 0,
             hedge_wins: 0,
             hedge_cycles_saved: 0,
-            hedge_profile: KernelProfile::new(),
+            hedge_counters: PhaseCounters::default(),
         };
         for attempt in 0..=self.rcfg.max_retries {
             let a = self.attempt(launch, block, attempt, src, dst, Some(&mut *stripes));
@@ -896,7 +897,7 @@ where
                         attempt,
                         failure,
                     });
-                    out.retry_profile.merge(&a.profile);
+                    out.retry_counters.add(&a.profile.total());
                     out.failure = Some(failure);
                 }
             }
@@ -1900,6 +1901,76 @@ mod tests {
         assert!(calls.iter().all(|&(block, _)| block < 2), "{calls:?}");
     }
 
+    /// Two sorted random runs of 1000 keys, `A` then `B`, and a launch
+    /// of 64 chunks of `a_len` 80 and `b_len` 80 whose block `b` takes
+    /// the chunk at offset `at` into both runs for each `(b, at)` in
+    /// `chunks`, and the chunk at 0 otherwise.
+    fn chunk_launch(chunks: &[(usize, usize)]) -> (Vec<u32>, KernelArgs, Launch<u32>) {
+        let mut runs = InputSpec::UniformRandom { seed: 44 }.generate(2000);
+        runs[..1000].sort_unstable();
+        runs[1000..].sort_unstable();
+        let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::CfMerge);
+        let mut jobs = vec![chunk_at(0); 64];
+        for &(block, at) in chunks {
+            jobs[block] = chunk_at(at);
+        }
+        let launch = launch_over(1, args, jobs, &runs, None);
+        (runs, args, launch)
+    }
+
+    /// The merge chunk at offset `at` into both runs of `chunk_launch`.
+    fn chunk_at(at: usize) -> BlockJob {
+        BlockJob::Merge(MergeChunkJob {
+            a_begin: at,
+            a_end: at + 80,
+            b_begin: 1000 + at,
+            b_end: 1080 + at,
+        })
+    }
+
+    #[test]
+    fn miss_of_a_known_shape_runs_its_load_unpriced() {
+        // Offsets 0, 400 and 800 share a shape (|A| and both sector
+        // residues), not an order type; offset 3 has a shape of its own.
+        let (runs, args, launch) = chunk_launch(&[(1, 400), (2, 3), (3, 800)]);
+        let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
+        for (block, at) in [(0, 0), (1, 400), (2, 3), (3, 800)] {
+            let (profile, Passive) = launch.execute(block, &runs, &mut dst, Passive);
+            let (simulated, Passive) = args.execute(chunk_at(at), &runs, &mut fresh, Passive);
+            assert_eq!((&profile, &dst), (&simulated, &fresh), "offset {at}");
+        }
+        let calls = launch.take_simulated();
+        let first_runs: Vec<_> = [0, 1, 2, 3]
+            .iter()
+            .map(|&b| *calls.iter().find(|&&(block, _)| block == b).expect("a miss"))
+            .collect();
+        assert_eq!(
+            first_runs,
+            [
+                (0, Pricing::Full),
+                (1, Pricing::LeanShape),
+                (2, Pricing::Lean),
+                (3, Pricing::LeanShape)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "shape entry invariant violated: merge-pass-0 block 63 charged its \
+                               shape phases other counters than its shape's entry at phase load \
+                               counter alu_ops")]
+    fn doctored_shape_entry_fails_the_next_sampled_block() {
+        let (runs, _, mut launch) = chunk_launch(&[(63, 800)]);
+        let mut dst = vec![0u32; 160];
+        let _ = launch.execute(0, &runs, &mut dst, Passive);
+        launch.doctor_shapes();
+        // Block 63 shares block 0's shape, and a sampled block prices its
+        // load in full. (A debug build would also catch an unsampled miss
+        // of the shape charged the doctored entry, by simulating it in
+        // full once more.)
+        let _ = launch.execute(63, &runs, &mut dst, Passive);
+    }
+
     /// Two copies of one random tile, then a different tile.
     fn three_tiles() -> Vec<u32> {
         let tile = InputSpec::RandomPermutation { seed: 39 }.generate(160);
@@ -1911,7 +1982,7 @@ mod tests {
     /// profile and its oblivious share.
     fn simulate_tile(src: &[u32], lo: usize, dst: &mut [u32]) -> (KernelProfile, KernelProfile) {
         let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::ThrustMergesort);
-        let (profile, ObliviousShare(share)) =
+        let (profile, ObliviousShare { share, .. }) =
             args.execute(BlockJob::Tile(lo), src, dst, ObliviousShare::default());
         (profile, share)
     }
@@ -2011,21 +2082,33 @@ mod tests {
         }
     }
 
-    /// Sort `input` unwatched in `session`; the run and the blocks the
-    /// memo had simulated.
-    fn unwatched_sort<K: SortKey>(
+    /// Sort `input` unwatched in `session`; the run and every block
+    /// simulation of its launches.
+    fn unwatched_log<K: SortKey>(
         session: &mut Session,
         algo: SortAlgorithm,
         rcfg: &RobustConfig,
         input: &[K],
-    ) -> (SortRun<K>, usize) {
+    ) -> (SortRun<K>, Vec<(usize, Pricing)>) {
         let plan = FaultPlan::none();
         let driver = passive_driver(algo, rcfg, &plan);
         let _ = session.carried.take_simulated();
         let Ok(Ok((run, _))) = driver.run(input, None, &mut RunStats::default(), session) else {
             panic!("clean run of {algo:?} failed");
         };
-        (run, session.carried.take_simulated().len())
+        (run, session.carried.take_simulated())
+    }
+
+    /// Sort `input` unwatched in `session`; the run and the number of
+    /// block simulations.
+    fn unwatched_sort<K: SortKey>(
+        session: &mut Session,
+        algo: SortAlgorithm,
+        rcfg: &RobustConfig,
+        input: &[K],
+    ) -> (SortRun<K>, usize) {
+        let (run, log) = unwatched_log(session, algo, rcfg, input);
+        (run, log.len())
     }
 
     /// A sort from `start` in `session` under `make_observer`, capturing
@@ -2062,6 +2145,55 @@ mod tests {
                 assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
             }
         }
+    }
+
+    #[test]
+    fn second_ragged_sort_replays_its_padded_tile() {
+        // Three worst-case tiles and five keys: the block sort's last
+        // tile is padded with sentinels, an order type no other tile
+        // shares, so its representative replays nothing in its launch.
+        let params = SortParams::e15_u512();
+        let rcfg = RobustConfig::new(SortConfig::with_params(params));
+        let tile = params.tile();
+        let input = InputSpec::worst_case(params).generate(4 * tile)[..3 * tile + 5].to_vec();
+        let tile_reps = |session: &Session| {
+            let carried = session.carried.of_key::<u32>();
+            let tiles = carried.into_iter().find(|(kind, ..)| kind.tiles());
+            tiles.expect("a block-sort entry").1
+        };
+        for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+            let mut session = Session::default();
+            let _ = unwatched_sort(&mut session, algo, &rcfg, &input);
+            let carried = tile_reps(&session);
+            assert_eq!(carried.len(), 2, "{algo:?}: the full tiles' and the padded tile's");
+            let (run, _) = unwatched_sort(&mut session, algo, &rcfg, &input);
+            // Every tile replays, the padded one at the launch's sampled
+            // last block: the second sort makes no new representative.
+            assert_eq!(tile_reps(&session), carried, "{algo:?}");
+            assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
+        }
+    }
+
+    #[test]
+    fn second_random_sort_runs_every_unsampled_merge_load_unpriced() {
+        let rcfg = small_rcfg();
+        let input = InputSpec::UniformRandom { seed: 43 }.generate(16 * 160);
+        let mut session = Session::default();
+        let algo = SortAlgorithm::ThrustMergesort;
+        let _ = unwatched_log(&mut session, algo, &rcfg, &input);
+        let (run, log) = unwatched_log(&mut session, algo, &rcfg, &input);
+        let count = |pricing| log.iter().filter(|&&(_, p)| p == pricing).count();
+        let unsampled = |k: &KernelReport| k.blocks as usize - sampled(k.blocks);
+        // The block sort carries the representative of its first tile,
+        // which replays that tile. The merge kind's is the last pass's
+        // and replays nothing in the first. Every other unsampled block
+        // is a lean miss, and every merge chunk's shape is known from the
+        // first sort. (A debug build also re-simulates each lean block in
+        // full.)
+        let merge_unsampled: usize = run.kernels[1..].iter().map(unsampled).sum();
+        assert_eq!(count(Pricing::Lean), unsampled(&run.kernels[0]) - 1);
+        assert_eq!(count(Pricing::LeanShape), merge_unsampled);
+        assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
     }
 
     #[test]
@@ -2169,17 +2301,19 @@ mod tests {
     }
 
     #[test]
-    fn random_inputs_carry_only_the_share() {
+    fn random_inputs_carry_the_share_and_one_representative() {
         let rcfg = small_rcfg();
         let input = InputSpec::UniformRandom { seed: 42 }.generate(8 * 160);
         for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
             let mut session = Session::default();
             let _ = unwatched_sort(&mut session, algo, &rcfg, &input);
             let carried = session.carried.of_key::<u32>();
-            // One block-sort kind and one merge kind.
+            // One block-sort kind and one merge kind. No representative
+            // replays, so each kind keeps the first its last launch made.
             assert_eq!(carried.len(), 2, "{algo:?}");
-            for (_, reps, share) in carried {
-                assert!(reps.is_empty() && share.is_some(), "{algo:?}: {} reps", reps.len());
+            for (kind, reps, share, shapes) in carried {
+                assert!(reps.len() == 1 && share.is_some(), "{algo:?}: {} reps", reps.len());
+                assert_eq!(shapes > 0, !kind.tiles(), "{algo:?}: {shapes} shape entries");
             }
         }
     }

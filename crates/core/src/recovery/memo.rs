@@ -2,8 +2,8 @@
 //!
 //! A [`Launch`] holds everything the blocks of one kernel launch share:
 //! its index and name, each block's job and expected checksum, its
-//! launch kind, and its memo (representatives and oblivious share). Its
-//! one [`execute`](Launch::execute) decides how a block runs. A watched
+//! launch kind, and its memo (representatives, oblivious share and shape
+//! entries). Its one [`execute`](Launch::execute) decides how a block runs. A watched
 //! block (traced, checked or fault-armed) is simulated under its
 //! observer. An unwatched one is replayed, simulated lean or simulated in
 //! full, and a sampled one is checked against what the memo holds.
@@ -55,17 +55,22 @@
 //! launch that carries the session's [`CarriedEntries`]. The launch
 //! starts from its kind's entry: its representatives fill the first
 //! slots, so first come, first kept starts from them, and its oblivious
-//! share is the launch's from the start. [`Launch::finish`] leaves the
-//! launch's own entry: the representatives that replayed at least one of
-//! its blocks, shared by [`Arc`] and never cloned, and its oblivious
-//! share. A representative that replays nothing in a launch is dropped
-//! with it. The sampling rule does not change: sampled blocks check
-//! carried profiles and a carried share exactly as they check the
-//! launch's own. The driver lets a launch carry only if its every block
-//! runs unwatched, so traced, checked and fault-armed launches neither
-//! read nor write an entry. A session's entries live as long as the
-//! session: at most one per kind it has launched, each of at most
-//! [`MAX_REPS`] blocks' keys.
+//! share and shape entries are the launch's from the start.
+//! [`Launch::finish`] leaves the launch's own entry: the representatives
+//! that replayed at least one of its blocks, shared by [`Arc`] and never
+//! cloned, then, while a slot is free, the first one the launch recorded
+//! that replayed nothing, its oblivious share and its shape entries. Any
+//! other representative that replays nothing in a launch is dropped with
+//! it. The one kept is a ragged input's sentinel-padded last tile, which
+//! no other tile of its sort replays but the tile of a repeated sort
+//! does; on a random input it is one tile of keys that replays nothing.
+//! The sampling rule does not change: sampled blocks check carried
+//! profiles, a carried share and carried shape entries exactly as they
+//! check the launch's own. The driver lets a launch carry only if its
+//! every block runs unwatched, so traced, checked and fault-armed
+//! launches neither read nor write an entry. A session's entries live as
+//! long as the session: at most one per kind it has launched, each of at
+//! most [`MAX_REPS`] blocks' keys and [`MAX_SHAPES`] shape entries.
 //!
 //! ## Lean misses
 //!
@@ -75,12 +80,27 @@
 //! counters, the block's *oblivious share*, are equal in every block of a
 //! launch kind. The launch keeps the share it carried in, or else that of
 //! its first fully simulated block. Every later miss the sampling rule
-//! does not pick runs under the [`Lean`] observer: its oblivious phases
+//! does not pick runs under a [`Lean`] observer: its oblivious phases
 //! move data and keep the race detector on but record and charge nothing,
-//! and the cached share is added to its profile. Every sampled block, hit
-//! or miss, runs in full under [`ObliviousShare`] and panics unless its
-//! share equals the cached one. Debug builds also re-simulate every lean
-//! block in full and panic unless the two profiles agree.
+//! and the cached share is added to its profile.
+//!
+//! The merge pass's tile load is a shape phase (`BlockSim::shape_phase`):
+//! its counters are fixed by the chunk's [`Shape`], `|A|` and the sector
+//! residues of `a_begin` and `b_begin`, and equal in every block of the
+//! kind with that shape. The launch keeps one *shape entry* per shape it
+//! has seen, first come, first kept up to [`MAX_SHAPES`]: the load's
+//! counters as `u32`s under their class, 40 bytes, not a whole
+//! [`KernelProfile`]. A lean miss whose shape has an entry also runs its
+//! load unrecorded and unpriced and is charged the entry. A lean miss of
+//! a new shape prices its load as before and leaves the entry, so a sort
+//! that meets each shape once costs what it did without entries. A
+//! random input replays no block, so in a repeated sort of one almost
+//! every merge chunk runs this way.
+//!
+//! Every sampled block, hit or miss, runs in full under [`ObliviousShare`]
+//! and panics unless its share equals the cached one and its load's
+//! counters equal its shape's entry. Debug builds also re-simulate every
+//! lean block in full and panic unless the two profiles agree.
 
 use super::session::entry;
 use super::{stripe_width, BlockJob, KernelArgs};
@@ -92,8 +112,9 @@ use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use cfmerge_json::ToJson;
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::atomic::{self, AtomicBool};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Representatives one launch keeps.
 const MAX_REPS: usize = 4;
@@ -102,22 +123,114 @@ const MAX_REPS: usize = 4;
 /// re-simulated.
 const SAMPLE_EVERY: usize = 64;
 
+/// Shape entries one launch kind keeps.
+const MAX_SHAPES: usize = 4096;
+
 /// The observer of a fully simulated unwatched block: passive, but
-/// collecting the block's oblivious share.
+/// collecting the block's oblivious share and its shape phases' counters.
 #[derive(Default)]
-pub(crate) struct ObliviousShare(pub(crate) KernelProfile);
+pub(crate) struct ObliviousShare {
+    pub(crate) share: KernelProfile,
+    shape: ShapeCounters,
+}
 
 impl Observer for ObliviousShare {
     fn oblivious_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
-        self.0.phase_mut(class).add(counters);
+        self.share.phase_mut(class).add(counters);
+    }
+
+    fn shape_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+        self.shape.add(class, counters);
     }
 }
 
-/// The observer of a lean block.
-struct Lean;
+/// The observer of a lean block: its shape phases run unpriced too if
+/// `SHAPE`, and are priced and collected if not.
+#[derive(Default)]
+struct Lean<const SHAPE: bool>(ShapeCounters);
 
-impl Observer for Lean {
+impl<const SHAPE: bool> Observer for Lean<SHAPE> {
     const LEAN: bool = true;
+    const LEAN_SHAPE: bool = SHAPE;
+
+    fn shape_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+        self.0.add(class, counters);
+    }
+}
+
+/// The counters of a block's shape phases, which share one class.
+#[derive(Default)]
+struct ShapeCounters(Option<(PhaseClass, PhaseCounters)>);
+
+impl ShapeCounters {
+    fn add(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+        match &mut self.0 {
+            None => self.0 = Some((class, *counters)),
+            Some((c, sum)) => {
+                assert_eq!(*c, class, "a block's shape phases share one class");
+                sum.add(counters);
+            }
+        }
+    }
+}
+
+/// A shape entry: the counters a block of the shape charged in its shape
+/// phases, under their class, each as a `u32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShapeLoad {
+    class: PhaseClass,
+    counters: [u32; 9],
+}
+
+impl ShapeLoad {
+    /// The entry for `counters`; `None` if a block has no shape phase or a
+    /// counter does not fit in a `u32`.
+    fn of(counters: ShapeCounters) -> Option<Self> {
+        let (class, c) = counters.0?;
+        let PhaseCounters {
+            shared_ld_requests,
+            shared_ld_transactions,
+            shared_st_requests,
+            shared_st_transactions,
+            global_ld_requests,
+            global_ld_sectors,
+            global_st_requests,
+            global_st_sectors,
+            alu_ops,
+        } = c;
+        let wide = [
+            shared_ld_requests,
+            shared_ld_transactions,
+            shared_st_requests,
+            shared_st_transactions,
+            global_ld_requests,
+            global_ld_sectors,
+            global_st_requests,
+            global_st_sectors,
+            alu_ops,
+        ];
+        let mut counters = [0; 9];
+        for (narrow, wide) in counters.iter_mut().zip(wide) {
+            *narrow = u32::try_from(wide).ok()?;
+        }
+        Some(ShapeLoad { class, counters })
+    }
+
+    /// Charge the entry to `profile`.
+    fn charge(&self, profile: &mut KernelProfile) {
+        let [a, b, c, d, e, f, g, h, i] = self.counters.map(u64::from);
+        profile.phase_mut(self.class).add(&PhaseCounters {
+            shared_ld_requests: a,
+            shared_ld_transactions: b,
+            shared_st_requests: c,
+            shared_st_transactions: d,
+            global_ld_requests: e,
+            global_ld_sectors: f,
+            global_st_requests: g,
+            global_st_sectors: h,
+            alu_ops: i,
+        });
+    }
 }
 
 /// Everything a block's profile depends on besides its order type.
@@ -135,6 +248,7 @@ struct Carried<K> {
     /// The representatives that replayed at least one block.
     reps: [Option<Arc<Rep<K>>>; MAX_REPS],
     share: Option<KernelProfile>,
+    shapes: HashMap<Shape, ShapeLoad>,
 }
 
 /// Each launch kind's carried entry: a `Carried<K>` for the kind's key
@@ -163,9 +277,14 @@ pub(crate) struct Launch<K> {
     /// `None` for a launch that neither reads nor writes one.
     kind: Option<LaunchKind>,
     reps: [OnceLock<Slot<K>>; MAX_REPS],
+    /// How many of `reps`' first slots hold carried representatives.
+    carried_reps: usize,
     /// The carried oblivious share, or else that of the launch's first
     /// fully simulated block.
     share: OnceLock<KernelProfile>,
+    /// The carried shape entries and those of the launch's simulated
+    /// blocks, first come, first kept up to [`MAX_SHAPES`].
+    shapes: RwLock<HashMap<Shape, ShapeLoad>>,
     /// Every block simulation of the launch, in order.
     #[cfg(test)]
     simulated: std::sync::Mutex<Vec<(usize, Pricing)>>,
@@ -180,10 +299,10 @@ struct Slot<K> {
 
 /// What a block must share with a representative before its keys are
 /// compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Shape {
     Tile,
-    Merge { a_len: usize, a_phase: usize, b_phase: usize },
+    Merge { a_len: u32, a_phase: u8, b_phase: u8 },
 }
 
 /// A simulated block.
@@ -223,10 +342,11 @@ impl<K: SortKey> Launch<K> {
         let sums = StripeChecksums::from_stripes(stripe_width(tile), stripes);
         let expected = jobs.iter().map(|j| j.expected_checksum(src, tile, &sums)).collect();
         let kind = LaunchKind { tiles: kernel == 0, key: TypeId::of::<K>(), args };
-        let (kind, Carried { reps, share }) = match carried {
+        let (kind, Carried { reps, share, shapes }) = match carried {
             Some(c) => (Some(kind), std::mem::take(entry(&mut c.kinds, kind))),
             None => (None, Carried::default()),
         };
+        let carried_reps = reps.iter().flatten().count();
         let slot = |rep| Slot { rep, replayed: AtomicBool::new(false) };
         let reps = reps.map(|rep| rep.map(slot).map_or_else(OnceLock::new, OnceLock::from));
         let name = kernel.checked_sub(1).map_or("blocksort".into(), |p| format!("merge-pass-{p}"));
@@ -239,7 +359,9 @@ impl<K: SortKey> Launch<K> {
             expected,
             kind,
             reps,
+            carried_reps,
             share,
+            shapes: RwLock::new(shapes),
             #[cfg(test)]
             simulated: Default::default(),
         }
@@ -253,11 +375,15 @@ impl<K: SortKey> Launch<K> {
         let Some(kind) = self.kind else {
             return;
         };
-        let mut replayed = (self.reps.into_iter().filter_map(OnceLock::into_inner))
-            .filter_map(|slot| slot.replayed.into_inner().then_some(slot.rep));
-        let reps = std::array::from_fn(|_| replayed.next());
+        let slots = self.reps.map(OnceLock::into_inner);
+        let replayed = |slot: &&Slot<K>| slot.replayed.load(atomic::Ordering::Relaxed);
+        let recorded = slots[self.carried_reps..].iter().flatten().filter(|s| !replayed(s));
+        let mut kept = (slots.iter().flatten().filter(replayed).chain(recorded.take(1)))
+            .map(|slot| Arc::clone(&slot.rep));
+        let reps = std::array::from_fn(|_| kept.next());
         let share = self.share.into_inner();
-        *entry(&mut carried.kinds, kind) = Carried { reps, share };
+        let shapes = self.shapes.into_inner().expect("no block panicked");
+        *entry(&mut carried.kinds, kind) = Carried { reps, share, shapes };
     }
 
     /// Run block `block` of the launch into `dst` under `observer`. A
@@ -302,9 +428,10 @@ impl<K: SortKey> Launch<K> {
     }
 
     /// Simulate the block in full; the launch's first such block sets its
-    /// oblivious share, and every later one must report the same share.
+    /// oblivious share, and every later one must report the same share
+    /// and, if its shape has an entry, the entry's counters.
     fn full(&self, block: usize, src: &[K], dst: &mut [K]) -> KernelProfile {
-        let (profile, ObliviousShare(share)) =
+        let (profile, ObliviousShare { share, shape }) =
             self.simulate(block, src, dst, ObliviousShare::default());
         let cached = self.share.get_or_init(|| share.clone());
         if *cached != share {
@@ -315,12 +442,29 @@ impl<K: SortKey> Launch<K> {
                 first_difference(cached, &share)
             );
         }
+        self.check_shape(block, shape);
         profile
     }
 
     /// Simulate the block lean and charge it the launch's oblivious share.
+    /// If its shape has an entry, its shape phases run unpriced too and it
+    /// is charged the entry; else they are priced and leave the entry.
     fn lean(&self, block: usize, src: &[K], dst: &mut [K], share: &KernelProfile) -> KernelProfile {
-        let (mut profile, Lean) = self.simulate(block, src, dst, Lean);
+        let shape = shape_of(self.jobs[block]);
+        let load = self.shapes.read().expect("no block panicked").get(&shape).copied();
+        let mut profile = match load {
+            Some(load) => {
+                let (mut profile, _) = self.simulate(block, src, dst, Lean::<true>::default());
+                load.charge(&mut profile);
+                profile
+            }
+            None => {
+                let (profile, Lean(counters)) =
+                    self.simulate(block, src, dst, Lean::<false>::default());
+                self.check_shape(block, counters);
+                profile
+            }
+        };
         profile.merge(share);
         if cfg!(debug_assertions) {
             let mut full_dst = vec![K::default(); dst.len()];
@@ -335,6 +479,38 @@ impl<K: SortKey> Launch<K> {
             );
         }
         profile
+    }
+
+    /// Check what a block's shape phases charged against its shape's
+    /// entry, or leave it as the entry while the launch has room.
+    fn check_shape(&self, block: usize, counters: ShapeCounters) {
+        let Some(load) = ShapeLoad::of(counters) else {
+            return;
+        };
+        let shape = shape_of(self.jobs[block]);
+        let cached = self.shapes.read().expect("no block panicked").get(&shape).copied();
+        match cached {
+            Some(cached) if cached != load => {
+                let (mut want, mut got) = (KernelProfile::new(), KernelProfile::new());
+                cached.charge(&mut want);
+                load.charge(&mut got);
+                panic!(
+                    "shape entry invariant violated: {} block {block} charged its shape phases \
+                     other counters than its shape's entry at {}",
+                    self.name,
+                    first_difference(&want, &got)
+                );
+            }
+            Some(_) => {}
+            None => {
+                let mut shapes = self.shapes.write().expect("no block panicked");
+                if shapes.len() < MAX_SHAPES {
+                    // A concurrent block may have left it: first come,
+                    // first kept.
+                    shapes.entry(shape).or_insert(load);
+                }
+            }
+        }
     }
 
     /// Simulate the unwatched block under `observer`, [`ObliviousShare`]
@@ -375,19 +551,24 @@ impl<K: SortKey> Launch<K> {
     }
 }
 
+/// A block's shape.
+fn shape_of(job: BlockJob) -> Shape {
+    match job {
+        BlockJob::Tile(_) => Shape::Tile,
+        BlockJob::Merge(m) => {
+            let phase = |at: usize| (at % SECTOR_WORDS as usize) as u8;
+            let a_len = u32::try_from(m.a_len()).expect("a chunk is at most a tile");
+            Shape::Merge { a_len, a_phase: phase(m.a_begin), b_phase: phase(m.b_begin) }
+        }
+    }
+}
+
 /// A block's shape and its input as one or two slices.
 fn block_input<K>(job: BlockJob, src: &[K], tile: usize) -> (Shape, &[K], &[K]) {
+    let shape = shape_of(job);
     match job {
-        BlockJob::Tile(lo) => (Shape::Tile, &src[lo..lo + tile], &[]),
-        BlockJob::Merge(m) => {
-            let sector = SECTOR_WORDS as usize;
-            let shape = Shape::Merge {
-                a_len: m.a_len(),
-                a_phase: m.a_begin % sector,
-                b_phase: m.b_begin % sector,
-            };
-            (shape, &src[m.a_begin..m.a_end], &src[m.b_begin..m.b_end])
-        }
+        BlockJob::Tile(lo) => (shape, &src[lo..lo + tile], &[]),
+        BlockJob::Merge(m) => (shape, &src[m.a_begin..m.a_end], &src[m.b_begin..m.b_end]),
     }
 }
 
@@ -470,15 +651,17 @@ pub(crate) enum Pricing {
     Full,
     /// The oblivious phases unrecorded and unpriced.
     Lean,
+    /// The oblivious and the shape phases unrecorded and unpriced.
+    LeanShape,
 }
 
 #[cfg(test)]
 impl Pricing {
     fn of<P: Observer>() -> Self {
-        if P::LEAN {
-            Pricing::Lean
-        } else {
-            Pricing::Full
+        match (P::LEAN, P::LEAN_SHAPE) {
+            (_, true) => Pricing::LeanShape,
+            (true, false) => Pricing::Lean,
+            (false, false) => Pricing::Full,
         }
     }
 }
@@ -493,18 +676,26 @@ impl CarriedEntries {
     }
 
     /// The entries for key type `K`: each kind, the addresses of its
-    /// representatives, and its share.
+    /// representatives, its share, and its number of shape entries.
     pub(crate) fn of_key<K: SortKey>(
         &self,
-    ) -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>)> {
+    ) -> Vec<(LaunchKind, Vec<usize>, Option<KernelProfile>, usize)> {
         let carried = (self.kinds.iter())
             .filter_map(|(kind, c)| Some((kind, c.downcast_ref::<Carried<K>>()?)));
         carried
             .map(|(kind, c)| {
                 let reps = c.reps.iter().flatten().map(|rep| Arc::as_ptr(rep) as usize).collect();
-                (*kind, reps, c.share.clone())
+                (*kind, reps, c.share.clone(), c.shapes.len())
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl LaunchKind {
+    /// Whether the kind's blocks are tiles of the block sort.
+    pub(crate) fn tiles(&self) -> bool {
+        self.tiles
     }
 }
 
@@ -521,6 +712,13 @@ impl<K> Launch<K> {
     /// The launch's cached oblivious share.
     pub(crate) fn share_mut(&mut self) -> &mut KernelProfile {
         self.share.get_mut().expect("a cached share")
+    }
+
+    /// Add one to the ALU count of every shape entry of the launch.
+    pub(crate) fn doctor_shapes(&mut self) {
+        for load in self.shapes.get_mut().expect("no block panicked").values_mut() {
+            load.counters[8] += 1;
+        }
     }
 
     /// Every block simulation of the launch since the last call.

@@ -11,8 +11,10 @@
 //! replaced by the conflict-free gather + register network.
 //!
 //! Both store phases are [`oblivious_phase`](BlockSim::oblivious_phase)s.
-//! The load is not: its CF slots and its global sectors depend on `|A|`
-//! and on the chunk's alignment.
+//! The load is a [`shape_phase`](BlockSim::shape_phase): its CF slots and
+//! its global sectors depend on `|A|` and on the sector residues of
+//! `a_begin` and `b_begin`, never on a key. Runs are whole tiles, so `A`
+//! and `B` never share a sector, and no other alignment term counts.
 
 use super::blocksort::MergeStrategy;
 use super::kernels::{
@@ -122,7 +124,7 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
 
     // 1. Coalesced load, permuting on the fly for CF (identical traffic:
     //    the reorder only changes *shared* write addresses).
-    block.phase(PhaseClass::LoadTile, |tid, lane| {
+    block.shape_phase(PhaseClass::LoadTile, |tid, lane| {
         for r in 0..e {
             let s = r * u + tid;
             let (gidx, slot) = if s < a_len {

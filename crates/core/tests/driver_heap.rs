@@ -1,7 +1,9 @@
 //! The driver's heap per sort: a thread keeps a spare `n_pad`-key buffer
 //! across sorts, so once it has sorted a shape, a sort of that shape
 //! allocates one `n_pad`-key buffer, the output it returns, and holds at
-//! most two such buffers' worth of heap beyond its input.
+//! most two such buffers' worth of heap beyond its input. Every other
+//! allocation it makes is at most one tile of `u32`s: a simulated
+//! block's tables fit in a tile each.
 //!
 //! This file holds a single test because the counting allocator below is
 //! process-wide and the test harness runs tests on parallel threads.
@@ -21,12 +23,16 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// Allocations of at least `LARGE` bytes since the last reset.
 static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static LARGE: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// The largest allocation below `LARGE` bytes since the last reset.
+static LARGEST_SMALL: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
     if bytes >= LARGE.load(Ordering::Relaxed) {
         LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    } else {
+        LARGEST_SMALL.fetch_max(bytes, Ordering::Relaxed);
     }
 }
 
@@ -81,6 +87,7 @@ fn a_repeated_sort_allocates_only_its_output() {
             let before = LIVE.load(Ordering::Relaxed);
             PEAK.store(before, Ordering::Relaxed);
             LARGE_ALLOCS.store(0, Ordering::Relaxed);
+            LARGEST_SMALL.store(0, Ordering::Relaxed);
             LARGE.store(buffer, Ordering::Relaxed);
             let run = simulate_sort(input, algo, &config);
             LARGE.store(usize::MAX, Ordering::Relaxed);
@@ -88,6 +95,13 @@ fn a_repeated_sort_allocates_only_its_output() {
                 (PEAK.load(Ordering::Relaxed) - before, LARGE_ALLOCS.load(Ordering::Relaxed));
             let case = format!("{algo:?}, n = {} (n_pad = {n_pad})", input.len());
             assert_eq!(large, 1, "{case}: {large} allocations of at least {buffer} B");
+            let (largest, tile_bytes) =
+                (LARGEST_SMALL.load(Ordering::Relaxed), tile * std::mem::size_of::<u32>());
+            assert!(
+                largest <= tile_bytes,
+                "{case}: an allocation of {largest} B besides the output, over one tile \
+                 ({tile_bytes} B)"
+            );
             assert!(
                 peak <= 2 * buffer + SMALL,
                 "{case}: the sort peaked at {peak} B, over two {n_pad}-key buffers \

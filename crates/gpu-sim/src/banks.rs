@@ -217,7 +217,7 @@ fn count_distinct_rows(
     RoundCost { transactions, conflicts: transactions - 1, active_lanes }
 }
 
-/// Pricing of shared warp rounds with one `u32` stamp per shared-memory
+/// Pricing of shared warp rounds with one `u16` stamp per shared-memory
 /// row of a block.
 ///
 /// A first pass ORs each lane's bank bit, as
@@ -234,16 +234,16 @@ fn count_distinct_rows(
 /// merges) would otherwise take.
 ///
 /// Stamp 0 marks a row no round has touched. When the round stamp wraps
-/// past `u32::MAX`, the table is cleared, so an old stamp can never pass
+/// past `u16::MAX`, the table is cleared, so an old stamp can never pass
 /// for the current one. A round priced by the first pass alone leaves
 /// the table and the stamp as they were; the next stamped round still
 /// takes a stamp no row carries.
 #[derive(Debug)]
 pub struct RowStamps {
     /// Per row, the stamp of the last stamped round that touched it.
-    stamps: Vec<u32>,
+    stamps: Vec<u16>,
     /// The last stamped round's stamp.
-    stamp: u32,
+    stamp: u16,
 }
 
 impl RowStamps {
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn row_stamps_clear_when_the_stamp_wraps() {
-        // Start two stamps before u32::MAX and price conflicting and
+        // Start two stamps before u16::MAX and price conflicting and
         // broadcast rounds across the wrap. The first round after the
         // wrap hits one bank's rows: the even lanes' rows carry a stale
         // stamp 1, the odd lanes' rows were never touched (stamp 0). A
@@ -433,7 +433,7 @@ mod tests {
             for &addr in same_bank.iter().step_by(2) {
                 table.stamps[model.row_of(addr) as usize] = 1;
             }
-            table.stamp = u32::MAX - 2;
+            table.stamp = u16::MAX - 2;
             let rounds: [&[u32]; 6] =
                 [&[9; 32], &[1, 65, 129, 1], &same_bank, &same_bank, &[5; 12], &[0, 64, 0, 128]];
             for (i, round) in rounds.iter().enumerate() {

@@ -38,12 +38,21 @@
 //! recording and pricing off and the race detector on, and charges
 //! nothing. So a lean block's profile plus a full block's oblivious share
 //! is the full profile, counter for counter.
+//!
+//! A *shape* phase's addresses may also depend on the block's shape:
+//! constants its launcher hands this block alone, such as a merge chunk's
+//! `|A|` and the alignment of its slices, but still never a key. It
+//! costs the same in every block of a launch with the same shape. A
+//! kernel runs such a phase through [`BlockSim::shape_phase`], which
+//! works as `oblivious_phase` does, under
+//! [`LEAN_SHAPE`](Observer::LEAN_SHAPE) and with
+//! [`Observer::shape_share`].
 
 use crate::banks::{BankModel, RowStamps, MAX_BANKS};
 use crate::fault::FaultWord;
 use crate::global::sectors_touched;
 use crate::observer::{Observer, Passive};
-use crate::profiler::{KernelProfile, PhaseClass};
+use crate::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
 
 /// A set of lanes of one warp, bit `l` standing for lane `l`; a warp has
@@ -173,10 +182,13 @@ pub struct BlockSim<T: Copy, O: Observer = Passive> {
     /// Threads per block (`u` in the paper; must be a multiple of `w`).
     u: usize,
     shared: Vec<T>,
-    /// Per shared word, the race detector's tag of its last writer:
-    /// [`write_tag`] of the phase epoch and the writing thread.
-    write_tags: Vec<u64>,
-    epoch: u32,
+    /// Per shared word, the race detector's tag of its last writer: the
+    /// writing phase's `epoch_base` plus the writing thread's id.
+    write_tags: Vec<u32>,
+    /// The current phase's epoch times `u`: its threads' tags are
+    /// `epoch_base..epoch_base + u`. Epoch 0, whose tags a fresh or
+    /// cleared table holds, is never a phase's.
+    epoch_base: u32,
     /// Accumulated counters for this block.
     pub profile: KernelProfile,
     counting: bool,
@@ -210,14 +222,15 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
         let w = banks.num_banks as usize;
         assert!(w <= MAX_BANKS, "BlockSim supports at most {MAX_BANKS} lanes per warp, got {w}");
         assert!(u > 0 && u.is_multiple_of(w), "u={u} must be a positive multiple of w={w}");
+        assert!(u <= MAX_THREADS, "BlockSim supports at most {MAX_THREADS} threads, got {u}");
         observer.begin_block(w, u, shared_len);
         Self {
             banks,
             row_stamps: RowStamps::new(&banks, shared_len),
             u,
             shared: vec![T::default(); shared_len],
-            write_tags: vec![write_tag(0, u32::MAX); shared_len],
-            epoch: 0,
+            write_tags: vec![0; shared_len],
+            epoch_base: 0,
             profile: KernelProfile::new(),
             counting: true,
             observer,
@@ -230,6 +243,21 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
     #[must_use]
     pub fn observer(&self) -> &O {
         &self.observer
+    }
+
+    /// Start the next phase's epoch. When its tags would pass
+    /// `u32::MAX`, every tag is cleared to epoch 0 and the count restarts
+    /// at epoch 1, so an old tag can never pass for one of the new
+    /// phase's.
+    fn next_epoch(&mut self) {
+        let u = self.u as u32;
+        self.epoch_base = match self.epoch_base.checked_add(u) {
+            Some(base) if base.checked_add(u - 1).is_some() => base,
+            _ => {
+                self.write_tags.fill(0);
+                u
+            }
+        };
     }
 
     /// Consume the block, returning its accumulated profile and its
@@ -300,19 +328,52 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
     where
         F: FnMut(usize, &mut LaneCtx<'_, T, O>),
     {
+        self.run_shared(class, O::LEAN, O::oblivious_share, body);
+    }
+
+    /// Run one barrier-delimited phase whose every shared and global
+    /// address depends only on `tid`, block constants and the block's
+    /// shape (see the module docs). A
+    /// [`LEAN_SHAPE`](Observer::LEAN_SHAPE) observer's block runs `body`
+    /// unrecorded and unpriced; any other block runs it as
+    /// [`phase`](Self::phase) does and reports the phase's counters
+    /// through [`Observer::shape_share`].
+    ///
+    /// # Panics
+    /// Panics if `class` is `Search`, `Merge` or `Gather`, as
+    /// [`oblivious_phase`](Self::oblivious_phase) does.
+    pub fn shape_phase<F>(&mut self, class: PhaseClass, body: F)
+    where
+        F: FnMut(usize, &mut LaneCtx<'_, T, O>),
+    {
+        self.run_shared(class, O::LEAN_SHAPE, O::shape_share, body);
+    }
+
+    /// Run a phase whose counters other blocks share: unpriced if
+    /// `lean`, else priced and reported through `report`.
+    #[inline(always)]
+    fn run_shared<F>(
+        &mut self,
+        class: PhaseClass,
+        lean: bool,
+        report: fn(&mut O, PhaseClass, &PhaseCounters),
+        body: F,
+    ) where
+        F: FnMut(usize, &mut LaneCtx<'_, T, O>),
+    {
         assert!(
             !matches!(class, PhaseClass::Search | PhaseClass::Merge | PhaseClass::Gather),
             "a {} phase is never oblivious",
             class.label()
         );
-        if O::LEAN {
+        if lean {
             self.run_phase(class, false, body);
             return;
         }
         let before = std::mem::take(self.profile.phase_mut(class));
         self.run_phase(class, true, body);
         let share = *self.profile.phase(class);
-        self.observer.oblivious_share(class, &share);
+        report(&mut self.observer, class, &share);
         self.profile.phase_mut(class).add(&before);
     }
 
@@ -325,7 +386,7 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
     where
         F: FnMut(usize, &mut LaneCtx<'_, T, O>),
     {
-        self.epoch = self.epoch.wrapping_add(1);
+        self.next_epoch();
         // Until some thread stores, no word carries this phase's tag, so
         // loads skip the race check.
         let mut stored = false;
@@ -344,7 +405,8 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
                 let mut ctx = LaneCtx {
                     shared: &mut self.shared,
                     write_tags: &mut self.write_tags,
-                    tag: write_tag(self.epoch, tid as u32),
+                    epoch_base: self.epoch_base,
+                    threads: self.u as u32,
                     stored,
                     tid: tid as u32,
                     lane,
@@ -457,9 +519,11 @@ impl<T: FaultWord + Default, O: Observer> BlockSim<T, O> {
 /// corrupted (XOR masks) or dropped (lane drop-outs).
 pub struct LaneCtx<'a, T: Copy, O: Observer = Passive> {
     shared: &'a mut [T],
-    write_tags: &'a mut [u64],
-    /// This lane's [`write_tag`] in the current phase.
-    tag: u64,
+    write_tags: &'a mut [u32],
+    /// The current phase's first tag; this lane's is `epoch_base + tid`.
+    epoch_base: u32,
+    /// Threads per block `u`: the number of tags a phase owns.
+    threads: u32,
     /// Whether some thread, this one included, has stored to shared
     /// memory in the current phase.
     stored: bool,
@@ -477,21 +541,25 @@ pub struct LaneCtx<'a, T: Copy, O: Observer = Passive> {
     observer: &'a mut O,
 }
 
-/// The race detector's tag for a shared-memory write: the phase epoch in
-/// the high half and the writing thread in the low half, so that one
-/// load tells whether a word was written in this phase, and by whom.
-#[inline]
-fn write_tag(epoch: u32, tid: u32) -> u64 {
-    u64::from(epoch) << 32 | u64::from(tid)
-}
+/// Most threads a block may have: a phase owns `u` consecutive race
+/// tags, and the `u32` tag space holds at least two phases' worth.
+const MAX_THREADS: usize = 1 << 24;
 
 impl<T: Copy, O: Observer> LaneCtx<'_, T, O> {
-    /// Whether this lane may touch shared word `idx`: no *other* thread
-    /// wrote it in the current phase. Returns the last writer's tag.
+    /// This lane's race tag in the current phase.
     #[inline(always)]
-    fn may_touch(&self, idx: usize) -> (bool, u64) {
-        let t = self.write_tags[idx];
-        (t == self.tag || t >> 32 != self.tag >> 32, t)
+    fn tag(&self) -> u32 {
+        self.epoch_base + self.tid
+    }
+
+    /// Whether this lane may touch shared word `idx`: no *other* thread
+    /// wrote it in the current phase. A word one of the phase's threads
+    /// wrote carries a tag in `epoch_base..epoch_base + u`; the second
+    /// value is that thread's id.
+    #[inline(always)]
+    fn may_touch(&self, idx: usize) -> (bool, u32) {
+        let writer = self.write_tags[idx].wrapping_sub(self.epoch_base);
+        (writer == self.tid || writer >= self.threads, writer)
     }
 }
 
@@ -552,9 +620,9 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
                 return T::default();
             }
         } else if self.stored {
-            let (ok, t) = self.may_touch(idx);
+            let (ok, writer) = self.may_touch(idx);
             if !ok {
-                load_race(self.tid, idx, t as u32);
+                load_race(self.tid, idx, writer);
             }
         }
         if self.counting {
@@ -580,11 +648,11 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
                 return;
             }
         } else {
-            let (ok, t) = self.may_touch(idx);
+            let (ok, writer) = self.may_touch(idx);
             if !ok {
-                store_race(t as u32, self.tid, idx);
+                store_race(writer, self.tid, idx);
             }
-            self.write_tags[idx] = self.tag;
+            self.write_tags[idx] = self.tag();
             self.stored = true;
         }
         if self.counting {
@@ -663,7 +731,6 @@ impl<T: FaultWord + Default, O: Observer> LaneCtx<'_, T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::PhaseCounters;
 
     fn block(u: usize, w: u32, len: usize) -> BlockSim<u32> {
         BlockSim::new(BankModel::new(w), u, len)
@@ -776,6 +843,54 @@ mod tests {
                 lane.st(0, 1);
             }
             if tid == 5 {
+                let _ = lane.ld(0);
+            }
+        });
+    }
+
+    /// Run one phase of `b` in the last epoch before its race tags wrap,
+    /// each lane storing its own word; the next phase wraps.
+    fn last_epoch_before_the_wrap(b: &mut BlockSim<u32>) {
+        let u = b.u as u32;
+        let last = (u32::MAX - (u - 1)) / u * u;
+        b.epoch_base = last - u;
+        b.phase(PhaseClass::Other, |tid, lane| lane.st(tid, tid as u32));
+        assert_eq!(b.epoch_base, last);
+        assert!(last.checked_add(2 * u - 1).is_none(), "no room for another epoch");
+    }
+
+    #[test]
+    fn race_tags_clear_when_the_epoch_wraps() {
+        let mut b = block(8, 8, 32);
+        last_epoch_before_the_wrap(&mut b);
+        // Word 20 carries lane 0's tag of epoch 1, as if left from the
+        // tag count's previous cycle. The first phase after the wrap is
+        // epoch 1 again: had the wrap not cleared the table, lane 3's load
+        // of word 20 after lane 0's store would look like a race.
+        b.write_tags[20] = 8;
+        b.phase(PhaseClass::Other, |tid, lane| {
+            lane.st(8 + tid, 1);
+            let _ = lane.ld(20);
+            assert_eq!(lane.ld((tid + 1) % 8), ((tid + 1) % 8) as u32);
+        });
+        assert_eq!(b.epoch_base, 8, "the wrap restarts at epoch 1");
+        assert_eq!(b.write_tags[20], 0, "the wrap cleared the table");
+        assert_eq!(b.write_tags[8..16], (8..16).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "race: lane 3 loads shared[0] written by lane 0 in the same phase (missing barrier)"
+    )]
+    fn same_phase_race_right_after_the_epoch_wrap_is_detected() {
+        let mut b = block(8, 8, 32);
+        last_epoch_before_the_wrap(&mut b);
+        b.phase(PhaseClass::Other, |tid, lane| {
+            lane.st(8 + tid, 1);
+            if tid == 0 {
+                lane.st(0, 1);
+            }
+            if tid == 3 {
                 let _ = lane.ld(0);
             }
         });

@@ -24,7 +24,9 @@
 //! [`oblivious_phase`](crate::BlockSim::oblivious_phase) runs like a
 //! `phase` and then, unless the observer is [`LEAN`](Observer::LEAN),
 //! calls [`oblivious_share`](Observer::oblivious_share) with the phase's
-//! counters.
+//! counters. A [`shape_phase`](crate::BlockSim::shape_phase) does the
+//! same with [`LEAN_SHAPE`](Observer::LEAN_SHAPE) and
+//! [`shape_share`](Observer::shape_share).
 
 use crate::profiler::{PhaseClass, PhaseCounters};
 use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
@@ -47,9 +49,10 @@ use crate::trace::{GlobalRoundEvent, SharedRoundEvent};
 ///
 /// A third const, [`PASSIVE`](Self::PASSIVE), is read by drivers, not by
 /// the engine: it says that nothing watches the block, so the block need
-/// not run at all if its profile is already known. A fourth,
-/// [`LEAN`](Self::LEAN), lets a driver that already knows a block's
-/// oblivious phases skip recording and pricing them.
+/// not run at all if its profile is already known. Two more,
+/// [`LEAN`](Self::LEAN) and [`LEAN_SHAPE`](Self::LEAN_SHAPE), let a
+/// driver that already knows a block's oblivious or shape phases skip
+/// recording and pricing them.
 pub trait Observer {
     /// Route accesses through the checking hooks instead of the engine's
     /// race asserts.
@@ -71,6 +74,13 @@ pub trait Observer {
     /// [`oblivious_share`](Self::oblivious_share). Set only by a driver
     /// that adds those counters back from a fully simulated block.
     const LEAN: bool = false;
+
+    /// Run every [`shape_phase`](crate::BlockSim::shape_phase) as
+    /// [`LEAN`](Self::LEAN) runs oblivious phases: the block's profile
+    /// lacks exactly the counters a full run reports through
+    /// [`shape_share`](Self::shape_share). Set only by a driver that adds
+    /// back those of a fully simulated block of the same shape.
+    const LEAN_SHAPE: bool = false;
 
     /// A block simulation starts: `w` lanes per warp, `u` threads, and a
     /// shared-memory extent of `shared_len` words.
@@ -180,6 +190,13 @@ pub trait Observer {
     /// [`LEAN`](Self::LEAN).
     #[inline]
     fn oblivious_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
+        let _ = (class, counters);
+    }
+
+    /// A fully run shape phase of class `class` charged `counters`. Not
+    /// called when [`LEAN_SHAPE`](Self::LEAN_SHAPE).
+    #[inline]
+    fn shape_share(&mut self, class: PhaseClass, counters: &PhaseCounters) {
         let _ = (class, counters);
     }
 }
