@@ -1,8 +1,10 @@
 //! Register-merge ablation (DESIGN.md §4.4): odd-even transposition (the
 //! paper's choice) vs Batcher's odd-even mergesort vs the bitonic merger
-//! vs a branchy scalar sort, at the paper's register-array sizes.
+//! vs a branchy scalar sort, at the paper's register-array sizes; and one
+//! block's register sort, the network run for all threads in lock-step
+//! against `oets_sort` run thread by thread.
 
-use cfmerge_mergepath::networks::{batcher_sort, bitonic_merge, oets_sort};
+use cfmerge_mergepath::networks::{batcher_sort, bitonic_merge, oets_sort, oets_sort_lanes};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 
@@ -74,6 +76,35 @@ fn bench_register_merge(c: &mut Criterion) {
     }
 }
 
+/// One tile of random keys sorted per thread, at the paper's two
+/// parameter sets: [`oets_sort_lanes`] on the register-major file the
+/// kernels keep (thread `t`'s register `m` at `m·u + t`), and
+/// [`oets_sort`] on each thread's `E` contiguous registers in turn. Both
+/// first refill the file from the same keys.
+fn bench_block_register_sort(c: &mut Criterion) {
+    for (e, u) in [(15usize, 512usize), (17, 256)] {
+        let mut g = c.benchmark_group(format!("networks/block_e{e}_u{u}"));
+        g.throughput(Throughput::Elements((e * u) as u64));
+        let keys = inputs(e * u, 1, (e * u) as u64).remove(0);
+        let mut regs = keys.clone();
+        g.bench_function("lanes", |bch| {
+            bch.iter(|| {
+                regs.copy_from_slice(&keys);
+                oets_sort_lanes(&mut regs, u);
+                black_box(regs[0])
+            })
+        });
+        g.bench_function("per_thread", |bch| {
+            bch.iter(|| {
+                regs.copy_from_slice(&keys);
+                regs.chunks_exact_mut(e).for_each(|t| _ = oets_sort(t));
+                black_box(regs[0])
+            })
+        });
+        g.finish();
+    }
+}
+
 criterion_group! {
     name = benches;
     // Short measurement windows: one shared core runs the whole suite.
@@ -81,6 +112,6 @@ criterion_group! {
         .sample_size(20)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_register_merge
+    targets = bench_register_merge, bench_block_register_sort
 }
 criterion_main!(benches);

@@ -17,6 +17,10 @@
 //! rounds *at no extra cost*: the store of round `k` writes directly into
 //! round `k+1`'s layout (the "reorder during transfer" of Section 5).
 //!
+//! Registers live in one register-major file (thread `t`'s register `m`
+//! at `regs[m·u + t]`): step 2's network and the one after each CF
+//! gather run once for all `u` threads (see [`kernels`](super::kernels)).
+//!
 //! Only the searches and the merge or gather read keys to choose
 //! addresses. The tile load, the register-sort load, every inter-round
 //! store and the tile store run as
@@ -24,8 +28,7 @@
 //! fixed by `(w, E, u)`.
 
 use super::kernels::{
-    clamped_split, gather_merge_from_shared, serial_merge_from_shared, shared_merge_path,
-    PairLayout,
+    clamped_split, gather_from_shared, serial_merge_from_shared, shared_merge_path, PairLayout,
 };
 use crate::gather::layout::CfLayout;
 use crate::gather::schedule::ThreadSplit;
@@ -34,7 +37,7 @@ use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::block::{BlockSim, LaneCtx};
 use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
-use cfmerge_mergepath::networks::{oets_ops, oets_sort};
+use cfmerge_mergepath::networks::{oets_ops, oets_sort_lanes};
 
 /// How threads move `(Aᵢ, Bᵢ)` from shared memory to registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,19 +79,23 @@ fn cf_rank_slots(first: usize, run_w: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Store a thread's registers, the ranks `first, first + 1, …`, into
-/// shared memory: at their ranks, or with `cf_run_w = Some(W)` into the
-/// CF layout of run width `W`.
+/// Store thread `tid`'s registers from the register file `regs` of `u`
+/// threads, the ranks `tid·E, tid·E + 1, …`, into shared memory: at
+/// their ranks, or with `cf_run_w = Some(W)` into the CF layout of run
+/// width `W`.
 #[inline(always)]
 fn store_ranks<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
-    first: usize,
     regs: &[K],
+    u: usize,
     cf_run_w: Option<usize>,
 ) {
+    let tid = lane.tid();
+    let first = tid * (regs.len() / u);
+    let regs = regs[tid..].iter().step_by(u);
     match cf_run_w {
         Some(run_w) => {
-            for ((m, &v), slot) in regs.iter().enumerate().zip(cf_rank_slots(first, run_w)) {
+            for ((m, &v), slot) in regs.enumerate().zip(cf_rank_slots(first, run_w)) {
                 debug_assert_eq!(
                     slot,
                     cf_rank_slot(first + m, run_w),
@@ -98,7 +105,7 @@ fn store_ranks<K: SortKey, O: Observer>(
             }
         }
         None => {
-            for (m, &v) in regs.iter().enumerate() {
+            for (m, &v) in regs.enumerate() {
                 lane.st(first + m, v);
             }
         }
@@ -190,22 +197,18 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
     });
     let _ = global_base; // tiles are sector-aligned; relative indices suffice
 
-    // 2. Per-thread register sort, then store back — into the round-0
-    //    layout (run width E) for CF.
+    // 2. Register sort (the load, then one network for all threads),
+    //    then store back — into the round-0 layout (run width E) for CF.
     let cf = strategy == MergeStrategy::Gather;
     let mut regs = vec![K::default(); tile];
     block.oblivious_phase(PhaseClass::Sort, |tid, lane| {
-        let regs = &mut regs[tid * e..(tid + 1) * e];
-        for (m, r) in regs.iter_mut().enumerate() {
+        for (m, r) in regs[tid..].iter_mut().step_by(u).enumerate() {
             *r = lane.ld(tid * e + m);
         }
-        let ops = oets_sort(regs);
-        debug_assert_eq!(ops, oets_ops(e));
-        lane.alu(3 * ops);
+        lane.alu(3 * oets_ops(e));
     });
-    block.oblivious_phase(PhaseClass::Sort, |tid, lane| {
-        store_ranks(lane, tid * e, &regs[tid * e..(tid + 1) * e], cf.then_some(e));
-    });
+    oets_sort_lanes(&mut regs, u);
+    block.oblivious_phase(PhaseClass::Sort, |_, lane| store_ranks(lane, &regs, u, cf.then_some(e)));
 
     // 3. Merge rounds.
     let mut run_w = e;
@@ -236,26 +239,23 @@ pub fn blocksort_block_observed<K: SortKey, O: Observer>(
                     let local_tid = tid % threads_per_pair;
                     let layout = pair_layout(strategy, w, e, p * pair, run_w);
                     let b_begin = local_tid * e - splits[tid].a_begin;
-                    let out = &mut regs[tid * e..(tid + 1) * e];
-                    serial_merge_from_shared(lane, &layout, splits[tid], b_begin, out);
+                    serial_merge_from_shared(lane, &layout, splits[tid], b_begin, &mut regs, u);
                 });
             }
             MergeStrategy::Gather => {
                 block.phase(PhaseClass::Gather, |tid, lane| {
-                    let p = tid / threads_per_pair;
+                    let base = tid / threads_per_pair * pair;
                     let local_tid = tid % threads_per_pair;
                     let layout = CfLayout::reversal_only(w, e, pair, run_w);
-                    let out = &mut regs[tid * e..(tid + 1) * e];
-                    gather_merge_from_shared(lane, p * pair, &layout, local_tid, splits[tid], out);
+                    gather_from_shared(lane, base, &layout, local_tid, splits[tid], &mut regs, u);
                 });
+                oets_sort_lanes(&mut regs, u);
             }
         }
         // 3c. store for the next round (or natural if this was the last).
         let next_w = pair;
         let cf_next = (cf && next_w < tile).then_some(next_w);
-        block.oblivious_phase(PhaseClass::Sort, |tid, lane| {
-            store_ranks(lane, tid * e, &regs[tid * e..(tid + 1) * e], cf_next);
-        });
+        block.oblivious_phase(PhaseClass::Sort, |_, lane| store_ranks(lane, &regs, u, cf_next));
         run_w = next_w;
     }
 

@@ -12,6 +12,17 @@
 //! | move to regs     | serial merge (data-dependent) | dual subsequence gather (oblivious)|
 //! | merge            | done during the move          | odd-even transposition in registers|
 //!
+//! Each kernel keeps its threads' registers in one register-major
+//! register file of `u·E` keys: thread `t`'s register `m` is
+//! `regs[m·u + t]`. The serial merge and the gather write a thread's
+//! registers straight into it. The odd-even transposition network, which
+//! all threads of a block run in lock-step on the GPU, then runs once
+//! after the phase for all `u` threads together
+//! ([`oets_sort_lanes`](cfmerge_mergepath::networks::oets_sort_lanes)):
+//! each compare-exchange is one contiguous `min`/`max` loop over a pair
+//! of rows. The network touches no simulated memory, and the phase that
+//! fills the registers charges its ALU ops.
+//!
 //! The building blocks that take a [`LaneCtx`] are `#[inline(always)]`:
 //! inlined into their phase closures, the lane's cursors and ALU count
 //! stay in registers instead of being bumped through memory per access.
@@ -19,11 +30,10 @@
 use crate::gather::layout::CfLayout;
 use crate::gather::schedule::{GatherSchedule, ThreadSplit};
 use crate::sort::key::SortKey;
-use cfmerge_gpu_sim::banks::MAX_BANKS;
 use cfmerge_gpu_sim::block::LaneCtx;
 use cfmerge_gpu_sim::observer::Observer;
 use cfmerge_mergepath::diagonal::merge_path_by;
-use cfmerge_mergepath::networks::{merge_bitonic_runs, oets_ops, oets_sort};
+use cfmerge_mergepath::networks::oets_ops;
 
 /// How a block's `[A | B]` pair is laid out in shared memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +162,8 @@ pub fn shared_merge_path<K: SortKey, O: Observer>(
 
 /// The Thrust baseline's per-thread serial merge: `E` outputs taken from
 /// shared memory with one data-dependent load per step (plus up to two
-/// head preloads), written to the thread's register array `out`.
+/// head preloads), written to the thread's registers in the block's
+/// register file `regs` of `u` threads (see the module docs).
 ///
 /// This is the phase the worst-case inputs of Section 4 attack.
 #[inline(always)]
@@ -161,9 +172,10 @@ pub fn serial_merge_from_shared<K: SortKey, O: Observer>(
     layout: &PairLayout,
     split: ThreadSplit,
     b_begin: usize,
-    out: &mut [K],
+    regs: &mut [K],
+    u: usize,
 ) {
-    let e = out.len();
+    let e = regs.len() / u;
     let a_end = split.a_begin + split.a_len;
     let b_len = e - split.a_len;
     let b_end = b_begin + b_len;
@@ -172,7 +184,7 @@ pub fn serial_merge_from_shared<K: SortKey, O: Observer>(
     // Head preloads (predicated off when a side is empty).
     let mut a_key = if ai < a_end { Some(lane.ld(layout.a_slot(ai))) } else { None };
     let mut b_key = if bi < b_end { Some(lane.ld(layout.b_slot(bi))) } else { None };
-    for slot in out.iter_mut() {
+    for slot in regs[lane.tid()..].iter_mut().step_by(u) {
         let take_a = match (a_key, b_key) {
             (Some(a), Some(b)) => a <= b,
             (Some(_), None) => true,
@@ -193,62 +205,61 @@ pub fn serial_merge_from_shared<K: SortKey, O: Observer>(
 }
 
 /// CF-Merge's replacement for the serial merge: the dual subsequence
-/// gather (`E` conflict-free loads) into registers, then an odd-even
-/// transposition network to merge the rotated bitonic register array —
-/// zero further shared-memory traffic.
+/// gather, `E` conflict-free loads into the thread's registers in the
+/// block's register file `regs` of `u` threads. The odd-even
+/// transposition network that merges them runs after the phase, for all
+/// threads at once ([`oets_sort_lanes`]); the gather charges its fixed
+/// `3·oets_ops(E)` ALU ops.
 ///
 /// `pair_tid` is the thread's index *within the pair* (equals `tid` for
 /// whole-block pairs). Requires the shared region to hold the permuted
-/// layout. Writes the merged outputs to `out`.
+/// layout.
 ///
 /// The gather issues Algorithm 1's loads in round order through
 /// [`GatherSchedule::walk`], which also undoes the rotation: the
-/// registers hold `Aᵢ` ascending then `Bᵢ` descending. The network is
-/// charged its fixed `3·oets_ops(E)` ALU ops, and [`merge_bitonic_runs`]
-/// computes its output in `O(E)` host time.
+/// registers hold `Aᵢ` ascending then `Bᵢ` descending.
 ///
 /// # Panics
 /// Panics if the split does not fit the layout (see
-/// [`GatherSchedule::new`]) or `E` exceeds [`MAX_BANKS`], the widest warp
-/// and so the largest `E` a block can run.
+/// [`GatherSchedule::new`]).
+///
+/// [`oets_sort_lanes`]: cfmerge_mergepath::networks::oets_sort_lanes
 #[inline(always)]
-pub fn gather_merge_from_shared<K: SortKey, O: Observer>(
+pub fn gather_from_shared<K: SortKey, O: Observer>(
     lane: &mut LaneCtx<'_, K, O>,
     base: usize,
     layout: &CfLayout,
     pair_tid: usize,
     split: ThreadSplit,
-    out: &mut [K],
+    regs: &mut [K],
+    u: usize,
 ) {
-    let e = out.len();
-    debug_assert_eq!(e, layout.e);
-    assert!(e <= MAX_BANKS, "E = {e} exceeds the {MAX_BANKS} registers a thread can hold");
     let sched = GatherSchedule::new(*layout, pair_tid, split);
-    let mut regs = [K::default(); MAX_BANKS];
+    let tid = lane.tid();
     for (j, (m, slot)) in sched.walk().enumerate() {
         debug_assert_eq!(slot, sched.round(j).slot(), "gather walk left Algorithm 1 at round {j}");
-        regs[m] = lane.ld(base + slot);
+        regs[m * u + tid] = lane.ld(base + slot);
     }
-    merge_bitonic_runs(&regs[..e], split.a_len, out);
-    debug_assert!(
-        {
-            let mut network = regs[..e].to_vec();
-            oets_sort(&mut network);
-            network == out
-        },
-        "register merge differs from the odd-even transposition network"
-    );
-    lane.alu(3 * oets_ops(e)); // ~3 instructions per compare-exchange
+    lane.alu(3 * oets_ops(layout.e)); // ~3 instructions per compare-exchange
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sort::blocksort::{blocksort_block_observed, MergeStrategy};
+    use crate::sort::merge_pass::{merge_pass_block_observed, MergeChunkJob};
     use cfmerge_gpu_sim::banks::BankModel;
     use cfmerge_gpu_sim::block::BlockSim;
+    use cfmerge_gpu_sim::fault::{BlockFaults, FaultKind, FaultPlan, FaultSite, Persistence};
     use cfmerge_gpu_sim::profiler::PhaseClass;
+    use cfmerge_mergepath::networks::{oets_sort, oets_sort_lanes};
     use cfmerge_mergepath::partition::partition_merge;
     use rand::{Rng, SeedableRng};
+
+    /// A register file's registers, thread by thread.
+    fn thread_major(regs: &[u32], u: usize) -> Vec<u32> {
+        (0..u).flat_map(|t| regs[t..].iter().step_by(u).copied()).collect()
+    }
 
     fn sorted_pair(rng: &mut rand::rngs::SmallRng, la: usize, lb: usize) -> (Vec<u32>, Vec<u32>) {
         let mut a: Vec<u32> = (0..la).map(|_| rng.gen_range(0..10_000)).collect();
@@ -287,12 +298,12 @@ mod tests {
                 let next = if tid + 1 < u { splits[tid + 1].a_begin } else { a.len() };
                 splits[tid].a_len = next - splits[tid].a_begin;
             }
-            let mut out = vec![vec![0u32; e]; u];
+            let mut regs = vec![0u32; u * e];
             block.phase(PhaseClass::Merge, |tid, lane| {
                 let b_begin = tid * e - splits[tid].a_begin;
-                serial_merge_from_shared(lane, &layout, splits[tid], b_begin, &mut out[tid]);
+                serial_merge_from_shared(lane, &layout, splits[tid], b_begin, &mut regs, u);
             });
-            let merged: Vec<u32> = out.into_iter().flatten().collect();
+            let merged = thread_major(&regs, u);
             let mut expect: Vec<u32> = a.iter().chain(&b).copied().collect();
             expect.sort_unstable();
             assert_eq!(merged, expect);
@@ -351,11 +362,12 @@ mod tests {
                 .iter()
                 .map(|c| ThreadSplit { a_begin: c.a_begin, a_len: c.a_len() })
                 .collect();
-            let mut out = vec![vec![0u32; e]; u];
+            let mut regs = vec![0u32; u * e];
             block.phase(PhaseClass::Gather, |tid, lane| {
-                gather_merge_from_shared(lane, 0, &layout, tid, splits[tid], &mut out[tid]);
+                gather_from_shared(lane, 0, &layout, tid, splits[tid], &mut regs, u);
             });
-            let merged: Vec<u32> = out.into_iter().flatten().collect();
+            oets_sort_lanes(&mut regs, u);
+            let merged = thread_major(&regs, u);
             let mut expect: Vec<u32> = a.iter().chain(&b).copied().collect();
             expect.sort_unstable();
             assert_eq!(merged, expect, "w={w} E={e}");
@@ -410,15 +422,118 @@ mod tests {
                 lane.st(r * u + tid, a[r * u + tid]);
             }
         });
-        let mut out = vec![vec![0u32; e]; u];
+        let mut regs = vec![0u32; u * e];
         block.phase(PhaseClass::Merge, |tid, lane| {
             let split = ThreadSplit { a_begin: tid * e, a_len: e };
-            serial_merge_from_shared(lane, &layout, split, 0, &mut out[tid]);
+            serial_merge_from_shared(lane, &layout, split, 0, &mut regs, u);
         });
         let m = block.profile.phase(PhaseClass::Merge);
         // Every round: 8 threads at stride 4 over 8 banks → gcd(4,8)=4
         // distinct words per bank... they collide heavily.
         assert!(m.bank_conflicts() > 0);
         assert!(m.shared_ld_transactions > m.shared_ld_requests);
+    }
+
+    /// What a CF block writes when a stuck bank, armed at its last
+    /// gather, corrupts that gather's loads and the final tile store's:
+    /// per-thread `oets_sort` of each thread's gathered registers, staged
+    /// at the thread's ranks, read back through the bank. `a` and `b` are
+    /// the sorted runs the gather merges. Also says whether the stuck bank
+    /// left some thread's gathered runs unsorted.
+    fn stuck_bank_output(
+        a: &[u32],
+        b: &[u32],
+        layout: CfLayout,
+        bank: usize,
+        bit: u32,
+    ) -> (Vec<u32>, bool) {
+        let (w, e) = (layout.w, layout.e);
+        let shared = crate::gather::simulate::permuted_tile(a, b, &layout);
+        let read = |s: usize, v: u32| if s % w == bank { v ^ (1 << bit) } else { v };
+        let (mut staged, mut broken) = (Vec::new(), false);
+        for (t, c) in partition_merge(a, b, e).iter().enumerate() {
+            let split = ThreadSplit { a_begin: c.a_begin, a_len: c.a_len() };
+            let mut regs = vec![0u32; e];
+            for (m, slot) in GatherSchedule::new(layout, t, split).walk() {
+                regs[m] = read(slot, shared[slot]);
+            }
+            let (run_a, run_b) = regs.split_at(split.a_len);
+            broken |= !run_a.is_sorted() || !run_b.iter().rev().is_sorted();
+            oets_sort(&mut regs);
+            staged.extend(regs);
+        }
+        (staged.iter().enumerate().map(|(s, &v)| read(s, v)).collect(), broken)
+    }
+
+    fn stuck_bank_at(phase: u32, bank: usize, bit: u32) -> BlockFaults {
+        let kind = FaultKind::StuckBank { bank: bank as u32, bit: bit as u8 };
+        let site =
+            FaultSite { kernel: 0, block: 0, phase, kind, persistence: Persistence::Permanent };
+        FaultPlan::from_sites(vec![site]).block_faults(0, 0, 0, false)
+    }
+
+    /// A stuck bank armed at a CF block sort's last gather breaks
+    /// gathered runs; the block writes the per-thread network's output
+    /// on the registers the gather loaded.
+    #[test]
+    fn cf_blocksort_sorts_runs_a_stuck_bank_breaks() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(81);
+        let (w, u, bank, bit) = (32usize, 64usize, 5usize, 20u32);
+        for e in [15usize, 17] {
+            let tile = u * e;
+            let src: Vec<u32> = (0..tile).map(|_| rng.gen_range(0..100_000)).collect();
+            let (mut a, mut b) = (src[..tile / 2].to_vec(), src[tile / 2..].to_vec());
+            a.sort_unstable();
+            b.sort_unstable();
+            let layout = CfLayout::reversal_only(w, e, tile, tile / 2);
+            let (expect, broken) = stuck_bank_output(&a, &b, layout, bank, bit);
+            assert!(broken, "E={e}: the stuck bank must break a gathered run");
+            // Two register-sort phases, then (search, gather, store) per round.
+            let last_gather = 3 * u.trailing_zeros() + 2;
+            let mut dst = vec![0u32; tile];
+            let (_, faults) = blocksort_block_observed(
+                BankModel::new(w as u32),
+                u,
+                e,
+                MergeStrategy::Gather,
+                &src,
+                &mut dst,
+                0,
+                true,
+                stuck_bank_at(last_gather, bank, bit),
+            );
+            assert_eq!(faults.records()[0].class, PhaseClass::Gather, "E={e}");
+            assert_eq!(dst, expect, "E={e}");
+        }
+    }
+
+    /// The same for a CF merge-pass block, whose one gather is phase 3.
+    #[test]
+    fn cf_merge_pass_sorts_runs_a_stuck_bank_breaks() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(82);
+        let (w, u, bank, bit) = (32usize, 64usize, 9usize, 20u32);
+        for e in [15usize, 17] {
+            let tile = u * e;
+            let (a, b) = sorted_pair(&mut rng, tile / 3, tile - tile / 3);
+            let (expect, broken) =
+                stuck_bank_output(&a, &b, CfLayout::new(w, e, tile, a.len()), bank, bit);
+            assert!(broken, "E={e}: the stuck bank must break a gathered run");
+            let src: Vec<u32> = a.iter().chain(&b).copied().collect();
+            let job = MergeChunkJob { a_begin: 0, a_end: a.len(), b_begin: a.len(), b_end: tile };
+            let mut dst = vec![0u32; tile];
+            let (_, faults) = merge_pass_block_observed(
+                BankModel::new(w as u32),
+                u,
+                e,
+                MergeStrategy::Gather,
+                &src,
+                job,
+                &mut dst,
+                true,
+                stuck_bank_at(3, bank, bit),
+            );
+            assert_eq!(faults.records()[0].class, PhaseClass::Gather, "E={e}");
+            assert_eq!(dst, expect, "E={e}");
+        }
     }
 }

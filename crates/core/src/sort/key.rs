@@ -22,9 +22,9 @@
 /// Equality is bit identity: `a == b` exactly when
 /// `a.to_fault_bits() == b.to_fault_bits()`. Two things rely on it. The
 /// multiset checksum of [`crate::verify`] hashes bit patterns, so equal
-/// keys must hash alike. CF-Merge's register merge emits the sorted
-/// permutation in any order of equal keys, which is only the network's
-/// output if equal keys are indistinguishable.
+/// keys must hash alike. CF-Merge's register network sorts the gathered
+/// registers in an order the device's never sees, so its output is the
+/// device's only if equal keys are indistinguishable.
 pub trait SortKey:
     Copy + Ord + Default + Send + Sync + cfmerge_gpu_sim::fault::FaultWord + 'static
 {

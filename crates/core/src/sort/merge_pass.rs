@@ -10,6 +10,9 @@
 //! searches run through the permuted index maps, and the serial merge is
 //! replaced by the conflict-free gather + register network.
 //!
+//! Registers live in one register-major file (see
+//! [`kernels`](super::kernels)); CF's network runs once after the gather.
+//!
 //! Both store phases are [`oblivious_phase`](BlockSim::oblivious_phase)s.
 //! The load is a [`shape_phase`](BlockSim::shape_phase): its CF slots and
 //! its global sectors depend on `|A|` and on the sector residues of
@@ -18,8 +21,7 @@
 
 use super::blocksort::MergeStrategy;
 use super::kernels::{
-    clamped_split, gather_merge_from_shared, serial_merge_from_shared, shared_merge_path,
-    PairLayout,
+    clamped_split, gather_from_shared, serial_merge_from_shared, shared_merge_path, PairLayout,
 };
 use crate::gather::layout::CfLayout;
 use crate::gather::schedule::ThreadSplit;
@@ -28,6 +30,7 @@ use cfmerge_gpu_sim::banks::BankModel;
 use cfmerge_gpu_sim::block::BlockSim;
 use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass};
+use cfmerge_mergepath::networks::oets_sort_lanes;
 
 /// One block's work item in a merge pass: absolute element ranges in the
 /// source buffer for its `A` and `B` parts, and the absolute output base.
@@ -157,8 +160,7 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
         MergeStrategy::DirectSerial => {
             block.phase(PhaseClass::Merge, |tid, lane| {
                 let b_begin = tid * e - splits[tid].a_begin;
-                let out = &mut regs[tid * e..(tid + 1) * e];
-                serial_merge_from_shared(lane, &layout, splits[tid], b_begin, out);
+                serial_merge_from_shared(lane, &layout, splits[tid], b_begin, &mut regs, u);
             });
         }
         MergeStrategy::Gather => {
@@ -167,16 +169,16 @@ pub fn merge_pass_block_observed<K: SortKey, O: Observer>(
                 PairLayout::Natural { .. } => unreachable!(),
             };
             block.phase(PhaseClass::Gather, |tid, lane| {
-                let out = &mut regs[tid * e..(tid + 1) * e];
-                gather_merge_from_shared(lane, 0, &cf, tid, splits[tid], out);
+                gather_from_shared(lane, 0, &cf, tid, splits[tid], &mut regs, u);
             });
+            oets_sort_lanes(&mut regs, u);
         }
     }
 
     // 4. Stage through shared (rank layout), then coalesced store.
     block.oblivious_phase(PhaseClass::StoreTile, |tid, lane| {
-        for m in 0..e {
-            lane.st(tid * e + m, regs[tid * e + m]);
+        for (m, &v) in regs[tid..].iter().step_by(u).enumerate() {
+            lane.st(tid * e + m, v);
         }
     });
     block.oblivious_phase(PhaseClass::StoreTile, |tid, lane| {

@@ -31,42 +31,32 @@ pub fn oets_sort<T: Ord + Copy>(v: &mut [T]) -> u64 {
     ops
 }
 
-/// Sort `regs` into `out` when `regs[..a_len]` ascends and `regs[a_len..]`
-/// descends — the bitonic register array of CF-Merge's gather — with the
-/// result [`oets_sort`] gives on any arrangement of `regs`, in `O(n)`.
+/// [`oets_sort`] run by `lanes` threads in lock-step, as a block runs
+/// it on the GPU, over a register-major register file: thread `t`'s
+/// register `m` is `regs[m·lanes + t]`. Register `m` of every thread is
+/// then one contiguous row, so each compare-exchange step is one
+/// `min`/`max` loop over a pair of rows, which the compiler vectorises.
 ///
-/// The two runs are merged linearly. The merge emits a permutation of
-/// `regs`; if that is not sorted, because a run was not, [`oets_sort`]
-/// sorts it. Either way `out` is the sorted permutation of `regs`, which
-/// is also what the network gives on any arrangement of `regs` when
-/// equal elements are identical (as sort keys are).
+/// Every thread's registers end as [`oets_sort`] leaves them. Returns
+/// the compare-exchanges each thread performed, [`oets_ops`] of its
+/// register count.
 ///
 /// # Panics
-/// Panics if `out.len() != regs.len()` or `a_len > regs.len()`.
-pub fn merge_bitonic_runs<T: Ord + Copy>(regs: &[T], a_len: usize, out: &mut [T]) {
-    assert_eq!(regs.len(), out.len(), "register arrays differ in length");
-    let (a, b) = regs.split_at(a_len);
-    if a.is_empty() || b.is_empty() {
-        out[..a.len()].copy_from_slice(a);
-        out[a.len()..].copy_from_slice(b);
-        out[a.len()..].reverse();
-    } else {
-        // `a` is read from its front, `b` from its back (its smallest
-        // end). The heads are clamped into range so that every step reads
-        // both without a branch: which run wins is data-dependent and
-        // would be mispredicted half the time.
-        let (mut i, mut j) = (0, b.len());
-        for slot in out.iter_mut() {
-            let (x, y) = (a[i.min(a.len() - 1)], b[j.saturating_sub(1)]);
-            let take_a = (j == 0) | ((i < a.len()) & (x <= y));
-            *slot = std::hint::select_unpredictable(take_a, x, y);
-            i += usize::from(take_a);
-            j -= usize::from(!take_a);
+/// Panics if `lanes` is zero or does not divide `regs.len()`.
+pub fn oets_sort_lanes<T: Ord + Copy>(regs: &mut [T], lanes: usize) -> u64 {
+    assert!(regs.len().is_multiple_of(lanes), "{} registers over {lanes} lanes", regs.len());
+    let n = regs.len() / lanes;
+    for round in 0..n {
+        for i in (round % 2..n.saturating_sub(1)).step_by(2) {
+            let (lo, hi) = regs[i * lanes..(i + 2) * lanes].split_at_mut(lanes);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let (a, b) = (*x, *y);
+                *x = a.min(b);
+                *y = a.max(b);
+            }
         }
     }
-    if !out.is_sorted() {
-        oets_sort(out);
-    }
+    oets_ops(n)
 }
 
 /// Exact compare-exchange count of [`oets_sort`] on `n` elements
@@ -171,49 +161,50 @@ mod tests {
         }
     }
 
-    /// `merge_bitonic_runs` against `oets_sort` on the register array the
-    /// gather leaves before un-rotating it: every rotation `k`, every
-    /// split `a_len`, keys drawn from a small range so runs repeat keys.
+    /// `oets_sort_lanes` against `oets_sort` on each thread's registers,
+    /// over every register count and block width the kernels use: random
+    /// keys, 16 distinct values, all-equal threads, all-sentinel threads
+    /// (the padding), `u64` keys, and the runs a CF gather leaves (`A`
+    /// ascending then `B` descending, at every split), unbroken and
+    /// broken as a corrupted load breaks them.
     #[test]
-    fn bitonic_run_merge_matches_oets_on_every_split_and_rotation() {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
-        for e in [5usize, 15, 16, 17, 32] {
-            for a_len in 0..=e {
-                for k in 0..e {
-                    let mut a: Vec<u32> = (0..a_len).map(|_| rng.gen_range(0..6)).collect();
-                    let mut b: Vec<u32> = (0..e - a_len).map(|_| rng.gen_range(0..6)).collect();
-                    a.sort_unstable();
-                    b.sort_unstable_by(|x, y| y.cmp(x));
-                    let regs: Vec<u32> = a.iter().chain(&b).copied().collect();
-                    let mut rotated = regs.clone();
-                    rotated.rotate_right(k);
-                    oets_sort(&mut rotated);
-                    let mut out = vec![0; e];
-                    merge_bitonic_runs(&regs, a_len, &mut out);
-                    assert_eq!(out, rotated, "E={e} a_len={a_len} k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitonic_run_merge_sorts_unsorted_runs() {
-        // A corrupted load breaks a run; the merge alone would emit
-        // [5, 1, 2, 3, 4]-like output, so the network must finish it.
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-        for e in [5usize, 15, 16, 17, 32] {
-            for a_len in 0..=e {
-                let regs: Vec<u32> = (0..e).map(|_| rng.gen_range(0..1000)).collect();
-                let mut expect = regs.clone();
+    fn lane_network_matches_per_thread_oets() {
+        fn check<T: Ord + Copy + std::fmt::Debug>(threads: &[Vec<T>], what: &str) {
+            let (lanes, e) = (threads.len(), threads[0].len());
+            let mut regs: Vec<T> = (0..e * lanes).map(|i| threads[i % lanes][i / lanes]).collect();
+            assert_eq!(oets_sort_lanes(&mut regs, lanes), oets_ops(e), "{what} E={e} u={lanes}");
+            for (t, thread) in threads.iter().enumerate() {
+                let mut expect = thread.clone();
                 oets_sort(&mut expect);
-                let mut out = vec![0; e];
-                merge_bitonic_runs(&regs, a_len, &mut out);
-                assert_eq!(out, expect, "E={e} a_len={a_len}");
+                let got: Vec<T> = regs[t..].iter().step_by(lanes).copied().collect();
+                assert_eq!(got, expect, "{what} E={e} u={lanes} t={t}");
             }
         }
-        let mut out = [0u32; 5];
-        merge_bitonic_runs(&[9, 1, 2, 8, 3], 3, &mut out);
-        assert_eq!(out, [1, 2, 3, 8, 9]);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
+        for e in [1usize, 2, 3, 5, 15, 16, 17, 24, 32, 64] {
+            for u in [1usize, 32, 256, 512] {
+                let mut draw = |f: &mut dyn FnMut(usize, &mut rand::rngs::SmallRng) -> u32| {
+                    (0..u).map(|t| (0..e).map(|_| f(t, &mut rng)).collect()).collect::<Vec<_>>()
+                };
+                check(&draw(&mut |_, r| r.gen()), "random");
+                check(&draw(&mut |_, r| r.gen_range(0..16)), "16 distinct");
+                check(&draw(&mut |t, _| t as u32 % 7), "all-equal threads");
+                check(&draw(&mut |t, r| if t % 3 == 0 { u32::MAX } else { r.gen() }), "sentinels");
+                let mut runs = draw(&mut |_, r| r.gen_range(0..6));
+                for (t, v) in runs.iter_mut().enumerate() {
+                    let a_len = t % (e + 1);
+                    v[..a_len].sort_unstable();
+                    v[a_len..].sort_unstable_by(|x, y| y.cmp(x));
+                    if t % 2 == 1 {
+                        v[t % e] = 1000; // a stuck bit breaks a run
+                    }
+                }
+                check(&runs, "gathered runs");
+                let wide: Vec<Vec<u64>> =
+                    (0..u).map(|_| (0..e).map(|_| rng.gen::<u64>() >> 60).collect()).collect();
+                check(&wide, "u64");
+            }
+        }
     }
 
     #[test]
