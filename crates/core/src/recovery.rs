@@ -742,7 +742,7 @@ where
             // plan targets it) reads and writes its kind's carried entry.
             let carries = O::PASSIVE && !self.plan.sites.iter().any(|site| site.kernel == kernel);
             let carried = carries.then_some(&mut session.carried);
-            let launch = Launch::new(kernel, self.args, jobs, src, stripes, carried);
+            let launch = Launch::new(kernel, self.args, jobs, n, src, stripes, carried);
             let detected = stats.report.counters.faults_detected;
             let (report, extra, failed, blocks) =
                 self.launch(&launch, src, dst, stripes, base_profile, &mut stats.report)?;
@@ -1854,19 +1854,21 @@ mod tests {
         }
     }
 
-    /// Launch `kernel` of `jobs` over `src`, its stripe checksums hashed
-    /// anew, starting from its kind's entry in `carried` if given.
+    /// Launch `kernel` of `jobs` over `src` for a sort of `n` keys, its
+    /// stripe checksums hashed anew, starting from its kind's entry in
+    /// `carried` if given.
     fn launch_over(
         kernel: u32,
         args: KernelArgs,
         jobs: Vec<BlockJob>,
+        n: usize,
         src: &[u32],
         carried: Option<&mut CarriedEntries>,
     ) -> Launch<u32> {
         let stripe = stripe_width(args.tile());
         let mut stripes = vec![0; src.len().div_ceil(stripe)];
         stripe_checksums(src, stripe, &mut stripes);
-        Launch::new(kernel, args, jobs, src, &mut stripes, carried)
+        Launch::new(kernel, args, jobs, n, src, &mut stripes, carried)
     }
 
     #[test]
@@ -1880,7 +1882,7 @@ mod tests {
             BlockJob::Merge(MergeChunkJob { a_begin: a, a_end: a + 80, b_begin: 1000, b_end: 1080 })
         };
         let jobs = [0, 3, 8, 0].map(chunk).to_vec();
-        let launch = launch_over(1, args, jobs, &src, None);
+        let launch = launch_over(1, args, jobs, 4 * 160, &src, None);
         let (mut dst, mut fresh) = (vec![0u32; 160], vec![0u32; 160]);
         let mut profiles = Vec::new();
         // Block indices 0..3 of a 4-block launch: none is sampled.
@@ -1895,8 +1897,7 @@ mod tests {
         let load = |p: &KernelProfile| *p.phase(PhaseClass::LoadTile);
         assert_ne!(load(&profiles[0]), load(&profiles[1]), "misaligned A loads more sectors");
         // a_begin 8 shares a_begin 0's residue: a hit, not a simulation.
-        // The miss at a_begin 3 runs lean (and, in a debug build, in full
-        // once more to cross-check).
+        // The miss at a_begin 3 runs lean.
         assert_eq!(calls[..2], [(0, Pricing::Full), (1, Pricing::Lean)]);
         assert!(calls.iter().all(|&(block, _)| block < 2), "{calls:?}");
     }
@@ -1904,7 +1905,8 @@ mod tests {
     /// Two sorted random runs of 1000 keys, `A` then `B`, and a launch
     /// of 64 chunks of `a_len` 80 and `b_len` 80 whose block `b` takes
     /// the chunk at offset `at` into both runs for each `(b, at)` in
-    /// `chunks`, and the chunk at 0 otherwise.
+    /// `chunks`, and the chunk at 0 otherwise. Every block's output window
+    /// holds real keys, so block 63 is the last real one.
     fn chunk_launch(chunks: &[(usize, usize)]) -> (Vec<u32>, KernelArgs, Launch<u32>) {
         let mut runs = InputSpec::UniformRandom { seed: 44 }.generate(2000);
         runs[..1000].sort_unstable();
@@ -1914,7 +1916,7 @@ mod tests {
         for &(block, at) in chunks {
             jobs[block] = chunk_at(at);
         }
-        let launch = launch_over(1, args, jobs, &runs, None);
+        let launch = launch_over(1, args, jobs, 64 * 160, &runs, None);
         (runs, args, launch)
     }
 
@@ -1989,8 +1991,9 @@ mod tests {
 
     /// An unwatched Thrust block-sort launch of `blocks` blocks over `src`
     /// whose block `b` sorts the tile at `lo` for each `(b, lo)` in
-    /// `tiles`, and the tile at 0 otherwise. It carries its kind's entry
-    /// in `carried` if given.
+    /// `tiles`, and the tile at 0 otherwise. Every tile is real, so its
+    /// last block is the last real one. It carries its kind's entry in
+    /// `carried` if given.
     fn tile_launch(
         src: &[u32],
         blocks: usize,
@@ -2002,7 +2005,7 @@ mod tests {
         for &(block, lo) in tiles {
             jobs[block] = BlockJob::Tile(lo);
         }
-        launch_over(0, args, jobs, src, carried)
+        launch_over(0, args, jobs, blocks * 160, src, carried)
     }
 
     #[test]
@@ -2124,9 +2127,12 @@ mod tests {
         Ok(run_robust(start, rcfg, plan, no_checkpoints, make_observer, session)?.0)
     }
 
-    /// Blocks of a launch of `blocks` that the sampling rule re-simulates.
-    fn sampled(blocks: u64) -> usize {
-        (0..blocks).filter(|b| b % 64 == 63 || b + 1 == blocks).count()
+    /// Blocks of a launch of `blocks` that the sampling rule re-simulates,
+    /// in a sort of `n` keys in `tile`-key tiles: one in 64 and the last
+    /// whose output window holds an input key.
+    fn sampled(blocks: u64, n: usize, tile: usize) -> usize {
+        let last_real = n.div_ceil(tile) as u64 - 1;
+        (0..blocks).filter(|&b| b % 64 == 63 || b == last_real).count()
     }
 
     #[test]
@@ -2139,7 +2145,8 @@ mod tests {
                 let first = unwatched_sort(&mut session, algo, &rcfg, &input);
                 let second = unwatched_sort(&mut session, algo, &rcfg, &input);
                 let ((run, simulated), (_, first_simulated)) = (second, first);
-                let sampled: usize = run.kernels.iter().map(|k| sampled(k.blocks)).sum();
+                let sampled: usize =
+                    run.kernels.iter().map(|k| sampled(k.blocks, input.len(), 160)).sum();
                 assert_eq!(simulated, sampled, "{algo:?}, {tiles} tiles");
                 assert!(first_simulated > sampled, "{algo:?}, {tiles} tiles: {first_simulated}");
                 assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
@@ -2168,7 +2175,7 @@ mod tests {
             assert_eq!(carried.len(), 2, "{algo:?}: the full tiles' and the padded tile's");
             let (run, _) = unwatched_sort(&mut session, algo, &rcfg, &input);
             // Every tile replays, the padded one at the launch's sampled
-            // last block: the second sort makes no new representative.
+            // last real block: the second sort makes no new representative.
             assert_eq!(tile_reps(&session), carried, "{algo:?}");
             assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
         }
@@ -2183,17 +2190,70 @@ mod tests {
         let _ = unwatched_log(&mut session, algo, &rcfg, &input);
         let (run, log) = unwatched_log(&mut session, algo, &rcfg, &input);
         let count = |pricing| log.iter().filter(|&&(_, p)| p == pricing).count();
-        let unsampled = |k: &KernelReport| k.blocks as usize - sampled(k.blocks);
+        let unsampled = |k: &KernelReport| k.blocks as usize - sampled(k.blocks, input.len(), 160);
         // The block sort carries the representative of its first tile,
         // which replays that tile. The merge kind's is the last pass's
         // and replays nothing in the first. Every other unsampled block
         // is a lean miss, and every merge chunk's shape is known from the
-        // first sort. (A debug build also re-simulates each lean block in
-        // full.)
+        // first sort.
         let merge_unsampled: usize = run.kernels[1..].iter().map(unsampled).sum();
         assert_eq!(count(Pricing::Lean), unsampled(&run.kernels[0]) - 1);
         assert_eq!(count(Pricing::LeanShape), merge_unsampled);
         assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
+    }
+
+    #[test]
+    fn padding_blocks_replay_after_their_first() {
+        // Five random tiles pad to eight: blocks 5, 6 and 7 of every
+        // launch sort or merge sentinels alone, and block 4 is the last
+        // whose output window holds an input key.
+        let rcfg = small_rcfg();
+        let input = InputSpec::UniformRandom { seed: 45 }.generate(5 * 160);
+        let padding = |log: &[(usize, Pricing)]| {
+            log.iter().filter(|&&(block, _)| block >= 5 && block % 64 != 63).count()
+        };
+        for algo in [SortAlgorithm::ThrustMergesort, SortAlgorithm::CfMerge] {
+            let mut session = Session::default();
+            let (_, first) = unwatched_log(&mut session, algo, &rcfg, &input);
+            assert!(padding(&first) > 0, "{algo:?}: the first sort leaves the uniform entries");
+            // The second sort's padding replays from the carried entries,
+            // and each launch simulates its last real block in full.
+            let (run, second) = unwatched_log(&mut session, algo, &rcfg, &input);
+            assert_eq!(padding(&second), 0, "{algo:?}: {second:?}");
+            let last_real = second.iter().filter(|&&entry| entry == (4, Pricing::Full)).count();
+            assert_eq!(last_real, run.kernels.len(), "{algo:?}: {second:?}");
+            assert_eq!(run, simulate_sort_traced(&input, algo, &rcfg.base).run);
+        }
+    }
+
+    /// A block-sort launch of 64 blocks over 33 random tiles padded to 64:
+    /// blocks 33 to 63 sort sentinels alone, and block 63 is sampled. Its
+    /// block 33 has run, and left the uniform entry, which is doctored.
+    fn doctored_padding_launch() -> (Vec<u32>, Launch<u32>) {
+        let mut src = InputSpec::UniformRandom { seed: 46 }.generate(33 * 160);
+        src.resize(34 * 160, u32::MAX);
+        let args = KernelArgs::of(&small_rcfg().base, SortAlgorithm::ThrustMergesort);
+        let jobs = (0..64).map(|b: usize| BlockJob::Tile(b.min(33) * 160)).collect();
+        let mut launch = launch_over(0, args, jobs, 33 * 160, &src, None);
+        let _ = launch.execute(33, &src, &mut vec![0u32; 160], Passive);
+        launch.doctor_uniform();
+        (src, launch)
+    }
+
+    #[test]
+    #[should_panic(expected = "block memo invariant violated: blocksort block 63 re-simulated")]
+    fn doctored_uniform_entry_fails_the_next_sampled_block() {
+        let (src, launch) = doctored_padding_launch();
+        let _ = launch.execute(63, &src, &mut vec![0u32; 160], Passive);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "uniform entry invariant violated: blocksort block 34 was charged")]
+    fn doctored_uniform_entry_fails_a_debug_build_at_once() {
+        // An unsampled uniform replay is re-simulated in a debug build.
+        let (src, launch) = doctored_padding_launch();
+        let _ = launch.execute(34, &src, &mut vec![0u32; 160], Passive);
     }
 
     #[test]
@@ -2203,7 +2263,7 @@ mod tests {
         let input = InputSpec::WorstCase { w: 32, e: 5, u: 32 }.generate(16 * 160);
         let (mut first, mut second) = (Session::default(), Session::default());
         let (run, alone) = unwatched_sort(&mut first, algo, &rcfg, &input);
-        let sampled: usize = run.kernels.iter().map(|k| sampled(k.blocks)).sum();
+        let sampled: usize = run.kernels.iter().map(|k| sampled(k.blocks, input.len(), 160)).sum();
         assert!(alone > sampled, "{alone} of {sampled}");
         // A fresh session on the same thread starts from nothing that
         // `first` carries...

@@ -2,11 +2,12 @@
 //!
 //! A [`Launch`] holds everything the blocks of one kernel launch share:
 //! its index and name, each block's job and expected checksum, its
-//! launch kind, and its memo (representatives, oblivious share and shape
-//! entries). Its one [`execute`](Launch::execute) decides how a block runs. A watched
-//! block (traced, checked or fault-armed) is simulated under its
-//! observer. An unwatched one is replayed, simulated lean or simulated in
-//! full, and a sampled one is checked against what the memo holds.
+//! launch kind, and its memo (representatives, oblivious share, shape
+//! entries and uniform entries). Its one [`execute`](Launch::execute)
+//! decides how a block runs. A watched block (traced, checked or
+//! fault-armed) is simulated under its observer. An unwatched one is
+//! replayed, simulated lean or simulated in full, and a sampled one is
+//! checked against what the memo holds.
 //!
 //! Both kernels are comparison-based: every shared and global address a
 //! block issues, and so its whole [`KernelProfile`], is fixed by the
@@ -40,9 +41,33 @@
 //! integers, whose `Ord` equality is identity).
 //!
 //! A launch keeps at most [`MAX_REPS`] representatives, first come, first
-//! kept. Hits at sampled block indices (see [`Launch::execute`]) are
-//! re-simulated and must reproduce the cached profile exactly; a mismatch
-//! is an invariant violation and panics.
+//! kept. Hits at sampled block indices are re-simulated and must
+//! reproduce the cached profile exactly; a mismatch is an invariant
+//! violation and panics. The sampled blocks are one in [`SAMPLE_EVERY`]
+//! (`block % 64 == 63`) and the launch's last *real* block, the last
+//! whose output window holds an input key: `n.div_ceil(tile) − 1` for a
+//! sort of `n` keys. Every window after it holds only the sentinels the
+//! driver pads the input with, so every launch simulates at least one
+//! block whose output is the sort's own.
+//!
+//! ## All-equal blocks
+//!
+//! A block whose input keys are all equal has every comparison come out
+//! `==`, so its order type is fixed by its shape alone, whatever the key.
+//! The sentinel-padded tiles of a sort whose tile count is not a power of
+//! two, the merge chunks over them, and runs of one value in an input of
+//! few distinct keys are all such blocks. A launch keeps one *uniform
+//! entry* per shape (the profile of the first all-equal block of that
+//! shape), first come, first kept up to [`MAX_SHAPES`]. Before any
+//! representative is tried, a block's input is checked for being one key
+//! repeated, which a block of distinct keys fails at its second key. An
+//! all-equal block of a shape with an entry fills `dst` with its key and
+//! is charged the entry. One of a new shape runs lean or in full, as any
+//! miss does, and leaves the entry. All-equal blocks never take a
+//! representative slot, so they cannot crowd out the tiles that replay.
+//! Sampled uniform replays are re-simulated and checked like any hit.
+//! Debug builds also re-simulate every other uniform replay in full and
+//! panic unless output and profile agree.
 //!
 //! ## Carried entries
 //!
@@ -55,22 +80,24 @@
 //! launch that carries the session's [`CarriedEntries`]. The launch
 //! starts from its kind's entry: its representatives fill the first
 //! slots, so first come, first kept starts from them, and its oblivious
-//! share and shape entries are the launch's from the start.
-//! [`Launch::finish`] leaves the launch's own entry: the representatives
-//! that replayed at least one of its blocks, shared by [`Arc`] and never
-//! cloned, then, while a slot is free, the first one the launch recorded
-//! that replayed nothing, its oblivious share and its shape entries. Any
-//! other representative that replays nothing in a launch is dropped with
-//! it. The one kept is a ragged input's sentinel-padded last tile, which
-//! no other tile of its sort replays but the tile of a repeated sort
-//! does; on a random input it is one tile of keys that replays nothing.
+//! share, shape entries and uniform entries are the launch's from the
+//! start. [`Launch::finish`] leaves the launch's own entry: the
+//! representatives that replayed at least one of its blocks, shared by
+//! [`Arc`] and never cloned, then, while a slot is free, the first one the
+//! launch recorded that replayed nothing, its oblivious share, its shape
+//! entries and its uniform entries. Any other representative that
+//! replays nothing in a launch is dropped with it. The one kept is a
+//! ragged input's partly padded last tile, which no other tile of its
+//! sort replays but the tile of a repeated sort does; on a random input
+//! it is one tile of keys that replays nothing.
 //! The sampling rule does not change: sampled blocks check carried
-//! profiles, a carried share and carried shape entries exactly as they
-//! check the launch's own. The driver lets a launch carry only if its
-//! every block runs unwatched, so traced, checked and fault-armed
-//! launches neither read nor write an entry. A session's entries live as
-//! long as the session: at most one per kind it has launched, each of at
-//! most [`MAX_REPS`] blocks' keys and [`MAX_SHAPES`] shape entries.
+//! profiles, a carried share, carried shape entries and carried uniform
+//! entries exactly as they check the launch's own. The driver lets a
+//! launch carry only if its every block runs unwatched, so traced,
+//! checked and fault-armed launches neither read nor write an entry. A
+//! session's entries live as long as the session: at most one per kind it
+//! has launched, each of at most [`MAX_REPS`] blocks' keys, [`MAX_SHAPES`]
+//! shape entries and [`MAX_SHAPES`] uniform entries.
 //!
 //! ## Lean misses
 //!
@@ -107,7 +134,7 @@ use super::{stripe_width, BlockJob, KernelArgs};
 use crate::sort::key::SortKey;
 use crate::verify::StripeChecksums;
 use cfmerge_gpu_sim::global::SECTOR_WORDS;
-use cfmerge_gpu_sim::observer::Observer;
+use cfmerge_gpu_sim::observer::{Observer, Passive};
 use cfmerge_gpu_sim::profiler::{KernelProfile, PhaseClass, PhaseCounters};
 use cfmerge_json::ToJson;
 use std::any::{Any, TypeId};
@@ -123,7 +150,7 @@ const MAX_REPS: usize = 4;
 /// re-simulated.
 const SAMPLE_EVERY: usize = 64;
 
-/// Shape entries one launch kind keeps.
+/// Shape entries, and uniform entries, one launch kind keeps.
 const MAX_SHAPES: usize = 4096;
 
 /// The observer of a fully simulated unwatched block: passive, but
@@ -249,6 +276,7 @@ struct Carried<K> {
     reps: [Option<Arc<Rep<K>>>; MAX_REPS],
     share: Option<KernelProfile>,
     shapes: HashMap<Shape, ShapeLoad>,
+    uniform: HashMap<Shape, KernelProfile>,
 }
 
 /// Each launch kind's carried entry: a `Carried<K>` for the kind's key
@@ -273,6 +301,8 @@ pub(crate) struct Launch<K> {
     jobs: Vec<BlockJob>,
     /// Each block's expected output checksum.
     pub(crate) expected: Vec<u64>,
+    /// The last block whose output window holds an input key.
+    last_real: usize,
     /// The kind whose carried entry the launch starts from and leaves;
     /// `None` for a launch that neither reads nor writes one.
     kind: Option<LaunchKind>,
@@ -285,6 +315,9 @@ pub(crate) struct Launch<K> {
     /// The carried shape entries and those of the launch's simulated
     /// blocks, first come, first kept up to [`MAX_SHAPES`].
     shapes: RwLock<HashMap<Shape, ShapeLoad>>,
+    /// The carried uniform entries and those of the launch's all-equal
+    /// blocks, first come, first kept up to [`MAX_SHAPES`].
+    uniform: RwLock<HashMap<Shape, KernelProfile>>,
     /// Every block simulation of the launch, in order.
     #[cfg(test)]
     simulated: std::sync::Mutex<Vec<(usize, Pricing)>>,
@@ -325,15 +358,16 @@ struct WeakOrder {
 }
 
 impl<K: SortKey> Launch<K> {
-    /// Launch `kernel` of `jobs` over `src`. Each block's expected
-    /// checksum is read off `stripes`, the stripe checksums of `src`,
-    /// which this turns into their prefix sums. A launch given `carried`
-    /// starts from its kind's entry there, and [`finish`](Self::finish)
-    /// leaves it.
+    /// Launch `kernel` of `jobs` over `src`, the padded keys of a sort of
+    /// `n`. Each block's expected checksum is read off `stripes`, the
+    /// stripe checksums of `src`, which this turns into their prefix sums.
+    /// A launch given `carried` starts from its kind's entry there, and
+    /// [`finish`](Self::finish) leaves it.
     pub(crate) fn new(
         kernel: u32,
         args: KernelArgs,
         jobs: Vec<BlockJob>,
+        n: usize,
         src: &[K],
         stripes: &mut [u64],
         carried: Option<&mut CarriedEntries>,
@@ -342,7 +376,7 @@ impl<K: SortKey> Launch<K> {
         let sums = StripeChecksums::from_stripes(stripe_width(tile), stripes);
         let expected = jobs.iter().map(|j| j.expected_checksum(src, tile, &sums)).collect();
         let kind = LaunchKind { tiles: kernel == 0, key: TypeId::of::<K>(), args };
-        let (kind, Carried { reps, share, shapes }) = match carried {
+        let (kind, Carried { reps, share, shapes, uniform }) = match carried {
             Some(c) => (Some(kind), std::mem::take(entry(&mut c.kinds, kind))),
             None => (None, Carried::default()),
         };
@@ -357,11 +391,13 @@ impl<K: SortKey> Launch<K> {
             args,
             jobs,
             expected,
+            last_real: n.div_ceil(tile) - 1,
             kind,
             reps,
             carried_reps,
             share,
             shapes: RwLock::new(shapes),
+            uniform: RwLock::new(uniform),
             #[cfg(test)]
             simulated: Default::default(),
         }
@@ -383,17 +419,20 @@ impl<K: SortKey> Launch<K> {
         let reps = std::array::from_fn(|_| kept.next());
         let share = self.share.into_inner();
         let shapes = self.shapes.into_inner().expect("no block panicked");
-        *entry(&mut carried.kinds, kind) = Carried { reps, share, shapes };
+        let uniform = self.uniform.into_inner().expect("no block panicked");
+        *entry(&mut carried.kinds, kind) = Carried { reps, share, shapes, uniform };
     }
 
     /// Run block `block` of the launch into `dst` under `observer`. A
     /// watched block (any observer but `Passive`) is simulated. An
-    /// unwatched one is replayed if a representative shares its order
-    /// type, else simulated and kept as a representative while there is
-    /// room. A hit at a sampled index (one block in [`SAMPLE_EVERY`], and
-    /// the launch's last) is simulated too, and panics unless it
-    /// reproduces the cached profile. An unsampled miss runs lean once the
-    /// launch's oblivious share is known (see the module docs).
+    /// unwatched one is replayed if its input is one key repeated and its
+    /// shape has a uniform entry, or if a representative shares its order
+    /// type. Else it is simulated and kept as its shape's uniform entry or
+    /// as a representative while there is room. A hit at a sampled index
+    /// (one block in [`SAMPLE_EVERY`], and the launch's last real block) is
+    /// simulated too, and panics unless it reproduces the cached profile.
+    /// An unsampled miss runs lean once the launch's oblivious share is
+    /// known (see the module docs).
     pub(crate) fn execute<O: Observer>(
         &self,
         block: usize,
@@ -405,26 +444,65 @@ impl<K: SortKey> Launch<K> {
         if !O::PASSIVE {
             return self.args.execute(job, src, dst, observer);
         }
-        let sampled = block % SAMPLE_EVERY == SAMPLE_EVERY - 1 || block + 1 == self.jobs.len();
-        let cached = self.replay(job, src, dst);
-        if let Some(cached) = cached.filter(|_| !sampled) {
-            return (cached.clone(), observer);
-        }
+        let sampled = block % SAMPLE_EVERY == SAMPLE_EVERY - 1 || block == self.last_real;
+        let (shape, a, b) = block_input(job, src, self.args.tile());
+        let uniform = uniform_key(a, b, dst.len());
+        let cached = match uniform {
+            Some(key) => self.replay_uniform(shape, key, dst),
+            None => self.replay(shape, a, b, dst),
+        };
+        let cached = match cached {
+            Some(cached) if !sampled => {
+                if cfg!(debug_assertions) && uniform.is_some() {
+                    self.check_in_full(block, src, dst, &cached, "uniform entry");
+                }
+                return (cached, observer);
+            }
+            cached => cached,
+        };
         let profile = match self.share.get() {
             Some(share) if cached.is_none() && !sampled => self.lean(block, src, dst, share),
             _ => self.full(block, src, dst),
         };
         match cached {
-            Some(cached) if *cached != profile => panic!(
+            Some(cached) if cached != profile => panic!(
                 "block memo invariant violated: {} block {block} re-simulated to a profile \
                  that differs from its order type's cached one at {}",
                 self.name,
-                first_difference(cached, &profile)
+                first_difference(&cached, &profile)
             ),
             Some(_) => {}
-            None => self.record(job, src, &profile),
+            None if uniform.is_some() => keep_first(&self.uniform, shape, || profile.clone()),
+            None => self.record(shape, a, b, &profile),
         }
         (profile, observer)
+    }
+
+    /// Simulate block `block` in full, outside the test-only log, and
+    /// panic with "`what` invariant violated" unless that writes `dst` and
+    /// charges `profile`: how a debug build checks a lean block or a
+    /// uniform replay.
+    fn check_in_full(
+        &self,
+        block: usize,
+        src: &[K],
+        dst: &[K],
+        profile: &KernelProfile,
+        what: &str,
+    ) {
+        let mut full_dst = vec![K::default(); dst.len()];
+        let (full, Passive) = self.args.execute(self.jobs[block], src, &mut full_dst, Passive);
+        let name = &self.name;
+        assert!(
+            full_dst == dst,
+            "{what} invariant violated: {name} block {block} wrote other output in full"
+        );
+        assert!(
+            full == *profile,
+            "{what} invariant violated: {name} block {block} was charged other counters than \
+             its full simulation at {}",
+            first_difference(profile, &full)
+        );
     }
 
     /// Simulate the block in full; the launch's first such block sets its
@@ -467,16 +545,7 @@ impl<K: SortKey> Launch<K> {
         };
         profile.merge(share);
         if cfg!(debug_assertions) {
-            let mut full_dst = vec![K::default(); dst.len()];
-            let (full, _) = self.simulate(block, src, &mut full_dst, ObliviousShare::default());
-            assert!(full_dst == dst, "lean {} block {block} wrote other output", self.name);
-            assert!(
-                full == profile,
-                "lean block invariant violated: {} block {block} plus the oblivious share \
-                 differs from its full simulation at {}",
-                self.name,
-                first_difference(&profile, &full)
-            );
+            self.check_in_full(block, src, dst, &profile, "lean block");
         }
         profile
     }
@@ -502,14 +571,7 @@ impl<K: SortKey> Launch<K> {
                 );
             }
             Some(_) => {}
-            None => {
-                let mut shapes = self.shapes.write().expect("no block panicked");
-                if shapes.len() < MAX_SHAPES {
-                    // A concurrent block may have left it: first come,
-                    // first kept.
-                    shapes.entry(shape).or_insert(load);
-                }
-            }
+            None => keep_first(&self.shapes, shape, || load),
         }
     }
 
@@ -527,27 +589,45 @@ impl<K: SortKey> Launch<K> {
         self.args.execute(self.jobs[block], src, dst, observer)
     }
 
-    /// The profile of a representative `job` shares an order type with,
-    /// having written `job`'s sorted output to `dst`; `None` on a miss
-    /// (`dst` then holds partial junk the simulation overwrites).
-    fn replay(&self, job: BlockJob, src: &[K], dst: &mut [K]) -> Option<&KernelProfile> {
-        let (shape, a, b) = block_input(job, src, self.args.tile());
+    /// The uniform entry of `shape`, having filled `dst` with `key`, the
+    /// block's every input key; `None` if the shape has none.
+    fn replay_uniform(&self, shape: Shape, key: K, dst: &mut [K]) -> Option<KernelProfile> {
+        let profile = self.uniform.read().expect("no block panicked").get(&shape).cloned()?;
+        dst.fill(key);
+        Some(profile)
+    }
+
+    /// The profile of a representative the block with input `a` then `b`
+    /// shares an order type with, having written its sorted output to
+    /// `dst`; `None` on a miss (`dst` then holds partial junk the
+    /// simulation overwrites).
+    fn replay(&self, shape: Shape, a: &[K], b: &[K], dst: &mut [K]) -> Option<KernelProfile> {
         let slot =
             self.reps.iter().map_while(OnceLock::get).find(|s| s.rep.replays(shape, a, b, dst))?;
         slot.replayed.store(true, atomic::Ordering::Relaxed);
-        Some(&slot.rep.profile)
+        Some(slot.rep.profile.clone())
     }
 
-    /// Keep a simulated block as a representative while there is room.
-    fn record(&self, job: BlockJob, src: &[K], profile: &KernelProfile) {
+    /// Keep a simulated block with input `a` then `b` as a representative
+    /// while there is room.
+    fn record(&self, shape: Shape, a: &[K], b: &[K], profile: &KernelProfile) {
         if let Some(slot) = self.reps.iter().find(|slot| slot.get().is_none()) {
-            let (shape, a, b) = block_input(job, src, self.args.tile());
             let keys = [a, b].concat();
             let rep = Rep { shape, keys, order: OnceLock::new(), profile: profile.clone() };
             // A concurrent block may have taken the slot: first come,
             // first kept.
             let _ = slot.set(Slot { rep: Arc::new(rep), replayed: AtomicBool::new(false) });
         }
+    }
+}
+
+/// Leave `entry()` under `shape` in `entries` while they number fewer
+/// than [`MAX_SHAPES`].
+fn keep_first<V>(entries: &RwLock<HashMap<Shape, V>>, shape: Shape, entry: impl FnOnce() -> V) {
+    let mut entries = entries.write().expect("no block panicked");
+    if entries.len() < MAX_SHAPES {
+        // A concurrent block may have left it: first come, first kept.
+        entries.entry(shape).or_insert_with(entry);
     }
 }
 
@@ -561,6 +641,13 @@ fn shape_of(job: BlockJob) -> Shape {
             Shape::Merge { a_len, a_phase: phase(m.a_begin), b_phase: phase(m.b_begin) }
         }
     }
+}
+
+/// The key every input key of a block equals, if its input `a` then `b`
+/// is one key repeated over its whole output window of `window` keys.
+fn uniform_key<K: SortKey>(a: &[K], b: &[K], window: usize) -> Option<K> {
+    let &key = a.first().or(b.first())?;
+    (a.len() + b.len() == window && a.iter().chain(b).all(|&k| k == key)).then_some(key)
 }
 
 /// A block's shape and its input as one or two slices.
@@ -670,7 +757,7 @@ impl Pricing {
 impl CarriedEntries {
     /// Every block simulation of the launches finished since the last
     /// call, in order: the block's index in its launch and how it was
-    /// priced (a debug build simulates each lean block twice).
+    /// priced.
     pub(crate) fn take_simulated(&mut self) -> Vec<(usize, Pricing)> {
         std::mem::take(&mut self.simulated)
     }
@@ -718,6 +805,14 @@ impl<K> Launch<K> {
     pub(crate) fn doctor_shapes(&mut self) {
         for load in self.shapes.get_mut().expect("no block panicked").values_mut() {
             load.counters[8] += 1;
+        }
+    }
+
+    /// Add one to the sort phase's ALU count of every uniform entry of the
+    /// launch.
+    pub(crate) fn doctor_uniform(&mut self) {
+        for profile in self.uniform.get_mut().expect("no block panicked").values_mut() {
+            profile.phase_mut(PhaseClass::Sort).alu_ops += 1;
         }
     }
 

@@ -317,64 +317,46 @@ pub struct ServiceCounters {
     pub canary_promotions: u64,
 }
 
-impl ServiceCounters {
-    /// Fold `other` into `self` field by field.
-    pub fn merge(&mut self, other: &ServiceCounters) {
-        self.submitted += other.submitted;
-        self.admitted += other.admitted;
-        self.executed += other.executed;
-        self.verified_ok += other.verified_ok;
-        self.failed += other.failed;
-        self.cancelled += other.cancelled;
-        self.shed_overload += other.shed_overload;
-        self.shed_largest += other.shed_largest;
-        self.shed_deadline += other.shed_deadline;
-        self.invalid_deadline += other.invalid_deadline;
-        self.budget_denied += other.budget_denied;
-        self.breaker_opens += other.breaker_opens;
-        self.breaker_half_opens += other.breaker_half_opens;
-        self.breaker_closes += other.breaker_closes;
-        self.quarantined += other.quarantined;
-        self.probes += other.probes;
-        self.resumed += other.resumed;
-        self.checkpoints_taken += other.checkpoints_taken;
-        self.device_crashes += other.device_crashes;
-        self.device_restarts += other.device_restarts;
-        self.device_lost += other.device_lost;
-        self.migrations += other.migrations;
-        self.migrations_failed += other.migrations_failed;
-        self.steals += other.steals;
-        self.tuned_jobs += other.tuned_jobs;
-        self.ladder_steps += other.ladder_steps;
-        self.uncertified_rejected += other.uncertified_rejected;
-        self.canary_jobs += other.canary_jobs;
-        self.canary_rollbacks += other.canary_rollbacks;
-        self.canary_promotions += other.canary_promotions;
-    }
+/// The fold of two [`ServiceCounters`] and their JSON field list, from one
+/// list of fields: the required ones, then those that older artifacts
+/// lack (read as 0), then those emitted only when nonzero. Key order is
+/// list order.
+macro_rules! service_counters {
+    ([$($required:ident),*], [$($defaulted:ident),*], [$($omitted:ident),*]) => {
+        impl ServiceCounters {
+            /// Fold `other` into `self` field by field.
+            pub fn merge(&mut self, other: &ServiceCounters) {
+                $(self.$required += other.$required;)*
+                $(self.$defaulted += other.$defaulted;)*
+                $(self.$omitted += other.$omitted;)*
+            }
+        }
+
+        json_struct! {
+            ServiceCounters {
+                $($required,)*
+                $($defaulted = 0,)*
+                $($omitted ?= 0,)*
+            }
+        }
+    };
 }
 
-json_struct! {
-    ServiceCounters {
+service_counters! {
+    [
         submitted, admitted, executed, verified_ok, failed, cancelled, shed_overload,
         shed_largest, shed_deadline, invalid_deadline, budget_denied, breaker_opens,
-        breaker_half_opens, breaker_closes, quarantined, probes, resumed, checkpoints_taken,
-        // Cluster-era fields: absent from older artifacts.
-        device_crashes = 0,
-        device_restarts = 0,
-        device_lost = 0,
-        migrations = 0,
-        migrations_failed = 0,
-        steals = 0,
-        // Tuner-era fields are emitted only when nonzero, so every
-        // artifact pinned before the tuner existed — and every run with
-        // tuning off — stays bit-identical.
-        tuned_jobs ?= 0,
-        ladder_steps ?= 0,
-        uncertified_rejected ?= 0,
-        canary_jobs ?= 0,
-        canary_rollbacks ?= 0,
-        canary_promotions ?= 0,
-    }
+        breaker_half_opens, breaker_closes, quarantined, probes, resumed, checkpoints_taken
+    ],
+    // Cluster-era fields: absent from older artifacts.
+    [device_crashes, device_restarts, device_lost, migrations, migrations_failed, steals],
+    // Tuner-era fields are emitted only when nonzero, so every artifact
+    // pinned before the tuner existed — and every run with tuning off —
+    // stays bit-identical.
+    [
+        tuned_jobs, ladder_steps, uncertified_rejected, canary_jobs, canary_rollbacks,
+        canary_promotions
+    ]
 }
 
 /// Degradation-aware batch front-end over the robust driver: submit jobs

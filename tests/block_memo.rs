@@ -17,8 +17,9 @@
 //! every phase.
 //!
 //! And it pins carried entries: each launch hands its replaying
-//! representatives and its oblivious share to the next launch of its kind
-//! on the same thread, within a sort and from sort to sort.
+//! representatives, its oblivious share and its uniform entries (the
+//! profiles of its all-equal blocks, one per shape) to the next launch of
+//! its kind on the same thread, within a sort and from sort to sort.
 
 use cfmerge::core::inputs::InputSpec;
 use cfmerge::core::params::SortParams;
@@ -156,6 +157,36 @@ fn memoised_sorts_equal_fully_simulated_sorts() {
                     check(&keys, algo, &rcfg, &format!("u32 {what}"));
                     check(&widen(&keys), algo, &rcfg, &format!("u64 {what}"));
                 }
+            }
+        }
+    }
+}
+
+/// Inputs whose blocks are mostly all-equal, which replay from their
+/// shape's uniform entry: one key repeated, the sentinel itself repeated
+/// (real keys equal to the padding), one real key in the last real tile
+/// of sixteen, and two distinct keys. Each in both key widths.
+#[test]
+fn uniform_blocks_equal_fully_simulated_sorts() {
+    for (e, u) in SHAPES {
+        let tile = e * u;
+        let rcfg = RobustConfig::new(SortConfig::with_params(SortParams::new(e, u)));
+        // Five tiles and seven keys pad to eight tiles.
+        let ragged = 5 * tile + 7;
+        let one_key = 8 * tile + 1;
+        let few = InputSpec::FewDistinct { seed: 6, distinct: 2 }.generate(16 * tile);
+        let mostly_padding = InputSpec::UniformRandom { seed: 7 }.generate(one_key);
+        let cases = [
+            ("all 7", vec![7; ragged], vec![7; ragged]),
+            ("all sentinel", vec![u32::MAX; ragged], vec![u64::MAX; ragged]),
+            ("k·tile + 1", mostly_padding.clone(), widen(&mostly_padding)),
+            ("2 distinct", few.clone(), widen(&few)),
+        ];
+        for (label, narrow, wide) in cases {
+            for algo in ALGOS {
+                let what = format!("{algo:?} E={e} u={u} {label}");
+                check(&narrow, algo, &rcfg, &format!("u32 {what}"));
+                check(&wide, algo, &rcfg, &format!("u64 {what}"));
             }
         }
     }
